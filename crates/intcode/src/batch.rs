@@ -1,16 +1,15 @@
 //! Batched multi-query execution against one shared [`DecodedProgram`].
 //!
 //! The serving tier answers many independent queries against the same
-//! compiled image. Creating a fresh [`DecodedEmulator`] per query pays
-//! two allocations (register file + data memory) and re-faults the
-//! engine's working set every time; at serving rates that malloc
-//! traffic is pure overhead. This module keeps per-query engine state
-//! in a pooled, reusable arena instead:
+//! compiled image. This module keeps per-query engine state in a
+//! pooled, reusable arena, so a query pays neither an allocation nor a
+//! fill of the whole data memory:
 //!
-//! * [`EngineArena`] owns one query's register/memory buffers. Between
-//!   queries the buffers are re-zeroed in place (`resize` over a
-//!   cleared vector — a straight memset), never reallocated once they
-//!   have grown to the image's shape.
+//! * [`EngineArena`] owns one query's register file and [`DataMem`].
+//!   Between queries the register file is re-zeroed in place and the
+//!   memory zeroes only the pages the previous query wrote. A new
+//!   arena's first memory comes from [`DataMem::new`], which recycles a
+//!   buffer dropped by an earlier engine of the same length.
 //! * [`ArenaPool`] is a free list of arenas. A worker acquires one per
 //!   batch, runs every query of the batch back-to-back on it (the
 //!   decode tables stay hot in cache), and releases it.
@@ -32,26 +31,28 @@
 use crate::decode::{DecodedEmulator, DecodedProgram};
 use crate::emu::{ExecConfig, ExecError, Outcome};
 use crate::layout::Layout;
+use crate::mem::DataMem;
 use crate::word::Word;
 
 /// One query's worth of reusable engine state: the register file and
-/// data memory buffers a [`DecodedEmulator`] runs on.
+/// data memory a [`DecodedEmulator`] runs on.
 #[derive(Debug, Default)]
 pub struct EngineArena {
     regs: Vec<Word>,
-    mem: Vec<Word>,
+    mem: DataMem,
 }
 
 impl EngineArena {
-    /// An empty arena; buffers grow to the image's shape on first use
-    /// and are reused in place afterwards.
+    /// An empty arena; its state takes the image's shape on first use
+    /// and is reused in place afterwards.
     pub fn new() -> Self {
         EngineArena::default()
     }
 
-    /// Combined buffer capacity in words (diagnostics only).
+    /// Register-file capacity plus memory length, in words
+    /// (diagnostics only).
     pub fn capacity(&self) -> usize {
-        self.regs.capacity() + self.mem.capacity()
+        self.regs.capacity() + self.mem.len()
     }
 }
 
@@ -106,8 +107,8 @@ pub struct BatchOutcome {
 /// per query, in query index order.
 ///
 /// The hot path performs no per-query allocation once the pool's
-/// buffers have grown to the image's shape: each query re-zeroes the
-/// same register/memory buffers in place.
+/// arena has taken the image's shape: each query re-zeroes the same
+/// register file and only the memory pages the previous query wrote.
 pub fn run_batch(
     program: &DecodedProgram,
     layout: &Layout,
@@ -278,6 +279,62 @@ mod tests {
         let got = run_batch_parallel(&decoded, &layout, &one, 16);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].result, Ok(Outcome::Success));
+    }
+
+    /// Loads address `at`, then stores a non-zero word there; halts
+    /// with success only if the load read zero.
+    fn load_then_scribble(at: i64) -> IciProgram {
+        let mut a = Asm::new();
+        let e = a.fresh_label();
+        let clean = a.fresh_label();
+        let (base, seen, junk) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
+        a.bind(e);
+        a.emit(Op::MvI {
+            d: base,
+            w: Word::int(at),
+        });
+        a.emit(Op::MvI {
+            d: junk,
+            w: Word::atom(7),
+        });
+        a.emit(Op::Ld {
+            d: seen,
+            base,
+            off: 0,
+        });
+        a.emit(Op::St {
+            s: junk,
+            base,
+            off: 0,
+        });
+        a.emit(Op::BrWord {
+            a: seen,
+            w: Word::int(0),
+            eq: true,
+            t: clean,
+        });
+        a.emit(Op::Halt { success: false });
+        a.bind(clean);
+        a.emit(Op::Halt { success: true });
+        a.finish(e)
+    }
+
+    #[test]
+    fn each_query_starts_on_zeroed_memory() {
+        let layout = tiny_layout();
+        let mut pool = ArenaPool::new();
+        // The last word, a page-interior word and the first word.
+        for at in [layout.total() as i64 - 1, 200, 0] {
+            let decoded = DecodedProgram::new(&load_then_scribble(at));
+            let two = [ExecConfig::default(), ExecConfig::default()];
+            for _ in 0..2 {
+                let got = run_batch(&decoded, &layout, &two, &mut pool);
+                assert!(
+                    got.iter().all(|o| o.result == Ok(Outcome::Success)),
+                    "address {at}: a query saw the previous query's store: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::collections::VecDeque;
 
 use crate::emu::{ExecConfig, ExecError, ExecStats, Outcome, RunResult};
 use crate::layout::Layout;
+use crate::mem::DataMem;
 use crate::op::{AluOp, Cond, Label, Op, Operand};
 use crate::program::IciProgram;
 use crate::word::{Tag, Word};
@@ -433,54 +434,55 @@ impl ExecProfile {
 pub struct DecodedEmulator<'a> {
     program: &'a DecodedProgram,
     regs: Vec<Word>,
-    mem: Vec<Word>,
+    mem: DataMem,
     pc: usize,
     trace: VecDeque<usize>,
     trace_cap: usize,
 }
 
 #[inline(always)]
-fn load(mem: &[Word], addr: i64, at: usize) -> Result<Word, ExecError> {
+fn load(mem: &DataMem, addr: i64, at: usize) -> Result<Word, ExecError> {
     usize::try_from(addr)
         .ok()
         .and_then(|i| mem.get(i))
-        .copied()
         .ok_or(ExecError::BadAddress { addr, at })
 }
 
 #[inline(always)]
-fn store(mem: &mut [Word], addr: i64, w: Word, at: usize) -> Result<(), ExecError> {
-    match usize::try_from(addr).ok().and_then(|i| mem.get_mut(i)) {
-        Some(slot) => {
-            *slot = w;
-            Ok(())
-        }
-        None => Err(ExecError::BadAddress { addr, at }),
-    }
+fn store(mem: &mut DataMem, addr: i64, w: Word, at: usize) -> Result<(), ExecError> {
+    usize::try_from(addr)
+        .ok()
+        .and_then(|i| mem.set(i, w))
+        .ok_or(ExecError::BadAddress { addr, at })
 }
 
 impl<'a> DecodedEmulator<'a> {
-    /// Creates an emulator with zeroed registers and memory.
+    /// Creates an emulator with zeroed registers and memory. The
+    /// memory is a recycled [`DataMem`] when a dropped one of the same
+    /// length is free.
     pub fn new(program: &'a DecodedProgram, layout: &Layout) -> Self {
-        Self::new_in(program, layout, Vec::new(), Vec::new())
+        Self::new_in(program, layout, Vec::new(), DataMem::default())
     }
 
-    /// Creates an emulator reusing caller-owned buffers for the
-    /// register file and data memory: each is resized to this
-    /// program/layout and re-zeroed in place, so a buffer that already
-    /// served an image of the same shape is recycled without touching
-    /// the allocator. This is the batch executor's
+    /// Creates an emulator on caller-owned state: the register file is
+    /// re-zeroed in place, and a memory of the layout's length has only
+    /// the pages its last run wrote zeroed (any other is swapped for a
+    /// [`DataMem::new`]). This is the batch executor's
     /// ([`crate::batch`]) hot-path constructor.
     pub(crate) fn new_in(
         program: &'a DecodedProgram,
         layout: &Layout,
         mut regs: Vec<Word>,
-        mut mem: Vec<Word>,
+        mut mem: DataMem,
     ) -> Self {
         regs.clear();
         regs.resize(program.num_regs, Word::int(0));
-        mem.clear();
-        mem.resize(layout.total(), Word::int(0));
+        if mem.len() == layout.total() {
+            mem.reset();
+        } else {
+            drop(mem);
+            mem = DataMem::new(layout.total());
+        }
         DecodedEmulator {
             program,
             regs,
@@ -491,9 +493,9 @@ impl<'a> DecodedEmulator<'a> {
         }
     }
 
-    /// Releases the register/memory buffers for reuse by a later
+    /// Releases the register file and memory for reuse by a later
     /// [`DecodedEmulator::new_in`].
-    pub(crate) fn into_buffers(self) -> (Vec<Word>, Vec<Word>) {
+    pub(crate) fn into_buffers(self) -> (Vec<Word>, DataMem) {
         (self.regs, self.mem)
     }
 
@@ -962,10 +964,7 @@ impl<'a> DecodedEmulator<'a> {
 
     /// Read access to a memory word (for tests and answer inspection).
     pub fn peek(&self, addr: i64) -> Option<Word> {
-        usize::try_from(addr)
-            .ok()
-            .and_then(|i| self.mem.get(i))
-            .copied()
+        usize::try_from(addr).ok().and_then(|i| self.mem.get(i))
     }
 
     /// Read access to a register (for tests and answer inspection).
@@ -1322,6 +1321,69 @@ mod tests {
         // Ops 1 and 2 each ran 10 times; ties break by index.
         assert_eq!(hot, vec![(1, 10), (2, 10)]);
         assert_eq!(stats.hot_pcs(100).len(), 4, "halt and init ran once");
+    }
+
+    #[test]
+    fn a_recycled_memory_reads_zero_everywhere() {
+        // A length no other test uses, and not a multiple of the page
+        // size, so the free list holds only this test's buffer.
+        let layout = Layout {
+            heap_size: 9_000,
+            env_size: 1_000,
+            cp_size: 777,
+            trail_size: 500,
+            pdl_size: 33,
+        };
+        let total = layout.total() as i64;
+        // Stores a non-zero word to every address, across every page.
+        let p = assemble(|a| {
+            let e = a.fresh_label();
+            let lp = a.fresh_label();
+            let (addr, junk) = (a.fresh_reg(), a.fresh_reg());
+            a.bind(e);
+            a.emit(Op::MvI {
+                d: addr,
+                w: Word::int(0),
+            });
+            a.emit(Op::MvI {
+                d: junk,
+                w: Word {
+                    tag: Tag::Str,
+                    val: 0x5eed,
+                },
+            });
+            a.bind(lp);
+            a.emit(Op::St {
+                s: junk,
+                base: addr,
+                off: 0,
+            });
+            a.emit(Op::Alu {
+                op: AluOp::Add,
+                d: addr,
+                a: addr,
+                b: Operand::Imm(1),
+            });
+            a.emit(Op::Br {
+                cond: Cond::Lt,
+                a: addr,
+                b: Operand::Imm(total),
+                t: lp,
+            });
+            a.emit(Op::Halt { success: true });
+            e
+        });
+        let decoded = DecodedProgram::new(&p);
+        for round in 0..4 {
+            let mut emu = DecodedEmulator::new(&decoded, &layout);
+            for addr in 0..total {
+                assert_eq!(emu.peek(addr), Some(Word::int(0)), "round {round}, {addr}");
+            }
+            assert_eq!(emu.peek(total), None);
+            let run = emu.run(&ExecConfig::default()).expect("runs");
+            assert_eq!(run.outcome, Outcome::Success);
+            assert_eq!(emu.peek(total - 1).map(|w| w.tag), Some(Tag::Str));
+        }
     }
 
     #[test]

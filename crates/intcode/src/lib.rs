@@ -14,7 +14,8 @@
 //! * the pre-decoded micro-op engine ([`decode::DecodedProgram`] +
 //!   [`decode::DecodedEmulator`]) — the default execution path of the
 //!   evaluation pipeline, bit-identical to the legacy interpreter but
-//!   substantially faster per step, and
+//!   substantially faster per step — running on the recycled
+//!   [`mem::DataMem`], which resets only the pages a run wrote, and
 //! * the profile-guided [`fuse()`] pass — the second tier: hot
 //!   straight-line pairs from a `run_with_profile` execution profile
 //!   are re-decoded into fused superinstructions
@@ -47,6 +48,7 @@ pub mod decode;
 pub mod emu;
 pub mod fuse;
 pub mod layout;
+pub mod mem;
 pub mod op;
 pub mod program;
 pub mod translate;

@@ -69,7 +69,15 @@ pub fn parse_program_with_events(
         }
     };
     let parsed = clauses.len();
-    let clauses = normalize::normalize_clauses(clauses, &mut symbols);
+    let clauses = match normalize::normalize_clauses(clauses, &mut symbols) {
+        Ok(c) => c,
+        Err(e) => {
+            events.emit_with(symbol_obs::Level::Error, "prolog::normalize", || {
+                format!("unsupported goal: {e}")
+            });
+            return Err(e);
+        }
+    };
     if clauses.len() != parsed {
         events.emit_with(symbol_obs::Level::Debug, "prolog::normalize", || {
             format!(
@@ -86,4 +94,15 @@ pub fn parse_program_with_events(
         )
     });
     Ok(program)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_variable_goal_is_an_error_not_a_panic() {
+        let e = parse_program("main :- X.").expect_err("meta-calls are unsupported");
+        assert!(e.to_string().contains("variable goal X"), "{e}");
+    }
 }

@@ -17,22 +17,32 @@
 //! benchmarks do not rely on that corner of the semantics.
 
 use crate::ast::{Clause, Term};
+use crate::error::ParseError;
 use crate::parser::RawClause;
 use crate::symbols::{wk, SymbolTable};
 use std::collections::HashMap;
 
 /// Normalizes raw parsed clauses into flat [`Clause`]s, appending any
 /// auxiliary predicates generated along the way.
-pub fn normalize_clauses(raw: Vec<RawClause>, symbols: &mut SymbolTable) -> Vec<Clause> {
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] at the clause's position for a variable
+/// used as a goal (a meta-call, which the SYMBOL compiler does not
+/// support).
+pub fn normalize_clauses(
+    raw: Vec<RawClause>,
+    symbols: &mut SymbolTable,
+) -> Result<Vec<Clause>, ParseError> {
     let mut ctx = Ctx {
         symbols,
         out: Vec::new(),
         counter: 0,
     };
     for rc in raw {
-        ctx.normalize_one(rc);
+        ctx.normalize_one(rc)?;
     }
-    ctx.out
+    Ok(ctx.out)
 }
 
 struct Ctx<'a> {
@@ -42,8 +52,14 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    fn normalize_one(&mut self, rc: RawClause) {
-        let RawClause { term, var_names } = rc;
+    fn normalize_one(&mut self, rc: RawClause) -> Result<(), ParseError> {
+        let RawClause {
+            term,
+            var_names,
+            line,
+            col,
+        } = rc;
+        let at = (line, col);
         let (head, body_term) = match term {
             Term::Struct(f, mut args) if f == wk::NECK && args.len() == 2 => {
                 let body = args.pop().expect("binary neck");
@@ -54,24 +70,33 @@ impl Ctx<'_> {
             // always calls `main/0` explicitly.
             Term::Struct(f, args) if f == wk::NECK && args.len() == 1 => {
                 let _ = args;
-                return;
+                return Ok(());
             }
             other => (other, None),
         };
         let mut goals = Vec::new();
         if let Some(b) = body_term {
-            self.flatten(b, &var_names, &mut goals);
+            self.flatten(b, &var_names, at, &mut goals)?;
         }
         self.out.push(Clause::new(head, goals, var_names));
+        Ok(())
     }
 
-    fn flatten(&mut self, goal: Term, var_names: &[String], acc: &mut Vec<Term>) {
+    /// Flattens `goal` into `acc`; `at` is the source clause's
+    /// position, which auxiliary clauses inherit.
+    fn flatten(
+        &mut self,
+        goal: Term,
+        var_names: &[String],
+        at: (usize, usize),
+        acc: &mut Vec<Term>,
+    ) -> Result<(), ParseError> {
         match goal {
             Term::Struct(f, mut args) if f == wk::COMMA && args.len() == 2 => {
                 let b = args.pop().expect("binary comma");
                 let a = args.pop().expect("binary comma");
-                self.flatten(a, var_names, acc);
-                self.flatten(b, var_names, acc);
+                self.flatten(a, var_names, at, acc)?;
+                self.flatten(b, var_names, at, acc)?;
             }
             Term::Atom(a) if a == wk::TRUE => {}
             Term::Struct(f, mut args) if f == wk::SEMICOLON && args.len() == 2 => {
@@ -81,25 +106,34 @@ impl Ctx<'_> {
                     Term::Struct(g, mut ct) if g == wk::ARROW && ct.len() == 2 => {
                         let then = ct.pop().expect("binary ->");
                         let cond = ct.pop().expect("binary ->");
-                        self.emit_ite(cond, then, else_, var_names, acc);
+                        self.emit_ite(cond, then, else_, var_names, at, acc)?;
                     }
-                    other => self.emit_or(other, else_, var_names, acc),
+                    other => self.emit_or(other, else_, var_names, at, acc)?,
                 }
             }
             Term::Struct(f, mut args) if f == wk::ARROW && args.len() == 2 => {
                 let then = args.pop().expect("binary ->");
                 let cond = args.pop().expect("binary ->");
-                self.emit_ite(cond, then, Term::Atom(wk::FAIL), var_names, acc);
+                self.emit_ite(cond, then, Term::Atom(wk::FAIL), var_names, at, acc)?;
             }
             Term::Struct(f, mut args) if f == wk::NAF && args.len() == 1 => {
                 let g = args.pop().expect("unary \\+");
-                self.emit_not(g, var_names, acc);
+                self.emit_not(g, var_names, at, acc)?;
             }
-            Term::Var(v) => panic!(
-                "meta-call of a variable goal (_V{v}) is not supported by the SYMBOL compiler"
-            ),
+            Term::Var(v) => {
+                let name = var_names.get(v).map_or("_", String::as_str);
+                return Err(ParseError::new(
+                    at.0,
+                    at.1,
+                    format!(
+                        "variable goal {name} is a meta-call, which the SYMBOL compiler \
+                         does not support"
+                    ),
+                ));
+            }
             simple => acc.push(simple),
         }
+        Ok(())
     }
 
     fn emit_ite(
@@ -108,37 +142,54 @@ impl Ctx<'_> {
         then: Term,
         else_: Term,
         var_names: &[String],
+        at: (usize, usize),
         acc: &mut Vec<Term>,
-    ) {
+    ) -> Result<(), ParseError> {
         let mut vars = Vec::new();
         cond.collect_vars(&mut vars);
         then.collect_vars(&mut vars);
         else_.collect_vars(&mut vars);
         let aux = self.fresh_aux("$ite");
         let then_body = conj(vec![cond, Term::Atom(wk::CUT), then]);
-        self.emit_aux_clause(aux, &vars, then_body, var_names);
-        self.emit_aux_clause(aux, &vars, else_, var_names);
+        self.emit_aux_clause(aux, &vars, then_body, var_names, at)?;
+        self.emit_aux_clause(aux, &vars, else_, var_names, at)?;
         acc.push(aux_goal(aux, &vars));
+        Ok(())
     }
 
-    fn emit_or(&mut self, a: Term, b: Term, var_names: &[String], acc: &mut Vec<Term>) {
+    fn emit_or(
+        &mut self,
+        a: Term,
+        b: Term,
+        var_names: &[String],
+        at: (usize, usize),
+        acc: &mut Vec<Term>,
+    ) -> Result<(), ParseError> {
         let mut vars = Vec::new();
         a.collect_vars(&mut vars);
         b.collect_vars(&mut vars);
         let aux = self.fresh_aux("$or");
-        self.emit_aux_clause(aux, &vars, a, var_names);
-        self.emit_aux_clause(aux, &vars, b, var_names);
+        self.emit_aux_clause(aux, &vars, a, var_names, at)?;
+        self.emit_aux_clause(aux, &vars, b, var_names, at)?;
         acc.push(aux_goal(aux, &vars));
+        Ok(())
     }
 
-    fn emit_not(&mut self, g: Term, var_names: &[String], acc: &mut Vec<Term>) {
+    fn emit_not(
+        &mut self,
+        g: Term,
+        var_names: &[String],
+        at: (usize, usize),
+        acc: &mut Vec<Term>,
+    ) -> Result<(), ParseError> {
         let mut vars = Vec::new();
         g.collect_vars(&mut vars);
         let aux = self.fresh_aux("$not");
         let fail_body = conj(vec![g, Term::Atom(wk::CUT), Term::Atom(wk::FAIL)]);
-        self.emit_aux_clause(aux, &vars, fail_body, var_names);
-        self.emit_aux_clause(aux, &vars, Term::Atom(wk::TRUE), var_names);
+        self.emit_aux_clause(aux, &vars, fail_body, var_names, at)?;
+        self.emit_aux_clause(aux, &vars, Term::Atom(wk::TRUE), var_names, at)?;
         acc.push(aux_goal(aux, &vars));
+        Ok(())
     }
 
     fn fresh_aux(&mut self, prefix: &str) -> crate::symbols::Atom {
@@ -156,7 +207,8 @@ impl Ctx<'_> {
         vars: &[usize],
         body: Term,
         outer_names: &[String],
-    ) {
+        at: (usize, usize),
+    ) -> Result<(), ParseError> {
         let mut map: HashMap<usize, usize> = HashMap::new();
         let mut names = Vec::new();
         for (new, &old) in vars.iter().enumerate() {
@@ -174,7 +226,9 @@ impl Ctx<'_> {
         self.normalize_one(RawClause {
             term,
             var_names: names,
-        });
+            line: at.0,
+            col: at.1,
+        })
     }
 }
 
@@ -210,8 +264,23 @@ mod tests {
     fn normalize(src: &str) -> (Vec<Clause>, SymbolTable) {
         let mut s = SymbolTable::new();
         let raw = parse_clauses(src, &mut s).unwrap();
-        let cs = normalize_clauses(raw, &mut s);
+        let cs = normalize_clauses(raw, &mut s).unwrap();
         (cs, s)
+    }
+
+    #[test]
+    fn variable_goals_are_errors_naming_the_variable() {
+        for (src, name, line) in [
+            ("main :- X.", "X", 1),
+            ("p.\nmain :- p, (Goal ; true).", "Goal", 2),
+            ("main :- \\+ _.", "_", 1),
+        ] {
+            let mut s = SymbolTable::new();
+            let raw = parse_clauses(src, &mut s).unwrap();
+            let e = normalize_clauses(raw, &mut s).expect_err(src);
+            assert!(e.message.contains(&format!("variable goal {name} ")), "{e}");
+            assert_eq!((e.line, e.col), (line, 1), "{src}");
+        }
     }
 
     #[test]

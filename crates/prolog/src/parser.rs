@@ -8,14 +8,18 @@ use crate::symbols::SymbolTable;
 use std::collections::HashMap;
 
 /// A parsed clause before normalization: the whole clause term
-/// (`:-/2` structure for rules, plain callable for facts) plus the
-/// source names of its variables in index order.
+/// (`:-/2` structure for rules, plain callable for facts), the source
+/// names of its variables in index order, and where it starts.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RawClause {
     /// The clause term.
     pub term: Term,
     /// Variable names, indexed by `Term::Var` id.
     pub var_names: Vec<String>,
+    /// 1-based line of the clause's first token.
+    pub line: usize,
+    /// 1-based column of the clause's first token.
+    pub col: usize,
 }
 
 /// Parses all clauses in `src`.
@@ -27,7 +31,8 @@ pub fn parse_clauses(src: &str, symbols: &mut SymbolTable) -> Result<Vec<RawClau
     let toks = tokenize(src)?;
     let mut clauses = Vec::new();
     let mut pos = 0;
-    while pos < toks.len() {
+    while let Some(first) = toks.get(pos) {
+        let (line, col) = (first.line, first.col);
         let mut parser = Parser {
             toks: &toks,
             pos,
@@ -41,6 +46,8 @@ pub fn parse_clauses(src: &str, symbols: &mut SymbolTable) -> Result<Vec<RawClau
         clauses.push(RawClause {
             term,
             var_names: parser.var_names,
+            line,
+            col,
         });
     }
     Ok(clauses)
@@ -61,9 +68,12 @@ pub fn parse_term(src: &str, symbols: &mut SymbolTable) -> Result<RawClause, Par
         var_names: Vec::new(),
     };
     let term = parser.parse(MAX_PRIORITY)?;
+    let (line, col) = toks.first().map_or((1, 1), |t| (t.line, t.col));
     Ok(RawClause {
         term,
         var_names: parser.var_names,
+        line,
+        col,
     })
 }
 

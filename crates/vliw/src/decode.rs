@@ -23,6 +23,7 @@
 //! values, asserted by the workspace differential suite.
 
 use symbol_intcode::layout::Layout;
+use symbol_intcode::mem::DataMem;
 use symbol_intcode::{AluOp, Cond, Label, Op, OpClass, Operand, Tag, Word};
 
 use crate::machine::MachineConfig;
@@ -396,7 +397,7 @@ pub struct DecodedVliwSim<'a> {
     program: &'a DecodedVliw,
     regs: Vec<Word>,
     ready: Vec<u64>,
-    mem: Vec<Word>,
+    mem: DataMem,
     pc: usize,
     /// Reused phase-1 buffers (register writes carry the result-ready
     /// cycle); cleared every issue instead of reallocated.
@@ -406,13 +407,14 @@ pub struct DecodedVliwSim<'a> {
 }
 
 impl<'a> DecodedVliwSim<'a> {
-    /// Creates a simulator with zeroed state.
+    /// Creates a simulator with zeroed state. The memory is a recycled
+    /// [`DataMem`] when a dropped one of the same length is free.
     pub fn new(program: &'a DecodedVliw, layout: &Layout) -> Self {
         DecodedVliwSim {
             program,
             regs: vec![Word::int(0); program.num_regs],
             ready: vec![0; program.num_regs],
-            mem: vec![Word::int(0); layout.total()],
+            mem: DataMem::new(layout.total()),
             pc: program.entry_pc,
             reg_writes: Vec::new(),
             mem_writes: Vec::new(),
@@ -659,8 +661,12 @@ impl<'a> DecodedVliwSim<'a> {
                 self.regs[r as usize] = w;
                 self.ready[r as usize] = rdy;
             }
+            // Phase 1 checked every store address, so the error is
+            // unreachable.
             for &(addr, w) in &self.mem_writes {
-                self.mem[addr as usize] = w;
+                self.mem
+                    .set(addr as usize, w)
+                    .ok_or(SimError::BadAddress { at, addr })?;
             }
 
             if let Some(outcome) = halt {
@@ -724,8 +730,10 @@ impl<'a> DecodedVliwSim<'a> {
     }
 
     fn load(&self, addr: i64, at: usize) -> Result<Word, SimError> {
-        self.check_addr(addr, at)?;
-        Ok(self.mem[addr as usize])
+        usize::try_from(addr)
+            .ok()
+            .and_then(|i| self.mem.get(i))
+            .ok_or(SimError::BadAddress { at, addr })
     }
 }
 
@@ -926,6 +934,58 @@ mod tests {
         ];
         let p = program(instrs, &[(0, 0), (1, 8)]);
         differential(&p, MachineConfig::units(2));
+    }
+
+    #[test]
+    fn a_recycled_memory_starts_zeroed() {
+        // Loads address 1500 (on the second page), stores a non-zero
+        // word there, and halts with success only if the load read zero.
+        let instrs = vec![
+            word(vec![Op::MvI {
+                d: R(50),
+                w: Word::int(1500),
+            }]),
+            word(vec![Op::MvI {
+                d: R(51),
+                w: Word::atom(9),
+            }]),
+            word(vec![Op::Ld {
+                d: R(40),
+                base: R(50),
+                off: 0,
+            }]),
+            word(vec![Op::St {
+                s: R(51),
+                base: R(50),
+                off: 0,
+            }]),
+            VliwInstr::default(),
+            word(vec![Op::BrWord {
+                a: R(40),
+                w: Word::int(0),
+                eq: true,
+                t: Label(1),
+            }]),
+            word(vec![Op::Halt { success: false }]),
+            word(vec![Op::Halt { success: true }]),
+        ];
+        let p = program(instrs, &[(0, 0), (1, 7)]);
+        let decoded = DecodedVliw::new(&p, MachineConfig::units(2));
+        // A length no other test uses: each simulator after the first
+        // takes the buffer its predecessor dropped.
+        let layout = Layout {
+            heap_size: 2_000,
+            env_size: 100,
+            cp_size: 100,
+            trail_size: 100,
+            pdl_size: 7,
+        };
+        for round in 0..3 {
+            let r = DecodedVliwSim::new(&decoded, &layout)
+                .run(&SimConfig::default())
+                .expect("runs");
+            assert_eq!(r.outcome, SimOutcome::Success, "round {round}");
+        }
     }
 
     #[test]
