@@ -1,6 +1,7 @@
 //! Times every stage of the evaluation system (paper Figure 1) in
 //! isolation: parsing, BAM compilation, IntCode translation, sequential
-//! emulation, compaction and VLIW simulation. Emulation and simulation
+//! emulation, compaction (its per-profile and per-machine halves) and
+//! VLIW simulation. Emulation and simulation
 //! run the production engines (`DecodedEmulator`, `DecodedVliwSim`) on
 //! programs decoded outside the timed loop, the way the pipeline
 //! decodes once per image.
@@ -9,7 +10,7 @@ use std::hint::black_box;
 
 use symbol_bench::compiled;
 use symbol_bench::timing::Harness;
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{CompactMode, Compactor, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
 
@@ -41,26 +42,26 @@ fn stages(h: &mut Harness) {
         })
     });
 
+    // Compaction in its two halves: the per-profile analysis, built
+    // once per profile, and the per-machine schedule on top of it.
+    let policy = TracePolicy::default();
+    h.bench_function("stage/compact_prepare", |b| {
+        b.iter(|| Compactor::new(black_box(&compiled_qsort.ici), &run.stats, &policy))
+    });
+
     let machine = MachineConfig::units(3);
-    h.bench_function("stage/compact_trace", |b| {
+    let compactor = Compactor::new(&compiled_qsort.ici, &run.stats, &policy);
+    h.bench_function("stage/compact_schedule", |b| {
         b.iter(|| {
-            compact(
-                black_box(&compiled_qsort.ici),
-                &run.stats,
-                &machine,
-                CompactMode::TraceSchedule,
-                &TracePolicy::default(),
-            )
+            compactor
+                .compact(black_box(&machine), CompactMode::TraceSchedule)
+                .expect("compacts")
         })
     });
 
-    let compacted = compact(
-        &compiled_qsort.ici,
-        &run.stats,
-        &machine,
-        CompactMode::TraceSchedule,
-        &TracePolicy::default(),
-    );
+    let compacted = compactor
+        .compact(&machine, CompactMode::TraceSchedule)
+        .expect("compacts");
     let lowered = DecodedVliw::new(&compacted.program, machine);
     h.bench_function("stage/simulate_vliw", |b| {
         b.iter(|| {

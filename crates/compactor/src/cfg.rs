@@ -2,7 +2,7 @@
 
 //! Control-flow graph over IntCode programs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use symbol_intcode::{ExecStats, IciProgram, Label, Op};
 
@@ -64,8 +64,9 @@ pub struct Cfg {
     pub blocks: Vec<Block>,
     /// Block id containing each op.
     pub block_of_op: Vec<usize>,
-    /// Block whose first op each bound label points at.
-    pub label_block: HashMap<Label, usize>,
+    /// Block whose first op each label points at, indexed by label id
+    /// (`None` for labels bound past the last op or not at all).
+    pub label_block: Vec<Option<usize>>,
 }
 
 impl Cfg {
@@ -101,11 +102,9 @@ impl Cfg {
 
         let mut blocks = Vec::with_capacity(starts.len() - 1);
         let mut block_of_op = vec![0usize; n];
-        let mut start_block: HashMap<usize, usize> = HashMap::new();
         for w in starts.windows(2) {
             let (s, e) = (w[0], w[1]);
             let id = blocks.len();
-            start_block.insert(s, id);
             for i in s..e {
                 block_of_op[i] = id;
             }
@@ -128,13 +127,13 @@ impl Cfg {
             let mut succs = Vec::new();
             match op {
                 Op::Jmp { t } => {
-                    succs.push(Edge::Taken(start_block[&program.label_addr(*t)]));
+                    succs.push(Edge::Taken(block_of_op[program.label_addr(*t)]));
                 }
                 Op::JmpR { .. } | Op::Halt { .. } => {}
                 o if o.is_control() => {
                     // conditional branch
                     let t = o.target().expect("conditional branches have targets");
-                    succs.push(Edge::Taken(start_block[&program.label_addr(t)]));
+                    succs.push(Edge::Taken(block_of_op[program.label_addr(t)]));
                     if last + 1 < n {
                         succs.push(Edge::Fall(block_of_op[last + 1]));
                     }
@@ -155,19 +154,23 @@ impl Cfg {
             blocks[id].preds = p;
         }
 
-        // Label → block.
-        let mut label_block = HashMap::new();
-        for (lid, &addr) in program.label_table().iter().enumerate() {
-            if addr != usize::MAX && addr < n {
-                label_block.insert(Label(lid as u32), start_block[&addr]);
-            }
-        }
+        // Label → block (every bound label's address is a leader).
+        let label_block = program
+            .label_table()
+            .iter()
+            .map(|&addr| (addr < n).then(|| block_of_op[addr]))
+            .collect();
 
         Cfg {
             blocks,
             block_of_op,
             label_block,
         }
+    }
+
+    /// The block `label` is bound at, if any.
+    pub fn block_of_label(&self, label: Label) -> Option<usize> {
+        self.label_block.get(label.0 as usize).copied().flatten()
     }
 
     /// Probability of following `edge` out of `block`.

@@ -8,7 +8,9 @@
 //!
 //! The one-call entry point is [`compact`], which turns a profiled
 //! IntCode program into a scheduled [`symbol_vliw::VliwProgram`] for a
-//! given [`symbol_vliw::MachineConfig`].
+//! given [`symbol_vliw::MachineConfig`]. A caller that compacts one
+//! profile for several machines builds a [`Compactor`] once and calls
+//! [`Compactor::compact`] per machine.
 
 pub mod cfg;
 pub mod copyprop;
@@ -23,7 +25,7 @@ pub mod verify;
 
 pub use cfg::{Block, Cfg, Edge};
 pub use copyprop::{copy_propagate, try_copy_propagate};
-pub use emit::{compact, try_compact, CompactMode, CompactStats, Compacted};
+pub use emit::{compact, try_compact, CompactMode, CompactStats, Compacted, Compactor};
 pub use pressure::{measure as measure_pressure, Pressure};
 pub use regalloc::{allocate as allocate_registers, OutOfRegisters};
 pub use schedule::{ScheduleOptions, ScheduledTrace};

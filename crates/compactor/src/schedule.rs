@@ -13,8 +13,6 @@
 //! exit are speculated only when provably safe and are marked so the
 //! simulator treats their faults as benign.
 
-use std::collections::HashMap;
-
 use symbol_intcode::{Cond, Label, Op, OpClass, R};
 use symbol_vliw::{MachineConfig, SlotOp, VliwInstr};
 
@@ -127,8 +125,8 @@ pub fn rewrite_trace(
                 (o, Some(next)) if o.is_control() => {
                     let taken_dest = o
                         .target()
-                        .map(|t| cfg.label_block[&t])
-                        .expect("conditional branches have targets");
+                        .and_then(|t| cfg.block_of_label(t))
+                        .expect("conditional branches have bound targets");
                     if taken_dest == next {
                         // Trace follows the taken edge: invert so the
                         // trace falls through; off-trace = old
@@ -238,6 +236,36 @@ impl Default for ScheduleOptions {
     }
 }
 
+/// No op / no register: the empty entry of the scheduler's index
+/// tables.
+const NONE: u32 = u32::MAX;
+
+/// Per-register state of the dependence pass, indexed by the trace's
+/// dense register ids.
+#[derive(Clone, Copy)]
+struct RegState {
+    /// The op that last wrote the register.
+    last_def: u32,
+    /// Head of the list (through `use_link`) of ops that read it since.
+    uses: u32,
+    /// Number of writes so far: a base register's version, for memory
+    /// disambiguation.
+    version: u32,
+}
+
+/// Per-op state of the list scheduler.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Predecessors not yet placed.
+    indeg: u32,
+    /// Critical-path height: the priority.
+    height: u32,
+    /// First cycle the placed predecessors allow.
+    earliest: u32,
+    /// The cycle it was placed in (`NONE` until then).
+    cycle: u32,
+}
+
 /// Schedules a rewritten trace onto `machine`.
 ///
 /// Returns instruction words (with explicit empty words for latency
@@ -245,7 +273,7 @@ impl Default for ScheduleOptions {
 pub fn schedule_trace(
     trace_ops: &[TraceOp],
     machine: &MachineConfig,
-    live: &LiveAtLabel,
+    live: &LiveAtLabel<'_>,
     labels: &mut LabelAlloc,
     opts: &ScheduleOptions,
 ) -> ScheduledTrace {
@@ -259,42 +287,61 @@ pub fn schedule_trace(
     }
 
     // ---------------- dependence DAG ----------------
-    let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    let add_edge = |adj: &mut Vec<Vec<(usize, u32)>>,
-                    indeg: &mut Vec<usize>,
-                    from: usize,
-                    to: usize,
-                    lat: u32| {
-        adj[from].push((to, lat));
-        indeg[to] += 1;
+    // Edges `(from, to, latency)`, collected flat and packed into CSR
+    // form below. Duplicates are harmless: heights and earliest cycles
+    // take maxima, and in-degrees count each copy once per release.
+    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+    let mut add_edge = |from: usize, to: usize, lat: u32| edges.push((from as u32, to as u32, lat));
+
+    // The trace's registers get dense local ids, so the per-register
+    // state is an array.
+    let mut regs: Vec<R> = trace_ops
+        .iter()
+        .flat_map(|t| t.op.uses().into_iter().chain(t.op.def()))
+        .collect();
+    regs.sort_unstable();
+    regs.dedup();
+    let local = |r: R| {
+        regs.binary_search(&r)
+            .expect("register occurs in the trace")
     };
+    let mut reg = vec![
+        RegState {
+            last_def: NONE,
+            uses: NONE,
+            version: 0,
+        };
+        regs.len()
+    ];
 
     // Register dependences.
     {
-        let mut last_def: HashMap<R, usize> = HashMap::new();
-        let mut last_uses: HashMap<R, Vec<usize>> = HashMap::new();
+        let mut use_link: Vec<(u32, u32)> = Vec::new(); // (op, next)
         for (j, top) in trace_ops.iter().enumerate() {
             for u in top.op.uses() {
-                if let Some(&d) = last_def.get(&u) {
-                    let lat = machine.latency(&trace_ops[d].op);
-                    add_edge(&mut adj, &mut indeg, d, j, lat);
+                let r = &mut reg[local(u)];
+                if r.last_def != NONE {
+                    let d = r.last_def as usize;
+                    add_edge(d, j, machine.latency(&trace_ops[d].op));
                 }
-                last_uses.entry(u).or_default().push(j);
+                use_link.push((j as u32, r.uses));
+                r.uses = (use_link.len() - 1) as u32;
             }
             if let Some(d) = top.op.def() {
-                if let Some(&pd) = last_def.get(&d) {
-                    add_edge(&mut adj, &mut indeg, pd, j, 1); // WAW
+                let r = &mut reg[local(d)];
+                if r.last_def != NONE {
+                    add_edge(r.last_def as usize, j, 1); // WAW
                 }
-                if let Some(us) = last_uses.get(&d) {
-                    for &u in us {
-                        if u != j {
-                            add_edge(&mut adj, &mut indeg, u, j, 0); // WAR
-                        }
+                let mut at = r.uses;
+                while at != NONE {
+                    let (u, next) = use_link[at as usize];
+                    if u as usize != j {
+                        add_edge(u as usize, j, 0); // WAR
                     }
+                    at = next;
                 }
-                last_def.insert(d, j);
-                last_uses.insert(d, Vec::new());
+                r.last_def = j as u32;
+                r.uses = NONE;
             }
         }
     }
@@ -302,35 +349,29 @@ pub fn schedule_trace(
     // Memory dependences: conservative, with same-base/different-offset
     // disambiguation (the base register version must match).
     {
-        #[derive(PartialEq, Clone, Copy)]
         struct MemRef {
-            base: R,
-            version: usize,
+            base: usize,
+            version: u32,
             off: i32,
             store: bool,
             pos: usize,
         }
-        let mut version: HashMap<R, usize> = HashMap::new();
         let mut refs: Vec<MemRef> = Vec::new();
         for (j, top) in trace_ops.iter().enumerate() {
-            let mr = match &top.op {
-                Op::Ld { base, off, .. } => Some(MemRef {
-                    base: *base,
-                    version: *version.get(base).unwrap_or(&0),
-                    off: *off,
-                    store: false,
-                    pos: j,
-                }),
-                Op::St { base, off, .. } => Some(MemRef {
-                    base: *base,
-                    version: *version.get(base).unwrap_or(&0),
-                    off: *off,
-                    store: true,
-                    pos: j,
-                }),
+            let mr = match top.op {
+                Op::Ld { base, off, .. } => Some((base, off, false)),
+                Op::St { base, off, .. } => Some((base, off, true)),
                 _ => None,
             };
-            if let Some(m) = mr {
+            if let Some((base, off, store)) = mr {
+                let base = local(base);
+                let m = MemRef {
+                    base,
+                    version: reg[base].version,
+                    off,
+                    store,
+                    pos: j,
+                };
                 for p in &refs {
                     if !p.store && !m.store {
                         continue; // load-load independent
@@ -343,13 +384,12 @@ pub fn schedule_trace(
                     // store→load / store→store need a full cycle;
                     // load→store may share a cycle (load reads the
                     // pre-state).
-                    let lat = u32::from(p.store);
-                    add_edge(&mut adj, &mut indeg, p.pos, m.pos, lat);
+                    add_edge(p.pos, m.pos, u32::from(p.store));
                 }
                 refs.push(m);
             }
             if let Some(d) = top.op.def() {
-                *version.entry(d).or_insert(0) += 1;
+                reg[local(d)].version += 1;
             }
         }
     }
@@ -359,8 +399,7 @@ pub fn schedule_trace(
     {
         // Branch-order chain.
         for w in branch_positions.windows(2) {
-            let lat = u32::from(!machine.multiway_branch);
-            add_edge(&mut adj, &mut indeg, w[0], w[1], lat);
+            add_edge(w[0], w[1], u32::from(!machine.multiway_branch));
         }
         // Ops after a side exit: hoisting rules.
         for &b in &branch_positions {
@@ -378,7 +417,7 @@ pub fn schedule_trace(
                         (None, _) => true,
                     };
                 if !safe {
-                    add_edge(&mut adj, &mut indeg, b, j, 1);
+                    add_edge(b, j, 1);
                 }
             }
         }
@@ -399,7 +438,7 @@ pub fn schedule_trace(
                 }
                 let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
                 if drain > 0 {
-                    add_edge(&mut adj, &mut indeg, i, b, drain);
+                    add_edge(i, b, drain);
                 }
             }
         }
@@ -409,7 +448,7 @@ pub fn schedule_trace(
         if trace_ops[term].op.is_control() {
             for i in 0..term {
                 let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
-                add_edge(&mut adj, &mut indeg, i, term, drain);
+                add_edge(i, term, drain);
             }
         }
     }
@@ -424,9 +463,8 @@ pub fn schedule_trace(
             }
         };
         let mut seg_start = 0usize;
-        for j in 1..=n {
-            let boundary = j == n || seg_id(j) != seg_id(j - 1);
-            if boundary && j < n {
+        for j in 1..n {
+            if seg_id(j) != seg_id(j - 1) {
                 // next segment: find its extent
                 let mut k = j;
                 while k < n && seg_id(k) == seg_id(j) {
@@ -434,7 +472,7 @@ pub fn schedule_trace(
                 }
                 for a in seg_start..j {
                     for b in j..k {
-                        add_edge(&mut adj, &mut indeg, a, b, 0);
+                        add_edge(a, b, 0);
                     }
                 }
                 seg_start = j;
@@ -442,17 +480,46 @@ pub fn schedule_trace(
         }
     }
 
+    // CSR successor lists: `succ[start[i]..start[i + 1]]` are op `i`'s
+    // `(successor, latency)` pairs. A counting sort by source: prefix
+    // sums of the out-degrees give each op's end offset, and filling
+    // each list from its end leaves `start[i]` at its first entry.
+    let mut nodes = vec![
+        Node {
+            indeg: 0,
+            height: 0,
+            earliest: 0,
+            cycle: NONE,
+        };
+        n
+    ];
+    let mut start = vec![0u32; n + 1];
+    for &(from, to, _) in &edges {
+        start[from as usize] += 1;
+        nodes[to as usize].indeg += 1;
+    }
+    for i in 1..n {
+        start[i] += start[i - 1];
+    }
+    start[n] = start[n - 1];
+    let mut succ = vec![(0u32, 0u32); edges.len()];
+    for &(from, to, lat) in &edges {
+        start[from as usize] -= 1;
+        succ[start[from as usize] as usize] = (to, lat);
+    }
+    let succs = |i: usize| &succ[start[i] as usize..start[i + 1] as usize];
+
     // ---------------- priorities (critical-path height) ----------------
-    let mut height = vec![0u32; n];
     for i in (0..n).rev() {
-        for &(to, lat) in &adj[i] {
-            height[i] = height[i].max(height[to] + lat.max(1));
+        for &(to, lat) in succs(i) {
+            nodes[i].height = nodes[i].height.max(nodes[to as usize].height + lat.max(1));
         }
     }
 
     // ---------------- list scheduling ----------------
-    let mut cycle_of = vec![u32::MAX; n];
-    let mut earliest = vec![0u32; n];
+    // Unplaced ops whose predecessors are all placed.
+    let mut pending: Vec<usize> = (0..n).filter(|&i| nodes[i].indeg == 0).collect();
+    let mut ready: Vec<usize> = Vec::new();
     let mut remaining = n;
     let mut cycle: u32 = 0;
     // Guard against scheduler deadlock (a DAG bug would loop forever).
@@ -464,16 +531,18 @@ pub fn schedule_trace(
             "scheduler failed to place all ops (dependence cycle?)"
         );
         // Ready ops at this cycle, by priority.
-        let mut ready: Vec<usize> = (0..n)
-            .filter(|&i| cycle_of[i] == u32::MAX && indeg[i] == 0 && earliest[i] <= cycle)
-            .collect();
-        ready.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+        ready.clear();
+        ready.extend(
+            pending
+                .iter()
+                .copied()
+                .filter(|&i| nodes[i].earliest <= cycle),
+        );
+        ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(nodes[i].height), i));
 
         let mut used = [0usize; OpClass::COUNT]; // indexed by OpClass::index()
         let mut total_used = 0usize;
-        let mut placed_any = false;
-        let mut placed: Vec<usize> = Vec::new();
-        for i in ready {
+        for &i in &ready {
             let class = trace_ops[i].op.class();
             let idx = class.index();
             let budget = machine.slots(class);
@@ -483,27 +552,31 @@ pub fn schedule_trace(
             if fits {
                 used[idx] += 1;
                 total_used += 1;
-                cycle_of[i] = cycle;
-                placed.push(i);
-                placed_any = true;
+                nodes[i].cycle = cycle;
                 remaining -= 1;
             }
         }
-        for i in placed {
-            for &(to, lat) in &adj[i] {
-                indeg[to] -= 1;
-                earliest[to] = earliest[to].max(cycle + lat);
+        pending.retain(|&i| nodes[i].cycle == NONE);
+        for &i in &ready {
+            if nodes[i].cycle != cycle {
+                continue;
+            }
+            for &(to, lat) in succs(i) {
+                let node = &mut nodes[to as usize];
+                node.indeg -= 1;
+                node.earliest = node.earliest.max(cycle + lat);
+                if node.indeg == 0 {
+                    pending.push(to as usize);
+                }
             }
         }
-        let _ = placed_any;
         cycle += 1;
     }
-
-    let max_cycle = *cycle_of.iter().max().expect("nonempty");
+    let num_words = cycle as usize;
 
     // ---------------- compensation code ----------------
     let mut comps = Vec::new();
-    let mut retarget: HashMap<usize, Label> = HashMap::new();
+    let mut retarget: Vec<Option<Label>> = vec![None; n];
     for &b in &branch_positions {
         if b == n - 1 {
             continue; // the terminal transfer has no delayed ops below it
@@ -512,41 +585,48 @@ pub fn schedule_trace(
             Some(t) => t,
             None => continue,
         };
-        let delayed: Vec<usize> = (0..b).filter(|&i| cycle_of[i] > cycle_of[b]).collect();
+        let delayed: Vec<Op> = (0..b)
+            .filter(|&i| nodes[i].cycle > nodes[b].cycle)
+            .map(|i| trace_ops[i].op.clone())
+            .collect();
         if delayed.is_empty() {
             continue;
         }
         let label = labels.fresh();
-        let ops = delayed.iter().map(|&i| trace_ops[i].op.clone()).collect();
-        comps.push(CompBlock { label, ops, target });
-        retarget.insert(b, label);
+        comps.push(CompBlock {
+            label,
+            ops: delayed,
+            target,
+        });
+        retarget[b] = Some(label);
     }
 
     // ---------------- emit words ----------------
-    let mut words: Vec<VliwInstr> = (0..=max_cycle).map(|_| VliwInstr::default()).collect();
-    let mut by_cycle: Vec<Vec<usize>> = vec![Vec::new(); max_cycle as usize + 1];
-    for i in 0..n {
-        by_cycle[cycle_of[i] as usize].push(i);
+    // Ops enter their words in original order, which is the branch
+    // priority. An op is speculative when it issues no later than some
+    // earlier branch of the trace: a running maximum of those cycles.
+    let mut words: Vec<VliwInstr> = vec![VliwInstr::default(); num_words];
+    let mut branch_cycle: Option<u32> = None;
+    for (i, top) in trace_ops.iter().enumerate() {
+        let c = nodes[i].cycle;
+        let mut op = top.op.clone();
+        if let Some(l) = retarget[i] {
+            op.set_target(l);
+        }
+        words[c as usize].slots.push(SlotOp {
+            unit: 0,
+            op,
+            speculative: branch_cycle.is_some_and(|b| c <= b),
+        });
+        if top.op.is_control() {
+            branch_cycle = branch_cycle.max(Some(c));
+        }
     }
-    for c in 0..=max_cycle as usize {
-        by_cycle[c].sort_unstable(); // branch priority = original order
+    for word in &mut words {
         let mut unit_next = [0usize; OpClass::COUNT];
-        for &i in &by_cycle[c] {
-            let mut op = trace_ops[i].op.clone();
-            if let Some(l) = retarget.get(&i) {
-                op.set_target(*l);
-            }
-            let class = op.class();
-            let idx = class.index();
-            let unit = assign_unit(machine, class, &mut unit_next, idx);
-            let speculative = branch_positions
-                .iter()
-                .any(|&b| b < i && cycle_of[i] <= cycle_of[b]);
-            words[c].slots.push(SlotOp {
-                unit,
-                op,
-                speculative,
-            });
+        for slot in &mut word.slots {
+            let class = slot.op.class();
+            slot.unit = assign_unit(machine, class, &mut unit_next, class.index());
         }
     }
 
@@ -597,7 +677,7 @@ fn assign_unit(
 pub fn schedule_comp_block(
     comp: &CompBlock,
     machine: &MachineConfig,
-    live: &LiveAtLabel,
+    live: &LiveAtLabel<'_>,
     labels: &mut LabelAlloc,
 ) -> Vec<VliwInstr> {
     let mut ops: Vec<TraceOp> = comp

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use symbol_analysis::{ClassMix, PredictStats};
 use symbol_compactor::{
-    equal_duration_cycles, sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy,
+    equal_duration_cycles, sequential_cycles, CompactMode, Compactor, SeqDurations, TracePolicy,
 };
 use symbol_intcode::Layout;
 use symbol_obs::Registry;
@@ -217,7 +217,8 @@ fn machine_name(code: usize) -> &'static str {
 /// worker threads.
 ///
 /// Every simulation consumes the cache's one shared [`CompiledCache::run`]
-/// profile immutably; results are collected by work-list index, so the
+/// profile and one [`Compactor`] built from it immutably; results are
+/// collected by work-list index, so the
 /// returned [`BenchResult`] is bit-identical for every `threads`
 /// value (asserted by the workspace determinism test).
 ///
@@ -255,7 +256,8 @@ pub fn measure_cached_obs(
     let seq_cycles = sequential_cycles(&compiled.ici, &run.stats, &SeqDurations::default());
     let mix = ClassMix::measure(&compiled.ici, &run.stats);
     let predict = PredictStats::measure(&compiled.ici, &run.stats);
-    let policy = TracePolicy::default();
+    // One analysis of the profile, shared by all eight jobs.
+    let compactor = Compactor::new(&compiled.ici, &run.stats, &TracePolicy::default());
 
     let simulate = |(mode, machine_code): (CompactMode, usize)| -> Result<
         (SimResult, f64, f64),
@@ -274,7 +276,7 @@ pub fn measure_cached_obs(
             ("machine", machine_label),
         ];
         let _span = obs.span("simulate", labels);
-        let compacted = try_compact(&compiled.ici, &run.stats, &machine, mode, &policy)?;
+        let compacted = compactor.compact(&machine, mode)?;
         // Default engine: pre-decode the schedule for this machine and
         // run the micro-op simulator (bit-identical to the legacy
         // `VliwSim`, asserted by the workspace differential suite).

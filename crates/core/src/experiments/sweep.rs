@@ -53,7 +53,7 @@
 use std::time::{Duration, Instant};
 
 use symbol_analysis::{port_cycle_floor, TextTable};
-use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
+use symbol_compactor::{sequential_cycles, CompactMode, Compactor, SeqDurations, TracePolicy};
 use symbol_intcode::OpClass;
 use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
@@ -562,9 +562,10 @@ pub struct SweepReport {
 
 /// Expands `grid` and simulates every (benchmark, point) pair.
 ///
-/// Per benchmark: one compile + one sequential profiling run
-/// ([`CompiledCache`]), then the whole point list fans out over
-/// `opts.threads` workers through `run_indexed`. Per-benchmark spans
+/// Per benchmark: one compile, one sequential profiling run
+/// ([`CompiledCache`]) and one [`Compactor`], then the whole point list
+/// fans out over `opts.threads` workers through `run_indexed`, sharing
+/// the compactor's per-profile analysis. Per-benchmark spans
 /// (`sweep.bench`) and cycle/point counters are recorded on `obs`;
 /// labels carry only the benchmark name, never the configuration, so
 /// the metric cardinality stays bounded for thousand-point grids.
@@ -584,7 +585,6 @@ pub fn run_sweep(
     let mut normalized = grid.clone();
     normalized.normalize().map_err(SweepError::Grid)?;
     let points = normalized.expand();
-    let policy = TracePolicy::default();
     let start = Instant::now();
 
     let mut report = SweepReport {
@@ -620,16 +620,12 @@ pub fn run_sweep(
             .iter()
             .find(|(c, _)| *c == OpClass::Memory)
             .map_or(0, |(_, n)| *n);
+        // One analysis of the profile, shared by every grid point.
+        let compactor = Compactor::new(&compiled.ici, &cache.run.stats, &TracePolicy::default());
 
         let simulate = |i: usize| -> Result<(u64, u64), PipelineError> {
             let point = &points[i];
-            let compacted = try_compact(
-                &compiled.ici,
-                &cache.run.stats,
-                &point.machine,
-                point.mode,
-                &policy,
-            )?;
+            let compacted = compactor.compact(&point.machine, point.mode)?;
             let decoded = DecodedVliw::new(&compacted.program, point.machine);
             let result =
                 DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;

@@ -61,7 +61,7 @@ pub use decode::{DecodedEmulator, DecodedProgram, ExecProfile};
 pub use emu::{Emulator, ExecConfig, ExecError, ExecStats, Outcome, RunResult};
 pub use fuse::{fuse, profile_hash, FuseConfig, FusionReport};
 pub use layout::Layout;
-pub use op::{AluOp, Cond, Label, Op, OpClass, Operand, R};
+pub use op::{AluOp, Cond, Label, Op, OpClass, Operand, Uses, R};
 pub use program::{IciProgram, ProgramError};
 pub use translate::{translate, TranslateError};
 pub use wire::WireError;

@@ -356,6 +356,43 @@ pub enum Op {
     },
 }
 
+/// The registers an op reads ([`Op::uses`]): at most two, kept inline
+/// so asking costs no allocation. Derefs to a slice.
+#[derive(Copy, Clone, Debug)]
+pub struct Uses {
+    regs: [R; 2],
+    len: u8,
+}
+
+impl Uses {
+    const NONE: Uses = Uses {
+        regs: [R(0); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, r: R) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Uses {
+    type Target = [R];
+
+    fn deref(&self) -> &[R] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Uses {
+    type Item = R;
+    type IntoIter = std::iter::Take<std::array::IntoIter<R, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Op {
     /// The operation's class.
     pub fn class(&self) -> OpClass {
@@ -373,14 +410,9 @@ impl Op {
         }
     }
 
-    /// Registers read by the op.
-    pub fn uses(&self) -> Vec<R> {
-        let mut u = Vec::with_capacity(2);
-        let operand = |o: &Operand, u: &mut Vec<R>| {
-            if let Operand::Reg(r) = o {
-                u.push(*r);
-            }
-        };
+    /// Registers read by the op, in operand order (at most two).
+    pub fn uses(&self) -> Uses {
+        let mut u = Uses::NONE;
         match self {
             Op::Ld { base, .. } => u.push(*base),
             Op::St { s, base, .. } => {
@@ -389,15 +421,13 @@ impl Op {
             }
             Op::Mv { s, .. } => u.push(*s),
             Op::MvI { .. } => {}
-            Op::Alu { a, b, .. } | Op::AddA { a, b, .. } => {
+            Op::Alu { a, b, .. } | Op::AddA { a, b, .. } | Op::Br { a, b, .. } => {
                 u.push(*a);
-                operand(b, &mut u);
+                if let Operand::Reg(r) = b {
+                    u.push(*r);
+                }
             }
             Op::MkTag { s, .. } => u.push(*s),
-            Op::Br { a, b, .. } => {
-                u.push(*a);
-                operand(b, &mut u);
-            }
             Op::BrTag { a, .. } | Op::BrWord { a, .. } => u.push(*a),
             Op::BrWEq { a, b, .. } => {
                 u.push(*a);
@@ -625,7 +655,7 @@ mod tests {
             a: R(1),
             b: Operand::Reg(R(2)),
         };
-        assert_eq!(op.uses(), vec![R(1), R(2)]);
+        assert_eq!(*op.uses(), [R(1), R(2)]);
         assert_eq!(op.def(), Some(R(3)));
         let st = Op::St {
             s: R(4),
@@ -633,7 +663,7 @@ mod tests {
             off: 1,
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![R(4), R(5)]);
+        assert_eq!(*st.uses(), [R(4), R(5)]);
     }
 
     #[test]

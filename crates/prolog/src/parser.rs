@@ -7,6 +7,14 @@ use crate::ops::{self, InfixKind, PrefixKind, ARG_PRIORITY, MAX_PRIORITY};
 use crate::symbols::SymbolTable;
 use std::collections::HashMap;
 
+/// The deepest nesting of brackets, parentheses, braces, argument lists
+/// and prefix-operator applications a clause may have. The parser and
+/// the stages after it recurse once per level; at this limit the whole
+/// pipeline fits a 2 MiB thread stack with room to spare even
+/// unoptimised (which overflows past about 530 levels of `f(`). A list's
+/// length and a chain of infix operators do not count.
+pub const MAX_NESTING: usize = 256;
+
 /// A parsed clause before normalization: the whole clause term
 /// (`:-/2` structure for rules, plain callable for facts), the source
 /// names of its variables in index order, and where it starts.
@@ -39,6 +47,7 @@ pub fn parse_clauses(src: &str, symbols: &mut SymbolTable) -> Result<Vec<RawClau
             symbols,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
         };
         let term = parser.parse(MAX_PRIORITY)?;
         parser.expect_end()?;
@@ -66,6 +75,7 @@ pub fn parse_term(src: &str, symbols: &mut SymbolTable) -> Result<RawClause, Par
         symbols,
         vars: HashMap::new(),
         var_names: Vec::new(),
+        depth: 0,
     };
     let term = parser.parse(MAX_PRIORITY)?;
     let (line, col) = toks.first().map_or((1, 1), |t| (t.line, t.col));
@@ -83,6 +93,9 @@ struct Parser<'a> {
     symbols: &'a mut SymbolTable,
     vars: HashMap<String, usize>,
     var_names: Vec<String>,
+    /// Constructs open around the current position (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -103,6 +116,26 @@ impl Parser<'_> {
             Some(t) => ParseError::new(t.line, t.col, msg),
             None => ParseError::new(0, 0, format!("{} (at end of input)", msg.into())),
         }
+    }
+
+    /// Runs `inner` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING`]. `open` is the token that opened the level.
+    fn nested<T>(
+        &mut self,
+        open: &Token,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                open.line,
+                open.col,
+                format!("term nested more than {MAX_NESTING} levels deep"),
+            ));
+        }
+        self.depth += 1;
+        let result = inner(self);
+        self.depth -= 1;
+        result
     }
 
     fn expect_end(&mut self) -> Result<(), ParseError> {
@@ -182,30 +215,30 @@ impl Parser<'_> {
         match tok.kind {
             Tok::Int(i) => Ok((Term::Int(i), 0)),
             Tok::Var(v) => Ok((self.fresh_var(&v), 0)),
-            Tok::Atom(a) => self.parse_atom_or_prefix(a, max_prec),
-            Tok::LParen | Tok::FunctorParen => {
-                let t = self.parse(MAX_PRIORITY)?;
-                self.expect(Tok::RParen)?;
+            Tok::Atom(ref a) => self.parse_atom_or_prefix(&tok, a, max_prec),
+            Tok::LParen | Tok::FunctorParen => self.nested(&tok, |p| {
+                let t = p.parse(MAX_PRIORITY)?;
+                p.expect(Tok::RParen)?;
                 Ok((t, 0))
-            }
-            Tok::LBracket => self.parse_list(),
-            Tok::LBrace => {
+            }),
+            Tok::LBracket => self.nested(&tok, Self::parse_list),
+            Tok::LBrace => self.nested(&tok, |p| {
                 if matches!(
-                    self.peek(),
+                    p.peek(),
                     Some(Token {
                         kind: Tok::RBrace,
                         ..
                     })
                 ) {
-                    self.bump();
-                    let f = self.symbols.intern("{}");
+                    p.bump();
+                    let f = p.symbols.intern("{}");
                     return Ok((Term::Atom(f), 0));
                 }
-                let t = self.parse(MAX_PRIORITY)?;
-                self.expect(Tok::RBrace)?;
-                let f = self.symbols.intern("{}");
+                let t = p.parse(MAX_PRIORITY)?;
+                p.expect(Tok::RBrace)?;
+                let f = p.symbols.intern("{}");
                 Ok((Term::Struct(f, vec![t]), 0))
-            }
+            }),
             other => Err(ParseError::new(
                 tok.line,
                 tok.col,
@@ -216,7 +249,8 @@ impl Parser<'_> {
 
     fn parse_atom_or_prefix(
         &mut self,
-        a: String,
+        tok: &Token,
+        a: &str,
         max_prec: u32,
     ) -> Result<(Term, u32), ParseError> {
         // Functor application: f(...)
@@ -228,26 +262,28 @@ impl Parser<'_> {
             })
         ) {
             self.bump();
-            let mut args = vec![self.parse(ARG_PRIORITY)?];
-            loop {
-                match self.bump() {
-                    Some(Token {
-                        kind: Tok::Comma, ..
-                    }) => args.push(self.parse(ARG_PRIORITY)?),
-                    Some(Token {
-                        kind: Tok::RParen, ..
-                    }) => break,
-                    _ => {
-                        self.pos = self.pos.saturating_sub(1);
-                        return Err(self.err_here("expected ',' or ')' in argument list"));
+            return self.nested(tok, |p| {
+                let mut args = vec![p.parse(ARG_PRIORITY)?];
+                loop {
+                    match p.bump() {
+                        Some(Token {
+                            kind: Tok::Comma, ..
+                        }) => args.push(p.parse(ARG_PRIORITY)?),
+                        Some(Token {
+                            kind: Tok::RParen, ..
+                        }) => break,
+                        _ => {
+                            p.pos = p.pos.saturating_sub(1);
+                            return Err(p.err_here("expected ',' or ')' in argument list"));
+                        }
                     }
                 }
-            }
-            let f = self.symbols.intern(&a);
-            return Ok((Term::Struct(f, args), 0));
+                let f = p.symbols.intern(a);
+                Ok((Term::Struct(f, args), 0))
+            });
         }
         // Prefix operator, if one fits and a term follows.
-        if let Some((p, kind)) = ops::prefix(&a) {
+        if let Some((p, kind)) = ops::prefix(a) {
             if p <= max_prec && self.starts_term() {
                 // `- 3` folds to a negative literal.
                 if a == "-" {
@@ -264,12 +300,12 @@ impl Parser<'_> {
                     PrefixKind::Fy => p,
                     PrefixKind::Fx => p - 1,
                 };
-                let arg = self.parse(arg_max)?;
-                let f = self.symbols.intern(&a);
+                let arg = self.nested(tok, |p| p.parse(arg_max))?;
+                let f = self.symbols.intern(a);
                 return Ok((Term::Struct(f, vec![arg]), p));
             }
         }
-        let f = self.symbols.intern(&a);
+        let f = self.symbols.intern(a);
         Ok((Term::Atom(f), 0))
     }
 
