@@ -150,7 +150,8 @@ fn measure(h: &mut Harness) -> Vec<Row> {
     for b in benchmarks::ALL {
         let name = b.name;
         let mut c =
-            Compiled::from_source_with_layout(b.source, layout_for(name)).expect("compiles");
+            Compiled::from_source_obs(b.source, layout_for(name), &Registry::disabled(), "")
+                .expect("compiles");
         let run = c.run_sequential().expect("profiling run");
         let cfg = ExecConfig::default();
 
@@ -260,7 +261,8 @@ fn remeasure_fused(name: &str) -> f64 {
         .iter()
         .find(|b| b.name == name)
         .expect("known benchmark");
-    let mut c = Compiled::from_source_with_layout(b.source, layout_for(name)).expect("compiles");
+    let mut c = Compiled::from_source_obs(b.source, layout_for(name), &Registry::disabled(), "")
+        .expect("compiles");
     c.build_fused_tier().expect("fuses");
     let tier = c.fused.as_ref().expect("tier installed");
     if tier.report.pairs == 0 {

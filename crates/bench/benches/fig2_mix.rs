@@ -6,7 +6,9 @@ use std::hint::black_box;
 use symbol_analysis::ClassMix;
 use symbol_bench::timing::Harness;
 use symbol_bench::{compiled, TIMING_SUBSET};
-use symbol_core::experiments::{measure_all, reports};
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
+use symbol_obs::Registry;
 
 fn bench(h: &mut Harness) {
     for name in TIMING_SUBSET {
@@ -18,7 +20,8 @@ fn bench(h: &mut Harness) {
 }
 
 fn print_report() {
-    let results = measure_all().expect("suite measures");
+    let results = measure_suite_obs(benchmarks::ALL, default_threads(), &Registry::disabled())
+        .expect("suite measures");
     println!("\n{}", reports::fig2_mix(&results));
 }
 

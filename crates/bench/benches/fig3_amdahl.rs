@@ -6,7 +6,9 @@ use std::hint::black_box;
 
 use symbol_analysis::amdahl::{amdahl_overlapped, amdahl_separate, AmdahlCurve};
 use symbol_bench::timing::Harness;
-use symbol_core::experiments::{measure_all, reports};
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
+use symbol_obs::Registry;
 
 fn bench(h: &mut Harness) {
     h.bench_function("fig3_amdahl/curves", |b| {
@@ -20,7 +22,8 @@ fn bench(h: &mut Harness) {
 }
 
 fn print_report() {
-    let results = measure_all().expect("suite measures");
+    let results = measure_suite_obs(benchmarks::ALL, default_threads(), &Registry::disabled())
+        .expect("suite measures");
     println!("\n{}", reports::fig3_amdahl(&results));
 }
 

@@ -98,7 +98,8 @@ impl Row {
 }
 
 fn compile(b: &benchmarks::Benchmark) -> Arc<Compiled> {
-    let mut c = Compiled::from_source_with_layout(b.source, layout_for(b.name)).expect("compiles");
+    let mut c = Compiled::from_source_obs(b.source, layout_for(b.name), &Registry::disabled(), "")
+        .expect("compiles");
     c.build_fused_tier().expect("fuses");
     Arc::new(c)
 }
@@ -167,7 +168,7 @@ fn determinism_sweep() -> usize {
             .expect("subset benchmark exists");
         let compiled = compile(b);
         let reference = compiled
-            .run_sequential_fast()
+            .run_sequential()
             .expect("sequential reference")
             .steps;
         for &workers in &DET_WORKERS {
@@ -280,7 +281,7 @@ fn main() {
     for b in benchmarks::ALL {
         let compiled = compile(b);
         let steps = compiled
-            .run_sequential_fast()
+            .run_sequential()
             .expect("reference run")
             .steps
             .max(1);

@@ -7,7 +7,9 @@ use std::hint::black_box;
 use symbol_bench::timing::Harness;
 use symbol_bench::{compiled, TIMING_SUBSET};
 use symbol_compactor::{compact, CompactMode, TracePolicy};
-use symbol_core::experiments::{measure_all, reports};
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
+use symbol_obs::Registry;
 use symbol_vliw::MachineConfig;
 
 fn bench(h: &mut Harness) {
@@ -40,7 +42,8 @@ fn bench(h: &mut Harness) {
 }
 
 fn print_report() {
-    let results = measure_all().expect("suite measures");
+    let results = measure_suite_obs(benchmarks::ALL, default_threads(), &Registry::disabled())
+        .expect("suite measures");
     println!("\n{}", reports::table1_compaction(&results));
 }
 

@@ -7,8 +7,10 @@ use std::hint::black_box;
 use symbol_bench::compiled;
 use symbol_bench::timing::Harness;
 use symbol_compactor::{compact, CompactMode, TracePolicy};
-use symbol_core::experiments::{measure_all, reports};
-use symbol_vliw::{MachineConfig, SimConfig, VliwSim};
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
+use symbol_obs::Registry;
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
 
 fn bench(h: &mut Harness) {
     let (cc, run) = compiled("nreverse");
@@ -23,7 +25,8 @@ fn bench(h: &mut Harness) {
                     CompactMode::TraceSchedule,
                     &TracePolicy::default(),
                 );
-                VliwSim::new(&compacted.program, machine, &cc.layout)
+                let decoded = DecodedVliw::new(&compacted.program, machine);
+                DecodedVliwSim::new(&decoded, &cc.layout)
                     .run(&SimConfig::default())
                     .expect("simulates")
                     .cycles
@@ -33,7 +36,8 @@ fn bench(h: &mut Harness) {
 }
 
 fn print_report() {
-    let results = measure_all().expect("suite measures");
+    let results = measure_suite_obs(benchmarks::ALL, default_threads(), &Registry::disabled())
+        .expect("suite measures");
     println!("\n{}", reports::table3_units(&results));
     println!("\n{}", reports::fig6_chart(&results));
 }

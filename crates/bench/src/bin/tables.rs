@@ -8,12 +8,15 @@
 //!   tables                 # everything
 //!   tables fig2|fig3|fig4|fig6|table1|table2|table3|table4|table5|growth|util|csv
 
-use symbol_core::experiments::{measure_all, reports};
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
+use symbol_obs::Registry;
 
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
     eprintln!("measuring 16 benchmarks across 9 machine configurations...");
-    let results = match measure_all() {
+    let results = match measure_suite_obs(benchmarks::ALL, default_threads(), &Registry::disabled())
+    {
         Ok(r) => r,
         Err(e) => {
             eprintln!("measurement failed: {e}");

@@ -10,9 +10,8 @@
 //!   self-contained [`timing`] harness and print the regenerated rows
 //!   next to the paper's numbers.
 
-use symbol_core::benchmarks::{self, Benchmark};
-use symbol_core::experiments::{measure_cached, BenchResult};
-use symbol_core::pipeline::{Compiled, CompiledCache};
+use symbol_core::benchmarks;
+use symbol_core::pipeline::Compiled;
 
 pub mod timing;
 
@@ -31,25 +30,4 @@ pub fn compiled(name: &str) -> (Compiled, symbol_intcode::RunResult) {
     let c = Compiled::from_source(b.source).expect("benchmark compiles");
     let run = c.run_sequential().expect("benchmark runs");
     (c, run)
-}
-
-/// Measures a list of benchmarks (used by the report-printing side of
-/// each bench). Each benchmark compiles and profiles once through a
-/// [`CompiledCache`]; the per-(mode, machine) simulations share that
-/// profile on the parallel driver.
-///
-/// # Panics
-///
-/// Panics if any benchmark fails its self-check anywhere.
-pub fn measure_named(names: &[&str]) -> Vec<BenchResult> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    names
-        .iter()
-        .map(|n| {
-            let b: &Benchmark = benchmarks::by_name(n).expect("known benchmark");
-            let c = Compiled::from_source(b.source).expect("benchmark compiles");
-            let cache = CompiledCache::new(&c).expect("benchmark runs");
-            measure_cached(b.name, &cache, threads).expect("benchmark measures")
-        })
-        .collect()
 }

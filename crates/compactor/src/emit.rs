@@ -13,7 +13,7 @@ use crate::schedule::{
     rewrite_trace, schedule_comp_block, schedule_trace, LabelAlloc, ScheduleOptions,
 };
 use crate::trace::{average_trace_length, pick_traces, single_block_traces, Trace, TracePolicy};
-use crate::verify::{verify_program, Violation};
+use crate::verify::{missing_slot, verify_program, Violation};
 
 /// Which compaction strategy to apply.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -169,12 +169,17 @@ impl<'a> Compactor<'a> {
     ///
     /// # Errors
     ///
-    /// The first [`Violation`] found in the emitted schedule.
+    /// [`Violation::NoSlot`] for a machine with no slot for some
+    /// resource; otherwise the first [`Violation`] found in the emitted
+    /// schedule.
     pub fn compact(
         &self,
         machine: &MachineConfig,
         mode: CompactMode,
     ) -> Result<Compacted, Violation> {
+        if let Some(resource) = missing_slot(machine) {
+            return Err(Violation::NoSlot { resource });
+        }
         let (program, cfg) = (self.program, &self.cfg);
         let traces = self.traces(mode);
         let live_at = LiveAtLabel::new(cfg, &self.live);

@@ -53,6 +53,12 @@ pub enum Violation {
         /// The register.
         reg: u32,
     },
+    /// The machine has no slot for a resource, so no schedule exists.
+    /// [`crate::Compactor::compact`] checks this before scheduling.
+    NoSlot {
+        /// `"issue"` or the name of the op class.
+        resource: &'static str,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -73,11 +79,29 @@ impl fmt::Display for Violation {
             Violation::DoubleWrite { at, reg } => {
                 write!(f, "word {at} writes r{reg} twice")
             }
+            Violation::NoSlot { resource } => {
+                write!(f, "the machine has no {resource} slot")
+            }
         }
     }
 }
 
 impl std::error::Error for Violation {}
+
+/// The resource `machine` offers no slot for, if any: an issue slot,
+/// then each op class in [`OpClass::ALL`] order. A machine without one
+/// cannot place every op — no units, an issue width of 0, no memory
+/// port — and the scheduler would never finish, so
+/// [`crate::Compactor::compact`] refuses it up front.
+pub(crate) fn missing_slot(machine: &MachineConfig) -> Option<&'static str> {
+    if machine.issue_width == 0 {
+        return Some("issue");
+    }
+    OpClass::ALL
+        .into_iter()
+        .find(|&class| machine.slots(class) == 0)
+        .map(OpClass::name)
+}
 
 /// Verifies every instruction word of `program` against `machine`.
 ///

@@ -4,7 +4,7 @@
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
-use symbol_vliw::{MachineConfig, SimConfig, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
 
 fn main() {
     println!(
@@ -19,7 +19,8 @@ fn main() {
         let sim = |mode, machine: MachineConfig| {
             let comp = try_compact(&c.ici, &run.stats, &machine, mode, &TracePolicy::default())
                 .expect("schedule verifies");
-            let r = VliwSim::new(&comp.program, machine, &c.layout)
+            let decoded = DecodedVliw::new(&comp.program, machine);
+            let r = DecodedVliwSim::new(&decoded, &c.layout)
                 .run(&SimConfig::default())
                 .expect("sim");
             (

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use symbol_analysis::{ClassMix, PredictStats};
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
 use symbol_core::pipeline::{Compiled, PipelineError};
-use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
 
 fn usage() -> ExitCode {
     eprintln!("usage: symbolc <run|bam|ici|schedule|profile|sweep> <file.pl> [units]");
@@ -91,8 +91,9 @@ fn dispatch(cmd: &str, compiled: &Compiled, units: usize) -> Result<ExitCode, Pi
                     CompactMode::TraceSchedule,
                     &TracePolicy::default(),
                 )?;
-                let sim = VliwSim::new(&compacted.program, machine, &compiled.layout)
-                    .run(&SimConfig::default())?;
+                let decoded = DecodedVliw::new(&compacted.program, machine);
+                let sim =
+                    DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
                 if sim.outcome != SimOutcome::Success {
                     eprintln!("symbolc: scheduled code diverged from sequential execution");
                     return Ok(ExitCode::FAILURE);
@@ -167,8 +168,9 @@ fn dispatch(cmd: &str, compiled: &Compiled, units: usize) -> Result<ExitCode, Pi
                     mode,
                     &TracePolicy::default(),
                 )?;
-                let sim = VliwSim::new(&compacted.program, machine, &compiled.layout)
-                    .run(&SimConfig::default())?;
+                let decoded = DecodedVliw::new(&compacted.program, machine);
+                let sim =
+                    DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
                 println!(
                     "{name:<10} {:>10} cycles   speed-up {:.2}",
                     sim.cycles,

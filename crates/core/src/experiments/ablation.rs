@@ -13,7 +13,7 @@
 //! * the prototype's two-format issue restriction (§5.1).
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
-use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
 
 use crate::benchmarks;
 use crate::pipeline::{Compiled, PipelineError};
@@ -185,8 +185,8 @@ pub fn run(subset: &[&str]) -> Result<Vec<AblationRow>, PipelineError> {
                     *seq,
                 )
             };
-            let result =
-                VliwSim::new(&compacted.program, v.machine, &c.layout).run(&SimConfig::default())?;
+            let decoded = DecodedVliw::new(&compacted.program, v.machine);
+            let result = DecodedVliwSim::new(&decoded, &c.layout).run(&SimConfig::default())?;
             if result.outcome != SimOutcome::Success {
                 return Err(PipelineError::WrongAnswer);
             }

@@ -4,7 +4,8 @@
 //! [`measure`] runs one benchmark through the full evaluation system —
 //! sequential emulation, the BAM cost model, basic-block and trace
 //! compaction, and the 1–5 unit sweep — and returns every number the
-//! reports consume. [`measure_all`] does it for the whole suite.
+//! reports consume. [`measure_suite_obs`] does it for a list of
+//! benchmarks, usually [`crate::benchmarks::ALL`].
 
 pub mod ablation;
 pub mod reports;
@@ -76,8 +77,9 @@ where
         .collect()
 }
 
-/// Number of worker threads to use when the caller has no preference.
-fn default_threads() -> usize {
+/// Number of worker threads to use when the caller has no preference:
+/// the machine's available parallelism.
+pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -160,20 +162,8 @@ impl BenchResult {
 /// Propagates compilation and execution errors.
 pub fn measure(bench: &Benchmark) -> Result<BenchResult, PipelineError> {
     let compiled = Compiled::from_source(bench.source)?;
-    measure_compiled(bench.name, &compiled)
-}
-
-/// [`measure`] for an already-compiled program.
-///
-/// # Errors
-///
-/// Propagates execution errors; see [`measure`].
-pub fn measure_compiled(
-    name: &'static str,
-    compiled: &Compiled,
-) -> Result<BenchResult, PipelineError> {
-    let cache = CompiledCache::new(compiled)?;
-    measure_cached(name, &cache, default_threads())
+    let cache = CompiledCache::new(&compiled)?;
+    measure_cached(bench.name, &cache, default_threads(), &Registry::disabled())
 }
 
 /// The fixed per-benchmark simulation work list: every (compaction
@@ -222,30 +212,19 @@ fn machine_name(code: usize) -> &'static str {
 /// returned [`BenchResult`] is bit-identical for every `threads`
 /// value (asserted by the workspace determinism test).
 ///
+/// Each simulation runs in a `simulate` span on `obs` — labelled with
+/// the benchmark, the compaction mode and the machine — and adds
+/// cycle/op counters per configuration. Spans carry the worker
+/// thread's id, so the exported Chrome trace shows the simulation
+/// fan-out across the pool. With [`Registry::disabled`] nothing is
+/// recorded.
+///
 /// # Errors
 ///
 /// Propagates execution errors; see [`measure`]. When several
 /// simulations fail, the error of the lowest work-list index wins, so
 /// errors are deterministic too.
 pub fn measure_cached(
-    name: &'static str,
-    cache: &CompiledCache<'_>,
-    threads: usize,
-) -> Result<BenchResult, PipelineError> {
-    measure_cached_obs(name, cache, threads, &Registry::disabled())
-}
-
-/// [`measure_cached`] with every per-(mode, machine) simulation wrapped
-/// in a `simulate` span on `obs` — labelled with the benchmark, the
-/// compaction mode and the machine — plus cycle/op counters per
-/// configuration. Spans carry the worker thread's id, so the exported
-/// Chrome trace shows the simulation fan-out across the pool. With
-/// [`Registry::disabled`] this is exactly [`measure_cached`].
-///
-/// # Errors
-///
-/// See [`measure_cached`].
-pub fn measure_cached_obs(
     name: &'static str,
     cache: &CompiledCache<'_>,
     threads: usize,
@@ -335,58 +314,29 @@ pub fn measure_cached_obs(
     })
 }
 
-/// Measures the entire benchmark suite (in table order) on up to
-/// `available_parallelism` worker threads; see [`measure_all_with`].
-///
-/// # Errors
-///
-/// Fails if any benchmark does not compile, run and re-verify under
-/// every configuration.
-pub fn measure_all() -> Result<Vec<BenchResult>, PipelineError> {
-    measure_all_with(default_threads())
-}
-
-/// Measures the entire benchmark suite on a bounded pool of at most
-/// `threads` worker threads.
+/// Measures `benches` (the whole suite is [`crate::benchmarks::ALL`])
+/// on a bounded pool of at most `threads` worker threads
+/// ([`default_threads`] when the caller has no preference).
 ///
 /// Benchmarks are handed to workers through a shared atomic cursor and
 /// the results are collected **by benchmark index**, never by
-/// completion order, so the output is always in table order and
-/// bit-identical to `measure_all_with(1)`. Each benchmark compiles
-/// and profiles once ([`CompiledCache`]) and runs its simulations
+/// completion order, so the output is always in input order and
+/// bit-identical to a one-thread run. Each benchmark compiles and
+/// profiles once ([`CompiledCache`]) and runs its simulations
 /// sequentially within its worker — the suite fan-out is where the
 /// parallelism budget goes.
+///
+/// The run is observed through `obs`: per-benchmark
+/// compile/emulate/simulate spans (thread-aware — the exported Chrome
+/// trace shows the suite fan-out across the worker pool), front-end
+/// events, and per-configuration counters. With
+/// [`Registry::disabled`] nothing is recorded.
 ///
 /// # Errors
 ///
 /// Fails if any benchmark does not compile, run and re-verify under
 /// every configuration; when several fail, the error of the earliest
-/// benchmark (table order) is returned.
-pub fn measure_all_with(threads: usize) -> Result<Vec<BenchResult>, PipelineError> {
-    measure_all_obs(threads, &Registry::disabled())
-}
-
-/// [`measure_all_with`] with the whole suite observed through `obs`:
-/// per-benchmark compile/emulate/simulate spans (thread-aware — the
-/// exported Chrome trace shows the suite fan-out across the worker
-/// pool), front-end events, and per-configuration counters. With
-/// [`Registry::disabled`] this is exactly [`measure_all_with`].
-///
-/// # Errors
-///
-/// See [`measure_all_with`].
-pub fn measure_all_obs(threads: usize, obs: &Registry) -> Result<Vec<BenchResult>, PipelineError> {
-    measure_suite_obs(crate::benchmarks::ALL, threads, obs)
-}
-
-/// [`measure_all_obs`] over an explicit benchmark subset — the
-/// `obs_report` driver uses this to run the instrumented suite, and the
-/// schema-pinning test uses a one-benchmark subset (the metric *schema*
-/// is independent of which benchmarks run).
-///
-/// # Errors
-///
-/// See [`measure_all_with`].
+/// benchmark (input order) is returned.
 pub fn measure_suite_obs(
     benches: &[Benchmark],
     threads: usize,
@@ -397,8 +347,11 @@ pub fn measure_suite_obs(
         let labels: &[(&str, &str)] = &[("bench", b.name)];
         let _span = obs.span("measure", labels);
         let compiled = Compiled::from_source_obs(b.source, Layout::default(), obs, b.name)?;
-        let cache = CompiledCache::new_obs(&compiled, obs, b.name)?;
-        measure_cached_obs(b.name, &cache, 1, obs)
+        let cache = CompiledCache {
+            compiled: &compiled,
+            run: compiled.run_sequential_obs(obs, b.name)?,
+        };
+        measure_cached(b.name, &cache, 1, obs)
     })
     .into_iter()
     .collect()

@@ -61,7 +61,7 @@ use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutc
 use crate::benchmarks::Benchmark;
 use crate::pipeline::{Compiled, CompiledCache, PipelineError};
 
-use super::run_indexed;
+use super::{default_threads, run_indexed};
 
 /// One point of the design space: a machine configuration plus the
 /// compaction mode that schedules code for it.
@@ -458,7 +458,7 @@ pub struct SweepOptions {
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: default_threads(),
             budget: None,
         }
     }

@@ -134,11 +134,11 @@ pub struct ObsReport {
 /// # Errors
 ///
 /// Fails if any benchmark does not compile, run and self-check under
-/// every configuration; see [`experiments::measure_all_with`].
+/// every configuration; see [`experiments::measure_suite_obs`].
 pub fn collect(opts: &ReportOptions) -> Result<ObsReport, PipelineError> {
     let obs = Registry::new();
     let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        experiments::default_threads()
     } else {
         opts.threads
     };

@@ -8,7 +8,7 @@ use std::fmt;
 use symbol_bam::BamProgram;
 use symbol_intcode::batch::{self, ArenaPool, BatchOutcome};
 use symbol_intcode::decode::{DecodedEmulator, DecodedProgram, ExecProfile};
-use symbol_intcode::emu::{Emulator, ExecConfig, ExecStats, Outcome, RunResult};
+use symbol_intcode::emu::{ExecConfig, ExecStats, Outcome, RunResult};
 use symbol_intcode::fuse::{self, FuseConfig, FusionReport};
 use symbol_intcode::layout::Layout;
 use symbol_intcode::program::IciProgram;
@@ -41,9 +41,6 @@ pub enum PipelineError {
     Artifact(symbol_intcode::WireError),
     /// The query failed or produced a wrong (self-checked) answer.
     WrongAnswer,
-    /// [`Compiled::run_sequential_fused`] was called before a fused
-    /// tier was built or attached.
-    NoFusedTier,
 }
 
 impl fmt::Display for PipelineError {
@@ -60,9 +57,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Artifact(e) => write!(f, "artifact: {e}"),
             PipelineError::WrongAnswer => {
                 write!(f, "query failed its self-check (wrong answer)")
-            }
-            PipelineError::NoFusedTier => {
-                write!(f, "fused tier not built (profile the program first)")
             }
         }
     }
@@ -172,23 +166,14 @@ impl Compiled {
     /// Returns a [`PipelineError`] for syntax errors, unsupported
     /// goals, undefined predicates or a missing `main/0`.
     pub fn from_source(src: &str) -> Result<Self, PipelineError> {
-        Self::from_source_with_layout(src, Layout::default())
+        Self::from_source_obs(src, Layout::default(), &Registry::disabled(), "")
     }
 
-    /// Compiles with an explicit memory layout.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::from_source`].
-    pub fn from_source_with_layout(src: &str, layout: Layout) -> Result<Self, PipelineError> {
-        Self::from_source_obs(src, layout, &Registry::disabled(), "")
-    }
-
-    /// [`Compiled::from_source_with_layout`] with every compilation
+    /// Compiles for an explicit memory layout, with every compilation
     /// stage observed through `obs`: RAII spans (`parse`, `compile`,
     /// `translate`, `decode`) labelled with `bench`, and the front-end
     /// crates' diagnostics routed to the registry's event sink. With
-    /// [`Registry::disabled`] this is exactly the plain path.
+    /// [`Registry::disabled`] nothing is recorded.
     ///
     /// # Errors
     ///
@@ -306,21 +291,6 @@ impl Compiled {
         Ok(result)
     }
 
-    /// [`Compiled::run_sequential`] on the legacy op-at-a-time
-    /// interpreter — kept for differential testing against the decoded
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::run_sequential`].
-    pub fn run_sequential_legacy(&self) -> Result<RunResult, PipelineError> {
-        let result = Emulator::new(&self.ici, &self.layout).run(&ExecConfig::default())?;
-        if result.outcome != Outcome::Success {
-            return Err(PipelineError::WrongAnswer);
-        }
-        Ok(result)
-    }
-
     /// The cold profiling run of the tiering loop: executes the
     /// decoded program under the profiled monomorphization and returns
     /// the execution statistics, branch-predictor profile, and step
@@ -360,8 +330,8 @@ impl Compiled {
     }
 
     /// The full cold half of the tiering loop: one profiling run, then
-    /// fusion. After this, [`Compiled::run_sequential_fused`] (and the
-    /// fast path [`Compiled::run_sequential_fast`]) execute the
+    /// fusion. After this, [`Compiled::serving_program`] — and so
+    /// [`Compiled::run_batch`] and the query server — execute the
     /// specialized program.
     ///
     /// # Errors
@@ -370,39 +340,6 @@ impl Compiled {
     pub fn build_fused_tier(&mut self) -> Result<&FusedTier, PipelineError> {
         let (stats, profile, _steps) = self.profile()?;
         Ok(self.attach_fused_from_profile(&stats, &profile))
-    }
-
-    /// [`Compiled::build_fused_tier`] with the profiling run and the
-    /// fusion pass observed through `obs`: `profile` and `fuse` spans
-    /// labelled with `bench`, plus `fuse.pairs`, `fuse.ops_fused`,
-    /// `fuse.dispatches_saved` counters and a per-mille
-    /// `fuse.coverage_permille` gauge.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::profile`].
-    pub fn build_fused_tier_obs(
-        &mut self,
-        obs: &Registry,
-        bench: &str,
-    ) -> Result<&FusedTier, PipelineError> {
-        let labels: &[(&str, &str)] = &[("bench", bench)];
-        let (stats, profile, _steps) = {
-            let _span = obs.span("profile", labels);
-            self.profile()?
-        };
-        let tier = {
-            let _span = obs.span("fuse", labels);
-            self.attach_fused_from_profile(&stats, &profile)
-        };
-        obs.counter("fuse.pairs", labels).add(tier.report.pairs);
-        obs.counter("fuse.ops_fused", labels)
-            .add(tier.report.ops_fused);
-        obs.counter("fuse.dispatches_saved", labels)
-            .add(tier.report.dispatches_saved);
-        obs.gauge("fuse.coverage_permille", labels)
-            .set((tier.report.coverage() * 1000.0) as i64);
-        Ok(tier)
     }
 
     /// Installs a fused tier restored from a serialized artifact,
@@ -426,45 +363,11 @@ impl Compiled {
         Ok(())
     }
 
-    /// Runs the sequential emulation on the fused second-tier program.
-    /// Bit-identical to [`Compiled::run_sequential`] — same outcome,
-    /// step count and `ExecStats` — just fewer dispatches.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NoFusedTier`] before
-    /// [`Compiled::build_fused_tier`] /
-    /// [`Compiled::attach_fused_tier`]; otherwise see
-    /// [`Compiled::run_sequential`].
-    pub fn run_sequential_fused(&self) -> Result<RunResult, PipelineError> {
-        let tier = self.fused.as_ref().ok_or(PipelineError::NoFusedTier)?;
-        let result =
-            DecodedEmulator::new(&tier.program, &self.layout).run(&ExecConfig::default())?;
-        if result.outcome != Outcome::Success {
-            return Err(PipelineError::WrongAnswer);
-        }
-        Ok(result)
-    }
-
-    /// The tiered entry point: the fused program when a tier is
-    /// installed (warm), the plain decoded program otherwise (cold).
-    /// Both produce bit-identical results, so callers can upgrade a
-    /// running image without behavioral change.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::run_sequential`].
-    pub fn run_sequential_fast(&self) -> Result<RunResult, PipelineError> {
-        if self.fused.is_some() {
-            self.run_sequential_fused()
-        } else {
-            self.run_sequential()
-        }
-    }
-
     /// The program the serving tier executes: the fused second tier
-    /// when one is installed, the plain decoded program otherwise.
-    /// Both are bit-identical in behavior.
+    /// when one is installed (warm), the plain decoded program
+    /// otherwise (cold). Both are bit-identical in behavior — same
+    /// outcome, step count and `ExecStats` — so an image can be
+    /// upgraded while it serves.
     pub fn serving_program(&self) -> &DecodedProgram {
         self.fused
             .as_ref()
@@ -475,25 +378,22 @@ impl Compiled {
     /// serving program (fused when installed), reusing pooled engine
     /// state — no per-query register/heap allocation once the pool is
     /// warm. Answers come back in query index order and each is
-    /// bit-identical (outcome, step count, errors) to a standalone
-    /// [`Compiled::run_sequential_fast`] of the same query.
+    /// bit-identical (outcome, step count, errors) to a standalone run
+    /// of the same query on a fresh engine.
     pub fn run_batch(&self, queries: &[ExecConfig], pool: &mut ArenaPool) -> Vec<BatchOutcome> {
         batch::run_batch(self.serving_program(), &self.layout, queries, pool)
     }
 
-    /// [`Compiled::run_batch`] fanned out over `workers` scoped
-    /// threads (contiguous chunks, per-worker arenas). Index-ordered
-    /// and bit-identical to the sequential batch for every worker
-    /// count.
-    pub fn run_batch_parallel(&self, queries: &[ExecConfig], workers: usize) -> Vec<BatchOutcome> {
-        batch::run_batch_parallel(self.serving_program(), &self.layout, queries, workers)
-    }
-
-    /// One serving-tier *batch* request: `n` default-config queries
-    /// run back-to-back on pooled state under a per-request trace
-    /// span, each answer self-checked exactly like
-    /// [`Compiled::run_query_obs`]. Returns per-query step counts in
-    /// query index order.
+    /// One serving-tier request: `n` default-config queries run
+    /// back-to-back on pooled state, each answer self-checked like
+    /// [`Compiled::run_sequential`]. Returns per-query step counts in
+    /// query index order. A single query is the `n = 1` batch, so every
+    /// query the server answers takes this one path.
+    ///
+    /// The request runs under a `serve.query{req, n, tier}` trace
+    /// span. It is a [`Registry::event_span`] — trace event only, no
+    /// histogram — because request ids are unbounded and would
+    /// otherwise mint one histogram cell per request.
     ///
     /// # Errors
     ///
@@ -514,7 +414,7 @@ impl Compiled {
             "decoded"
         };
         let _span = obs.event_span(
-            "serve.query_batch",
+            "serve.query",
             &[("req", &req), ("n", &batch_n), ("tier", tier)],
         );
         let queries = vec![ExecConfig::default(); n];
@@ -526,26 +426,6 @@ impl Compiled {
                 Err(e) => Err(PipelineError::Exec(e)),
             })
             .collect()
-    }
-
-    /// One serving-tier query: [`Compiled::run_sequential_fast`] under
-    /// a per-request trace span carrying the request id and the tier
-    /// that answered. The span is a [`Registry::event_span`] — trace
-    /// event only, no histogram — because request ids are unbounded
-    /// and would otherwise mint one histogram cell per request.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::run_sequential`].
-    pub fn run_query_obs(&self, obs: &Registry, req_id: u64) -> Result<RunResult, PipelineError> {
-        let req = req_id.to_string();
-        let tier = if self.fused.is_some() {
-            "fused"
-        } else {
-            "decoded"
-        };
-        let _span = obs.event_span("serve.query", &[("req", &req), ("tier", tier)]);
-        self.run_sequential_fast()
     }
 }
 
@@ -576,26 +456,27 @@ impl<'a> CompiledCache<'a> {
         let run = compiled.run_sequential()?;
         Ok(CompiledCache { compiled, run })
     }
-
-    /// [`CompiledCache::new`] with the profiling run observed through
-    /// `obs` (see [`Compiled::run_sequential_obs`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::run_sequential`].
-    pub fn new_obs(
-        compiled: &'a Compiled,
-        obs: &Registry,
-        bench: &str,
-    ) -> Result<Self, PipelineError> {
-        let run = compiled.run_sequential_obs(obs, bench)?;
-        Ok(CompiledCache { compiled, run })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symbol_intcode::emu::Emulator;
+
+    /// One run on the legacy op-at-a-time interpreter, the reference
+    /// the decoded engines are checked against.
+    fn legacy_run(c: &Compiled) -> RunResult {
+        Emulator::new(&c.ici, &c.layout)
+            .run(&ExecConfig::default())
+            .expect("legacy run")
+    }
+
+    /// One run of `program` on a fresh decoded engine.
+    fn decoded_run(program: &DecodedProgram, layout: &Layout) -> RunResult {
+        DecodedEmulator::new(program, layout)
+            .run(&ExecConfig::default())
+            .expect("decoded run")
+    }
 
     #[test]
     fn cache_profile_matches_a_direct_run() -> Result<(), PipelineError> {
@@ -635,7 +516,7 @@ mod tests {
     fn decoded_default_engine_matches_legacy() {
         let c = Compiled::from_source("main :- X is 5 * 5, X = 25.").unwrap();
         let d = c.run_sequential().unwrap();
-        let l = c.run_sequential_legacy().unwrap();
+        let l = legacy_run(&c);
         assert_eq!(d.outcome, l.outcome);
         assert_eq!(d.steps, l.steps);
         assert_eq!(d.stats.expect, l.stats.expect);
@@ -649,11 +530,12 @@ mod tests {
                    count(N) :- N > 0, M is N - 1, count(M).";
         let mut c = Compiled::from_source(src).unwrap();
         let d = c.run_sequential().unwrap();
-        let l = c.run_sequential_legacy().unwrap();
-        let tier = c.build_fused_tier().unwrap();
+        let l = legacy_run(&c);
+        c.build_fused_tier().unwrap();
+        let tier = c.fused.as_ref().unwrap();
         assert!(tier.report.pairs > 0, "fusion found hot pairs");
         assert!(tier.report.coverage() > 0.0);
-        let f = c.run_sequential_fused().unwrap();
+        let f = decoded_run(&tier.program, &c.layout);
         assert_eq!(f.outcome, d.outcome);
         assert_eq!(f.steps, d.steps);
         assert_eq!(f.steps, l.steps);
@@ -664,16 +546,12 @@ mod tests {
     #[test]
     fn fast_path_picks_the_installed_tier() {
         let mut c = Compiled::from_source("main :- X is 2 + 3, X = 5.").unwrap();
-        let cold = c.run_sequential_fast().unwrap();
-        assert!(
-            matches!(
-                c.run_sequential_fused().unwrap_err(),
-                PipelineError::NoFusedTier
-            ),
-            "no tier before profiling"
-        );
+        assert!(std::ptr::eq(c.serving_program(), &c.decoded), "cold");
+        let cold = decoded_run(c.serving_program(), &c.layout);
         c.build_fused_tier().unwrap();
-        let warm = c.run_sequential_fast().unwrap();
+        let tier = &c.fused.as_ref().unwrap().program;
+        assert!(std::ptr::eq(c.serving_program(), tier), "warm");
+        let warm = decoded_run(c.serving_program(), &c.layout);
         assert_eq!(cold.steps, warm.steps);
         assert_eq!(cold.stats.expect, warm.stats.expect);
     }
@@ -701,23 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_tier_obs_counters_account_the_pass() {
-        let obs = Registry::new();
-        let mut c = Compiled::from_source("main :- X is 5 * 5, X = 25.").unwrap();
-        let report = c.build_fused_tier_obs(&obs, "t").unwrap().report.clone();
-        let labels: &[(&str, &str)] = &[("bench", "t")];
-        assert_eq!(obs.counter("fuse.pairs", labels).get(), report.pairs);
-        assert_eq!(
-            obs.counter("fuse.ops_fused", labels).get(),
-            report.ops_fused
-        );
-        assert_eq!(
-            obs.counter("fuse.dispatches_saved", labels).get(),
-            report.dispatches_saved
-        );
-    }
-
-    #[test]
     fn batched_queries_match_sequential_on_both_tiers() {
         let src = "main :- count(40). count(0). count(N) :- N > 0, M is N - 1, count(M).";
         let mut c = Compiled::from_source(src).unwrap();
@@ -735,7 +596,9 @@ mod tests {
                 assert_eq!(o.steps, seq.steps, "tiered={tiered}");
             }
             for workers in [1, 2, 4] {
-                assert_eq!(c.run_batch_parallel(&queries, workers), out);
+                let parallel =
+                    batch::run_batch_parallel(c.serving_program(), &c.layout, &queries, workers);
+                assert_eq!(parallel, out);
             }
         }
         let obs = Registry::new();

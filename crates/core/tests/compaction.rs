@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 use symbol_compactor::cfg::Cfg;
 use symbol_compactor::liveness::Liveness;
-use symbol_compactor::{try_compact, CompactMode, Compacted, Compactor, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, Compacted, Compactor, TracePolicy, Violation};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
 use symbol_fuzz::{gen_intcode, Rng};
@@ -232,5 +232,42 @@ fn liveness_is_the_least_solution_on_fuzzed_intcode() {
             &cfg,
             &Liveness::compute(&program, &cfg),
         );
+    }
+}
+
+/// A machine with no slot for some resource is refused with a typed
+/// error before scheduling; the scheduler never sees it (it would
+/// otherwise never finish placing ops).
+#[test]
+fn machines_without_a_slot_are_refused_before_scheduling() {
+    let (_, ici, stats) = &suite()[0];
+    let policy = TracePolicy::default();
+    let machines = [
+        (MachineConfig::units(0), "issue"),
+        (
+            MachineConfig {
+                issue_width: 0,
+                ..MachineConfig::units(3)
+            },
+            "issue",
+        ),
+        (
+            MachineConfig {
+                mem_ports: 0,
+                ..MachineConfig::units(3)
+            },
+            "memory",
+        ),
+    ];
+    for (machine, resource) in machines {
+        for mode in [
+            CompactMode::TraceSchedule,
+            CompactMode::BasicBlock,
+            CompactMode::BamGroups,
+        ] {
+            let err = try_compact(ici, stats, &machine, mode, &policy)
+                .expect_err("a machine without a slot cannot be scheduled");
+            assert_eq!(err, Violation::NoSlot { resource }, "{machine:?} {mode:?}");
+        }
     }
 }

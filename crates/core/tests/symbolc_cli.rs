@@ -19,3 +19,25 @@ fn run_on_a_variable_goal_fails_cleanly() {
     assert!(stderr.contains("variable goal X"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn run_on_a_machine_with_no_units_fails_cleanly() {
+    let path = std::env::temp_dir().join(format!("symbolc-no-units-{}.pl", std::process::id()));
+    std::fs::write(&path, "main :- X is 2 + 3, X = 5.\n").expect("write the program");
+    for cmd in ["run", "schedule"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_symbolc"))
+            .arg(cmd)
+            .arg(&path)
+            .arg("0")
+            .output()
+            .expect("symbolc starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("the machine has no issue slot"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

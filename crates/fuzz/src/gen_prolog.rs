@@ -279,8 +279,13 @@ mod tests {
     fn generated_programs_compile_and_meet_their_expectation() {
         for seed in 0..150u64 {
             let case = generate(&mut Rng::new(seed));
-            let compiled = Compiled::from_source_with_layout(&case.source, small_layout())
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", case.source));
+            let compiled = Compiled::from_source_obs(
+                &case.source,
+                small_layout(),
+                &symbol_obs::Registry::disabled(),
+                "",
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", case.source));
             let outcome = DecodedEmulator::new(&compiled.decoded, &compiled.layout)
                 .run(&ExecConfig {
                     max_steps: 2_000_000,

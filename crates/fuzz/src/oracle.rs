@@ -35,6 +35,7 @@ use symbol_intcode::fuse::{fuse, FuseConfig};
 use symbol_intcode::{
     batch, DecodedEmulator, DecodedProgram, Emulator, IciProgram, Layout, Outcome,
 };
+use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome, VliwSim};
 
 use crate::gen_intcode::{frag_layout, IntFrag};
@@ -198,12 +199,11 @@ pub fn run_case(case: &Case, cfg: &OracleConfig) -> Result<(), Failure> {
     match case {
         Case::Prolog(p) => {
             let compiled =
-                Compiled::from_source_with_layout(&p.source, prolog_layout()).map_err(|e| {
-                    Failure {
+                Compiled::from_source_obs(&p.source, prolog_layout(), &Registry::disabled(), "")
+                    .map_err(|e| Failure {
                         kind: FailureKind::Pipeline,
                         detail: e.to_string(),
-                    }
-                })?;
+                    })?;
             check_program(&compiled.ici, &compiled.layout, Some(p.expected), cfg)
         }
         Case::IntCode(frag) => {

@@ -34,7 +34,7 @@ use crate::word::{Tag, Word};
 /// programs use a few thousand registers; anything near this limit is
 /// a corrupt or hostile artifact and must not drive a giant
 /// allocation in the emulator.
-pub const MAX_REGS: usize = 1 << 24;
+const MAX_REGS: usize = 1 << 24;
 
 /// Any defect found while decoding serialized bytes.
 ///
@@ -320,7 +320,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Encodes a word tag as one byte.
-pub fn put_tag(w: &mut Writer, t: Tag) {
+fn put_tag(w: &mut Writer, t: Tag) {
     w.u8(match t {
         Tag::Ref => 0,
         Tag::Int => 1,
@@ -337,7 +337,7 @@ pub fn put_tag(w: &mut Writer, t: Tag) {
 /// # Errors
 ///
 /// [`WireError::BadTag`] on an unknown tag byte.
-pub fn get_tag(r: &mut Reader<'_>) -> Result<Tag, WireError> {
+fn get_tag(r: &mut Reader<'_>) -> Result<Tag, WireError> {
     Ok(match r.u8()? {
         0 => Tag::Ref,
         1 => Tag::Int,
@@ -356,7 +356,7 @@ pub fn get_tag(r: &mut Reader<'_>) -> Result<Tag, WireError> {
 }
 
 /// Encodes a tagged word (tag byte + value field).
-pub fn put_word(w: &mut Writer, word: Word) {
+fn put_word(w: &mut Writer, word: Word) {
     put_tag(w, word.tag);
     w.i64(word.val);
 }
@@ -366,14 +366,14 @@ pub fn put_word(w: &mut Writer, word: Word) {
 /// # Errors
 ///
 /// See [`get_tag`].
-pub fn get_word(r: &mut Reader<'_>) -> Result<Word, WireError> {
+fn get_word(r: &mut Reader<'_>) -> Result<Word, WireError> {
     let tag = get_tag(r)?;
     let val = r.i64()?;
     Ok(Word { tag, val })
 }
 
 /// Encodes an ALU opcode as one byte.
-pub fn put_alu(w: &mut Writer, op: AluOp) {
+fn put_alu(w: &mut Writer, op: AluOp) {
     w.u8(match op {
         AluOp::Add => 0,
         AluOp::Sub => 1,
@@ -395,7 +395,7 @@ pub fn put_alu(w: &mut Writer, op: AluOp) {
 /// # Errors
 ///
 /// [`WireError::BadTag`] on an unknown opcode byte.
-pub fn get_alu(r: &mut Reader<'_>) -> Result<AluOp, WireError> {
+fn get_alu(r: &mut Reader<'_>) -> Result<AluOp, WireError> {
     Ok(match r.u8()? {
         0 => AluOp::Add,
         1 => AluOp::Sub,
@@ -419,7 +419,7 @@ pub fn get_alu(r: &mut Reader<'_>) -> Result<AluOp, WireError> {
 }
 
 /// Encodes a branch condition as one byte.
-pub fn put_cond(w: &mut Writer, c: Cond) {
+fn put_cond(w: &mut Writer, c: Cond) {
     w.u8(match c {
         Cond::Eq => 0,
         Cond::Ne => 1,
@@ -435,7 +435,7 @@ pub fn put_cond(w: &mut Writer, c: Cond) {
 /// # Errors
 ///
 /// [`WireError::BadTag`] on an unknown condition byte.
-pub fn get_cond(r: &mut Reader<'_>) -> Result<Cond, WireError> {
+fn get_cond(r: &mut Reader<'_>) -> Result<Cond, WireError> {
     Ok(match r.u8()? {
         0 => Cond::Eq,
         1 => Cond::Ne,
@@ -1138,7 +1138,7 @@ impl DecodedProgram {
     /// Decodes a micro-op program from `r` and validates every invariant
     /// the step loop's unchecked indexing relies on: all register ids
     /// below the register-file size, the register-file size positive and
-    /// bounded by [`MAX_REGS`], the entry pc and every pre-resolved
+    /// bounded by `MAX_REGS` (2^24), the entry pc and every pre-resolved
     /// branch target within (or one past) the program, and every bound
     /// label→pc entry likewise. A corrupt artifact therefore fails
     /// here — it can never make the emulator index out of bounds.

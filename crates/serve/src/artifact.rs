@@ -3,12 +3,12 @@
 //! An artifact is a single file holding everything the serving tier
 //! needs to answer queries without re-running the front end: an
 //! *emulator image* (the IntCode, its pre-decoded micro-op form and
-//! the memory layout it was generated for), a *VLIW image* (the
-//! pre-decoded issue records of a scheduled program, machine
-//! configuration included), or a *fused image* (the profile-guided
-//! superinstruction tier: the fused [`DecodedProgram`] plus the hash
-//! of the execution profile it specialized against and the fusion
-//! report).
+//! the memory layout it was generated for) or a *fused image* (the
+//! profile-guided superinstruction tier: the fused [`DecodedProgram`]
+//! plus the hash of the execution profile it specialized against and
+//! the fusion report). The server only executes these two; scheduled
+//! VLIW code is a measurement product, rebuilt from the profile, and
+//! has no artifact kind.
 //!
 //! ## Container layout
 //!
@@ -21,7 +21,7 @@
 //! 8       4     format version (u32) = FORMAT_VERSION
 //! 12      8     source hash   (FNV-1a 64 of the Prolog source text)
 //! 20      8     config hash   (FNV-1a 64 of the canonical config bytes)
-//! 28      1     payload kind  (0 = emulator, 1 = VLIW, 2 = fused)
+//! 28      1     payload kind  (0 = emulator, 2 = fused; 1 is retired)
 //! 29      8     payload length in bytes (u64)
 //! 37      n     payload (length-prefixed sections, see below)
 //! 37+n    8     checksum: FNV-1a 64 over bytes [0, 37+n)
@@ -29,13 +29,11 @@
 //!
 //! The emulator payload is three length-prefixed sections — IntCode
 //! wire bytes, decoded-program wire bytes, then the five [`Layout`]
-//! sizes as `u64`s. The VLIW payload is one section of
-//! [`DecodedVliw`] wire bytes (which embed the machine config). The
-//! fused payload is one section of fused decoded-program wire bytes,
-//! then the profile hash (`u64`) and the serialized
-//! [`FusionReport`]; its cache key folds the profile hash into the
-//! config hash, so a changed profile is a different artifact — stale
-//! specializations can never be served.
+//! sizes as `u64`s. The fused payload is one section of fused
+//! decoded-program wire bytes, then the profile hash (`u64`) and the
+//! serialized [`FusionReport`]; its cache key folds the profile hash
+//! into the config hash, so a changed profile is a different artifact
+//! — stale specializations can never be served.
 //!
 //! Decoding never panics: every failure mode — wrong magic, unknown
 //! version, truncation, checksum mismatch, malformed payload — comes
@@ -47,8 +45,6 @@ use symbol_intcode::fuse::FusionReport;
 use symbol_intcode::program::IciProgram;
 use symbol_intcode::wire::{fnv1a64, Reader, WireError, Writer};
 use symbol_intcode::Layout;
-use symbol_vliw::wire as vliw_wire;
-use symbol_vliw::{DecodedVliw, MachineConfig};
 
 /// First eight bytes of every artifact file.
 pub const MAGIC: [u8; 8] = *b"SYMBART\0";
@@ -64,8 +60,6 @@ pub enum PayloadKind {
     /// IntCode + decoded program + layout: the sequential-emulation
     /// image [`symbol_core::pipeline::Compiled::from_artifact`] accepts.
     Emulator,
-    /// Pre-decoded VLIW issue records (machine config embedded).
-    Vliw,
     /// The profile-guided fused tier of an emulator image (the warm
     /// path of the two-tier serving loop).
     Fused,
@@ -75,15 +69,15 @@ impl PayloadKind {
     fn to_byte(self) -> u8 {
         match self {
             PayloadKind::Emulator => 0,
-            PayloadKind::Vliw => 1,
             PayloadKind::Fused => 2,
         }
     }
 
+    /// Byte 1 was a VLIW image that nothing ever stored; it now
+    /// decodes as an unknown kind, like any other byte.
     fn from_byte(b: u8) -> Result<Self, WireError> {
         match b {
             0 => Ok(PayloadKind::Emulator),
-            1 => Ok(PayloadKind::Vliw),
             2 => Ok(PayloadKind::Fused),
             v => Err(WireError::BadTag {
                 what: "payload kind",
@@ -96,7 +90,6 @@ impl PayloadKind {
     pub fn name(self) -> &'static str {
         match self {
             PayloadKind::Emulator => "emu",
-            PayloadKind::Vliw => "vliw",
             PayloadKind::Fused => "fused",
         }
     }
@@ -110,7 +103,8 @@ pub struct ArtifactKey {
     /// FNV-1a 64 of the Prolog source text.
     pub source_hash: u64,
     /// FNV-1a 64 of the canonical encoding of everything else that
-    /// shapes the artifact (layout; plus machine config for VLIW).
+    /// shapes the artifact (layout; plus profile and fusion salt for
+    /// the fused tier).
     pub config_hash: u64,
 }
 
@@ -142,18 +136,6 @@ impl ArtifactKey {
     pub fn emulator(source: &str, layout: &Layout) -> Self {
         let mut w = Writer::new();
         layout_bytes(&mut w, layout);
-        ArtifactKey {
-            source_hash: fnv1a64(source.as_bytes()),
-            config_hash: fnv1a64(&w.into_bytes()),
-        }
-    }
-
-    /// Key of the VLIW image of `source` scheduled for `machine` under
-    /// `layout`.
-    pub fn vliw(source: &str, layout: &Layout, machine: &MachineConfig) -> Self {
-        let mut w = Writer::new();
-        layout_bytes(&mut w, layout);
-        vliw_wire::put_machine(&mut w, machine);
         ArtifactKey {
             source_hash: fnv1a64(source.as_bytes()),
             config_hash: fnv1a64(&w.into_bytes()),
@@ -203,11 +185,6 @@ pub enum Payload {
         /// Memory layout the code was generated for.
         layout: Layout,
     },
-    /// VLIW image.
-    Vliw {
-        /// Pre-decoded issue records.
-        decoded: DecodedVliw,
-    },
     /// Fused second-tier image.
     Fused {
         /// The fused decoded program.
@@ -224,7 +201,6 @@ impl Payload {
     pub fn kind(&self) -> PayloadKind {
         match self {
             Payload::Emulator { .. } => PayloadKind::Emulator,
-            Payload::Vliw { .. } => PayloadKind::Vliw,
             Payload::Fused { .. } => PayloadKind::Fused,
         }
     }
@@ -280,11 +256,6 @@ pub fn encode_emulator(
     put_section(&mut w, &decoded.to_wire_bytes());
     layout_bytes(&mut w, layout);
     encode(key, PayloadKind::Emulator, &w.into_bytes())
-}
-
-/// Encodes a VLIW image.
-pub fn encode_vliw(key: &ArtifactKey, decoded: &DecodedVliw) -> Vec<u8> {
-    encode(key, PayloadKind::Vliw, &decoded.to_wire_bytes())
 }
 
 /// Encodes a fused second-tier image.
@@ -368,11 +339,6 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact, WireError> {
                 layout,
             }
         }
-        // The container's payload length already delimits the single
-        // blob; no inner section.
-        PayloadKind::Vliw => Payload::Vliw {
-            decoded: DecodedVliw::from_wire_bytes(pr.take(pr.remaining())?)?,
-        },
         PayloadKind::Fused => {
             let fused = DecodedProgram::from_wire_bytes(get_section(&mut pr)?)?;
             let profile_hash = pr.u64()?;
@@ -420,31 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn vliw_image_round_trips() {
-        use symbol_compactor::{try_compact, CompactMode, TracePolicy};
-        let c = Compiled::from_source(SRC).expect("compiles");
-        let run = c.run_sequential().expect("runs");
-        let machine = MachineConfig::units(3);
-        let compacted = try_compact(
-            &c.ici,
-            &run.stats,
-            &machine,
-            CompactMode::TraceSchedule,
-            &TracePolicy::default(),
-        )
-        .expect("schedules");
-        let decoded = DecodedVliw::new(&compacted.program, machine);
-        let key = ArtifactKey::vliw(SRC, &c.layout, &machine);
-        let bytes = encode_vliw(&key, &decoded);
-        let art = decode(&bytes).expect("decodes");
-        assert_eq!(art.key, key);
-        let Payload::Vliw { decoded: d2 } = art.payload else {
-            panic!("wrong payload kind");
-        };
-        assert_eq!(encode_vliw(&key, &d2), bytes);
-    }
-
-    #[test]
     fn fused_image_round_trips() {
         let src = "main :- count(20). count(0). count(N) :- N > 0, M is N - 1, count(M).";
         let mut c = Compiled::from_source(src).expect("compiles");
@@ -470,6 +411,42 @@ mod tests {
         assert_eq!(profile_hash, tier.profile_hash);
         assert_eq!(report, tier.report);
         assert_eq!(encode_fused(&key, &fused, profile_hash, &report), bytes);
+    }
+
+    /// `bytes` with the kind byte (offset 28) set to `kind` and the
+    /// checksum recomputed, so the kind is the only defect.
+    fn with_kind(mut bytes: Vec<u8>, kind: u8) -> Vec<u8> {
+        bytes[28] = kind;
+        let body = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn retired_vliw_kind_byte_is_an_unknown_kind() {
+        let (_, bytes) = emulator_bytes();
+        assert!(matches!(
+            decode(&with_kind(bytes, 1)),
+            Err(WireError::BadTag {
+                what: "payload kind",
+                value: 1
+            })
+        ));
+    }
+
+    #[test]
+    fn emulator_and_fused_kind_bytes_and_version_are_unchanged() {
+        let (_, emulator) = emulator_bytes();
+        let mut c = Compiled::from_source(SRC).expect("compiles");
+        let tier = c.build_fused_tier().expect("profiles and fuses");
+        let key = ArtifactKey::fused(SRC, &Layout::default(), tier.profile_hash, 0);
+        let fused = encode_fused(&key, &tier.program, tier.profile_hash, &tier.report);
+        for (bytes, kind) in [(emulator, 0), (fused, 2)] {
+            assert_eq!(bytes[8..12], 1u32.to_le_bytes(), "format version 1");
+            assert_eq!(bytes[28], kind);
+            decode(&bytes).expect("decodes");
+        }
     }
 
     #[test]
@@ -547,8 +524,5 @@ mod tests {
         let c = ArtifactKey::emulator("main :- 1 = 1.", &small);
         assert_eq!(a.source_hash, c.source_hash);
         assert_ne!(a.config_hash, c.config_hash);
-        let m3 = ArtifactKey::vliw("main :- 1 = 1.", &layout, &MachineConfig::units(3));
-        let m5 = ArtifactKey::vliw("main :- 1 = 1.", &layout, &MachineConfig::units(5));
-        assert_ne!(m3.config_hash, m5.config_hash);
     }
 }

@@ -218,21 +218,10 @@ impl ArtifactCache {
         }
     }
 
-    /// The warm/cold entry point of the serving tier: returns the
-    /// [`Compiled`] image of `source` under `layout`, deserializing it
-    /// from the cache when a valid artifact exists and compiling from
-    /// source (then storing the artifact, best effort) otherwise.
-    ///
-    /// The two paths are distinguishable in the metrics: a warm hit
-    /// runs under a `serve.deserialize` span and bumps
-    /// `serve.cache.hit`; a cold start runs under `serve.compile` and
-    /// bumps `serve.cache.miss` (or `serve.cache.corrupt`).
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors from [`Compiled::from_source_with_layout`]
-    /// on the cold path. A corrupt cache entry is never an error.
-    pub fn load_compiled(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
+    /// The body of [`ArtifactCache::load_compiled_shared`]: the
+    /// emulator image, deserialized on a hit, compiled and stored on a
+    /// miss.
+    fn load_compiled(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
         let key = ArtifactKey::emulator(source, &layout);
         if let Some(art) = self.load(&key, PayloadKind::Emulator) {
             if let Payload::Emulator {
@@ -252,7 +241,9 @@ impl ArtifactCache {
         }
         let compiled = {
             let _span = self.obs.span("serve.compile", &[("kind", "emu")]);
-            Compiled::from_source_with_layout(source, layout)?
+            // A disabled registry: the front end's own spans stay out
+            // of the serving metrics.
+            Compiled::from_source_obs(source, layout, &Registry::disabled(), "")?
         };
         let bytes =
             artifact::encode_emulator(&key, &compiled.ici, &compiled.decoded, &compiled.layout);
@@ -260,34 +251,9 @@ impl ArtifactCache {
         Ok(compiled)
     }
 
-    /// The two-tier entry point: [`ArtifactCache::load_compiled`] for
-    /// the base emulator image, then the fused superinstruction tier on
-    /// top.
-    ///
-    /// The fused artifact's cache key includes the hash of the
-    /// execution profile it was specialized against, and profiling is
-    /// deterministic — so the warm path re-derives the key with one
-    /// profiling run (`serve.profile` span), loads the fused artifact,
-    /// and attaches it. When the artifact is absent (or stale: a stored
-    /// profile hash that disagrees with the recomputed one is counted
-    /// corrupt), the fusion pass runs (`serve.fuse` span) and the fresh
-    /// artifact is stored, repairing the cache for the next start.
-    ///
-    /// Tier traffic is visible per kind: the fused artifact's hits,
-    /// misses, corruptions and stores are all labelled `kind=fused`
-    /// under the same `serve.cache.*` counters the base image uses.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors on the cold path, and any failure of the
-    /// profiling run ([`PipelineError::WrongAnswer`] /
-    /// [`PipelineError::Exec`]) — a program whose profile cannot be
-    /// collected cannot be tiered.
-    pub fn load_compiled_fused(
-        &self,
-        source: &str,
-        layout: Layout,
-    ) -> Result<Compiled, PipelineError> {
+    /// The body of [`ArtifactCache::load_compiled_fused_shared`]: the
+    /// emulator image, then the fused tier on top.
+    fn load_compiled_fused(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
         let mut compiled = self.load_compiled(source, layout)?;
         let (stats, profile, _steps) = {
             let _span = self.obs.span("serve.profile", &[("kind", "fused")]);
@@ -382,14 +348,24 @@ impl ArtifactCache {
         result
     }
 
-    /// [`ArtifactCache::load_compiled`] behind the single-flight
-    /// guard, returning a shareable image: concurrent warmers of the
-    /// same `(source, layout)` read and decode the artifact once and
-    /// all receive clones of one `Arc<Compiled>`.
+    /// The warm/cold entry point of the serving tier: returns the
+    /// [`Compiled`] image of `source` under `layout`, deserializing it
+    /// from the cache when a valid artifact exists and compiling from
+    /// source (then storing the artifact, best effort) otherwise.
+    ///
+    /// The two paths are distinguishable in the metrics: a warm hit
+    /// runs under a `serve.deserialize` span and bumps
+    /// `serve.cache.hit`; a cold start runs under `serve.compile` and
+    /// bumps `serve.cache.miss` (or `serve.cache.corrupt`).
+    ///
+    /// The load runs behind the single-flight guard: concurrent
+    /// warmers of the same `(source, layout)` read and decode the
+    /// artifact once and all receive clones of one `Arc<Compiled>`.
     ///
     /// # Errors
     ///
-    /// See [`ArtifactCache::load_compiled`].
+    /// Compilation errors from [`Compiled::from_source_obs`] on the
+    /// cold path. A corrupt cache entry is never an error.
     pub fn load_compiled_shared(
         &self,
         source: &str,
@@ -399,14 +375,33 @@ impl ArtifactCache {
         self.single_flight(flight_key, "emu", || self.load_compiled(source, layout))
     }
 
-    /// [`ArtifactCache::load_compiled_fused`] behind the single-flight
-    /// guard — the fused warm path re-derives the profile, so
-    /// collapsing N concurrent warmers to one saves N-1 profiling runs
-    /// on top of the reads and decodes.
+    /// The two-tier entry point: the base emulator image (as
+    /// [`ArtifactCache::load_compiled_shared`] loads it), then the
+    /// fused superinstruction tier on top.
+    ///
+    /// The fused artifact's cache key includes the hash of the
+    /// execution profile it was specialized against, and profiling is
+    /// deterministic — so the warm path re-derives the key with one
+    /// profiling run (`serve.profile` span), loads the fused artifact,
+    /// and attaches it. When the artifact is absent (or stale: a stored
+    /// profile hash that disagrees with the recomputed one is counted
+    /// corrupt), the fusion pass runs (`serve.fuse` span) and the fresh
+    /// artifact is stored, repairing the cache for the next start.
+    ///
+    /// Tier traffic is visible per kind: the fused artifact's hits,
+    /// misses, corruptions and stores are all labelled `kind=fused`
+    /// under the same `serve.cache.*` counters the base image uses.
+    ///
+    /// The load runs behind the single-flight guard: the fused warm
+    /// path re-derives the profile, so collapsing N concurrent warmers
+    /// to one saves N-1 profiling runs on top of the reads and decodes.
     ///
     /// # Errors
     ///
-    /// See [`ArtifactCache::load_compiled_fused`].
+    /// Compilation errors on the cold path, and any failure of the
+    /// profiling run ([`PipelineError::WrongAnswer`] /
+    /// [`PipelineError::Exec`]) — a program whose profile cannot be
+    /// collected cannot be tiered.
     pub fn load_compiled_fused_shared(
         &self,
         source: &str,
@@ -499,6 +494,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use symbol_intcode::{DecodedEmulator, ExecConfig, RunResult};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -534,11 +530,15 @@ mod tests {
         let t = TempDir::new("coldwarm");
         let obs = Registry::new();
         let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
-        let a = cache.load_compiled(SRC, Layout::default()).expect("cold");
+        let a = cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("cold");
         assert!(a.front.is_some(), "cold path compiled from source");
         assert_eq!(counter(&obs, "serve.cache.miss"), 1);
         assert_eq!(counter(&obs, "serve.cache.store"), 1);
-        let b = cache.load_compiled(SRC, Layout::default()).expect("warm");
+        let b = cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("warm");
         assert!(b.front.is_none(), "warm path skipped the front end");
         assert_eq!(counter(&obs, "serve.cache.hit"), 1);
         let ra = a.run_sequential().expect("runs");
@@ -553,19 +553,27 @@ mod tests {
         obs.counter(name, &[("kind", "fused")]).get()
     }
 
+    /// One run of the image's installed fused tier.
+    fn fused_run(c: &Compiled) -> RunResult {
+        let tier = c.fused.as_ref().expect("fused tier installed");
+        DecodedEmulator::new(&tier.program, &c.layout)
+            .run(&ExecConfig::default())
+            .expect("fused runs")
+    }
+
     #[test]
     fn fused_cold_then_warm() {
         let t = TempDir::new("fusedwarm");
         let obs = Registry::new();
         let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
         let a = cache
-            .load_compiled_fused(LOOP_SRC, Layout::default())
+            .load_compiled_fused_shared(LOOP_SRC, Layout::default())
             .expect("cold");
         assert!(a.fused.is_some(), "cold path built the fused tier");
         assert_eq!(fused_counter(&obs, "serve.cache.miss"), 1);
         assert_eq!(fused_counter(&obs, "serve.cache.store"), 1);
         let b = cache
-            .load_compiled_fused(LOOP_SRC, Layout::default())
+            .load_compiled_fused_shared(LOOP_SRC, Layout::default())
             .expect("warm");
         assert!(b.fused.is_some(), "warm path attached the fused tier");
         assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
@@ -576,8 +584,8 @@ mod tests {
         );
         // Bit-identical across tiers and paths.
         let base = a.run_sequential().expect("decoded runs");
-        let fa = a.run_sequential_fused().expect("cold fused runs");
-        let fb = b.run_sequential_fused().expect("warm fused runs");
+        let fa = fused_run(&a);
+        let fb = fused_run(&b);
         assert_eq!(base.steps, fa.steps);
         assert_eq!(base.stats.expect, fa.stats.expect);
         assert_eq!(fa.steps, fb.steps);
@@ -591,7 +599,7 @@ mod tests {
         let obs = Registry::new();
         let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
         let seeded = cache
-            .load_compiled_fused(LOOP_SRC, Layout::default())
+            .load_compiled_fused_shared(LOOP_SRC, Layout::default())
             .expect("seed");
         let key = ArtifactKey::fused(
             LOOP_SRC,
@@ -603,13 +611,13 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         let c = cache
-            .load_compiled_fused(LOOP_SRC, Layout::default())
+            .load_compiled_fused_shared(LOOP_SRC, Layout::default())
             .expect("refuse");
         assert!(c.fused.is_some(), "fell back to running the fusion pass");
         assert_eq!(fused_counter(&obs, "serve.cache.corrupt"), 1);
         // The fallback re-stored a good artifact.
         let d = cache
-            .load_compiled_fused(LOOP_SRC, Layout::default())
+            .load_compiled_fused_shared(LOOP_SRC, Layout::default())
             .expect("warm");
         assert!(d.fused.is_some());
         assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
@@ -620,7 +628,9 @@ mod tests {
         let t = TempDir::new("trunc");
         let obs = Registry::new();
         let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
-        cache.load_compiled(SRC, Layout::default()).expect("seed");
+        cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("seed");
         let path = cache.path_for(
             &ArtifactKey::emulator(SRC, &Layout::default()),
             PayloadKind::Emulator,
@@ -628,12 +638,14 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
         let c = cache
-            .load_compiled(SRC, Layout::default())
+            .load_compiled_shared(SRC, Layout::default())
             .expect("recompile");
         assert!(c.front.is_some(), "corrupt entry fell back to compiling");
         assert_eq!(counter(&obs, "serve.cache.corrupt"), 1);
         // The fallback re-stored a good artifact.
-        let d = cache.load_compiled(SRC, Layout::default()).expect("warm");
+        let d = cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("warm");
         assert!(d.front.is_none());
     }
 
@@ -643,7 +655,9 @@ mod tests {
         let obs = Registry::new();
         let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
         let other = "main :- 9 = 9.";
-        cache.load_compiled(other, Layout::default()).expect("seed");
+        cache
+            .load_compiled_shared(other, Layout::default())
+            .expect("seed");
         // Republish the other program's artifact under SRC's file name.
         let from = cache.path_for(
             &ArtifactKey::emulator(other, &Layout::default()),
@@ -655,7 +669,7 @@ mod tests {
         );
         std::fs::copy(&from, &to).expect("misfile");
         let c = cache
-            .load_compiled(SRC, Layout::default())
+            .load_compiled_shared(SRC, Layout::default())
             .expect("recompile");
         assert!(
             c.front.is_some(),
@@ -671,8 +685,12 @@ mod tests {
         let cache = ArtifactCache::new(&t.0, Registry::new())
             .expect("open cache")
             .with_flight(Arc::clone(&flight));
-        cache.load_compiled(SRC, Layout::default()).expect("cold");
-        cache.load_compiled(SRC, Layout::default()).expect("warm");
+        cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("cold");
+        cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("warm");
         let kinds: Vec<&str> = flight.snapshot().iter().map(|r| r.kind_name()).collect();
         assert_eq!(kinds, ["cache_miss", "cache_hit"]);
         let key = ArtifactKey::emulator(SRC, &Layout::default());
@@ -687,8 +705,13 @@ mod tests {
         let t = TempDir::new("singleflight");
         let obs = Registry::new();
         let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        // Seed so every loader takes the warm (read + decode) path.
-        cache.load_compiled(SRC, Layout::default()).expect("seed");
+        // Seed through a second cache on the same directory, so every
+        // loader takes the warm (read + decode) path and this cache's
+        // counters see only the warmers.
+        ArtifactCache::new(&t.0, Registry::disabled())
+            .expect("open cache")
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("seed");
         let images: Vec<Arc<Compiled>> = (0..8)
             .map(|_| {
                 let cache = Arc::clone(&cache);
@@ -713,8 +736,8 @@ mod tests {
         assert!(sf("leader") >= 1);
         assert_eq!(
             counter(&obs, "serve.cache.hit") + counter(&obs, "serve.cache.miss"),
-            sf("leader") + 1,
-            "+1 for the seed: only leaders touch the disk, followers share"
+            sf("leader"),
+            "only leaders touch the disk, followers share"
         );
         let steps: Vec<u64> = images
             .iter()
@@ -827,7 +850,7 @@ mod tests {
             .iter()
             .map(|c| {
                 assert!(c.fused.is_some(), "every warmer got the tiered image");
-                c.run_sequential_fused().expect("fused runs").steps
+                fused_run(c).steps
             })
             .collect();
         assert!(runs.windows(2).all(|w| w[0] == w[1]));
@@ -854,22 +877,28 @@ mod tests {
         assert_eq!(obs.counter("serve.cache.tmp_reclaimed", &[]).get(), 1);
 
         // The cache still works normally after the sweep.
-        cache.load_compiled(SRC, Layout::default()).expect("cold");
-        cache.load_compiled(SRC, Layout::default()).expect("warm");
+        cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("cold");
+        cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("warm");
     }
 
     #[test]
     fn concurrent_writers_never_publish_a_partial_file() {
         let t = TempDir::new("race");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs).expect("open cache"));
+        // One cache per writer, as separate processes sharing the
+        // directory would have: single flight cannot serialize them,
+        // so only write-then-rename keeps the published file whole.
         let threads: Vec<_> = (0..8)
             .map(|_| {
-                let cache = Arc::clone(&cache);
+                let dir = t.0.clone();
                 std::thread::spawn(move || {
+                    let cache = ArtifactCache::new(dir, Registry::new()).expect("open cache");
                     for _ in 0..4 {
                         let c = cache
-                            .load_compiled(SRC, Layout::default())
+                            .load_compiled_shared(SRC, Layout::default())
                             .expect("load or compile");
                         c.run_sequential().expect("runs");
                     }
@@ -880,7 +909,10 @@ mod tests {
             th.join().expect("no worker panicked");
         }
         // Whatever the interleaving, the published file is complete.
-        let warm = cache.load_compiled(SRC, Layout::default()).expect("warm");
+        let cache = ArtifactCache::new(&t.0, Registry::new()).expect("open cache");
+        let warm = cache
+            .load_compiled_shared(SRC, Layout::default())
+            .expect("warm");
         assert!(warm.front.is_none(), "final cache entry is valid");
         let leftovers: Vec<_> = std::fs::read_dir(&t.0)
             .expect("list dir")

@@ -20,12 +20,11 @@
 //! use symbol_serve::server::{QueryServer, ServerConfig};
 //! use symbol_intcode::Layout;
 //! use symbol_obs::Registry;
-//! use std::sync::Arc;
 //!
 //! let obs = Registry::new();
 //! let cache = ArtifactCache::new("artifacts", obs.clone())?;
 //! // Warm start: deserializes the artifact instead of recompiling.
-//! let compiled = Arc::new(cache.load_compiled("main :- 1 = 1.", Layout::default())?);
+//! let compiled = cache.load_compiled_shared("main :- 1 = 1.", Layout::default())?;
 //! let server = QueryServer::start(compiled, &ServerConfig::default(), &obs);
 //! for id in 0..32 {
 //!     server.submit(id);

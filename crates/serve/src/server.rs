@@ -15,7 +15,10 @@
 //! run batches back-to-back on the pinned image with per-query engine
 //! state recycled through a per-worker arena pool
 //! ([`symbol_intcode::batch::ArenaPool`]) — no per-query
-//! register/heap allocation on the hot path.
+//! register/heap allocation on the hot path. A query has one execution
+//! path: a run request is the one-query batch of
+//! [`Compiled::run_query_batch_obs`], on the same pooled arena a batch
+//! request uses.
 //!
 //! Shard assignment, steal order and worker count are invisible in
 //! the results: every query is an independent deterministic execution
@@ -59,8 +62,8 @@
 //! * `serve.stage.ns` histograms labelled `stage=queue_wait` /
 //!   `select` / `execute` and by `tier` — the per-stage latency split
 //!   live stats queries report quantiles over,
-//! * a per-request `serve.query` trace span carrying the request id
-//!   (see [`Compiled::run_query_obs`]).
+//! * a per-request `serve.query{req, n, tier}` trace span (see
+//!   [`Compiled::run_query_batch_obs`]).
 //!
 //! And, independent of the registry, a lock-free
 //! [`FlightRecorder`] ring capturing the last
@@ -119,7 +122,7 @@ impl Default for ServerConfig {
 /// What a request asks the pool to do.
 #[derive(Clone, Debug)]
 enum Request {
-    /// Run the compiled query.
+    /// Run the compiled query once (the one-query batch).
     Run(u64),
     /// Run `n` independent executions of the compiled query
     /// back-to-back on one worker, with engine state pooled between
@@ -415,10 +418,11 @@ fn run_one(
             }
             Ok(QueryAnswer::Batch(steps))
         }
-        _ => compiled
-            .run_query_obs(obs, id)
-            .map(|run| QueryAnswer::Steps(run.steps))
-            .map_err(|e| e.to_string()),
+        _ => match compiled.run_query_batch_obs(obs, id, 1, pool).pop() {
+            Some(Ok(steps)) => Ok(QueryAnswer::Steps(steps)),
+            Some(Err(e)) => Err(e.to_string()),
+            None => Err("query produced no answer".to_string()),
+        },
     }));
     let execute_ns = t_exec.elapsed().as_nanos() as u64;
     obs.histogram("serve.stage.ns", &[("stage", "execute"), ("tier", tier)])
@@ -853,6 +857,29 @@ mod tests {
     }
 
     #[test]
+    fn run_and_batch_requests_trace_one_query_span_each() {
+        let obs = Registry::new();
+        let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
+        server.submit(0);
+        server.submit_batch(1, 3);
+        server.finish();
+        let mut spans: Vec<Vec<(String, String)>> = obs
+            .trace_events()
+            .into_iter()
+            .filter(|e| e.name == "serve.query")
+            .map(|e| e.labels)
+            .collect();
+        spans.sort();
+        let labels = |req: &str, n: &str| {
+            [("req", req), ("n", n), ("tier", "decoded")]
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .to_vec()
+        };
+        assert_eq!(spans, [labels("0", "1"), labels("1", "3")]);
+        assert_eq!(obs.trace_events().len(), 2, "no other per-request span");
+    }
+
+    #[test]
     fn a_worker_with_a_dry_shard_steals_bounded_batches_from_a_sibling() {
         let obs = Registry::new();
         let compiled = compiled();
@@ -988,8 +1015,9 @@ mod tests {
         }
         let results = server.finish();
         assert_eq!(results.len(), 10);
+        let wrong = symbol_core::PipelineError::WrongAnswer.to_string();
         for r in &results {
-            assert!(r.outcome.is_err());
+            assert_eq!(r.outcome.as_ref().unwrap_err(), &wrong);
         }
         assert_eq!(obs.counter("serve.queries.failed", &[]).get(), 10);
         assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);

@@ -4,8 +4,6 @@
 //! bytes misread as an artifact — may panic the server. Errors are
 //! fine; panics are not.
 
-use std::sync::Arc;
-
 use symbol_intcode::Layout;
 use symbol_obs::Registry;
 use symbol_serve::artifact;
@@ -76,10 +74,9 @@ fn corpus_sources_flow_through_cache_and_server_without_panicking() {
         // Cold, then warm: both paths must be panic-free whatever the
         // case contains. Non-Prolog cases fail to compile — also fine.
         for _ in 0..2 {
-            match cache.load_compiled(&src, Layout::default()) {
+            match cache.load_compiled_shared(&src, Layout::default()) {
                 Ok(compiled) => {
-                    let server =
-                        QueryServer::start(Arc::new(compiled), &ServerConfig::default(), &obs);
+                    let server = QueryServer::start(compiled, &ServerConfig::default(), &obs);
                     for id in 0..4 {
                         server.submit(id);
                     }

@@ -14,7 +14,6 @@ pub mod decode;
 pub mod machine;
 pub mod program;
 pub mod sim;
-pub mod wire;
 
 pub use decode::{DecodedVliw, DecodedVliwSim, SimProfile};
 pub use machine::MachineConfig;

@@ -1,6 +1,6 @@
 //! Times the suite measurement sequentially and on the parallel
 //! driver, verifying the results are bit-identical (the determinism
-//! guarantee of `experiments::measure_all_with`).
+//! guarantee of `experiments::measure_suite_obs`).
 //!
 //! ```sh
 //! cargo run --release -p symbol-core --example measure_timing
@@ -9,18 +9,21 @@
 
 use std::time::Instant;
 
-use symbol_core::experiments::measure_all_with;
+use symbol_core::benchmarks;
+use symbol_core::experiments::{default_threads, measure_suite_obs};
+use symbol_obs::Registry;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = default_threads();
+    let measure = |threads| measure_suite_obs(benchmarks::ALL, threads, &Registry::disabled());
 
     let t0 = Instant::now();
-    let sequential = measure_all_with(1).expect("suite measures");
+    let sequential = measure(1).expect("suite measures");
     let seq_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let parallel = measure_all_with(threads).expect("suite measures");
+    let parallel = measure(threads).expect("suite measures");
     let par_time = t1.elapsed();
 
     assert_eq!(

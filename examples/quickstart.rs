@@ -7,7 +7,7 @@
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
 use symbol_core::pipeline::Compiled;
-use symbol_vliw::{MachineConfig, SimConfig, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
 
 const PROGRAM: &str = "
     main :- nrev([1,2,3,4,5,6,7,8,9,10], R),
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
     )?;
-    let result =
-        VliwSim::new(&compacted.program, machine, &compiled.layout).run(&SimConfig::default())?;
+    let decoded = DecodedVliw::new(&compacted.program, machine);
+    let result = DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
     println!(
         "3-unit VLIW: {} cycles ({} words, {} taken transfers) -> {:?}",
         result.cycles, result.instructions, result.taken_branches, result.outcome

@@ -8,9 +8,9 @@
 //! cargo run --release -p symbol-core --example run_prolog -- path/to/file.pl 3
 //! ```
 
-use symbol_compactor::{compact, sequential_cycles, CompactMode, SeqDurations, TracePolicy};
+use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
 use symbol_core::pipeline::{Compiled, PipelineError};
-use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -26,15 +26,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("main/0 succeeded; sequential: {seq} cycles");
 
             let machine = MachineConfig::units(units);
-            let compacted = compact(
+            let compacted = try_compact(
                 &compiled.ici,
                 &run.stats,
                 &machine,
                 CompactMode::TraceSchedule,
                 &TracePolicy::default(),
-            );
-            let result = VliwSim::new(&compacted.program, machine, &compiled.layout)
-                .run(&SimConfig::default())?;
+            )?;
+            let decoded = DecodedVliw::new(&compacted.program, machine);
+            let result =
+                DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
             assert_eq!(
                 result.outcome,
                 SimOutcome::Success,

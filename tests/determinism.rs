@@ -7,6 +7,7 @@
 use symbol_core::benchmarks;
 use symbol_core::experiments::{measure, measure_cached};
 use symbol_core::{Compiled, CompiledCache};
+use symbol_obs::Registry;
 
 /// Benchmarks small enough to measure repeatedly in debug builds.
 const SUBSET: [&str; 4] = ["conc30", "nreverse", "qsort", "serialise"];
@@ -17,11 +18,13 @@ fn parallel_simulations_are_bit_identical_to_sequential() {
         let b = benchmarks::by_name(name).expect("known benchmark");
         let compiled = Compiled::from_source(b.source).expect("compiles");
         let cache = CompiledCache::new(&compiled).expect("profiles");
-        let sequential = measure_cached(b.name, &cache, 1).expect("measures");
+        let sequential =
+            measure_cached(b.name, &cache, 1, &Registry::disabled()).expect("measures");
         // Oversubscribe relative to the 8-entry work list so workers
         // genuinely contend for jobs.
         for threads in [2, 8, 32] {
-            let parallel = measure_cached(b.name, &cache, threads).expect("measures");
+            let parallel =
+                measure_cached(b.name, &cache, threads, &Registry::disabled()).expect("measures");
             assert_eq!(
                 sequential, parallel,
                 "{name}: {threads}-thread driver diverged from sequential"
@@ -38,7 +41,7 @@ fn cached_profile_reproduces_the_standalone_driver() {
     let standalone = measure(b).expect("measures");
     let compiled = Compiled::from_source(b.source).expect("compiles");
     let cache = CompiledCache::new(&compiled).expect("profiles");
-    let cached = measure_cached(b.name, &cache, 4).expect("measures");
+    let cached = measure_cached(b.name, &cache, 4, &Registry::disabled()).expect("measures");
     assert_eq!(standalone, cached);
 }
 
@@ -47,8 +50,8 @@ fn repeated_parallel_runs_agree_with_each_other() {
     let b = benchmarks::by_name("qsort").expect("known benchmark");
     let compiled = Compiled::from_source(b.source).expect("compiles");
     let cache = CompiledCache::new(&compiled).expect("profiles");
-    let first = measure_cached(b.name, &cache, 8).expect("measures");
-    let second = measure_cached(b.name, &cache, 8).expect("measures");
+    let first = measure_cached(b.name, &cache, 8, &Registry::disabled()).expect("measures");
+    let second = measure_cached(b.name, &cache, 8, &Registry::disabled()).expect("measures");
     assert_eq!(first, second);
 }
 
@@ -70,7 +73,7 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
         let reference = compiled.run_sequential().expect("sequential run").steps;
         for workers in [1usize, 2, 4, 8] {
             for batch in [1usize, 3, 8] {
-                let obs = symbol_obs::Registry::disabled();
+                let obs = Registry::disabled();
                 let server = QueryServer::start(
                     Arc::clone(&compiled),
                     &ServerConfig {
@@ -162,7 +165,12 @@ fn parallel_batches_with_mixed_step_limits_match_sequential() {
         let mut pool = symbol_intcode::ArenaPool::new();
         let sequential = compiled.run_batch(&queries, &mut pool);
         for workers in [1usize, 2, 4, 8] {
-            let parallel = compiled.run_batch_parallel(&queries, workers);
+            let parallel = symbol_intcode::batch::run_batch_parallel(
+                compiled.serving_program(),
+                &compiled.layout,
+                &queries,
+                workers,
+            );
             assert_eq!(
                 sequential, parallel,
                 "seed {seed}: {workers}-worker batch diverged from sequential"
@@ -215,8 +223,9 @@ fn artifact_round_trip_runs_are_bit_identical_for_every_benchmark() {
 }
 
 /// Corrupt on-disk artifacts — truncations, a flipped version byte, an
-/// artifact filed under the wrong key — must never panic or serve
-/// wrong code: the cache recompiles from source every time.
+/// artifact filed under the wrong key, the retired VLIW kind byte —
+/// must never panic or serve wrong code: the cache recompiles from
+/// source every time.
 #[test]
 fn corrupt_artifacts_recompile_cleanly() {
     use symbol_intcode::Layout;
@@ -226,14 +235,16 @@ fn corrupt_artifacts_recompile_cleanly() {
     let b = benchmarks::by_name("nreverse").expect("known benchmark");
     let dir = std::env::temp_dir().join(format!("symbol-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let obs = symbol_obs::Registry::new();
+    let obs = Registry::new();
     let cache = ArtifactCache::new(&dir, obs.clone()).expect("open cache");
     let layout = Layout::default();
     let key = ArtifactKey::emulator(b.source, &layout);
     let path = cache.path_for(&key, PayloadKind::Emulator);
 
     // Seed a good artifact and keep its bytes and reference run.
-    let cold = cache.load_compiled(b.source, layout).expect("cold compile");
+    let cold = cache
+        .load_compiled_shared(b.source, layout)
+        .expect("cold compile");
     let reference = cold.run_sequential().expect("runs");
     let good = std::fs::read(&path).expect("artifact exists");
 
@@ -257,22 +268,30 @@ fn corrupt_artifacts_recompile_cleanly() {
             v[mid] ^= 0x80;
             v
         }),
+        ("retired VLIW kind byte, checksum recomputed", {
+            let mut v = good.clone();
+            v[28] = 1;
+            let body = v.len() - 8;
+            let checksum = symbol_intcode::wire::fnv1a64(&v[..body]);
+            v[body..].copy_from_slice(&checksum.to_le_bytes());
+            v
+        }),
     ];
     for (what, bytes) in corruptions {
         std::fs::write(&path, &bytes).expect("plant corruption");
         let c = cache
-            .load_compiled(b.source, layout)
+            .load_compiled_shared(b.source, layout)
             .unwrap_or_else(|e| panic!("{what}: recompile failed: {e}"));
         assert!(c.front.is_some(), "{what}: must recompile, not deserialize");
         let run = c.run_sequential().expect("recompiled program runs");
         assert_eq!(run.steps, reference.steps, "{what}: divergent run");
         // The recompile healed the cache: the next load is warm again.
-        let warm = cache.load_compiled(b.source, layout).expect("warm");
+        let warm = cache.load_compiled_shared(b.source, layout).expect("warm");
         assert!(warm.front.is_none(), "{what}: cache not healed");
     }
     assert_eq!(
         obs.counter("serve.cache.corrupt", &[("kind", "emu")]).get(),
-        6,
+        7,
         "every planted corruption was detected"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -13,7 +13,7 @@ use std::thread;
 
 use symbol_compactor::{compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
-use symbol_core::experiments::{measure_cached, measure_cached_obs};
+use symbol_core::experiments::measure_cached;
 use symbol_core::pipeline::{Compiled, CompiledCache};
 use symbol_intcode::fuse::{fuse, FuseConfig};
 use symbol_intcode::{DecodedEmulator, Emulator, ExecConfig};
@@ -188,8 +188,9 @@ fn instrumentation_on_and_off_are_bit_identical_on_every_benchmark() {
 
         // The whole experiment driver, observed vs not.
         let cache = CompiledCache::new(&plain).expect("cache");
-        let silent = measure_cached(b.name, &cache, 1).expect("silent measure");
-        let loud = measure_cached_obs(b.name, &cache, 1, &obs).expect("observed measure");
+        let silent =
+            measure_cached(b.name, &cache, 1, &Registry::disabled()).expect("silent measure");
+        let loud = measure_cached(b.name, &cache, 1, &obs).expect("observed measure");
         assert_eq!(loud, silent, "{}: BenchResult", b.name);
     });
 }
