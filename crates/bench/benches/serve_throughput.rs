@@ -1,4 +1,4 @@
-//! Batched serving throughput: queries/sec through the sharded
+//! Batched serving throughput: queries/sec through the
 //! [`symbol_serve::server::QueryServer`] versus worker count, over the
 //! full benchmark suite on the fused serving tier. Writes the
 //! per-benchmark numbers to `BENCH_serve.json` at the workspace root.
@@ -46,7 +46,8 @@ const TARGET_STEPS: u64 = 20_000_000;
 const DET_BATCHES: [usize; 3] = [1, 3, 8];
 
 /// Worker counts the determinism stage exercises (deliberately past
-/// the physical core count: oversubscription shuffles steal order).
+/// the physical core count: oversubscription shuffles which worker
+/// claims which request and the order requests finish in).
 const DET_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// The scaling the `--check` gate demands of `workers` workers:
@@ -115,7 +116,6 @@ fn throughput(compiled: &Arc<Compiled>, workers: usize, queries: usize) -> (f64,
         &ServerConfig {
             workers,
             queue_capacity: 1024,
-            max_batch: 4,
             flight_capacity: 0,
             ..ServerConfig::default()
         },
@@ -179,7 +179,6 @@ fn determinism_sweep() -> usize {
                     &ServerConfig {
                         workers,
                         queue_capacity: 16,
-                        max_batch: 2,
                         flight_capacity: 0,
                         ..ServerConfig::default()
                     },

@@ -97,7 +97,7 @@ pub enum FailureKind {
     FusedDivergence,
     /// The pooled concurrent batch executor disagrees with the
     /// sequential engine (a state-pooling or reset bug: a query saw a
-    /// neighbour's leftover heap/trail, or stealing perturbed order).
+    /// neighbour's leftover heap/trail, or chunking perturbed order).
     BatchDivergence,
     /// Clean run, wrong answer against the generator's prediction.
     Expectation,

@@ -166,31 +166,6 @@ impl Registry {
         Histogram(Some(cell))
     }
 
-    /// Pre-resolves `n` counters of `name` distinguished by a dense
-    /// index label (`key="0"` .. `key="n-1"`). Sharded hot paths (one
-    /// metric cell per worker queue) resolve the whole set once at
-    /// startup and index it with the shard id, so the hot path never
-    /// formats a label string or takes the registry lock.
-    pub fn indexed_counters(&self, name: &str, key: &str, n: usize) -> Vec<Counter> {
-        (0..n)
-            .map(|i| self.counter(name, &[(key, &i.to_string())]))
-            .collect()
-    }
-
-    /// [`Registry::indexed_counters`] for gauges.
-    pub fn indexed_gauges(&self, name: &str, key: &str, n: usize) -> Vec<Gauge> {
-        (0..n)
-            .map(|i| self.gauge(name, &[(key, &i.to_string())]))
-            .collect()
-    }
-
-    /// [`Registry::indexed_counters`] for histograms.
-    pub fn indexed_histograms(&self, name: &str, key: &str, n: usize) -> Vec<Histogram> {
-        (0..n)
-            .map(|i| self.histogram(name, &[(key, &i.to_string())]))
-            .collect()
-    }
-
     /// Opens an RAII span named `name`. On drop it appends a Chrome
     /// Trace event and records the duration into the histogram
     /// `span.<name>.ns` with the same labels.
@@ -335,26 +310,6 @@ mod tests {
         assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
         assert!(r.trace_events().is_empty());
         assert!(!r.events().enabled(Level::Error));
-    }
-
-    #[test]
-    fn indexed_handles_resolve_per_index_cells() {
-        let r = Registry::new();
-        let gauges = r.indexed_gauges("q.depth", "shard", 3);
-        assert_eq!(gauges.len(), 3);
-        gauges[0].add(5);
-        gauges[2].add(7);
-        assert_eq!(r.gauge("q.depth", &[("shard", "0")]).get(), 5);
-        assert_eq!(r.gauge("q.depth", &[("shard", "2")]).get(), 7);
-        let counters = r.indexed_counters("q.steals", "shard", 2);
-        counters[1].inc();
-        assert_eq!(r.counter("q.steals", &[("shard", "1")]).get(), 1);
-        let hists = r.indexed_histograms("q.batch", "shard", 2);
-        hists[0].record(4);
-        assert_eq!(r.histogram("q.batch", &[("shard", "0")]).count(), 1);
-        // Disabled registries hand out inert sets of the right size.
-        let d = Registry::disabled();
-        assert_eq!(d.indexed_gauges("q.depth", "shard", 4).len(), 4);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!                        hit per benchmark) — the CI warm-restart
 //!                        check
 //!   --stats              issue a live Stats query per benchmark from
-//!                        the running pool and print the per-stage
+//!                        the running pool, answered after every query
+//!                        submitted before it, and print the per-stage
 //!                        quantiles; fails unless every p99 is present
 //!                        and finite
 //!   --flight-dir DIR     enable flight-recorder incident dumps into
@@ -147,9 +148,8 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for b in &selected {
-        // The shared loaders run behind the cache's single-flight
-        // guard, so restarting with many benchmarks warm never decodes
-        // an artifact more than once per key.
+        // One load per benchmark, one after another: a warm restart
+        // reads and decodes each artifact exactly once.
         let loaded = if args.fused {
             cache.load_compiled_fused_shared(b.source, Layout::default())
         } else {
@@ -261,11 +261,10 @@ fn main() -> ExitCode {
                         .map(|(pc, n)| format!("{pc}:{n}"))
                         .collect();
                     println!(
-                        "  stats {}: {} | {} | {} | hot_pcs [{}]",
+                        "  stats {}: {} | {} | hot_pcs [{}]",
                         b.name,
                         line("execute", &report.execute),
                         line("queue_wait", &report.queue_wait),
-                        line("select", &report.select),
                         hot.join(" ")
                     );
                     let p99_ok = report.execute.is_some_and(|q| q.is_finite() && q.count > 0);

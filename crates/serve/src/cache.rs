@@ -23,10 +23,9 @@
 //!   leaves a flight record carrying the key's hashes, so incident
 //!   dumps show the cache traffic around a slow query.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use symbol_core::pipeline::Compiled;
 use symbol_core::PipelineError;
@@ -34,50 +33,6 @@ use symbol_intcode::Layout;
 use symbol_obs::{FlightKind, FlightRecorder, Registry};
 
 use crate::artifact::{self, Artifact, ArtifactKey, Payload, PayloadKind};
-
-/// One in-flight load a single-flight leader publishes its image
-/// through: followers wait on `done` and share the leader's
-/// `Arc<Compiled>` instead of reading and decoding the file again.
-#[derive(Default)]
-struct InFlight {
-    slot: Mutex<InFlightSlot>,
-    done: Condvar,
-}
-
-#[derive(Default)]
-struct InFlightSlot {
-    done: bool,
-    /// `None` after `done` means the leader failed — followers fall
-    /// back to an independent load rather than sharing an error.
-    image: Option<Arc<Compiled>>,
-}
-
-impl std::fmt::Debug for InFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("InFlight")
-    }
-}
-
-impl InFlight {
-    /// Publishes `image` (or a failure when `None`) and wakes every
-    /// waiting follower.
-    fn publish(&self, image: Option<Arc<Compiled>>) {
-        let mut slot = self.slot.lock().expect("inflight slot lock");
-        slot.done = true;
-        slot.image = image;
-        self.done.notify_all();
-    }
-
-    /// Blocks until the leader publishes; returns its shared image, or
-    /// `None` when the leader failed.
-    fn wait(&self) -> Option<Arc<Compiled>> {
-        let mut slot = self.slot.lock().expect("inflight slot lock");
-        while !slot.done {
-            slot = self.done.wait(slot).expect("inflight slot lock");
-        }
-        slot.image.clone()
-    }
-}
 
 /// A directory of compiled artifacts plus the observability handle all
 /// cache traffic is reported through.
@@ -87,10 +42,6 @@ pub struct ArtifactCache {
     obs: Registry,
     flight: Arc<FlightRecorder>,
     seq: AtomicU64,
-    /// Single-flight table of loads currently being computed, keyed by
-    /// artifact file name. N workers warming the same image read and
-    /// decode it once; the rest share the leader's `Arc<Compiled>`.
-    inflight: Mutex<HashMap<String, Arc<InFlight>>>,
 }
 
 impl ArtifactCache {
@@ -116,7 +67,6 @@ impl ArtifactCache {
             obs,
             flight: Arc::new(FlightRecorder::disabled()),
             seq: AtomicU64::new(0),
-            inflight: Mutex::new(HashMap::new()),
         })
     }
 
@@ -218,9 +168,9 @@ impl ArtifactCache {
         }
     }
 
-    /// The body of [`ArtifactCache::load_compiled_shared`]: the
-    /// emulator image, deserialized on a hit, compiled and stored on a
-    /// miss.
+    /// The emulator image of `source` under `layout`, deserialized on
+    /// a hit, compiled and stored on a miss (see
+    /// [`ArtifactCache::load_compiled_shared`]).
     fn load_compiled(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
         let key = ArtifactKey::emulator(source, &layout);
         if let Some(art) = self.load(&key, PayloadKind::Emulator) {
@@ -251,9 +201,60 @@ impl ArtifactCache {
         Ok(compiled)
     }
 
-    /// The body of [`ArtifactCache::load_compiled_fused_shared`]: the
-    /// emulator image, then the fused tier on top.
-    fn load_compiled_fused(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
+    /// The warm/cold entry point of the serving tier: returns the
+    /// [`Compiled`] image of `source` under `layout`, deserializing it
+    /// from the cache when a valid artifact exists and compiling from
+    /// source (then storing the artifact, best effort) otherwise.
+    ///
+    /// The two paths are distinguishable in the metrics: a warm hit
+    /// runs under a `serve.deserialize` span and bumps
+    /// `serve.cache.hit`; a cold start runs under `serve.compile` and
+    /// bumps `serve.cache.miss` (or `serve.cache.corrupt`).
+    ///
+    /// Concurrent loaders of one key each read and decode on their
+    /// own; they get bit-identical images, and a concurrent store
+    /// still publishes whole files.
+    ///
+    /// # Errors
+    ///
+    /// Compilation errors from [`Compiled::from_source_obs`] on the
+    /// cold path. A corrupt cache entry is never an error.
+    pub fn load_compiled_shared(
+        &self,
+        source: &str,
+        layout: Layout,
+    ) -> Result<Arc<Compiled>, PipelineError> {
+        self.load_compiled(source, layout).map(Arc::new)
+    }
+
+    /// The two-tier entry point: the base emulator image (as
+    /// [`ArtifactCache::load_compiled_shared`] loads it), then the
+    /// fused superinstruction tier on top.
+    ///
+    /// The fused artifact's cache key includes the hash of the
+    /// execution profile it was specialized against, and profiling is
+    /// deterministic — so the warm path re-derives the key with one
+    /// profiling run (`serve.profile` span), loads the fused artifact,
+    /// and attaches it. When the artifact is absent (or stale: a stored
+    /// profile hash that disagrees with the recomputed one is counted
+    /// corrupt), the fusion pass runs (`serve.fuse` span) and the fresh
+    /// artifact is stored, repairing the cache for the next start.
+    ///
+    /// Tier traffic is visible per kind: the fused artifact's hits,
+    /// misses, corruptions and stores are all labelled `kind=fused`
+    /// under the same `serve.cache.*` counters the base image uses.
+    ///
+    /// # Errors
+    ///
+    /// Compilation errors on the cold path, and any failure of the
+    /// profiling run ([`PipelineError::WrongAnswer`] /
+    /// [`PipelineError::Exec`]) — a program whose profile cannot be
+    /// collected cannot be tiered.
+    pub fn load_compiled_fused_shared(
+        &self,
+        source: &str,
+        layout: Layout,
+    ) -> Result<Arc<Compiled>, PipelineError> {
         let mut compiled = self.load_compiled(source, layout)?;
         let (stats, profile, _steps) = {
             let _span = self.obs.span("serve.profile", &[("kind", "fused")]);
@@ -281,7 +282,7 @@ impl ArtifactCache {
                         })
                         .is_ok();
                 if attached {
-                    return Ok(compiled);
+                    return Ok(Arc::new(compiled));
                 }
                 // A decodable artifact that does not match this
                 // program/profile must not be served.
@@ -289,130 +290,13 @@ impl ArtifactCache {
                     .inc();
             }
         }
-        {
+        let tier = {
             let _span = self.obs.span("serve.fuse", &[("kind", "fused")]);
-            compiled.attach_fused_from_profile(&stats, &profile);
-        }
-        let tier = compiled.fused.as_ref().expect("tier just attached");
+            compiled.attach_fused_from_profile(&stats, &profile)
+        };
         let bytes = artifact::encode_fused(&key, &tier.program, tier.profile_hash, &tier.report);
         let _ = self.store(&key, PayloadKind::Fused, &bytes);
-        Ok(compiled)
-    }
-
-    /// Runs `compute` under the single-flight guard for `flight_key`:
-    /// the first caller (the leader) computes, everyone who arrives
-    /// while it is in flight (followers) blocks and shares the
-    /// leader's `Arc<Compiled>` — the artifact file is read and
-    /// decoded exactly once no matter how many workers warm the same
-    /// image concurrently. Leader/follower traffic is counted under
-    /// `serve.cache.singleflight{kind, role}`.
-    ///
-    /// If the leader fails, followers retry independently (errors are
-    /// not shareable), so a transient leader failure never poisons the
-    /// key.
-    fn single_flight(
-        &self,
-        flight_key: String,
-        kind: &str,
-        compute: impl Fn() -> Result<Compiled, PipelineError>,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        let role = obs_role(&self.obs, kind);
-        let flight = {
-            let mut map = self.inflight.lock().expect("inflight lock");
-            match map.get(&flight_key) {
-                Some(f) => {
-                    let f = Arc::clone(f);
-                    role("follower");
-                    drop(map);
-                    if let Some(image) = f.wait() {
-                        return Ok(image);
-                    }
-                    return compute().map(Arc::new);
-                }
-                None => {
-                    let f = Arc::new(InFlight::default());
-                    map.insert(flight_key.clone(), Arc::clone(&f));
-                    role("leader");
-                    f
-                }
-            }
-        };
-        let result = compute().map(Arc::new);
-        // Unregister before publishing so late arrivals become fresh
-        // leaders instead of reading a stale slot.
-        self.inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(&flight_key);
-        flight.publish(result.as_ref().ok().map(Arc::clone));
-        result
-    }
-
-    /// The warm/cold entry point of the serving tier: returns the
-    /// [`Compiled`] image of `source` under `layout`, deserializing it
-    /// from the cache when a valid artifact exists and compiling from
-    /// source (then storing the artifact, best effort) otherwise.
-    ///
-    /// The two paths are distinguishable in the metrics: a warm hit
-    /// runs under a `serve.deserialize` span and bumps
-    /// `serve.cache.hit`; a cold start runs under `serve.compile` and
-    /// bumps `serve.cache.miss` (or `serve.cache.corrupt`).
-    ///
-    /// The load runs behind the single-flight guard: concurrent
-    /// warmers of the same `(source, layout)` read and decode the
-    /// artifact once and all receive clones of one `Arc<Compiled>`.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors from [`Compiled::from_source_obs`] on the
-    /// cold path. A corrupt cache entry is never an error.
-    pub fn load_compiled_shared(
-        &self,
-        source: &str,
-        layout: Layout,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        let flight_key = ArtifactKey::emulator(source, &layout).file_name(PayloadKind::Emulator);
-        self.single_flight(flight_key, "emu", || self.load_compiled(source, layout))
-    }
-
-    /// The two-tier entry point: the base emulator image (as
-    /// [`ArtifactCache::load_compiled_shared`] loads it), then the
-    /// fused superinstruction tier on top.
-    ///
-    /// The fused artifact's cache key includes the hash of the
-    /// execution profile it was specialized against, and profiling is
-    /// deterministic — so the warm path re-derives the key with one
-    /// profiling run (`serve.profile` span), loads the fused artifact,
-    /// and attaches it. When the artifact is absent (or stale: a stored
-    /// profile hash that disagrees with the recomputed one is counted
-    /// corrupt), the fusion pass runs (`serve.fuse` span) and the fresh
-    /// artifact is stored, repairing the cache for the next start.
-    ///
-    /// Tier traffic is visible per kind: the fused artifact's hits,
-    /// misses, corruptions and stores are all labelled `kind=fused`
-    /// under the same `serve.cache.*` counters the base image uses.
-    ///
-    /// The load runs behind the single-flight guard: the fused warm
-    /// path re-derives the profile, so collapsing N concurrent warmers
-    /// to one saves N-1 profiling runs on top of the reads and decodes.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors on the cold path, and any failure of the
-    /// profiling run ([`PipelineError::WrongAnswer`] /
-    /// [`PipelineError::Exec`]) — a program whose profile cannot be
-    /// collected cannot be tiered.
-    pub fn load_compiled_fused_shared(
-        &self,
-        source: &str,
-        layout: Layout,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        // Keyed without the profile hash (it is not known until after
-        // profiling): one flight per (source, layout) and tier.
-        let flight_key = ArtifactKey::emulator(source, &layout).file_name(PayloadKind::Fused);
-        self.single_flight(flight_key, "fused", || {
-            self.load_compiled_fused(source, layout)
-        })
+        Ok(Arc::new(compiled))
     }
 }
 
@@ -475,18 +359,6 @@ fn reclaim_stale_temps(dir: &Path, obs: &Registry) -> u64 {
         obs.counter("serve.cache.tmp_reclaimed", &[]).add(reclaimed);
     }
     reclaimed
-}
-
-/// Curried `serve.cache.singleflight` counter: resolves the labelled
-/// cell per role at call time.
-fn obs_role<'a>(obs: &'a Registry, kind: &'a str) -> impl Fn(&str) + 'a {
-    move |role: &str| {
-        obs.counter(
-            "serve.cache.singleflight",
-            &[("kind", kind), ("role", role)],
-        )
-        .inc();
-    }
 }
 
 #[cfg(test)]
@@ -701,129 +573,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_warmers_share_one_decode_through_single_flight() {
-        let t = TempDir::new("singleflight");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        // Seed through a second cache on the same directory, so every
-        // loader takes the warm (read + decode) path and this cache's
-        // counters see only the warmers.
-        ArtifactCache::new(&t.0, Registry::disabled())
-            .expect("open cache")
-            .load_compiled_shared(SRC, Layout::default())
-            .expect("seed");
-        let images: Vec<Arc<Compiled>> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    cache
-                        .load_compiled_shared(SRC, Layout::default())
-                        .expect("warm")
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|th| th.join().expect("no panic"))
-            .collect();
-        let sf = |role: &str| {
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "emu"), ("role", role)],
-            )
-            .get()
-        };
-        assert_eq!(sf("leader") + sf("follower"), 8);
-        assert!(sf("leader") >= 1);
-        assert_eq!(
-            counter(&obs, "serve.cache.hit") + counter(&obs, "serve.cache.miss"),
-            sf("leader"),
-            "only leaders touch the disk, followers share"
-        );
-        let steps: Vec<u64> = images
-            .iter()
-            .map(|c| c.run_sequential().expect("runs").steps)
-            .collect();
-        assert!(steps.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn followers_share_the_leaders_image_without_touching_the_disk() {
-        let t = TempDir::new("sfshare");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        let flight_key =
-            ArtifactKey::emulator(SRC, &Layout::default()).file_name(PayloadKind::Emulator);
-        let flight = Arc::new(InFlight::default());
-        cache
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(flight_key, Arc::clone(&flight));
-        let follower = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                cache
-                    .load_compiled_shared(SRC, Layout::default())
-                    .expect("published image")
-            })
-        };
-        let image = Arc::new(Compiled::from_source(SRC).expect("compiles"));
-        flight.publish(Some(Arc::clone(&image)));
-        let got = follower.join().expect("follower returns");
-        assert!(
-            Arc::ptr_eq(&got, &image),
-            "the follower shares the published image, pointer-identical"
-        );
-        assert_eq!(
-            counter(&obs, "serve.cache.hit") + counter(&obs, "serve.cache.miss"),
-            0,
-            "the follower never read the cache directory"
-        );
-        assert_eq!(
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "emu"), ("role", "follower")]
-            )
-            .get(),
-            1
-        );
-    }
-
-    #[test]
-    fn a_failed_leader_does_not_poison_followers() {
-        let t = TempDir::new("sffail");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        let flight_key =
-            ArtifactKey::emulator(SRC, &Layout::default()).file_name(PayloadKind::Emulator);
-        let flight = Arc::new(InFlight::default());
-        cache
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(flight_key, Arc::clone(&flight));
-        let follower = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || cache.load_compiled_shared(SRC, Layout::default()))
-        };
-        flight.publish(None);
-        let got = follower
-            .join()
-            .expect("follower returns")
-            .expect("independent fallback load succeeds");
-        got.run_sequential().expect("fallback image runs");
-        assert_eq!(
-            counter(&obs, "serve.cache.miss"),
-            1,
-            "the fallback load compiled independently"
-        );
-    }
-
-    #[test]
-    fn fused_single_flight_collapses_concurrent_cold_warmups() {
-        let t = TempDir::new("sffused");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
+    fn concurrent_fused_cold_warmups_get_bit_identical_images() {
+        let t = TempDir::new("fusedrace");
+        let cache = Arc::new(ArtifactCache::new(&t.0, Registry::new()).expect("open cache"));
         let images: Vec<Arc<Compiled>> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
@@ -837,15 +589,6 @@ mod tests {
             .into_iter()
             .map(|th| th.join().expect("no panic"))
             .collect();
-        let sf = |role: &str| {
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "fused"), ("role", role)],
-            )
-            .get()
-        };
-        assert_eq!(sf("leader") + sf("follower"), 4);
-        assert!(sf("leader") >= 1);
         let runs: Vec<u64> = images
             .iter()
             .map(|c| {
@@ -888,26 +631,38 @@ mod tests {
     #[test]
     fn concurrent_writers_never_publish_a_partial_file() {
         let t = TempDir::new("race");
-        // One cache per writer, as separate processes sharing the
-        // directory would have: single flight cannot serialize them,
-        // so only write-then-rename keeps the published file whole.
+        // Half the writers share one cache, as threads of one server
+        // would; the other half open their own, as separate processes
+        // sharing the directory would. Only write-then-rename keeps the
+        // published file whole.
+        let shared = Arc::new(ArtifactCache::new(&t.0, Registry::new()).expect("open cache"));
         let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let dir = t.0.clone();
+            .map(|i| {
+                let cache = if i % 2 == 0 {
+                    Arc::clone(&shared)
+                } else {
+                    Arc::new(ArtifactCache::new(&t.0, Registry::new()).expect("open cache"))
+                };
                 std::thread::spawn(move || {
-                    let cache = ArtifactCache::new(dir, Registry::new()).expect("open cache");
-                    for _ in 0..4 {
-                        let c = cache
-                            .load_compiled_shared(SRC, Layout::default())
-                            .expect("load or compile");
-                        c.run_sequential().expect("runs");
-                    }
+                    (0..4)
+                        .map(|_| {
+                            let c = cache
+                                .load_compiled_shared(SRC, Layout::default())
+                                .expect("load or compile");
+                            c.run_sequential().expect("runs").steps
+                        })
+                        .collect::<Vec<u64>>()
                 })
             })
             .collect();
-        for th in threads {
-            th.join().expect("no worker panicked");
-        }
+        let steps: Vec<u64> = threads
+            .into_iter()
+            .flat_map(|th| th.join().expect("no worker panicked"))
+            .collect();
+        assert!(
+            steps.windows(2).all(|w| w[0] == w[1]),
+            "every loader got a bit-identical image: {steps:?}"
+        );
         // Whatever the interleaving, the published file is complete.
         let cache = ArtifactCache::new(&t.0, Registry::new()).expect("open cache");
         let warm = cache

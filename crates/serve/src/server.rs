@@ -2,40 +2,36 @@
 //!
 //! One immutable [`Compiled`] image is shared (via `Arc`) by a bounded
 //! pool of `std::thread` workers that answer independent queries
-//! against it. The run queue is **sharded**: each worker owns one
-//! lock-protected deque, submitters scatter requests round-robin
-//! across the shards, and a worker that drains its own shard dry
-//! steals a bounded batch (at most half the victim's queue, capped at
-//! `max_batch`) from a sibling before sleeping. Workers contend on
-//! their own shard's lock, not one global queue lock; a small
-//! coordination mutex tracks only the global pending count for
-//! backpressure (submitters block while `pending >= queue_capacity`)
-//! and sleep/wake. Workers drain requests in small batches, paying
-//! their shard lock once per batch rather than once per request, and
-//! run batches back-to-back on the pinned image with per-query engine
-//! state recycled through a per-worker arena pool
+//! against it. The run queue is one FIFO deque behind one mutex:
+//! submitters push at the back (blocking while `queue_capacity`
+//! requests are unclaimed), and an idle worker pops the front request
+//! and runs it. A request that has not started is therefore always in
+//! the queue, where any idle worker can take it. Each worker recycles
+//! per-query engine state through its own arena pool
 //! ([`symbol_intcode::batch::ArenaPool`]) — no per-query
 //! register/heap allocation on the hot path. A query has one execution
 //! path: a run request is the one-query batch of
 //! [`Compiled::run_query_batch_obs`], on the same pooled arena a batch
 //! request uses.
 //!
-//! Shard assignment, steal order and worker count are invisible in
-//! the results: every query is an independent deterministic execution
-//! of the same image, and [`QueryServer::finish`] returns answers in
-//! id order — bit-identical to a sequential run of the same queries,
-//! which the workspace determinism suite asserts.
+//! Worker count and claim order are invisible in the results: every
+//! query is an independent deterministic execution of the same image,
+//! and [`QueryServer::finish`] returns answers in id order —
+//! bit-identical to a sequential run of the same queries, which the
+//! workspace determinism suite asserts.
 //!
 //! The server is panic-free by construction: each query runs under
 //! `catch_unwind`, so even a defect that would panic the emulator is
 //! converted into a failed [`QueryResult`] (and counted) instead of
-//! killing the worker.
+//! killing the worker, and a poisoned lock is recovered, never
+//! propagated.
 //!
 //! ## Request kinds
 //!
 //! Besides plain run queries ([`QueryServer::submit`]), the pool
 //! answers live [`QueryServer::submit_stats`] requests from the same
-//! queue: a stats request snapshots the shared registry, folds the
+//! queue: a stats request waits until every request submitted before
+//! it has been answered, then snapshots the shared registry, folds the
 //! per-stage latency histograms into p50/p90/p99 quantile views, and
 //! attaches the image's hottest program counters — so an operator can
 //! interrogate a running server without stopping it.
@@ -45,38 +41,31 @@
 //! All on the registry handed to [`QueryServer::start`]:
 //!
 //! * `serve.queries.ok` / `serve.queries.failed` /
-//!   `serve.queries.panicked` counters,
+//!   `serve.queries.panicked` / `serve.queries.stats` counters,
 //! * a `serve.tier` counter labelled `tier=fused` / `tier=decoded`
 //!   with which execution tier answered each successful query,
 //! * `serve.queue.depth` gauge, incremented on enqueue and
-//!   decremented on dequeue (exactly zero once the queue drains),
-//!   plus a per-shard `serve.queue.depth{shard=i}` gauge per worker,
-//! * `serve.shard.steals{shard=i}` / `serve.shard.stolen{shard=i}`
-//!   counters — steal sweeps worker `i` performed and requests it
-//!   took from siblings,
-//! * `serve.batch` histogram of batch sizes, with per-shard
-//!   `serve.shard.batch{shard=i}` and `serve.shard.run.ns{shard=i}`
-//!   (wall time of each claimed batch) breakdowns,
+//!   decremented on claim (exactly zero once the queue drains),
 //! * `serve.batch.queries` counter of sub-queries answered through
 //!   batched [`QueryServer::submit_batch`] requests,
 //! * `serve.stage.ns` histograms labelled `stage=queue_wait` /
-//!   `select` / `execute` and by `tier` — the per-stage latency split
-//!   live stats queries report quantiles over,
+//!   `execute` and by `tier` — the per-stage latency split live stats
+//!   queries report quantiles over,
 //! * a per-request `serve.query{req, n, tier}` trace span (see
 //!   [`Compiled::run_query_batch_obs`]).
 //!
 //! And, independent of the registry, a lock-free
 //! [`FlightRecorder`] ring capturing the last
-//! `ServerConfig::flight_capacity` structured events (enqueue,
-//! dequeue, query start/end, stats, dumps). When a query exceeds
-//! `ServerConfig::slow_query_ns` or panics and
-//! `ServerConfig::flight_dir` is set, the ring is dumped to an
-//! ndjson file stamped with the offending request id.
+//! `ServerConfig::flight_capacity` structured events (enqueue and
+//! dequeue with the queue depth, query start/end, stats, dumps). When
+//! a query exceeds `ServerConfig::slow_query_ns` or panics and
+//! `ServerConfig::flight_dir` is set, the ring is dumped to an ndjson
+//! file stamped with the offending request id.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -89,12 +78,9 @@ use symbol_obs::{FlightKind, FlightRecorder, Gauge, QuantileView, Registry, Snap
 pub struct ServerConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Maximum queued requests before [`QueryServer::submit`] blocks
+    /// Maximum unclaimed requests before [`QueryServer::submit`] blocks
     /// (clamped to at least 1).
     pub queue_capacity: usize,
-    /// Maximum requests a worker takes per lock acquisition (clamped
-    /// to at least 1).
-    pub max_batch: usize,
     /// Flight-recorder ring capacity in records (0 disables the
     /// recorder entirely).
     pub flight_capacity: usize,
@@ -111,7 +97,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_capacity: 64,
-            max_batch: 8,
             flight_capacity: 1024,
             flight_dir: None,
             slow_query_ns: None,
@@ -147,9 +132,11 @@ impl Request {
     }
 }
 
-/// A queued request and when it entered the queue.
+/// A queued request, its place in submission order, and when it
+/// entered the queue.
 struct Pending {
     req: Request,
+    seq: u64,
     enqueued: Instant,
 }
 
@@ -162,8 +149,6 @@ pub struct StatsReport {
     /// Quantiles of `serve.stage.ns{stage=queue_wait}`, merged across
     /// tiers (`None` until at least one query has been served).
     pub queue_wait: Option<QuantileView>,
-    /// Quantiles of the tier-selection stage.
-    pub select: Option<QuantileView>,
     /// Quantiles of the execute stage.
     pub execute: Option<QuantileView>,
     /// The image's hottest program counters `(pc, executions)` from a
@@ -190,11 +175,10 @@ impl StatsReport {
             .map(|(pc, n)| format!("{{\"pc\": {pc}, \"count\": {n}}}"))
             .collect();
         format!(
-            "{{\"request_id\": {}, \"stages\": {{\"queue_wait\": {}, \"select\": {}, \
-             \"execute\": {}}}, \"hot_pcs\": [{}], \"metrics\": {}}}",
+            "{{\"request_id\": {}, \"stages\": {{\"queue_wait\": {}, \"execute\": {}}}, \
+             \"hot_pcs\": [{}], \"metrics\": {}}}",
             self.request_id,
             quantiles(&self.queue_wait),
-            quantiles(&self.select),
             quantiles(&self.execute),
             hot.join(", "),
             self.snapshot.to_json()
@@ -254,41 +238,30 @@ pub struct QueryResult {
     pub outcome: Result<QueryAnswer, String>,
 }
 
-/// One worker's run queue. Submitters push round-robin; the owning
-/// worker drains from the front; siblings steal bounded batches from
-/// the front when their own shard runs dry. Each shard has its own
-/// lock, so workers contend with at most one submitter (or one
-/// thief), never with the whole pool.
-struct Shard {
-    queue: Mutex<VecDeque<Pending>>,
-    /// `serve.queue.depth{shard=i}`.
-    depth: Gauge,
-}
-
-/// The only pool-global mutable state: how many submitted requests no
-/// worker has claimed yet, and whether the server is shutting down.
-/// Guards backpressure and sleep/wake — never the request data itself.
-struct Coord {
-    /// Submitted requests not yet claimed by a worker. Zero implies
-    /// every shard queue is empty (requests are counted until the
-    /// moment they leave a shard).
-    pending: usize,
+/// The pool's mutable state, all behind one lock.
+struct State {
+    /// Submitted requests no worker has claimed yet, oldest first.
+    queue: VecDeque<Pending>,
     closed: bool,
+    /// The submission sequence number of the next request.
+    next_seq: u64,
+    /// Sequence numbers of the claimed requests not yet answered.
+    running: Vec<u64>,
+    /// Answers, in completion order.
+    results: Vec<QueryResult>,
 }
 
 struct Shared {
-    shards: Vec<Shard>,
-    coord: Mutex<Coord>,
-    /// Signalled when requests arrive or the queue closes.
+    state: Mutex<State>,
+    /// Signalled when a request arrives or the queue closes.
     work: Condvar,
-    /// Signalled when a batch is claimed (space for submitters).
+    /// Signalled when a request is claimed (space for submitters).
     space: Condvar,
-    /// Round-robin submit cursor over the shards.
-    rr: AtomicU64,
-    results: Mutex<Vec<QueryResult>>,
+    /// Signalled when a request is answered (stats requests wait on
+    /// the ones submitted before them).
+    answered: Condvar,
     capacity: usize,
-    max_batch: usize,
-    /// `serve.queue.depth` (global): +1 on enqueue, -batch on dequeue.
+    /// `serve.queue.depth`: +1 on enqueue, -1 on claim.
     depth: Gauge,
     flight: Arc<FlightRecorder>,
     flight_dir: Option<PathBuf>,
@@ -298,6 +271,106 @@ struct Shared {
     /// Hottest pcs of the shared image, profiled lazily on the first
     /// stats query (deterministic, so once is enough).
     hot_pcs: OnceLock<Vec<(usize, u64)>>,
+}
+
+/// Waits on `cv`, recovering the guard from a poisoned lock.
+fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    fn new(cfg: &ServerConfig, obs: &Registry, flight: Arc<FlightRecorder>) -> Self {
+        Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                closed: false,
+                next_seq: 0,
+                running: Vec::new(),
+                results: Vec::new(),
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            answered: Condvar::new(),
+            capacity: cfg.queue_capacity.max(1),
+            depth: obs.gauge("serve.queue.depth", &[]),
+            flight,
+            flight_dir: cfg.flight_dir.clone(),
+            slow_query_ns: cfg.slow_query_ns,
+            dump_seq: AtomicU64::new(0),
+            hot_pcs: OnceLock::new(),
+        }
+    }
+
+    /// Locks the pool state. Every update under the lock is a single
+    /// push, pop, removal or flag write, so a thread that panicked
+    /// while holding it cannot have left the state torn: a poisoned
+    /// lock is recovered, not propagated.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `req` to the queue, blocking while it is full.
+    fn enqueue(&self, req: Request) {
+        let id = req.id();
+        let mut st = self.state();
+        while st.queue.len() >= self.capacity {
+            st = wait(&self.space, st);
+        }
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.push_back(Pending {
+            req,
+            seq,
+            enqueued: Instant::now(),
+        });
+        self.depth.add(1);
+        self.flight
+            .record(FlightKind::Enqueue, id, st.queue.len() as u64);
+        drop(st);
+        self.work.notify_one();
+    }
+
+    /// Takes the oldest unclaimed request, sleeping while the queue is
+    /// empty; `None` once the queue is closed and drained.
+    fn claim(&self) -> Option<Pending> {
+        let mut st = self.state();
+        let p = loop {
+            if let Some(p) = st.queue.pop_front() {
+                break p;
+            }
+            if st.closed {
+                return None;
+            }
+            st = wait(&self.work, st);
+        };
+        st.running.push(p.seq);
+        let left = st.queue.len() as u64;
+        drop(st);
+        self.space.notify_one();
+        self.depth.add(-1);
+        self.flight.record(FlightKind::Dequeue, p.req.id(), left);
+        Some(p)
+    }
+
+    /// Records the answer to the claimed request `seq`.
+    fn answer(&self, seq: u64, result: QueryResult) {
+        let mut st = self.state();
+        st.results.push(result);
+        st.running.retain(|&s| s != seq);
+        drop(st);
+        self.answered.notify_all();
+    }
+
+    /// Blocks until every request submitted before `seq` has been
+    /// answered. Claims follow submission order, so each of those
+    /// requests is already claimed, and none of them waits on a later
+    /// one: the wait always ends.
+    fn await_earlier(&self, seq: u64) {
+        let mut st = self.state();
+        while st.running.iter().any(|&s| s < seq) {
+            st = wait(&self.answered, st);
+        }
+    }
 }
 
 /// A running worker pool answering queries against one shared
@@ -357,7 +430,6 @@ fn stats_report(compiled: &Compiled, obs: &Registry, shared: &Shared, id: u64) -
     StatsReport {
         request_id: id,
         queue_wait: stage("queue_wait"),
-        select: stage("select"),
         execute: stage("execute"),
         hot_pcs,
         snapshot,
@@ -366,30 +438,24 @@ fn stats_report(compiled: &Compiled, obs: &Registry, shared: &Shared, id: u64) -
 
 fn run_one(
     compiled: &Compiled,
-    req: &Request,
-    waited_ns: u64,
+    p: &Pending,
     obs: &Registry,
     shared: &Shared,
     pool: &mut ArenaPool,
 ) -> QueryResult {
+    let req = &p.req;
     let id = req.id();
     let flight = &shared.flight;
-    // Tier selection is timed as its own stage: today it is one
-    // branch, but it is where a multi-image server would route, and
-    // the split keeps queue wait and execute honest.
-    let t_select = Instant::now();
     let tier = if compiled.fused.is_some() {
         "fused"
     } else {
         "decoded"
     };
-    let select_ns = t_select.elapsed().as_nanos() as u64;
     obs.histogram("serve.stage.ns", &[("stage", "queue_wait"), ("tier", tier)])
-        .record(waited_ns);
-    obs.histogram("serve.stage.ns", &[("stage", "select"), ("tier", tier)])
-        .record(select_ns);
+        .record(p.enqueued.elapsed().as_nanos() as u64);
 
     if let Request::Stats(id) = req {
+        shared.await_earlier(p.seq);
         flight.record(FlightKind::StatsQuery, *id, 0);
         let report = stats_report(compiled, obs, shared, *id);
         obs.counter("serve.queries.stats", &[]).inc();
@@ -461,92 +527,11 @@ fn run_one(
     QueryResult { id, outcome }
 }
 
-fn worker_loop(shard_id: usize, shared: &Shared, compiled: &Compiled, obs: &Registry) {
-    let shard_label = shard_id.to_string();
-    let batch_sizes = obs.histogram("serve.batch", &[]);
-    let shard_batch = obs.histogram("serve.shard.batch", &[("shard", &shard_label)]);
-    let shard_run_ns = obs.histogram("serve.shard.run.ns", &[("shard", &shard_label)]);
-    let steals = obs.counter("serve.shard.steals", &[("shard", &shard_label)]);
-    let stolen = obs.counter("serve.shard.stolen", &[("shard", &shard_label)]);
+fn worker_loop(shared: &Shared, compiled: &Compiled, obs: &Registry) {
     let mut pool = ArenaPool::new();
-    let n_shards = shared.shards.len();
-    loop {
-        // 1. Drain the worker's own shard first (one lock, one batch).
-        let mut batch: Vec<Pending> = {
-            let own = &shared.shards[shard_id];
-            let mut q = own.queue.lock().expect("shard lock");
-            let n = q.len().min(shared.max_batch);
-            let taken: Vec<Pending> = q.drain(..n).collect();
-            drop(q);
-            if n > 0 {
-                own.depth.add(-(n as i64));
-            }
-            taken
-        };
-        // 2. Own shard dry: one bounded steal sweep over the siblings,
-        //    taking at most half the first non-empty victim's queue
-        //    (capped at max_batch) so the victim keeps local work.
-        if batch.is_empty() && n_shards > 1 {
-            for step in 1..n_shards {
-                let victim = &shared.shards[(shard_id + step) % n_shards];
-                let mut q = victim.queue.lock().expect("shard lock");
-                if q.is_empty() {
-                    continue;
-                }
-                let n = q.len().div_ceil(2).min(shared.max_batch);
-                batch = q.drain(..n).collect();
-                drop(q);
-                victim.depth.add(-(n as i64));
-                steals.inc();
-                stolen.add(n as u64);
-                break;
-            }
-        }
-        if batch.is_empty() {
-            // 3. Nothing visible anywhere: sleep or exit under the
-            //    coordination lock. `pending > 0` here means a submit
-            //    or a sibling's claim raced our scan — rescan rather
-            //    than sleep, so no request is ever stranded.
-            let coord = shared.coord.lock().expect("coord lock");
-            if coord.pending > 0 {
-                drop(coord);
-                std::thread::yield_now();
-                continue;
-            }
-            if coord.closed {
-                return;
-            }
-            drop(shared.work.wait(coord).expect("coord lock"));
-            continue;
-        }
-        // 4. Claimed a batch: release backpressure, then run it
-        //    back-to-back on the pinned image.
-        let n = batch.len();
-        {
-            let mut coord = shared.coord.lock().expect("coord lock");
-            coord.pending -= n;
-            shared.space.notify_all();
-        }
-        shared.depth.add(-(n as i64));
-        shared
-            .flight
-            .record(FlightKind::Dequeue, batch[0].req.id(), n as u64);
-        batch_sizes.record(n as u64);
-        shard_batch.record(n as u64);
-        let t_run = Instant::now();
-        let answered: Vec<QueryResult> = batch
-            .drain(..)
-            .map(|p| {
-                let waited_ns = p.enqueued.elapsed().as_nanos() as u64;
-                run_one(compiled, &p.req, waited_ns, obs, shared, &mut pool)
-            })
-            .collect();
-        shard_run_ns.record(t_run.elapsed().as_nanos() as u64);
-        shared
-            .results
-            .lock()
-            .expect("results lock")
-            .extend(answered);
+    while let Some(p) = shared.claim() {
+        let result = run_one(compiled, &p, obs, shared, &mut pool);
+        shared.answer(p.seq, result);
     }
 }
 
@@ -574,40 +559,13 @@ impl QueryServer {
         obs: &Registry,
         flight: Arc<FlightRecorder>,
     ) -> Self {
-        let n_workers = cfg.workers.max(1);
-        let shards = obs
-            .indexed_gauges("serve.queue.depth", "shard", n_workers)
-            .into_iter()
-            .map(|depth| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                depth,
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            shards,
-            coord: Mutex::new(Coord {
-                pending: 0,
-                closed: false,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            rr: AtomicU64::new(0),
-            results: Mutex::new(Vec::new()),
-            capacity: cfg.queue_capacity.max(1),
-            max_batch: cfg.max_batch.max(1),
-            depth: obs.gauge("serve.queue.depth", &[]),
-            flight,
-            flight_dir: cfg.flight_dir.clone(),
-            slow_query_ns: cfg.slow_query_ns,
-            dump_seq: AtomicU64::new(0),
-            hot_pcs: OnceLock::new(),
-        });
-        let workers = (0..n_workers)
-            .map(|shard_id| {
+        let shared = Arc::new(Shared::new(cfg, obs, flight));
+        let workers = (0..cfg.workers.max(1))
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 let compiled = Arc::clone(&compiled);
                 let obs = obs.clone();
-                std::thread::spawn(move || worker_loop(shard_id, &shared, &compiled, &obs))
+                std::thread::spawn(move || worker_loop(&shared, &compiled, &obs))
             })
             .collect();
         QueryServer { shared, workers }
@@ -620,39 +578,9 @@ impl QueryServer {
         Arc::clone(&self.shared.flight)
     }
 
-    fn enqueue(&self, req: Request) {
-        let id = req.id();
-        let shared = &*self.shared;
-        // Lock order is coord → shard (this is the only place both are
-        // held); workers only ever take one lock at a time.
-        let mut coord = shared.coord.lock().expect("coord lock");
-        while coord.pending >= shared.capacity {
-            coord = shared.space.wait(coord).expect("coord lock");
-        }
-        let ix = shared.rr.fetch_add(1, Ordering::Relaxed) as usize % shared.shards.len();
-        let shard = &shared.shards[ix];
-        shard.queue.lock().expect("shard lock").push_back(Pending {
-            req,
-            enqueued: Instant::now(),
-        });
-        shard.depth.add(1);
-        coord.pending += 1;
-        let depth = coord.pending as u64;
-        shared.depth.add(1);
-        shared.flight.record(FlightKind::Enqueue, id, depth);
-        shared.work.notify_one();
-    }
-
     /// Enqueues one run query, blocking while the queue is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`QueryServer::finish`] consumed the
-    /// server (the borrow checker prevents this) or if a lock is
-    /// poisoned, which only happens after a panic *outside* the
-    /// `catch_unwind`-protected query path — an internal bug.
     pub fn submit(&self, id: u64) {
-        self.enqueue(Request::Run(id));
+        self.shared.enqueue(Request::Run(id));
     }
 
     /// Enqueues one batched run request: `n` independent executions of
@@ -660,68 +588,52 @@ impl QueryServer {
     /// the request, with per-query engine state recycled through that
     /// worker's arena pool. Answers with [`QueryAnswer::Batch`] — one
     /// step count per execution, in index order.
-    ///
-    /// # Panics
-    ///
-    /// See [`QueryServer::submit`].
     pub fn submit_batch(&self, id: u64, n: usize) {
-        self.enqueue(Request::RunBatch(id, n));
+        self.shared.enqueue(Request::RunBatch(id, n));
     }
 
-    /// Enqueues a live stats query: the worker that dequeues it
+    /// Enqueues a live stats query: the worker that claims it waits
+    /// until every request submitted before it has been answered, then
     /// answers with a [`StatsReport`] over the shared registry instead
     /// of running the image.
-    ///
-    /// # Panics
-    ///
-    /// See [`QueryServer::submit`].
     pub fn submit_stats(&self, id: u64) {
-        self.enqueue(Request::Stats(id));
+        self.shared.enqueue(Request::Stats(id));
     }
 
     /// Enqueues a request that panics inside the protected region —
     /// a containment drill for tests and smoke checks. The panic is
     /// caught, counted and (when a flight dir is configured) dumped,
-    /// exactly like a real engine defect would be.
-    ///
-    /// # Panics
-    ///
-    /// See [`QueryServer::submit`] (the probe's own panic never
-    /// escapes).
+    /// exactly like a real engine defect would be; it never escapes.
     pub fn submit_panic_probe(&self, id: u64) {
-        self.enqueue(Request::PanicProbe(id));
+        self.shared.enqueue(Request::PanicProbe(id));
     }
 
-    /// Closes the queue, waits for every in-flight query, joins the
-    /// workers and returns all results sorted by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread itself panicked — impossible through
-    /// the query path, which is `catch_unwind`-protected.
+    /// Closes the queue, waits for every queued request to be
+    /// answered, joins the workers and returns all results sorted by
+    /// id.
     pub fn finish(mut self) -> Vec<QueryResult> {
-        self.close();
-        for th in self.workers.drain(..) {
-            th.join().expect("worker thread exited cleanly");
-        }
-        let mut results = std::mem::take(&mut *self.shared.results.lock().expect("results lock"));
+        self.shutdown();
+        let mut results = std::mem::take(&mut self.shared.state().results);
         results.sort_by_key(|r| r.id);
         results
     }
 
-    fn close(&self) {
-        let mut coord = self.shared.coord.lock().expect("coord lock");
-        coord.closed = true;
+    /// Closes the queue and joins the workers, which first answer
+    /// every request submitted before the close. A worker fails to
+    /// join only if it panicked outside the `catch_unwind`-protected
+    /// query path; the answers collected so far are kept either way.
+    fn shutdown(&mut self) {
+        self.shared.state().closed = true;
         self.shared.work.notify_all();
+        for th in self.workers.drain(..) {
+            let _ = th.join();
+        }
     }
 }
 
 impl Drop for QueryServer {
     fn drop(&mut self) {
-        self.close();
-        for th in self.workers.drain(..) {
-            let _ = th.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -767,7 +679,6 @@ mod tests {
             &ServerConfig {
                 workers: 4,
                 queue_capacity: 8,
-                max_batch: 4,
                 ..ServerConfig::default()
             },
             &obs,
@@ -793,7 +704,6 @@ mod tests {
             100,
             "no fused tier installed: every query ran decoded"
         );
-        assert!(obs.histogram("serve.batch", &[]).count() > 0);
         assert_eq!(
             obs.gauge("serve.queue.depth", &[]).get(),
             0,
@@ -880,107 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_with_a_dry_shard_steals_bounded_batches_from_a_sibling() {
-        let obs = Registry::new();
-        let compiled = compiled();
-        let shards: Vec<Shard> = obs
-            .indexed_gauges("serve.queue.depth", "shard", 2)
-            .into_iter()
-            .map(|depth| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                depth,
-            })
-            .collect();
-        let shared = Shared {
-            shards,
-            coord: Mutex::new(Coord {
-                pending: 5,
-                closed: true,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            rr: AtomicU64::new(0),
-            results: Mutex::new(Vec::new()),
-            capacity: 64,
-            max_batch: 8,
-            depth: obs.gauge("serve.queue.depth", &[]),
-            flight: Arc::new(FlightRecorder::new(64)),
-            flight_dir: None,
-            slow_query_ns: None,
-            dump_seq: AtomicU64::new(0),
-            hot_pcs: OnceLock::new(),
-        };
-        {
-            let mut q = shared.shards[1].queue.lock().unwrap();
-            for id in 0..5 {
-                q.push_back(Pending {
-                    req: Request::Run(id),
-                    enqueued: Instant::now(),
-                });
-            }
-        }
-        shared.shards[1].depth.add(5);
-        shared.depth.add(5);
-        // Worker 0's own shard is empty and the pool is already
-        // closed: every request it answers must come through the
-        // steal path, deterministically.
-        worker_loop(0, &shared, &compiled, &obs);
-        let results = shared.results.into_inner().unwrap();
-        assert_eq!(results.len(), 5);
-        assert!(results.iter().all(|r| r.outcome.is_ok()));
-        assert_eq!(
-            obs.counter("serve.shard.steals", &[("shard", "0")]).get(),
-            3,
-            "ceil-half stealing drains 5 requests as 3 + 1 + 1"
-        );
-        assert_eq!(
-            obs.counter("serve.shard.stolen", &[("shard", "0")]).get(),
-            5
-        );
-        assert_eq!(obs.gauge("serve.queue.depth", &[("shard", "1")]).get(), 0);
-        assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
-        assert_eq!(obs.counter("serve.queries.ok", &[]).get(), 5);
-    }
-
-    #[test]
-    fn sharded_queues_account_depth_and_batches_per_worker() {
-        let obs = Registry::new();
-        let server = QueryServer::start(
-            compiled(),
-            &ServerConfig {
-                workers: 3,
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
-        for id in 0..60 {
-            server.submit(id);
-        }
-        let results = server.finish();
-        assert_eq!(results.len(), 60);
-        for i in 0..3usize {
-            let label = i.to_string();
-            assert_eq!(
-                obs.gauge("serve.queue.depth", &[("shard", &label)]).get(),
-                0,
-                "shard {i} drained completely"
-            );
-        }
-        let global_batches = obs.histogram("serve.batch", &[]).count();
-        let per_shard = |name: &str| -> u64 {
-            (0..3usize)
-                .map(|i| obs.histogram(name, &[("shard", &i.to_string())]).count())
-                .sum()
-        };
-        assert_eq!(
-            per_shard("serve.shard.batch"),
-            global_batches,
-            "every claimed batch is attributed to exactly one shard"
-        );
-        assert_eq!(per_shard("serve.shard.run.ns"), global_batches);
-    }
-
-    #[test]
     fn fused_image_serves_queries_on_the_fused_tier() {
         let obs = Registry::new();
         let src = "main :- count(20). count(0). count(N) :- N > 0, M is N - 1, count(M).";
@@ -1030,7 +839,6 @@ mod tests {
             &ServerConfig {
                 workers: 0,
                 queue_capacity: 0,
-                max_batch: 0,
                 flight_capacity: 0,
                 ..ServerConfig::default()
             },
@@ -1087,6 +895,82 @@ mod tests {
         assert!(json.contains("\"request_id\": 1000"));
         assert!(json.contains("\"hot_pcs\""));
         assert_eq!(obs.counter("serve.queries.stats", &[]).get(), 1);
+    }
+
+    #[test]
+    fn stats_waits_for_the_requests_submitted_before_it() {
+        let obs = Registry::new();
+        let src = "main :- count(20000). count(0). count(N) :- N > 0, M is N - 1, count(M).";
+        let server = QueryServer::start(
+            Arc::new(Compiled::from_source(src).expect("compiles")),
+            &ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+            &obs,
+        );
+        // The idle second worker claims the stats request while the
+        // first is still running the batch ahead of it.
+        server.submit_batch(0, 8);
+        server.submit_stats(1);
+        let results = server.finish();
+        assert!(results[0].outcome.is_ok());
+        let report = results[1]
+            .outcome
+            .as_ref()
+            .expect("stats succeeds")
+            .stats()
+            .expect("stats answer");
+        let exec = report
+            .execute
+            .expect("the request ahead of the stats request was answered first");
+        assert_eq!(exec.count, 1, "{exec:?}");
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_is_recovered() {
+        let obs = Registry::new();
+        let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.state.lock();
+            panic!("poisoning the queue lock on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.state.is_poisoned());
+        server.submit(3);
+        let results = server.finish();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].id, 3);
+        assert!(results[0].outcome.is_ok());
+        assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
+    }
+
+    #[test]
+    fn requests_are_claimed_in_submission_order_with_the_depth_left() {
+        let obs = Registry::new();
+        let shared = Shared::new(
+            &ServerConfig::default(),
+            &obs,
+            Arc::new(FlightRecorder::new(64)),
+        );
+        for id in [7, 3, 5] {
+            shared.enqueue(Request::Run(id));
+        }
+        shared.state().closed = true;
+        let claimed: Vec<u64> = std::iter::from_fn(|| shared.claim())
+            .map(|p| p.req.id())
+            .collect();
+        assert_eq!(claimed, [7, 3, 5], "FIFO, and none once closed and drained");
+        let left: Vec<u64> = shared
+            .flight
+            .snapshot()
+            .iter()
+            .filter(|r| r.kind_name() == "dequeue")
+            .map(|r| r.b)
+            .collect();
+        assert_eq!(left, [2, 1, 0], "each dequeue carries the depth left");
+        assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
     }
 
     #[test]

@@ -57,10 +57,11 @@ fn repeated_parallel_runs_agree_with_each_other() {
 
 /// The batched serving path must be bit-identical to sequential
 /// execution for every (worker count) × (batch size) combination —
-/// including worker counts past the physical core count, where work
-/// stealing genuinely shuffles which worker runs which request. A
-/// panic probe rides in the middle of every stream: containment must
-/// not perturb any neighbouring answer.
+/// including worker counts past the physical core count, where the
+/// OS scheduler genuinely shuffles which worker claims which request
+/// and in which order requests finish. A panic probe rides in the
+/// middle of every stream: containment must not perturb any
+/// neighbouring answer.
 #[test]
 fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
     use std::sync::Arc;
@@ -79,7 +80,6 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     &ServerConfig {
                         workers,
                         queue_capacity: 8,
-                        max_batch: 2,
                         flight_capacity: 0,
                         ..ServerConfig::default()
                     },
@@ -123,7 +123,7 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     "{name}: workers={workers} batch={batch}: wrong sub-query count"
                 );
                 // Results are sorted by id: index order, independent
-                // of which worker or steal path answered.
+                // of which worker answered or when.
                 assert!(results.windows(2).all(|w| w[0].id < w[1].id));
             }
         }
