@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use symbol_bench::compiled;
 use symbol_bench::timing::Harness;
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::experiments::ablation;
 use symbol_vliw::MachineConfig;
 
@@ -19,13 +19,14 @@ fn bench(h: &mut Harness) {
     };
     h.bench_function("ablation/compact_no_speculation/qsort", |b| {
         b.iter(|| {
-            compact(
+            try_compact(
                 black_box(&cc.ici),
                 &run.stats,
                 &machine,
                 CompactMode::TraceSchedule,
                 &no_spec,
             )
+            .expect("compacts")
         })
     });
 }

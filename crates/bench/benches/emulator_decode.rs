@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use symbol_bench::timing::Harness;
 use symbol_bench::TIMING_SUBSET;
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::{DecodedEmulator, Emulator, ExecConfig, Layout};
@@ -216,13 +216,14 @@ fn measure(h: &mut Harness) -> Vec<Row> {
             continue;
         }
         let machine = MachineConfig::units(3);
-        let compacted = compact(
+        let compacted = try_compact(
             &c.ici,
             &run.stats,
             &machine,
             CompactMode::TraceSchedule,
             &TracePolicy::default(),
-        );
+        )
+        .expect("compacts");
         let sim_cfg = SimConfig::default();
         h.bench_function(&format!("vliw/legacy/{name}"), |bch| {
             bch.iter(|| {

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use symbol_bench::timing::Harness;
 use symbol_bench::{compiled, TIMING_SUBSET};
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
 use symbol_obs::Registry;
@@ -18,24 +18,26 @@ fn bench(h: &mut Harness) {
         let (cc, run) = compiled(name);
         h.bench_function(&format!("table1/trace/{name}"), |b| {
             b.iter(|| {
-                compact(
+                try_compact(
                     black_box(&cc.ici),
                     &run.stats,
                     &machine,
                     CompactMode::TraceSchedule,
                     &TracePolicy::default(),
                 )
+                .expect("compacts")
             })
         });
         h.bench_function(&format!("table1/basic_block/{name}"), |b| {
             b.iter(|| {
-                compact(
+                try_compact(
                     black_box(&cc.ici),
                     &run.stats,
                     &machine,
                     CompactMode::BasicBlock,
                     &TracePolicy::default(),
                 )
+                .expect("compacts")
             })
         });
     }

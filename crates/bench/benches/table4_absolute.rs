@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use symbol_bench::compiled;
 use symbol_bench::timing::Harness;
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
 use symbol_obs::Registry;
@@ -15,13 +15,14 @@ use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
 fn bench(h: &mut Harness) {
     let (cc, run) = compiled("serialise");
     let machine = MachineConfig::units(3);
-    let compacted = compact(
+    let compacted = try_compact(
         &cc.ici,
         &run.stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
-    );
+    )
+    .expect("compacts");
     let decoded = DecodedVliw::new(&compacted.program, machine);
     h.bench_function("table4/symbol3_simulation/serialise", |b| {
         b.iter(|| {

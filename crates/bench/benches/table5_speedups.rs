@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use symbol_bench::compiled;
 use symbol_bench::timing::Harness;
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::experiments::{default_threads, measure_suite_obs, reports};
 use symbol_obs::Registry;
@@ -16,13 +16,14 @@ fn bench(h: &mut Harness) {
     let machine = MachineConfig::bam();
     h.bench_function("table5/bam_model/serialise", |b| {
         b.iter(|| {
-            let compacted = compact(
+            let compacted = try_compact(
                 black_box(&cc.ici),
                 &run.stats,
                 &machine,
                 CompactMode::BamGroups,
                 &TracePolicy::default(),
-            );
+            )
+            .expect("compacts");
             let decoded = DecodedVliw::new(&compacted.program, machine);
             DecodedVliwSim::new(&decoded, &cc.layout)
                 .run(&SimConfig::default())

@@ -9,9 +9,7 @@ use symbol_vliw::{MachineConfig, VliwInstr, VliwProgram};
 
 use crate::cfg::Cfg;
 use crate::liveness::{LiveAtLabel, Liveness};
-use crate::schedule::{
-    rewrite_trace, schedule_comp_block, schedule_trace, LabelAlloc, ScheduleOptions,
-};
+use crate::schedule::{LabelAlloc, ScheduleOptions, Scheduler};
 use crate::trace::{average_trace_length, pick_traces, single_block_traces, Trace, TracePolicy};
 use crate::verify::{missing_slot, verify_program, Violation};
 
@@ -64,30 +62,9 @@ pub struct Compacted {
 }
 
 /// Compacts `program` for `machine` according to `mode`, guided by the
-/// sequential-execution statistics.
-///
-/// # Panics
-///
-/// Panics if the produced schedule fails static verification — on the
-/// compiler pipeline that is an internal bug. Fuzzing drives
-/// [`try_compact`] instead, where an illegal schedule is a reportable
-/// finding rather than a crash.
-pub fn compact(
-    program: &IciProgram,
-    exec: &ExecStats,
-    machine: &MachineConfig,
-    mode: CompactMode,
-    policy: &TracePolicy,
-) -> Compacted {
-    match try_compact(program, exec, machine, mode, policy) {
-        Ok(c) => c,
-        Err(v) => panic!("compactor produced an illegal schedule: {v}"),
-    }
-}
-
-/// [`compact`] returning the static-verification [`Violation`] instead
-/// of panicking when the produced schedule is illegal: a one-shot
-/// [`Compactor`].
+/// sequential-execution statistics: a one-shot [`Compactor`]. An
+/// illegal schedule is a [`Violation`], not a panic, so fuzzing can
+/// report it as a finding.
 ///
 /// # Errors
 ///
@@ -194,26 +171,18 @@ impl<'a> Compactor<'a> {
         // program (fall-through targets).
         let mut extra_label: Vec<Option<Label>> = vec![None; cfg.blocks.len()];
 
-        // Schedule every trace.
-        let mut scheduled = Vec::with_capacity(traces.len());
-        let mut all_comps = Vec::new();
+        // Schedule every trace straight into the program, in pick
+        // order. A block's labels are bound where it heads a trace.
+        let mut sched = Scheduler::default();
+        let mut instrs: Vec<VliwInstr> = Vec::new();
+        let mut head_at = vec![None; cfg.blocks.len()];
         for t in traces {
-            let t_ops = rewrite_trace(program, cfg, t, |block| {
+            sched.rewrite(program, cfg, t, |block| {
                 self.block_label[block]
                     .unwrap_or_else(|| *extra_label[block].get_or_insert_with(|| labels.fresh()))
             });
-            let mut st = schedule_trace(&t_ops, machine, &live_at, &mut labels, &opts);
-            all_comps.append(&mut st.comps);
-            scheduled.push(st.words);
-        }
-
-        // Layout: traces in pick order, then compensation blocks. A
-        // block's labels are bound where it heads a trace.
-        let mut instrs: Vec<VliwInstr> = Vec::new();
-        let mut head_at = vec![None; cfg.blocks.len()];
-        for (t, words) in traces.iter().zip(scheduled) {
             head_at[t.blocks[0]] = Some(instrs.len());
-            instrs.extend(words);
+            sched.schedule(machine, &live_at, &mut labels, &opts, &mut instrs);
         }
         let bound = cfg
             .label_block
@@ -228,11 +197,7 @@ impl<'a> Compactor<'a> {
             .chain(extra)
             .filter_map(|(l, b)| head_at[b].map(|at| (l, at)))
             .collect();
-        for comp in &all_comps {
-            let words = schedule_comp_block(comp, machine, &live_at, &mut labels);
-            label_at.insert(comp.label, instrs.len());
-            instrs.extend(words);
-        }
+        sched.emit_comp_blocks(machine, &live_at, &mut labels, &mut label_at, &mut instrs);
 
         let ops_in = program.ops().len();
         let ops_out: usize = instrs.iter().map(VliwInstr::len).sum();
@@ -243,7 +208,7 @@ impl<'a> Compactor<'a> {
         let stats = CompactStats {
             regions: traces.len(),
             avg_region_len,
-            comp_blocks: all_comps.len(),
+            comp_blocks: sched.comp_blocks(),
             ops_in,
             ops_out,
         };

@@ -6,10 +6,11 @@
 //! with speculation and compensation code, and the sequential/BAM cost
 //! models the experiments compare against.
 //!
-//! The one-call entry point is [`compact`], which turns a profiled
+//! The one-call entry point is [`try_compact`], which turns a profiled
 //! IntCode program into a scheduled [`symbol_vliw::VliwProgram`] for a
-//! given [`symbol_vliw::MachineConfig`]. A caller that compacts one
-//! profile for several machines builds a [`Compactor`] once and calls
+//! given [`symbol_vliw::MachineConfig`], or reports the [`Violation`]
+//! an illegal schedule would commit. A caller that compacts one profile
+//! for several machines builds a [`Compactor`] once and calls
 //! [`Compactor::compact`] per machine.
 
 pub mod cfg;
@@ -25,10 +26,10 @@ pub mod verify;
 
 pub use cfg::{Block, Cfg, Edge};
 pub use copyprop::{copy_propagate, try_copy_propagate};
-pub use emit::{compact, try_compact, CompactMode, CompactStats, Compacted, Compactor};
+pub use emit::{try_compact, CompactMode, CompactStats, Compacted, Compactor};
 pub use pressure::{measure as measure_pressure, Pressure};
 pub use regalloc::{allocate as allocate_registers, OutOfRegisters};
-pub use schedule::{ScheduleOptions, ScheduledTrace};
+pub use schedule::ScheduleOptions;
 pub use seqcost::{equal_duration_cycles, sequential_cycles, SeqDurations};
 pub use trace::{Trace, TracePolicy};
 pub use verify::{verify_program, Violation};

@@ -12,8 +12,16 @@
 //! onto the exit edge (compensation code); ops hoisted above a side
 //! exit are speculated only when provably safe and are marked so the
 //! simulator treats their faults as benign.
+//!
+//! Traces are short (a handful of ops on average), so per-trace set-up
+//! rather than the size of the dependence graph sets the cost. One
+//! scheduler therefore serves a whole compaction: it keeps its buffers
+//! from trace to trace and clears them instead of allocating new ones.
 
-use symbol_intcode::{Cond, Label, Op, OpClass, R};
+use std::collections::HashMap;
+use std::ops::Range;
+
+use symbol_intcode::{Cond, IciProgram, Label, Op, OpClass, R};
 use symbol_vliw::{MachineConfig, SlotOp, VliwInstr};
 
 use crate::cfg::{Cfg, Edge};
@@ -22,39 +30,26 @@ use crate::trace::Trace;
 
 /// One op of a rewritten trace.
 #[derive(Clone, Debug)]
-pub struct TraceOp {
+struct TraceOp {
     /// The (possibly sense-inverted) operation.
-    pub op: Op,
-    /// Original op index in the IntCode program (`usize::MAX` for ops
-    /// synthesized during rewriting, e.g. the terminal jump).
-    pub orig: usize,
+    op: Op,
     /// BAM group id (for the BAM-machine barrier mode).
-    pub group: u32,
+    group: u32,
     /// Index of the containing block within the trace (for the
     /// basic-block barrier mode).
-    pub block: u32,
+    block: u32,
 }
 
 /// A compensation block generated for one side exit.
 #[derive(Clone, Debug)]
-pub struct CompBlock {
+struct CompBlock {
     /// Fresh label the exit branch was retargeted to.
-    pub label: Label,
-    /// The delayed ops, in original order.
-    pub ops: Vec<Op>,
+    label: Label,
+    /// The delayed ops, in original order, as a range of the
+    /// scheduler's `comp_ops`.
+    ops: Range<usize>,
     /// Where the off-trace path continues.
-    pub target: Label,
-}
-
-/// Result of scheduling one trace.
-#[derive(Clone, Debug)]
-pub struct ScheduledTrace {
-    /// The instruction words.
-    pub words: Vec<VliwInstr>,
-    /// Compensation blocks for the side exits.
-    pub comps: Vec<CompBlock>,
-    /// Number of ops that entered the scheduler.
-    pub num_ops: usize,
+    target: Label,
 }
 
 /// Allocates labels beyond the IntCode program's namespace.
@@ -82,120 +77,6 @@ impl LabelAlloc {
     pub fn total(&self) -> u32 {
         self.next
     }
-}
-
-/// Rewrites a trace's ops for scheduling: inverts branches the trace
-/// follows through their taken edge (so the trace is the fall-through
-/// path), deletes internal unconditional jumps, and appends a terminal
-/// jump when the last block falls through to off-trace code.
-///
-/// `block_label` must yield a label bound at any block's start (it may
-/// allocate one).
-pub fn rewrite_trace(
-    program: &symbol_intcode::IciProgram,
-    cfg: &Cfg,
-    trace: &Trace,
-    mut block_label: impl FnMut(usize) -> Label,
-) -> Vec<TraceOp> {
-    let ops = program.ops();
-    let groups = program.groups();
-    let mut out = Vec::new();
-    for (k, &b) in trace.blocks.iter().enumerate() {
-        let block = &cfg.blocks[b];
-        let last = block.end - 1;
-        let kb = k as u32;
-        let next_in_trace = trace.blocks.get(k + 1).copied();
-        for i in block.start..block.end {
-            let op = &ops[i];
-            let is_terminator = i == last;
-            if !is_terminator {
-                out.push(TraceOp {
-                    op: op.clone(),
-                    orig: i,
-                    group: groups[i],
-                    block: kb,
-                });
-                continue;
-            }
-            match (op, next_in_trace) {
-                // Internal unconditional jump: the trace continues at
-                // its target; drop it.
-                (Op::Jmp { .. }, Some(_)) => {}
-                // Conditional branch followed in-trace.
-                (o, Some(next)) if o.is_control() => {
-                    let taken_dest = o
-                        .target()
-                        .and_then(|t| cfg.block_of_label(t))
-                        .expect("conditional branches have bound targets");
-                    if taken_dest == next {
-                        // Trace follows the taken edge: invert so the
-                        // trace falls through; off-trace = old
-                        // fall-through block.
-                        let fall = block
-                            .succs
-                            .iter()
-                            .find_map(|e| match e {
-                                Edge::Fall(d) => Some(*d),
-                                Edge::Taken(_) => None,
-                            })
-                            .expect("conditional branch has a fall-through");
-                        let mut inv = invert(o.clone());
-                        inv.set_target(block_label(fall));
-                        out.push(TraceOp {
-                            op: inv,
-                            orig: i,
-                            group: groups[i],
-                            block: kb,
-                        });
-                    } else {
-                        // Trace follows the fall-through: keep as-is.
-                        out.push(TraceOp {
-                            op: op.clone(),
-                            orig: i,
-                            group: groups[i],
-                            block: kb,
-                        });
-                    }
-                }
-                (o, Some(_)) => {
-                    // Plain fall-through into the next trace block.
-                    out.push(TraceOp {
-                        op: o.clone(),
-                        orig: i,
-                        group: groups[i],
-                        block: kb,
-                    });
-                }
-                // Last block of the trace.
-                (o, None) => {
-                    out.push(TraceOp {
-                        op: o.clone(),
-                        orig: i,
-                        group: groups[i],
-                        block: kb,
-                    });
-                    if o.falls_through() {
-                        // Execution continues at the original
-                        // fall-through block: make it explicit.
-                        let fall = block.succs.iter().find_map(|e| match e {
-                            Edge::Fall(d) => Some(*d),
-                            Edge::Taken(_) if !o.is_control() => Some(e.dest()),
-                            _ => None,
-                        });
-                        if let Some(f) = fall {
-                            out.push(TraceOp {
-                                op: Op::Jmp { t: block_label(f) },
-                                orig: usize::MAX,
-                                group: groups[i],
-                                block: kb,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 fn invert(op: Op) -> Op {
@@ -253,6 +134,19 @@ struct RegState {
     version: u32,
 }
 
+/// A memory access of the trace, for disambiguation.
+#[derive(Clone, Copy)]
+struct MemRef {
+    /// Dense id of the base register.
+    base: usize,
+    /// The base register's version at the access.
+    version: u32,
+    off: i32,
+    store: bool,
+    /// Position in the trace.
+    pos: usize,
+}
+
 /// Per-op state of the list scheduler.
 #[derive(Clone, Copy)]
 struct Node {
@@ -266,57 +160,230 @@ struct Node {
     cycle: u32,
 }
 
-/// Schedules a rewritten trace onto `machine`.
-///
-/// Returns instruction words (with explicit empty words for latency
-/// stalls) plus compensation blocks for its side exits.
-pub fn schedule_trace(
-    trace_ops: &[TraceOp],
-    machine: &MachineConfig,
-    live: &LiveAtLabel<'_>,
-    labels: &mut LabelAlloc,
-    opts: &ScheduleOptions,
-) -> ScheduledTrace {
-    let n = trace_ops.len();
-    if n == 0 {
-        return ScheduledTrace {
-            words: Vec::new(),
-            comps: Vec::new(),
-            num_ops: 0,
-        };
+/// The list scheduler and its working storage. One
+/// [`crate::Compactor::compact`] call owns one and runs every trace and
+/// every compensation block through it; each pass clears the buffers
+/// it uses instead of allocating new ones.
+#[derive(Default)]
+pub(crate) struct Scheduler {
+    /// The rewritten trace (or compensation block) being scheduled.
+    ops: Vec<TraceOp>,
+    /// Dependence edges `(from, to, latency)`, in discovery order.
+    /// Duplicates are harmless: heights and earliest cycles take
+    /// maxima, and in-degrees count each copy once per release.
+    edges: Vec<(u32, u32, u32)>,
+    /// The trace's registers, sorted: a register's dense id is its
+    /// index here.
+    regs: Vec<R>,
+    /// Per-register state, by dense id.
+    reg: Vec<RegState>,
+    /// The per-register use lists' links, `(op, next)`.
+    use_link: Vec<(u32, u32)>,
+    /// The memory accesses seen so far.
+    mem_refs: Vec<MemRef>,
+    /// Positions of the control ops.
+    branches: Vec<usize>,
+    /// Per-op scheduler state.
+    nodes: Vec<Node>,
+    /// CSR offsets: `succ[start[i]..start[i + 1]]` are op `i`'s
+    /// successors.
+    start: Vec<u32>,
+    /// CSR successor lists, `(successor, latency)`.
+    succ: Vec<(u32, u32)>,
+    /// Unplaced ops whose predecessors are all placed.
+    pending: Vec<usize>,
+    /// The pending ops that may issue in the current cycle.
+    ready: Vec<usize>,
+    /// The compensation label each side exit is retargeted to.
+    retarget: Vec<Option<Label>>,
+    /// Ops per emitted word of the current trace.
+    width: Vec<usize>,
+    /// The compensation blocks of every trace scheduled so far.
+    comps: Vec<CompBlock>,
+    /// Their delayed ops, back to back.
+    comp_ops: Vec<Op>,
+}
+
+impl Scheduler {
+    /// Rewrites a trace's ops for scheduling: inverts branches the
+    /// trace follows through their taken edge (so the trace is the
+    /// fall-through path), deletes internal unconditional jumps, and
+    /// appends a terminal jump when the last block falls through to
+    /// off-trace code.
+    ///
+    /// `block_label` must yield a label bound at any block's start (it
+    /// may allocate one).
+    pub(crate) fn rewrite(
+        &mut self,
+        program: &IciProgram,
+        cfg: &Cfg,
+        trace: &Trace,
+        mut block_label: impl FnMut(usize) -> Label,
+    ) {
+        let ops = program.ops();
+        let groups = program.groups();
+        let out = &mut self.ops;
+        out.clear();
+        for (k, &b) in trace.blocks.iter().enumerate() {
+            let block = &cfg.blocks[b];
+            let last = block.end - 1;
+            let kb = k as u32;
+            let next_in_trace = trace.blocks.get(k + 1).copied();
+            for i in block.start..block.end {
+                let op = &ops[i];
+                let is_terminator = i == last;
+                if !is_terminator {
+                    out.push(TraceOp {
+                        op: op.clone(),
+                        group: groups[i],
+                        block: kb,
+                    });
+                    continue;
+                }
+                match (op, next_in_trace) {
+                    // Internal unconditional jump: the trace continues
+                    // at its target; drop it.
+                    (Op::Jmp { .. }, Some(_)) => {}
+                    // Conditional branch followed in-trace.
+                    (o, Some(next)) if o.is_control() => {
+                        let taken_dest = o
+                            .target()
+                            .and_then(|t| cfg.block_of_label(t))
+                            .expect("conditional branches have bound targets");
+                        if taken_dest == next {
+                            // Trace follows the taken edge: invert so
+                            // the trace falls through; off-trace = old
+                            // fall-through block.
+                            let fall = block
+                                .succs
+                                .iter()
+                                .find_map(|e| match e {
+                                    Edge::Fall(d) => Some(*d),
+                                    Edge::Taken(_) => None,
+                                })
+                                .expect("conditional branch has a fall-through");
+                            let mut inv = invert(o.clone());
+                            inv.set_target(block_label(fall));
+                            out.push(TraceOp {
+                                op: inv,
+                                group: groups[i],
+                                block: kb,
+                            });
+                        } else {
+                            // Trace follows the fall-through: keep as-is.
+                            out.push(TraceOp {
+                                op: op.clone(),
+                                group: groups[i],
+                                block: kb,
+                            });
+                        }
+                    }
+                    (o, Some(_)) => {
+                        // Plain fall-through into the next trace block.
+                        out.push(TraceOp {
+                            op: o.clone(),
+                            group: groups[i],
+                            block: kb,
+                        });
+                    }
+                    // Last block of the trace.
+                    (o, None) => {
+                        out.push(TraceOp {
+                            op: o.clone(),
+                            group: groups[i],
+                            block: kb,
+                        });
+                        if o.falls_through() {
+                            // Execution continues at the original
+                            // fall-through block: make it explicit.
+                            let fall = block.succs.iter().find_map(|e| match e {
+                                Edge::Fall(d) => Some(*d),
+                                Edge::Taken(_) if !o.is_control() => Some(e.dest()),
+                                _ => None,
+                            });
+                            if let Some(f) = fall {
+                                out.push(TraceOp {
+                                    op: Op::Jmp { t: block_label(f) },
+                                    group: groups[i],
+                                    block: kb,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
-    // ---------------- dependence DAG ----------------
-    // Edges `(from, to, latency)`, collected flat and packed into CSR
-    // form below. Duplicates are harmless: heights and earliest cycles
-    // take maxima, and in-degrees count each copy once per release.
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    let mut add_edge = |from: usize, to: usize, lat: u32| edges.push((from as u32, to as u32, lat));
+    /// Schedules the rewritten trace onto `machine` and appends its
+    /// instruction words (with explicit empty words for latency stalls)
+    /// to `out`. Compensation blocks for its side exits are kept for
+    /// [`Scheduler::emit_comp_blocks`].
+    pub(crate) fn schedule(
+        &mut self,
+        machine: &MachineConfig,
+        live: &LiveAtLabel<'_>,
+        labels: &mut LabelAlloc,
+        opts: &ScheduleOptions,
+        out: &mut Vec<VliwInstr>,
+    ) {
+        let Scheduler {
+            ops: trace_ops,
+            edges,
+            regs,
+            reg,
+            use_link,
+            mem_refs,
+            branches: branch_positions,
+            nodes,
+            start,
+            succ,
+            pending,
+            ready,
+            retarget,
+            width,
+            comps,
+            comp_ops,
+        } = self;
+        let trace_ops: &[TraceOp] = trace_ops;
+        let n = trace_ops.len();
+        if n == 0 {
+            return;
+        }
 
-    // The trace's registers get dense local ids, so the per-register
-    // state is an array.
-    let mut regs: Vec<R> = trace_ops
-        .iter()
-        .flat_map(|t| t.op.uses().into_iter().chain(t.op.def()))
-        .collect();
-    regs.sort_unstable();
-    regs.dedup();
-    let local = |r: R| {
-        regs.binary_search(&r)
-            .expect("register occurs in the trace")
-    };
-    let mut reg = vec![
-        RegState {
-            last_def: NONE,
-            uses: NONE,
-            version: 0,
+        // ---------------- dependence DAG ----------------
+        // Edges are collected flat and packed into CSR form below.
+        edges.clear();
+        let mut add_edge =
+            |from: usize, to: usize, lat: u32| edges.push((from as u32, to as u32, lat));
+
+        // The trace's registers get dense local ids, so the
+        // per-register state is an array.
+        regs.clear();
+        regs.extend(
+            trace_ops
+                .iter()
+                .flat_map(|t| t.op.uses().into_iter().chain(t.op.def())),
+        );
+        regs.sort_unstable();
+        regs.dedup();
+        let regs: &[R] = regs;
+        let local = |r: R| {
+            regs.binary_search(&r)
+                .expect("register occurs in the trace")
         };
-        regs.len()
-    ];
+        reg.clear();
+        reg.resize(
+            regs.len(),
+            RegState {
+                last_def: NONE,
+                uses: NONE,
+                version: 0,
+            },
+        );
 
-    // Register dependences.
-    {
-        let mut use_link: Vec<(u32, u32)> = Vec::new(); // (op, next)
+        // Register dependences.
+        use_link.clear();
         for (j, top) in trace_ops.iter().enumerate() {
             for u in top.op.uses() {
                 let r = &mut reg[local(u)];
@@ -344,19 +411,10 @@ pub fn schedule_trace(
                 r.uses = NONE;
             }
         }
-    }
 
-    // Memory dependences: conservative, with same-base/different-offset
-    // disambiguation (the base register version must match).
-    {
-        struct MemRef {
-            base: usize,
-            version: u32,
-            off: i32,
-            store: bool,
-            pos: usize,
-        }
-        let mut refs: Vec<MemRef> = Vec::new();
+        // Memory dependences: conservative, with same-base/different-
+        // offset disambiguation (the base register version must match).
+        mem_refs.clear();
         for (j, top) in trace_ops.iter().enumerate() {
             let mr = match top.op {
                 Op::Ld { base, off, .. } => Some((base, off, false)),
@@ -372,7 +430,7 @@ pub fn schedule_trace(
                     store,
                     pos: j,
                 };
-                for p in &refs {
+                for p in mem_refs.iter() {
                     if !p.store && !m.store {
                         continue; // load-load independent
                     }
@@ -386,254 +444,314 @@ pub fn schedule_trace(
                     // pre-state).
                     add_edge(p.pos, m.pos, u32::from(p.store));
                 }
-                refs.push(m);
+                mem_refs.push(m);
             }
             if let Some(d) = top.op.def() {
                 reg[local(d)].version += 1;
             }
         }
-    }
 
-    // Control dependences.
-    let branch_positions: Vec<usize> = (0..n).filter(|&i| trace_ops[i].op.is_control()).collect();
-    {
-        // Branch-order chain.
-        for w in branch_positions.windows(2) {
-            add_edge(w[0], w[1], u32::from(!machine.multiway_branch));
-        }
-        // Ops after a side exit: hoisting rules.
-        for &b in &branch_positions {
-            let off_target = trace_ops[b].op.target();
-            for j in (b + 1)..n {
-                let top = &trace_ops[j];
-                if top.op.is_control() {
-                    continue; // covered by the chain
-                }
-                let safe = opts.speculate
-                    && !matches!(top.op, Op::St { .. })
-                    && match (top.op.def(), off_target) {
-                        (Some(d), Some(t)) => !live.live(t, d),
-                        (Some(_), None) => false,
-                        (None, _) => true,
-                    };
-                if !safe {
-                    add_edge(b, j, 1);
-                }
+        // Control dependences.
+        branch_positions.clear();
+        branch_positions.extend((0..n).filter(|&i| trace_ops[i].op.is_control()));
+        let branch_positions: &[usize] = branch_positions;
+        {
+            // Branch-order chain.
+            for w in branch_positions.windows(2) {
+                add_edge(w[0], w[1], u32::from(!machine.multiway_branch));
             }
-        }
-        // Values visible at a control transfer must be *ready* when
-        // the successor code resumes, `1 + taken_branch_penalty`
-        // cycles after the transfer word. On machines with a branch
-        // bubble the bubble itself covers a 2-cycle load; without one
-        // (the BAM model) producers must retire a cycle before the
-        // transfer. An op that instead sinks fully below the exit ends
-        // up in the compensation block and needs no edge — but a
-        // nonzero drain edge pins it above, which is the conservative
-        // choice.
-        let resume = 1 + machine.taken_branch_penalty;
-        for &b in &branch_positions {
-            for i in 0..b {
-                if trace_ops[i].op.is_control() {
-                    continue;
-                }
-                let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
-                if drain > 0 {
-                    add_edge(i, b, drain);
-                }
-            }
-        }
-        // Everything must issue no later than the terminal transfer
-        // (with the same drain requirement).
-        let term = n - 1;
-        if trace_ops[term].op.is_control() {
-            for i in 0..term {
-                let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
-                add_edge(i, term, drain);
-            }
-        }
-    }
-
-    // BAM-instruction group / basic-block barriers.
-    if opts.group_barriers || opts.block_barriers {
-        let seg_id = |i: usize| {
-            if opts.group_barriers {
-                trace_ops[i].group as u64 | ((trace_ops[i].block as u64) << 32)
-            } else {
-                trace_ops[i].block as u64
-            }
-        };
-        let mut seg_start = 0usize;
-        for j in 1..n {
-            if seg_id(j) != seg_id(j - 1) {
-                // next segment: find its extent
-                let mut k = j;
-                while k < n && seg_id(k) == seg_id(j) {
-                    k += 1;
-                }
-                for a in seg_start..j {
-                    for b in j..k {
-                        add_edge(a, b, 0);
+            // Ops after a side exit: hoisting rules.
+            for &b in branch_positions {
+                let off_target = trace_ops[b].op.target();
+                for j in (b + 1)..n {
+                    let top = &trace_ops[j];
+                    if top.op.is_control() {
+                        continue; // covered by the chain
+                    }
+                    let safe = opts.speculate
+                        && !matches!(top.op, Op::St { .. })
+                        && match (top.op.def(), off_target) {
+                            (Some(d), Some(t)) => !live.live(t, d),
+                            (Some(_), None) => false,
+                            (None, _) => true,
+                        };
+                    if !safe {
+                        add_edge(b, j, 1);
                     }
                 }
-                seg_start = j;
             }
-        }
-    }
-
-    // CSR successor lists: `succ[start[i]..start[i + 1]]` are op `i`'s
-    // `(successor, latency)` pairs. A counting sort by source: prefix
-    // sums of the out-degrees give each op's end offset, and filling
-    // each list from its end leaves `start[i]` at its first entry.
-    let mut nodes = vec![
-        Node {
-            indeg: 0,
-            height: 0,
-            earliest: 0,
-            cycle: NONE,
-        };
-        n
-    ];
-    let mut start = vec![0u32; n + 1];
-    for &(from, to, _) in &edges {
-        start[from as usize] += 1;
-        nodes[to as usize].indeg += 1;
-    }
-    for i in 1..n {
-        start[i] += start[i - 1];
-    }
-    start[n] = start[n - 1];
-    let mut succ = vec![(0u32, 0u32); edges.len()];
-    for &(from, to, lat) in &edges {
-        start[from as usize] -= 1;
-        succ[start[from as usize] as usize] = (to, lat);
-    }
-    let succs = |i: usize| &succ[start[i] as usize..start[i + 1] as usize];
-
-    // ---------------- priorities (critical-path height) ----------------
-    for i in (0..n).rev() {
-        for &(to, lat) in succs(i) {
-            nodes[i].height = nodes[i].height.max(nodes[to as usize].height + lat.max(1));
-        }
-    }
-
-    // ---------------- list scheduling ----------------
-    // Unplaced ops whose predecessors are all placed.
-    let mut pending: Vec<usize> = (0..n).filter(|&i| nodes[i].indeg == 0).collect();
-    let mut ready: Vec<usize> = Vec::new();
-    let mut remaining = n;
-    let mut cycle: u32 = 0;
-    // Guard against scheduler deadlock (a DAG bug would loop forever).
-    let max_cycles = (n as u32 + 4) * 8 + 64;
-
-    while remaining > 0 {
-        assert!(
-            cycle < max_cycles,
-            "scheduler failed to place all ops (dependence cycle?)"
-        );
-        // Ready ops at this cycle, by priority.
-        ready.clear();
-        ready.extend(
-            pending
-                .iter()
-                .copied()
-                .filter(|&i| nodes[i].earliest <= cycle),
-        );
-        ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(nodes[i].height), i));
-
-        let mut used = [0usize; OpClass::COUNT]; // indexed by OpClass::index()
-        let mut total_used = 0usize;
-        for &i in &ready {
-            let class = trace_ops[i].op.class();
-            let idx = class.index();
-            let budget = machine.slots(class);
-            let fits = total_used < machine.issue_width
-                && used[idx] < budget
-                && (!machine.split_formats || fits_split_formats(machine, &used, class));
-            if fits {
-                used[idx] += 1;
-                total_used += 1;
-                nodes[i].cycle = cycle;
-                remaining -= 1;
+            // Values visible at a control transfer must be *ready* when
+            // the successor code resumes, `1 + taken_branch_penalty`
+            // cycles after the transfer word. On machines with a branch
+            // bubble the bubble itself covers a 2-cycle load; without
+            // one (the BAM model) producers must retire a cycle before
+            // the transfer. An op that instead sinks fully below the
+            // exit ends up in the compensation block and needs no edge
+            // — but a nonzero drain edge pins it above, which is the
+            // conservative choice.
+            let resume = 1 + machine.taken_branch_penalty;
+            for &b in branch_positions {
+                for i in 0..b {
+                    if trace_ops[i].op.is_control() {
+                        continue;
+                    }
+                    let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
+                    if drain > 0 {
+                        add_edge(i, b, drain);
+                    }
+                }
             }
-        }
-        pending.retain(|&i| nodes[i].cycle == NONE);
-        for &i in &ready {
-            if nodes[i].cycle != cycle {
-                continue;
-            }
-            for &(to, lat) in succs(i) {
-                let node = &mut nodes[to as usize];
-                node.indeg -= 1;
-                node.earliest = node.earliest.max(cycle + lat);
-                if node.indeg == 0 {
-                    pending.push(to as usize);
+            // Everything must issue no later than the terminal transfer
+            // (with the same drain requirement).
+            let term = n - 1;
+            if trace_ops[term].op.is_control() {
+                for i in 0..term {
+                    let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
+                    add_edge(i, term, drain);
                 }
             }
         }
-        cycle += 1;
-    }
-    let num_words = cycle as usize;
 
-    // ---------------- compensation code ----------------
-    let mut comps = Vec::new();
-    let mut retarget: Vec<Option<Label>> = vec![None; n];
-    for &b in &branch_positions {
-        if b == n - 1 {
-            continue; // the terminal transfer has no delayed ops below it
+        // BAM-instruction group / basic-block barriers.
+        if opts.group_barriers || opts.block_barriers {
+            let seg_id = |i: usize| {
+                if opts.group_barriers {
+                    trace_ops[i].group as u64 | ((trace_ops[i].block as u64) << 32)
+                } else {
+                    trace_ops[i].block as u64
+                }
+            };
+            let mut seg_start = 0usize;
+            for j in 1..n {
+                if seg_id(j) != seg_id(j - 1) {
+                    // next segment: find its extent
+                    let mut k = j;
+                    while k < n && seg_id(k) == seg_id(j) {
+                        k += 1;
+                    }
+                    for a in seg_start..j {
+                        for b in j..k {
+                            add_edge(a, b, 0);
+                        }
+                    }
+                    seg_start = j;
+                }
+            }
         }
-        let target = match trace_ops[b].op.target() {
-            Some(t) => t,
-            None => continue,
+
+        // CSR successor lists: `succ[start[i]..start[i + 1]]` are op
+        // `i`'s `(successor, latency)` pairs. A counting sort by source:
+        // prefix sums of the out-degrees give each op's end offset, and
+        // filling each list from its end leaves `start[i]` at its first
+        // entry.
+        nodes.clear();
+        nodes.resize(
+            n,
+            Node {
+                indeg: 0,
+                height: 0,
+                earliest: 0,
+                cycle: NONE,
+            },
+        );
+        start.clear();
+        start.resize(n + 1, 0);
+        for &(from, to, _) in edges.iter() {
+            start[from as usize] += 1;
+            nodes[to as usize].indeg += 1;
+        }
+        for i in 1..n {
+            start[i] += start[i - 1];
+        }
+        start[n] = start[n - 1];
+        succ.clear();
+        succ.resize(edges.len(), (0, 0));
+        for &(from, to, lat) in edges.iter() {
+            start[from as usize] -= 1;
+            succ[start[from as usize] as usize] = (to, lat);
+        }
+        let (start, succ): (&[u32], &[(u32, u32)]) = (start, succ);
+        let succs = |i: usize| &succ[start[i] as usize..start[i + 1] as usize];
+
+        // ---------------- priorities (critical-path height) ----------------
+        for i in (0..n).rev() {
+            for &(to, lat) in succs(i) {
+                nodes[i].height = nodes[i].height.max(nodes[to as usize].height + lat.max(1));
+            }
+        }
+
+        // ---------------- list scheduling ----------------
+        pending.clear();
+        pending.extend((0..n).filter(|&i| nodes[i].indeg == 0));
+        let mut remaining = n;
+        let mut cycle: u32 = 0;
+        // Guard against scheduler deadlock (a DAG bug would loop forever).
+        let max_cycles = (n as u32 + 4) * 8 + 64;
+
+        while remaining > 0 {
+            assert!(
+                cycle < max_cycles,
+                "scheduler failed to place all ops (dependence cycle?)"
+            );
+            // Ready ops at this cycle, by priority.
+            ready.clear();
+            ready.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&i| nodes[i].earliest <= cycle),
+            );
+            ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(nodes[i].height), i));
+
+            let mut used = [0usize; OpClass::COUNT]; // indexed by OpClass::index()
+            let mut total_used = 0usize;
+            for &i in ready.iter() {
+                let class = trace_ops[i].op.class();
+                let idx = class.index();
+                let budget = machine.slots(class);
+                let fits = total_used < machine.issue_width
+                    && used[idx] < budget
+                    && (!machine.split_formats || fits_split_formats(machine, &used, class));
+                if fits {
+                    used[idx] += 1;
+                    total_used += 1;
+                    nodes[i].cycle = cycle;
+                    remaining -= 1;
+                }
+            }
+            pending.retain(|&i| nodes[i].cycle == NONE);
+            for &i in ready.iter() {
+                if nodes[i].cycle != cycle {
+                    continue;
+                }
+                for &(to, lat) in succs(i) {
+                    let node = &mut nodes[to as usize];
+                    node.indeg -= 1;
+                    node.earliest = node.earliest.max(cycle + lat);
+                    if node.indeg == 0 {
+                        pending.push(to as usize);
+                    }
+                }
+            }
+            cycle += 1;
+        }
+        let num_words = cycle as usize;
+
+        // ---------------- compensation code ----------------
+        retarget.clear();
+        retarget.resize(n, None);
+        for &b in branch_positions {
+            if b == n - 1 {
+                continue; // the terminal transfer has no delayed ops below it
+            }
+            let target = match trace_ops[b].op.target() {
+                Some(t) => t,
+                None => continue,
+            };
+            let first = comp_ops.len();
+            comp_ops.extend(
+                (0..b)
+                    .filter(|&i| nodes[i].cycle > nodes[b].cycle)
+                    .map(|i| trace_ops[i].op.clone()),
+            );
+            if comp_ops.len() == first {
+                continue;
+            }
+            let label = labels.fresh();
+            comps.push(CompBlock {
+                label,
+                ops: first..comp_ops.len(),
+                target,
+            });
+            retarget[b] = Some(label);
+        }
+
+        // ---------------- emit words ----------------
+        // Each word's slot vector is allocated once, at its final size.
+        width.clear();
+        width.resize(num_words, 0);
+        for node in nodes.iter() {
+            width[node.cycle as usize] += 1;
+        }
+        let first_word = out.len();
+        out.extend(width.iter().map(|&k| VliwInstr {
+            slots: Vec::with_capacity(k),
+        }));
+        let words = &mut out[first_word..];
+        // Ops enter their words in original order, which is the branch
+        // priority. An op is speculative when it issues no later than
+        // some earlier branch of the trace: a running maximum of those
+        // cycles.
+        let mut branch_cycle: Option<u32> = None;
+        for (i, top) in trace_ops.iter().enumerate() {
+            let c = nodes[i].cycle;
+            let mut op = top.op.clone();
+            if let Some(l) = retarget[i] {
+                op.set_target(l);
+            }
+            words[c as usize].slots.push(SlotOp {
+                unit: 0,
+                op,
+                speculative: branch_cycle.is_some_and(|b| c <= b),
+            });
+            if top.op.is_control() {
+                branch_cycle = branch_cycle.max(Some(c));
+            }
+        }
+        for word in words {
+            let mut unit_next = [0usize; OpClass::COUNT];
+            for slot in &mut word.slots {
+                let class = slot.op.class();
+                slot.unit = assign_unit(machine, class, &mut unit_next, class.index());
+            }
+        }
+    }
+
+    /// Number of compensation blocks generated so far.
+    pub(crate) fn comp_blocks(&self) -> usize {
+        self.comps.len()
+    }
+
+    /// Schedules every compensation block generated so far — the
+    /// delayed ops plus the final jump, straight-line, so no further
+    /// compensation arises — and appends their words to `out` in the
+    /// order the blocks were made, binding each block's label to its
+    /// first word in `label_at`.
+    pub(crate) fn emit_comp_blocks(
+        &mut self,
+        machine: &MachineConfig,
+        live: &LiveAtLabel<'_>,
+        labels: &mut LabelAlloc,
+        label_at: &mut HashMap<Label, usize>,
+        out: &mut Vec<VliwInstr>,
+    ) {
+        let straight = ScheduleOptions {
+            speculate: false,
+            group_barriers: false,
+            block_barriers: false,
         };
-        let delayed: Vec<Op> = (0..b)
-            .filter(|&i| nodes[i].cycle > nodes[b].cycle)
-            .map(|i| trace_ops[i].op.clone())
-            .collect();
-        if delayed.is_empty() {
-            continue;
+        let count = self.comps.len();
+        for k in 0..count {
+            let CompBlock { label, ops, target } = self.comps[k].clone();
+            self.ops.clear();
+            self.ops.extend(self.comp_ops[ops].iter().map(|o| TraceOp {
+                op: o.clone(),
+                group: 0,
+                block: 0,
+            }));
+            self.ops.push(TraceOp {
+                op: Op::Jmp { t: target },
+                group: 0,
+                block: 0,
+            });
+            label_at.insert(label, out.len());
+            self.schedule(machine, live, labels, &straight, out);
         }
-        let label = labels.fresh();
-        comps.push(CompBlock {
-            label,
-            ops: delayed,
-            target,
-        });
-        retarget[b] = Some(label);
-    }
-
-    // ---------------- emit words ----------------
-    // Ops enter their words in original order, which is the branch
-    // priority. An op is speculative when it issues no later than some
-    // earlier branch of the trace: a running maximum of those cycles.
-    let mut words: Vec<VliwInstr> = vec![VliwInstr::default(); num_words];
-    let mut branch_cycle: Option<u32> = None;
-    for (i, top) in trace_ops.iter().enumerate() {
-        let c = nodes[i].cycle;
-        let mut op = top.op.clone();
-        if let Some(l) = retarget[i] {
-            op.set_target(l);
-        }
-        words[c as usize].slots.push(SlotOp {
-            unit: 0,
-            op,
-            speculative: branch_cycle.is_some_and(|b| c <= b),
-        });
-        if top.op.is_control() {
-            branch_cycle = branch_cycle.max(Some(c));
-        }
-    }
-    for word in &mut words {
-        let mut unit_next = [0usize; OpClass::COUNT];
-        for slot in &mut word.slots {
-            let class = slot.op.class();
-            slot.unit = assign_unit(machine, class, &mut unit_next, class.index());
-        }
-    }
-
-    ScheduledTrace {
-        words,
-        comps,
-        num_ops: n,
+        assert_eq!(
+            self.comps.len(),
+            count,
+            "compensation blocks are straight-line"
+        );
     }
 }
 
@@ -670,45 +788,6 @@ fn assign_unit(
     };
     unit_next[idx] += 1;
     unit
-}
-
-/// Schedules a compensation block: straight-line ops plus the final
-/// jump, packed for the machine (no further compensation arises).
-pub fn schedule_comp_block(
-    comp: &CompBlock,
-    machine: &MachineConfig,
-    live: &LiveAtLabel<'_>,
-    labels: &mut LabelAlloc,
-) -> Vec<VliwInstr> {
-    let mut ops: Vec<TraceOp> = comp
-        .ops
-        .iter()
-        .map(|o| TraceOp {
-            op: o.clone(),
-            orig: usize::MAX,
-            group: 0,
-            block: 0,
-        })
-        .collect();
-    ops.push(TraceOp {
-        op: Op::Jmp { t: comp.target },
-        orig: usize::MAX,
-        group: 0,
-        block: 0,
-    });
-    let st = schedule_trace(
-        &ops,
-        machine,
-        live,
-        labels,
-        &ScheduleOptions {
-            speculate: false,
-            group_barriers: false,
-            block_barriers: false,
-        },
-    );
-    assert!(st.comps.is_empty(), "compensation blocks are straight-line");
-    st.words
 }
 
 /// Can a [`Cond`]-negation round-trip? (sanity helper used in tests)

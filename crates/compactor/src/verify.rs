@@ -5,8 +5,8 @@
 //! touches. This verifier checks the whole program statically: per-word
 //! resource budgets (including the issue width and the shared memory
 //! port), per-unit slot conflicts, the prototype's format restriction,
-//! and the single-writer rule. [`crate::compact`] runs it on every
-//! schedule it produces.
+//! and the single-writer rule. [`crate::Compactor::compact`] runs it on
+//! every schedule it produces.
 
 use std::fmt;
 
@@ -109,6 +109,8 @@ pub(crate) fn missing_slot(machine: &MachineConfig) -> Option<&'static str> {
 ///
 /// Returns the first [`Violation`] found.
 pub fn verify_program(program: &VliwProgram, machine: &MachineConfig) -> Result<(), Violation> {
+    let mut unit_class: Vec<(usize, OpClass)> = Vec::new();
+    let mut written: Vec<u32> = Vec::new();
     for (at, word) in program.instrs().iter().enumerate() {
         if word.slots.len() > machine.issue_width {
             return Err(Violation::IssueWidth {
@@ -117,8 +119,8 @@ pub fn verify_program(program: &VliwProgram, machine: &MachineConfig) -> Result<
             });
         }
         let mut class_used = [0usize; OpClass::COUNT];
-        let mut unit_class: Vec<(usize, OpClass)> = Vec::new();
-        let mut written: Vec<u32> = Vec::new();
+        unit_class.clear();
+        written.clear();
         for s in &word.slots {
             let class = s.op.class();
             let idx = class.index();
@@ -167,8 +169,10 @@ pub fn verify_program(program: &VliwProgram, machine: &MachineConfig) -> Result<
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use symbol_intcode::{Label, Op, Word, R};
-    use symbol_vliw::{SlotOp, VliwInstr};
+    use symbol_intcode::{AluOp, Label, Layout, Op, Operand, Word, R};
+    use symbol_vliw::{
+        DecodedVliw, DecodedVliwSim, SimConfig, SimError, SlotOp, VliwInstr, VliwSim,
+    };
 
     fn program(words: Vec<VliwInstr>) -> VliwProgram {
         let mut labels = HashMap::new();
@@ -283,21 +287,55 @@ mod tests {
 
     #[test]
     fn rejects_format_mix_on_prototype() {
-        let p = program(vec![VliwInstr {
-            slots: vec![
-                slot(
-                    0,
-                    Op::MvI {
-                        d: R(40),
-                        w: Word::int(1),
-                    },
-                ),
-                slot(0, Op::Jmp { t: Label(0) }),
-            ],
-        }]);
-        let err = verify_program(&p, &MachineConfig::prototype()).unwrap_err();
-        assert!(matches!(err, Violation::FormatConflict { .. }));
-        // fine on a machine without the restriction
-        assert!(verify_program(&p, &MachineConfig::units(3)).is_ok());
+        // Under split formats a unit issues the ALU/move format or the
+        // control format: a move or an ALU op beside a jump on one unit
+        // conflicts whichever comes first, for the verifier and for both
+        // simulators alike.
+        let machine = MachineConfig::prototype();
+        let layout = Layout {
+            heap_size: 8,
+            env_size: 8,
+            cp_size: 8,
+            trail_size: 8,
+            pdl_size: 8,
+        };
+        let jmp = slot(0, Op::Jmp { t: Label(1) });
+        let halt = VliwInstr {
+            slots: vec![slot(0, Op::Halt { success: true })],
+        };
+        let ops = [
+            Op::Mv { d: R(40), s: R(41) },
+            Op::MvI {
+                d: R(40),
+                w: Word::int(1),
+            },
+            Op::Alu {
+                op: AluOp::Add,
+                d: R(40),
+                a: R(41),
+                b: Operand::Imm(1),
+            },
+        ];
+        for op in ops {
+            let (op, jmp) = (slot(0, op), jmp.clone());
+            for slots in [vec![op.clone(), jmp.clone()], vec![jmp, op]] {
+                let word = VliwInstr { slots };
+                let labels = HashMap::from([(Label(0), 0), (Label(1), 1)]);
+                let p = VliwProgram::new(vec![word.clone(), halt.clone()], labels, 2, Label(0));
+                assert_eq!(
+                    verify_program(&p, &machine),
+                    Err(Violation::FormatConflict { at: 0, unit: 0 }),
+                    "{word}"
+                );
+                let conflict = Err(SimError::FormatConflict { at: 0, unit: 0 });
+                let legacy = VliwSim::new(&p, machine, &layout).run(&SimConfig::default());
+                assert_eq!(legacy, conflict, "legacy {word}");
+                let decoded = DecodedVliw::new(&p, machine);
+                let fast = DecodedVliwSim::new(&decoded, &layout).run(&SimConfig::default());
+                assert_eq!(fast, conflict, "decoded {word}");
+                // fine on a machine without the restriction
+                assert!(verify_program(&p, &MachineConfig::units(3)).is_ok());
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! VLIW simulator and require the same answer as sequential execution —
 //! for every compaction mode and several machine widths.
 
-use symbol_compactor::{compact, sequential_cycles, CompactMode, SeqDurations, TracePolicy};
+use symbol_compactor::{sequential_cycles, CompactMode, Compactor, SeqDurations, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout, Outcome};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -52,6 +52,7 @@ fn check_all_modes(src: &str) {
     };
     let seq = sequential_cycles(&case.ici, &case.stats, &SeqDurations::default());
 
+    let compactor = Compactor::new(&case.ici, &case.stats, &TracePolicy::default());
     for mode in [
         CompactMode::TraceSchedule,
         CompactMode::BasicBlock,
@@ -62,13 +63,7 @@ fn check_all_modes(src: &str) {
                 continue;
             }
             let machine = MachineConfig::units(units);
-            let compacted = compact(
-                &case.ici,
-                &case.stats,
-                &machine,
-                mode,
-                &TracePolicy::default(),
-            );
+            let compacted = compactor.compact(&machine, mode).expect("compacts");
             let result = VliwSim::new(&compacted.program, machine, &case.layout)
                 .run(&SimConfig::default())
                 .unwrap_or_else(|e| panic!("{mode:?} x {units} units failed: {e}\nsrc: {src}"));
@@ -184,14 +179,9 @@ fn trace_beats_or_matches_basic_block_on_recursion() {
          app([X|T], L, [X|R]) :- app(T, L, R).",
     );
     let machine = MachineConfig::units(3);
+    let compactor = Compactor::new(&case.ici, &case.stats, &TracePolicy::default());
     let run = |mode| {
-        let c = compact(
-            &case.ici,
-            &case.stats,
-            &machine,
-            mode,
-            &TracePolicy::default(),
-        );
+        let c = compactor.compact(&machine, mode).expect("compacts");
         VliwSim::new(&c.program, machine, &case.layout)
             .run(&SimConfig::default())
             .expect("run")
@@ -214,16 +204,13 @@ fn wider_machines_never_hurt() {
          app([], L, L).
          app([X|T], L, [X|R]) :- app(T, L, R).",
     );
+    let compactor = Compactor::new(&case.ici, &case.stats, &TracePolicy::default());
     let mut prev = u64::MAX;
     for units in 1..=5 {
         let machine = MachineConfig::units(units);
-        let c = compact(
-            &case.ici,
-            &case.stats,
-            &machine,
-            CompactMode::TraceSchedule,
-            &TracePolicy::default(),
-        );
+        let c = compactor
+            .compact(&machine, CompactMode::TraceSchedule)
+            .expect("compacts");
         let cycles = VliwSim::new(&c.program, machine, &case.layout)
             .run(&SimConfig::default())
             .expect("run")

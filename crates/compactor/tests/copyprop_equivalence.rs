@@ -2,7 +2,7 @@
 //! IntCode computes the same answers sequentially AND after trace
 //! scheduling, while removing a measurable share of the moves.
 
-use symbol_compactor::{compact, copy_propagate, CompactMode, TracePolicy};
+use symbol_compactor::{copy_propagate, try_compact, CompactMode, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -37,13 +37,14 @@ fn check(src: &str) -> (u64, u64) {
     // the optimized profile drives trace scheduling; the scheduled code
     // must still agree
     let machine = MachineConfig::units(3);
-    let compacted = compact(
+    let compacted = try_compact(
         &opt.program,
         &opt.stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
-    );
+    )
+    .expect("compacts");
     let sim = VliwSim::new(&compacted.program, machine, &layout)
         .run(&SimConfig::default())
         .expect("scheduled optimized code runs");

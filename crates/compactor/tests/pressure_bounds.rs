@@ -1,7 +1,7 @@
 //! Register pressure of scheduled benchmarks stays within the range a
 //! 16-register-per-unit prototype could allocate.
 
-use symbol_compactor::{compact, pressure, CompactMode, TracePolicy};
+use symbol_compactor::{pressure, try_compact, CompactMode, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout};
 use symbol_prolog::PredId;
 use symbol_vliw::MachineConfig;
@@ -22,13 +22,14 @@ fn pressure_of(src: &str) -> pressure::Pressure {
         .run(&ExecConfig::default())
         .expect("run");
     let machine = MachineConfig::units(3);
-    let compacted = compact(
+    let compacted = try_compact(
         &ici,
         &run.stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
-    );
+    )
+    .expect("compacts");
     pressure::measure(&compacted.program)
 }
 

@@ -2,7 +2,7 @@
 //! for any execution — compensation code and cold-path scheduling keep
 //! the semantics even when the profile is empty or misleading.
 
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, Compactor, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, ExecStats, Layout, Outcome};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -32,15 +32,12 @@ fn check_with_stats(src: &str, mangle: impl Fn(&ExecStats) -> ExecStats) {
         Outcome::Failure => SimOutcome::Failure,
     };
     let fake = mangle(&stats);
+    let compactor = Compactor::new(&ici, &fake, &TracePolicy::default());
     for units in [1usize, 3] {
         let machine = MachineConfig::units(units);
-        let compacted = compact(
-            &ici,
-            &fake,
-            &machine,
-            CompactMode::TraceSchedule,
-            &TracePolicy::default(),
-        );
+        let compacted = compactor
+            .compact(&machine, CompactMode::TraceSchedule)
+            .expect("compacts");
         let sim = VliwSim::new(&compacted.program, machine, &layout)
             .run(&SimConfig::default())
             .expect("schedule runs");
@@ -97,13 +94,14 @@ fn misleading_profile_costs_cycles_but_not_answers() {
     let (ici, stats, layout, _) = prepare(PROGRAM);
     let machine = MachineConfig::units(3);
     let run = |st: &ExecStats| {
-        let compacted = compact(
+        let compacted = try_compact(
             &ici,
             st,
             &machine,
             CompactMode::TraceSchedule,
             &TracePolicy::default(),
-        );
+        )
+        .expect("compacts");
         VliwSim::new(&compacted.program, machine, &layout)
             .run(&SimConfig::default())
             .expect("runs")

@@ -5,7 +5,7 @@
 //! Policies are drawn from a seeded xorshift PRNG (no external
 //! crates), so every run exercises the same deterministic case set.
 
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout, Outcome};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -85,7 +85,7 @@ fn any_policy_and_machine_preserve_semantics() {
             CompactMode::BasicBlock,
             CompactMode::BamGroups,
         ][rng.below(3) as usize];
-        let compacted = compact(&ici, &stats, &machine, mode, &policy);
+        let compacted = try_compact(&ici, &stats, &machine, mode, &policy).expect("compacts");
         let result = VliwSim::new(&compacted.program, machine, &layout)
             .run(&SimConfig::default())
             .expect("simulator accepts the schedule");

@@ -1,7 +1,7 @@
 //! Register allocation round-trip: allocated code must compute the
 //! same answers in the same cycles, within the physical budget.
 
-use symbol_compactor::{compact, pressure, regalloc, CompactMode, TracePolicy};
+use symbol_compactor::{pressure, regalloc, try_compact, CompactMode, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout, Outcome};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -27,13 +27,14 @@ fn check(src: &str, budget: usize) {
     };
 
     let machine = MachineConfig::units(3);
-    let compacted = compact(
+    let compacted = try_compact(
         &ici,
         &run.stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
-    );
+    )
+    .expect("compacts");
     let before = VliwSim::new(&compacted.program, machine, &layout)
         .run(&SimConfig::default())
         .expect("pre-allocation run");
@@ -117,13 +118,14 @@ fn impossible_budget_reports_requirement() {
         .run(&ExecConfig::default())
         .unwrap();
     let machine = MachineConfig::units(3);
-    let compacted = compact(
+    let compacted = try_compact(
         &ici,
         &run.stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
-    );
+    )
+    .expect("compacts");
     let err = regalloc::allocate(&compacted.program, 2).unwrap_err();
     assert!(err.required > 2);
     assert_eq!(err.budget, 2);

@@ -33,7 +33,7 @@ pub enum PipelineError {
     Sim(symbol_vliw::SimError),
     /// The compactor produced a schedule that failed static
     /// verification. On the serving tier this must surface as an error
-    /// value — the legacy `compact` panic is unreachable from here.
+    /// value, never a panic.
     Schedule(symbol_compactor::Violation),
     /// A rebuilt program failed [`IciProgram::try_new`] validation.
     Program(symbol_intcode::ProgramError),

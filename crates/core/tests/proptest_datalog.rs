@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::pipeline::Compiled;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
 
@@ -94,13 +94,14 @@ fn pipeline_agrees_with_the_datalog_oracle() {
             .run(&symbol_intcode::ExecConfig::default())
             .expect("emulates");
         let machine = MachineConfig::units(3);
-        let compacted = compact(
+        let compacted = try_compact(
             &compiled.ici,
             &run.stats,
             &machine,
             CompactMode::TraceSchedule,
             &TracePolicy::default(),
-        );
+        )
+        .expect("compacts");
         let sim = VliwSim::new(&compacted.program, machine, &compiled.layout)
             .run(&SimConfig::default())
             .expect("simulates");

@@ -15,7 +15,13 @@
 //!   replays a precomputed `Option<SimError>` instead of re-matching
 //!   slots against classes every cycle,
 //! * direct branch targets are pre-resolved instruction indices and the
-//!   per-word class-operation counts are pre-summed.
+//!   per-word class-operation counts are pre-summed,
+//! * each word is marked when it is hazard-free — no slot reads a
+//!   register an earlier slot of the word writes, no register is
+//!   written twice, no load follows a store — so that its slots can
+//!   commit as they issue, in one pass. Every other word keeps the
+//!   buffered two-phase issue. Compiled code is hazard-free in all but
+//!   a handful of words.
 //!
 //! [`DecodedVliwSim`] executes the decoded form and is **bit-identical**
 //! to [`crate::sim::VliwSim`]: same [`SimResult`] (cycles, instruction
@@ -24,10 +30,10 @@
 
 use symbol_intcode::layout::Layout;
 use symbol_intcode::mem::DataMem;
-use symbol_intcode::{AluOp, Cond, Label, Op, OpClass, Operand, Tag, Word};
+use symbol_intcode::{AluOp, Cond, Label, Op, OpClass, Operand, Tag, Word, R};
 
 use crate::machine::MachineConfig;
-use crate::program::VliwProgram;
+use crate::program::{VliwInstr, VliwProgram};
 use crate::sim::{check_word_resources, SimConfig, SimError, SimOutcome, SimResult};
 
 /// Sentinel for "no register" in a [`DecodedSlot`]'s use list and for
@@ -161,6 +167,27 @@ pub(crate) struct DecodedWord {
     /// simulator would raise on every issue of this word, or `None`
     /// when the word fits the machine.
     pub(crate) fault: Option<SimError>,
+    /// Whether the word is hazard-free ([`hazard_free`]), so that its
+    /// slots may commit one by one as they issue.
+    pub(crate) hazard_free: bool,
+}
+
+/// Whether committing `word`'s slots one by one, in slot order, has the
+/// effect of committing them all after the last: no slot reads a
+/// register that an earlier slot of the word writes, no register is
+/// written twice, and no load follows a store. Every other word needs
+/// the buffered two-phase issue, which evaluates all slots against the
+/// state before the word.
+fn hazard_free(word: &VliwInstr) -> bool {
+    word.slots.iter().enumerate().all(|(i, s)| {
+        let earlier = &word.slots[..i];
+        let written = |r: R| earlier.iter().any(|e| e.op.def() == Some(r));
+        let load_after_store =
+            matches!(s.op, Op::Ld { .. }) && earlier.iter().any(|e| matches!(e.op, Op::St { .. }));
+        !s.op.uses().iter().any(|&r| written(r))
+            && !s.op.def().is_some_and(written)
+            && !load_after_store
+    })
 }
 
 /// A [`VliwProgram`] lowered to the flat issue-record form for one
@@ -309,6 +336,7 @@ impl DecodedVliw {
                 len: w.slots.len() as u32,
                 class_counts,
                 fault: check_word_resources(w, &machine, at).err(),
+                hazard_free: hazard_free(w),
             });
         }
         let label_pc = program
@@ -399,8 +427,8 @@ pub struct DecodedVliwSim<'a> {
     ready: Vec<u64>,
     mem: DataMem,
     pc: usize,
-    /// Reused phase-1 buffers (register writes carry the result-ready
-    /// cycle); cleared every issue instead of reallocated.
+    /// The buffered issue's write buffers (register writes carry the
+    /// result-ready cycle); cleared every issue instead of reallocated.
     reg_writes: Vec<(u32, Word, u64)>,
     mem_writes: Vec<(i64, Word)>,
     written: Vec<u32>,
@@ -461,11 +489,10 @@ impl<'a> DecodedVliwSim<'a> {
         cfg: &SimConfig,
         profile: &mut SimProfile,
     ) -> Result<SimResult, SimError> {
-        let words = self.program.words.as_slice();
-        let all_slots = self.program.slots.as_slice();
-        let mem_latency = self.program.machine.mem_latency as u64;
-        let alu_latency = self.program.machine.alu_latency as u64;
-        let branch_penalty = self.program.machine.taken_branch_penalty as u64;
+        let program = self.program;
+        let words = program.words.as_slice();
+        let all_slots = program.slots.as_slice();
+        let branch_penalty = program.machine.taken_branch_penalty as u64;
         let mut cycle: u64 = 0;
         let mut executed: u64 = 0;
         let mut ops: u64 = 0;
@@ -501,173 +528,11 @@ impl<'a> DecodedVliwSim<'a> {
                 return Err(fault.clone());
             }
             let slots = &all_slots[word.first as usize..(word.first + word.len) as usize];
-
-            // Phase 1: evaluate everything against the pre-state.
-            self.reg_writes.clear();
-            self.mem_writes.clear();
-            let mut transfer: Option<usize> = None;
-            let mut halt: Option<SimOutcome> = None;
-
-            for s in slots {
-                // Latency check on every read (use-list order matches
-                // the legacy `Op::uses()` order).
-                for &r in &s.uses {
-                    if r != NONE && self.ready[r as usize] > cycle {
-                        return Err(SimError::LatencyViolation { at, reg: r });
-                    }
-                }
-                match s.op {
-                    SlotMicro::Ld { d, base, off } => {
-                        let addr = self.regs[base as usize].val + off as i64;
-                        let w = match self.load(addr, at) {
-                            Ok(w) => w,
-                            // dismissable speculative load: the value is
-                            // dead on the faulting path
-                            Err(_) if s.speculative => Word::int(0),
-                            Err(e) => return Err(e),
-                        };
-                        self.reg_writes.push((d, w, cycle + mem_latency));
-                    }
-                    SlotMicro::St { s: src, base, off } => {
-                        let addr = self.regs[base as usize].val + off as i64;
-                        self.check_addr(addr, at)?;
-                        self.mem_writes.push((addr, self.regs[src as usize]));
-                    }
-                    SlotMicro::Mv { d, s: src } => {
-                        self.reg_writes
-                            .push((d, self.regs[src as usize], cycle + 1));
-                    }
-                    SlotMicro::MvI { d, w } => self.reg_writes.push((d, w, cycle + 1)),
-                    SlotMicro::AluRR { op, d, a, b } => {
-                        let av = self.regs[a as usize].val;
-                        let bv = self.regs[b as usize].val;
-                        let v = match op.eval(av, bv) {
-                            Some(v) => v,
-                            None if s.speculative => 0,
-                            None => return Err(SimError::DivideByZero { at }),
-                        };
-                        self.reg_writes.push((d, Word::int(v), cycle + alu_latency));
-                    }
-                    SlotMicro::AluRI { op, d, a, imm } => {
-                        let av = self.regs[a as usize].val;
-                        let v = match op.eval(av, imm) {
-                            Some(v) => v,
-                            None if s.speculative => 0,
-                            None => return Err(SimError::DivideByZero { at }),
-                        };
-                        self.reg_writes.push((d, Word::int(v), cycle + alu_latency));
-                    }
-                    SlotMicro::AddARR { d, a, b } => {
-                        let aw = self.regs[a as usize];
-                        let bv = self.regs[b as usize].val;
-                        self.reg_writes.push((
-                            d,
-                            Word {
-                                tag: aw.tag,
-                                val: aw.val.wrapping_add(bv),
-                            },
-                            cycle + alu_latency,
-                        ));
-                    }
-                    SlotMicro::AddARI { d, a, imm } => {
-                        let aw = self.regs[a as usize];
-                        self.reg_writes.push((
-                            d,
-                            Word {
-                                tag: aw.tag,
-                                val: aw.val.wrapping_add(imm),
-                            },
-                            cycle + alu_latency,
-                        ));
-                    }
-                    SlotMicro::MkTag { d, s: src, tag } => {
-                        let v = self.regs[src as usize].val;
-                        self.reg_writes
-                            .push((d, Word { tag, val: v }, cycle + alu_latency));
-                    }
-                    SlotMicro::BrRR { cond, a, b, t, l } => {
-                        if transfer.is_none()
-                            && halt.is_none()
-                            && cond.eval(self.regs[a as usize].val, self.regs[b as usize].val)
-                        {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::BrRI { cond, a, imm, t, l } => {
-                        if transfer.is_none()
-                            && halt.is_none()
-                            && cond.eval(self.regs[a as usize].val, imm)
-                        {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::BrTag { a, tag, eq, t, l } => {
-                        if transfer.is_none()
-                            && halt.is_none()
-                            && (self.regs[a as usize].tag == tag) == eq
-                        {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::BrWord { a, w, eq, t, l } => {
-                        if transfer.is_none()
-                            && halt.is_none()
-                            && (self.regs[a as usize] == w) == eq
-                        {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::BrWEq { a, b, eq, t, l } => {
-                        if transfer.is_none()
-                            && halt.is_none()
-                            && (self.regs[a as usize] == self.regs[b as usize]) == eq
-                        {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::Jmp { t, l } => {
-                        if transfer.is_none() && halt.is_none() {
-                            transfer = Some(Self::direct(t, l, at)?);
-                        }
-                    }
-                    SlotMicro::JmpR { r } => {
-                        if transfer.is_none() && halt.is_none() {
-                            let w = self.regs[r as usize];
-                            if w.tag != Tag::Cod {
-                                return Err(SimError::BadCodeWord { at });
-                            }
-                            transfer = Some(self.resolve(Label(w.val as u32), at)?);
-                        }
-                    }
-                    SlotMicro::Halt { success } => {
-                        if transfer.is_none() && halt.is_none() {
-                            halt = Some(if success {
-                                SimOutcome::Success
-                            } else {
-                                SimOutcome::Failure
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Phase 2: commit.
-            self.written.clear();
-            for &(r, w, rdy) in &self.reg_writes {
-                if self.written.contains(&r) {
-                    return Err(SimError::DoubleWrite { at, reg: r });
-                }
-                self.written.push(r);
-                self.regs[r as usize] = w;
-                self.ready[r as usize] = rdy;
-            }
-            // Phase 1 checked every store address, so the error is
-            // unreachable.
-            for &(addr, w) in &self.mem_writes {
-                self.mem
-                    .set(addr as usize, w)
-                    .ok_or(SimError::BadAddress { at, addr })?;
-            }
+            let (transfer, halt) = if word.hazard_free {
+                self.issue::<false>(slots, at, cycle)?
+            } else {
+                self.issue::<true>(slots, at, cycle)?
+            };
 
             if let Some(outcome) = halt {
                 return Ok(SimResult {
@@ -693,6 +558,221 @@ impl<'a> DecodedVliwSim<'a> {
                     self.pc = at + 1;
                 }
             }
+        }
+    }
+
+    /// Issues one word's slots at `cycle`: checks every read's latency
+    /// and evaluates each slot, in slot order, returning the taken
+    /// transfer and the halt outcome, if any.
+    ///
+    /// `BUFFERED` picks the commit step. A buffered issue evaluates
+    /// every slot against the state before the word and commits the
+    /// results afterwards, checking for double writes; it runs any
+    /// word. An unbuffered issue commits each slot's result at once,
+    /// which is the same thing only for a [`hazard_free`] word. If a
+    /// later slot of such a word faults, the earlier slots' results are
+    /// already committed; the run then returns that error, and the
+    /// simulator has no accessor for its state, so nothing can observe
+    /// the difference.
+    #[inline(always)]
+    fn issue<const BUFFERED: bool>(
+        &mut self,
+        slots: &[DecodedSlot],
+        at: usize,
+        cycle: u64,
+    ) -> Result<(Option<usize>, Option<SimOutcome>), SimError> {
+        let mem_latency = self.program.machine.mem_latency as u64;
+        let alu_latency = self.program.machine.alu_latency as u64;
+        if BUFFERED {
+            self.reg_writes.clear();
+            self.mem_writes.clear();
+        }
+        let mut transfer: Option<usize> = None;
+        let mut halt: Option<SimOutcome> = None;
+
+        for s in slots {
+            // Latency check on every read (use-list order matches the
+            // legacy `Op::uses()` order).
+            for &r in &s.uses {
+                if r != NONE && self.ready[r as usize] > cycle {
+                    return Err(SimError::LatencyViolation { at, reg: r });
+                }
+            }
+            match s.op {
+                SlotMicro::Ld { d, base, off } => {
+                    let addr = self.regs[base as usize].val + off as i64;
+                    let w = match self.load(addr, at) {
+                        Ok(w) => w,
+                        // dismissable speculative load: the value is
+                        // dead on the faulting path
+                        Err(_) if s.speculative => Word::int(0),
+                        Err(e) => return Err(e),
+                    };
+                    self.write_reg::<BUFFERED>(d, w, cycle + mem_latency);
+                }
+                SlotMicro::St { s: src, base, off } => {
+                    let addr = self.regs[base as usize].val + off as i64;
+                    self.store::<BUFFERED>(addr, self.regs[src as usize], at)?;
+                }
+                SlotMicro::Mv { d, s: src } => {
+                    self.write_reg::<BUFFERED>(d, self.regs[src as usize], cycle + 1);
+                }
+                SlotMicro::MvI { d, w } => self.write_reg::<BUFFERED>(d, w, cycle + 1),
+                SlotMicro::AluRR { op, d, a, b } => {
+                    let av = self.regs[a as usize].val;
+                    let bv = self.regs[b as usize].val;
+                    let v = match op.eval(av, bv) {
+                        Some(v) => v,
+                        None if s.speculative => 0,
+                        None => return Err(SimError::DivideByZero { at }),
+                    };
+                    self.write_reg::<BUFFERED>(d, Word::int(v), cycle + alu_latency);
+                }
+                SlotMicro::AluRI { op, d, a, imm } => {
+                    let av = self.regs[a as usize].val;
+                    let v = match op.eval(av, imm) {
+                        Some(v) => v,
+                        None if s.speculative => 0,
+                        None => return Err(SimError::DivideByZero { at }),
+                    };
+                    self.write_reg::<BUFFERED>(d, Word::int(v), cycle + alu_latency);
+                }
+                SlotMicro::AddARR { d, a, b } => {
+                    let aw = self.regs[a as usize];
+                    let bv = self.regs[b as usize].val;
+                    let w = Word {
+                        tag: aw.tag,
+                        val: aw.val.wrapping_add(bv),
+                    };
+                    self.write_reg::<BUFFERED>(d, w, cycle + alu_latency);
+                }
+                SlotMicro::AddARI { d, a, imm } => {
+                    let aw = self.regs[a as usize];
+                    let w = Word {
+                        tag: aw.tag,
+                        val: aw.val.wrapping_add(imm),
+                    };
+                    self.write_reg::<BUFFERED>(d, w, cycle + alu_latency);
+                }
+                SlotMicro::MkTag { d, s: src, tag } => {
+                    let v = self.regs[src as usize].val;
+                    self.write_reg::<BUFFERED>(d, Word { tag, val: v }, cycle + alu_latency);
+                }
+                SlotMicro::BrRR { cond, a, b, t, l } => {
+                    if transfer.is_none()
+                        && halt.is_none()
+                        && cond.eval(self.regs[a as usize].val, self.regs[b as usize].val)
+                    {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::BrRI { cond, a, imm, t, l } => {
+                    if transfer.is_none()
+                        && halt.is_none()
+                        && cond.eval(self.regs[a as usize].val, imm)
+                    {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::BrTag { a, tag, eq, t, l } => {
+                    if transfer.is_none()
+                        && halt.is_none()
+                        && (self.regs[a as usize].tag == tag) == eq
+                    {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::BrWord { a, w, eq, t, l } => {
+                    if transfer.is_none() && halt.is_none() && (self.regs[a as usize] == w) == eq {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::BrWEq { a, b, eq, t, l } => {
+                    if transfer.is_none()
+                        && halt.is_none()
+                        && (self.regs[a as usize] == self.regs[b as usize]) == eq
+                    {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::Jmp { t, l } => {
+                    if transfer.is_none() && halt.is_none() {
+                        transfer = Some(Self::direct(t, l, at)?);
+                    }
+                }
+                SlotMicro::JmpR { r } => {
+                    if transfer.is_none() && halt.is_none() {
+                        let w = self.regs[r as usize];
+                        if w.tag != Tag::Cod {
+                            return Err(SimError::BadCodeWord { at });
+                        }
+                        transfer = Some(self.resolve(Label(w.val as u32), at)?);
+                    }
+                }
+                SlotMicro::Halt { success } => {
+                    if transfer.is_none() && halt.is_none() {
+                        halt = Some(if success {
+                            SimOutcome::Success
+                        } else {
+                            SimOutcome::Failure
+                        });
+                    }
+                }
+            }
+        }
+
+        if BUFFERED {
+            // Commit: registers in slot order, then memory.
+            self.written.clear();
+            for &(r, w, rdy) in &self.reg_writes {
+                if self.written.contains(&r) {
+                    return Err(SimError::DoubleWrite { at, reg: r });
+                }
+                self.written.push(r);
+                self.regs[r as usize] = w;
+                self.ready[r as usize] = rdy;
+            }
+            // The evaluation checked every store address, so the error
+            // is unreachable.
+            for &(addr, w) in &self.mem_writes {
+                self.mem
+                    .set(addr as usize, w)
+                    .ok_or(SimError::BadAddress { at, addr })?;
+            }
+        }
+        Ok((transfer, halt))
+    }
+
+    /// Writes register `d`, ready at cycle `ready`: now, or at the
+    /// buffered issue's commit.
+    #[inline(always)]
+    fn write_reg<const BUFFERED: bool>(&mut self, d: u32, w: Word, ready: u64) {
+        if BUFFERED {
+            self.reg_writes.push((d, w, ready));
+        } else {
+            self.regs[d as usize] = w;
+            self.ready[d as usize] = ready;
+        }
+    }
+
+    /// Stores `w` at `addr` after checking the address: now, or at the
+    /// buffered issue's commit.
+    #[inline(always)]
+    fn store<const BUFFERED: bool>(
+        &mut self,
+        addr: i64,
+        w: Word,
+        at: usize,
+    ) -> Result<(), SimError> {
+        if BUFFERED {
+            self.check_addr(addr, at)?;
+            self.mem_writes.push((addr, w));
+            Ok(())
+        } else {
+            usize::try_from(addr)
+                .ok()
+                .and_then(|i| self.mem.set(i, w))
+                .ok_or(SimError::BadAddress { at, addr })
         }
     }
 
@@ -743,7 +823,6 @@ mod tests {
     use crate::program::{SlotOp, VliwInstr};
     use crate::sim::VliwSim;
     use std::collections::HashMap;
-    use symbol_intcode::R;
 
     fn tiny_layout() -> Layout {
         Layout {
@@ -1142,6 +1221,237 @@ mod tests {
             .run(&SimConfig::default())
             .expect("halts before the bad word");
         assert_eq!(r.outcome, SimOutcome::Success);
+    }
+
+    /// Deterministic xorshift64* PRNG for the random-program test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform value in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random hand-built program over registers r1–r4 and the 320
+    /// words of [`tiny_layout`]: `body` words of zero to four slots (at
+    /// most the issue width), then a success halt. Word `i` is bound to
+    /// label `i`; label `body + 1` is left unbound for indirect jumps to
+    /// miss. Slots read results of earlier slots, overwrite registers
+    /// that earlier slots read, write registers twice, load before and
+    /// after stores (half the time at the word's previous address),
+    /// fault (bad addresses, division by zero), some of them
+    /// speculatively, and branch several times per word.
+    fn random_program(rng: &mut Rng, machine: &MachineConfig) -> VliwProgram {
+        let body = 2 + rng.below(9) as u32;
+        let labels = body as u64 + 2;
+        let reg = |rng: &mut Rng| R(1 + rng.below(4) as u32);
+        let operand = |rng: &mut Rng| {
+            if rng.below(2) == 0 {
+                Operand::Reg(reg(rng))
+            } else {
+                Operand::Imm(rng.below(3) as i64)
+            }
+        };
+        let mut instrs = Vec::new();
+        for _ in 0..body {
+            if rng.below(4) == 0 {
+                instrs.push(VliwInstr::default());
+                continue;
+            }
+            let len = 1 + rng.below(machine.issue_width.min(4) as u64) as usize;
+            let mut unit_next = [0usize; OpClass::COUNT];
+            let mut last_addr = None;
+            let slots = (0..len)
+                .map(|_| {
+                    let t = Label(rng.below(body as u64 + 1) as u32);
+                    let op = match rng.below(20) {
+                        0..=3 => Op::MvI {
+                            d: reg(rng),
+                            w: match rng.below(8) {
+                                0 => Word::code(rng.below(labels) as u32),
+                                1 => Word::int(400),
+                                _ => Word::int(1 + rng.below(7) as i64),
+                            },
+                        },
+                        4 | 5 => Op::Mv {
+                            d: reg(rng),
+                            s: reg(rng),
+                        },
+                        6 => Op::Alu {
+                            op: [AluOp::Add, AluOp::Sub, AluOp::Div, AluOp::Mod]
+                                [rng.below(4) as usize],
+                            d: reg(rng),
+                            a: reg(rng),
+                            b: operand(rng),
+                        },
+                        7 => Op::AddA {
+                            d: reg(rng),
+                            a: reg(rng),
+                            b: operand(rng),
+                        },
+                        8 => Op::MkTag {
+                            d: reg(rng),
+                            s: reg(rng),
+                            tag: Tag::Atm,
+                        },
+                        k @ 9..=14 => {
+                            let (base, off) = match last_addr {
+                                Some(addr) if rng.below(2) == 0 => addr,
+                                _ => (reg(rng), rng.below(3) as i32 - 1),
+                            };
+                            last_addr = Some((base, off));
+                            if k < 12 {
+                                Op::Ld {
+                                    d: reg(rng),
+                                    base,
+                                    off,
+                                }
+                            } else {
+                                Op::St {
+                                    s: reg(rng),
+                                    base,
+                                    off,
+                                }
+                            }
+                        }
+                        15 => Op::Br {
+                            cond: [Cond::Eq, Cond::Lt, Cond::Ge][rng.below(3) as usize],
+                            a: reg(rng),
+                            b: operand(rng),
+                            t,
+                        },
+                        16 => Op::BrWEq {
+                            a: reg(rng),
+                            b: reg(rng),
+                            eq: rng.below(2) == 0,
+                            t,
+                        },
+                        17 => Op::Jmp { t },
+                        18 => Op::JmpR { r: reg(rng) },
+                        _ => Op::Halt {
+                            success: rng.below(2) == 0,
+                        },
+                    };
+                    // Units as the compactor assigns them, with an
+                    // occasional clash.
+                    let class = op.class();
+                    let unit = if rng.below(10) == 0 {
+                        rng.below(machine.units as u64) as usize
+                    } else {
+                        unit_next[class.index()] % machine.units
+                    };
+                    unit_next[class.index()] += 1;
+                    SlotOp {
+                        unit,
+                        op,
+                        speculative: rng.below(3) == 0,
+                    }
+                })
+                .collect();
+            instrs.push(VliwInstr { slots });
+        }
+        instrs.push(word(vec![Op::Halt { success: true }]));
+        let bound = (0..=body).map(|i| (Label(i), i as usize)).collect();
+        VliwProgram::new(instrs, bound, body + 2, Label(0))
+    }
+
+    #[test]
+    fn both_issue_paths_match_the_legacy_simulator_on_random_programs() {
+        let machines = [
+            MachineConfig {
+                mem_ports: 2,
+                ..MachineConfig::units(4)
+            },
+            MachineConfig::prototype(),
+            MachineConfig::unbounded(),
+        ];
+        let cfg = SimConfig { max_cycles: 200 };
+        let layout = tiny_layout();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // Clean issued words (no resource fault) of each kind.
+        let (mut one_pass, mut buffered) = (0u32, 0u32);
+        for machine in machines {
+            for case in 0..400 {
+                let p = random_program(&mut rng, &machine);
+                let legacy = VliwSim::new(&p, machine, &layout).run(&cfg);
+                let decoded = DecodedVliw::new(&p, machine);
+                let mut sim = DecodedVliwSim::new(&decoded, &layout);
+                let fast = sim.run(&cfg);
+                let what = format!("{} case {case}:\n{p}", machine.describe());
+                assert_eq!(legacy, fast, "{what}");
+                // The same program with every word on the buffered
+                // path: when the run ends between words, the registers,
+                // their ready cycles and memory must agree too.
+                let mut all_buffered = decoded.clone();
+                for w in &mut all_buffered.words {
+                    w.hazard_free = false;
+                }
+                let mut reference = DecodedVliwSim::new(&all_buffered, &layout);
+                assert_eq!(reference.run(&cfg), fast, "{what}");
+                let stopped_in =
+                    !matches!(fast, Err(SimError::CycleLimit { .. } | SimError::RanOffEnd));
+                if fast.is_ok() || !stopped_in {
+                    assert_eq!(sim.regs, reference.regs, "{what}");
+                    assert_eq!(sim.ready, reference.ready, "{what}");
+                    let mem = |s: &DecodedVliwSim| {
+                        (0..s.mem.len()).map(|i| s.mem.get(i)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(mem(&sim), mem(&reference), "{what}");
+                }
+                // The entry word issued, and so did the word the run
+                // stopped in, unless it stopped before issuing one.
+                let issued = [Some(decoded.entry_pc), stopped_in.then_some(sim.pc)];
+                for w in issued.into_iter().flatten().map(|at| &decoded.words[at]) {
+                    if w.fault.is_none() && w.len > 0 {
+                        if w.hazard_free {
+                            one_pass += 1;
+                        } else {
+                            buffered += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(one_pass >= 50, "only {one_pass} hazard-free words issued");
+        assert!(buffered >= 50, "only {buffered} buffered words issued");
+    }
+
+    #[test]
+    fn the_three_hazards_are_recognised() {
+        // Overwriting what an earlier slot reads, a load before a store
+        // and two stores are fine; reading an earlier slot's result (a
+        // swap does), a double write and a load after a store are not.
+        let mv = |d: u32, s: u32| Op::Mv { d: R(d), s: R(s) };
+        let ld = |d: u32| Op::Ld {
+            d: R(d),
+            base: R(50),
+            off: 0,
+        };
+        let st = |s: u32| Op::St {
+            s: R(s),
+            base: R(50),
+            off: 1,
+        };
+        for (ops, expect) in [
+            (vec![mv(40, 41), mv(41, 42)], true),
+            (vec![ld(40), st(41), st(42)], true),
+            (vec![mv(40, 41), mv(41, 40)], false),
+            (vec![mv(40, 41), mv(40, 42)], false),
+            (vec![st(41), ld(40)], false),
+        ] {
+            let w = word(ops);
+            assert_eq!(hazard_free(&w), expect, "{w}");
+        }
     }
 
     #[test]

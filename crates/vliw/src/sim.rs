@@ -205,12 +205,15 @@ impl Default for SimConfig {
 
 /// Validates one instruction word against a machine's static resource
 /// model: total issue width, per-class slot budgets, one op per
-/// (unit, class) pair, and the prototype's two-format restriction.
+/// (unit, class) pair, and the prototype's two-format restriction (a
+/// unit issues either the ALU/move format or the control format).
 ///
 /// The verdict depends only on the word and the machine — never on
 /// run-time state — so the pre-decoded engine evaluates it once per
 /// word at load time while the legacy simulator calls it on every
-/// issue; both report the identical (first) violation.
+/// issue; both report the identical (first) violation. Each slot is
+/// compared with the earlier slots of its word, so the check allocates
+/// nothing.
 ///
 /// # Errors
 ///
@@ -226,25 +229,22 @@ pub fn check_word_resources(
         return Err(SimError::WidthOverflow { at });
     }
     let mut counts = [0usize; OpClass::COUNT];
-    let mut unit_class: Vec<(usize, OpClass)> = Vec::new();
-    for s in &word.slots {
+    for (i, s) in word.slots.iter().enumerate() {
         let c = s.op.class();
         counts[c.index()] += 1;
-        if unit_class.contains(&(s.unit, c)) {
-            return Err(SimError::UnitConflict { at, unit: s.unit });
-        }
-        unit_class.push((s.unit, c));
-        if machine.split_formats {
-            let other = match c {
-                Alu | Move => Some(Control),
-                Control => Some(Alu),
-                Memory => None,
-            };
-            if let Some(o) = other {
-                if unit_class.contains(&(s.unit, o)) {
-                    return Err(SimError::FormatConflict { at, unit: s.unit });
-                }
+        let mut formats_clash = false;
+        for e in &word.slots[..i] {
+            if e.unit != s.unit {
+                continue;
             }
+            let ec = e.op.class();
+            if ec == c {
+                return Err(SimError::UnitConflict { at, unit: s.unit });
+            }
+            formats_clash |= ec != Memory && c != Memory && (ec == Control) != (c == Control);
+        }
+        if machine.split_formats && formats_clash {
+            return Err(SimError::FormatConflict { at, unit: s.unit });
         }
     }
     let budgets = OpClass::ALL.map(|c| (c, counts[c.index()]));

@@ -5,7 +5,7 @@
 //! cargo run --release -p symbol-core --example register_pressure
 //! ```
 
-use symbol_compactor::{compact, pressure, regalloc, CompactMode, TracePolicy};
+use symbol_compactor::{pressure, regalloc, try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
 use symbol_vliw::MachineConfig;
@@ -16,13 +16,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for b in benchmarks::ALL {
         let compiled = Compiled::from_source(b.source)?;
         let run = compiled.run_sequential()?;
-        let compacted = compact(
+        let compacted = try_compact(
             &compiled.ici,
             &run.stats,
             &machine,
             CompactMode::TraceSchedule,
             &TracePolicy::default(),
-        );
+        )?;
         let (_, phys) =
             regalloc::allocate(&compacted.program, 64).expect("benchmarks allocate comfortably");
         let p = pressure::measure(&compacted.program);

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, CompactMode, Compactor, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::experiments::measure_cached;
 use symbol_core::pipeline::{Compiled, CompiledCache};
@@ -170,13 +170,14 @@ fn instrumentation_on_and_off_are_bit_identical_on_every_benchmark() {
 
         // PROFILE = true VLIW monomorphization vs the plain simulator.
         let machine = MachineConfig::units(3);
-        let compacted = compact(
+        let compacted = try_compact(
             &plain.ici,
             &plain_run.stats,
             &machine,
             CompactMode::TraceSchedule,
             &TracePolicy::default(),
-        );
+        )
+        .expect("compacts");
         let lowered = DecodedVliw::new(&compacted.program, machine);
         let cfg = SimConfig::default();
         let plain_sim = DecodedVliwSim::new(&lowered, &plain.layout)
@@ -205,14 +206,9 @@ fn vliw_decoded_matches_legacy_on_every_benchmark() {
     for_each_benchmark(|b| {
         let compiled = Compiled::from_source(b.source).expect("compiles");
         let run = compiled.run_sequential().expect("profiling run");
+        let compactor = Compactor::new(&compiled.ici, &run.stats, &TracePolicy::default());
         for (mode, machine) in combos {
-            let compacted = compact(
-                &compiled.ici,
-                &run.stats,
-                &machine,
-                mode,
-                &TracePolicy::default(),
-            );
+            let compacted = compactor.compact(&machine, mode).expect("compacts");
             let cfg = SimConfig::default();
             let legacy = VliwSim::new(&compacted.program, machine, &compiled.layout)
                 .run(&cfg)

@@ -3,7 +3,7 @@
 //! compaction mode, machine shape and scheduling policy — exercised
 //! over programs that stress each part of the Prolog machinery.
 
-use symbol_compactor::{compact, CompactMode, TracePolicy};
+use symbol_compactor::{CompactMode, Compactor, TracePolicy};
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::{Emulator, ExecConfig, Outcome};
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -47,14 +47,18 @@ fn outcomes_agree(src: &str) {
             ..TracePolicy::default()
         },
     ];
+    // One compactor per policy serves every (machine, mode) job.
+    let compactors = policies.map(|policy| Compactor::new(&compiled.ici, &run.stats, &policy));
     for machine in machines {
-        for policy in &policies {
+        for compactor in &compactors {
             for mode in [
                 CompactMode::TraceSchedule,
                 CompactMode::BasicBlock,
                 CompactMode::BamGroups,
             ] {
-                let compacted = compact(&compiled.ici, &run.stats, &machine, mode, policy);
+                let compacted = compactor
+                    .compact(&machine, mode)
+                    .unwrap_or_else(|e| panic!("{mode:?}/{machine:?}: {e}"));
                 let result = VliwSim::new(&compacted.program, machine, &compiled.layout)
                     .run(&SimConfig::default())
                     .unwrap_or_else(|e| panic!("{mode:?}/{machine:?}: {e}"));
