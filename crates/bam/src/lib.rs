@@ -41,44 +41,5 @@ pub use program::BamProgram;
 ///
 /// See [`compile::compile_program`].
 pub fn compile(program: &symbol_prolog::Program) -> Result<BamProgram, CompileError> {
-    compile_with_events(program, &symbol_obs::Events::silent())
-}
-
-/// [`compile()`] with compiler diagnostics emitted to `events` instead of
-/// any output stream — the library never prints; the caller decides
-/// whether events are collected, echoed or dropped.
-///
-/// # Errors
-///
-/// See [`compile::compile_program`].
-pub fn compile_with_events(
-    program: &symbol_prolog::Program,
-    events: &symbol_obs::Events,
-) -> Result<BamProgram, CompileError> {
-    let bam = match compile::compile_program(program) {
-        Ok(b) => b,
-        Err(e) => {
-            events.emit_with(symbol_obs::Level::Error, "bam::compile", || {
-                format!("compilation failed: {e}")
-            });
-            return Err(e);
-        }
-    };
-    events.emit_with(symbol_obs::Level::Info, "bam::compile", || {
-        let preds = bam.predicates().count();
-        let instrs: usize = bam.predicates().map(|p| p.code.len()).sum();
-        format!("compiled {preds} predicates to {instrs} BAM instructions")
-    });
-    if events.enabled(symbol_obs::Level::Debug) {
-        for p in bam.predicates() {
-            events.emit_with(symbol_obs::Level::Debug, "bam::compile", || {
-                format!(
-                    "{}: {} instructions",
-                    program.symbols().name(p.id.name),
-                    p.code.len()
-                )
-            });
-        }
-    }
-    Ok(bam)
+    compile::compile_program(program)
 }

@@ -3,20 +3,21 @@
 //! The benchmark harness of the SYMBOL reproduction.
 //!
 //! * The `tables` binary regenerates every table and figure of the
-//!   paper in one run:
+//!   paper in one run, or one of them with `tables <name>` (`fig2`,
+//!   `table3`, …):
 //!   `cargo run --release -p symbol-bench --bin tables`.
-//! * The benches under `benches/` — one per table and figure — time
-//!   the regeneration kernels on representative workloads with the
-//!   self-contained [`timing`] harness and print the regenerated rows
-//!   next to the paper's numbers.
+//! * The benches under `benches/` time the pipeline stages
+//!   (`pipeline_stages`), the emulator and simulator engines
+//!   (`emulator_decode`), the serving tier (`serve_throughput`) and the
+//!   design-space sweep (`sweep_grid`) with the self-contained
+//!   [`timing`] harness; `ablation` prints the E9 ablation table.
 
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
 
 pub mod timing;
 
-/// Small benchmarks used inside timed loops (the full suite runs once,
-/// outside the timed section, to print the actual tables).
+/// Small benchmarks used inside timed loops.
 pub const TIMING_SUBSET: &[&str] = &["conc30", "nreverse", "ops8", "qsort"];
 
 /// Compiles and profiles one named benchmark.

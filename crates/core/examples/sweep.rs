@@ -3,8 +3,8 @@
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
 use symbol_core::benchmarks;
-use symbol_core::pipeline::Compiled;
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
+use symbol_core::pipeline::{simulate, Compiled};
+use symbol_vliw::MachineConfig;
 
 fn main() {
     println!(
@@ -19,10 +19,8 @@ fn main() {
         let sim = |mode, machine: MachineConfig| {
             let comp = try_compact(&c.ici, &run.stats, &machine, mode, &TracePolicy::default())
                 .expect("schedule verifies");
-            let decoded = DecodedVliw::new(&comp.program, machine);
-            let r = DecodedVliwSim::new(&decoded, &c.layout)
-                .run(&SimConfig::default())
-                .expect("sim");
+            let r = simulate(&comp.program, machine, &c.layout)
+                .expect("the scheduled code reproduces the answer");
             (
                 r.cycles,
                 comp.stats.avg_region_len,

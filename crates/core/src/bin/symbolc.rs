@@ -16,8 +16,8 @@ use std::process::ExitCode;
 
 use symbol_analysis::{ClassMix, PredictStats};
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
-use symbol_core::pipeline::{Compiled, PipelineError};
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
+use symbol_core::pipeline::{simulate, Compiled, PipelineError};
+use symbol_vliw::MachineConfig;
 
 fn usage() -> ExitCode {
     eprintln!("usage: symbolc <run|bam|ici|schedule|profile|sweep> <file.pl> [units]");
@@ -91,13 +91,14 @@ fn dispatch(cmd: &str, compiled: &Compiled, units: usize) -> Result<ExitCode, Pi
                     CompactMode::TraceSchedule,
                     &TracePolicy::default(),
                 )?;
-                let decoded = DecodedVliw::new(&compacted.program, machine);
-                let sim =
-                    DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
-                if sim.outcome != SimOutcome::Success {
-                    eprintln!("symbolc: scheduled code diverged from sequential execution");
-                    return Ok(ExitCode::FAILURE);
-                }
+                let sim = match simulate(&compacted.program, machine, &compiled.layout) {
+                    Ok(sim) => sim,
+                    Err(PipelineError::WrongAnswer) => {
+                        eprintln!("symbolc: scheduled code diverged from sequential execution");
+                        return Ok(ExitCode::FAILURE);
+                    }
+                    Err(e) => return Err(e),
+                };
                 println!(
                     "{units}-unit VLIW: {} cycles (speed-up {:.2})",
                     sim.cycles,
@@ -152,10 +153,10 @@ fn dispatch(cmd: &str, compiled: &Compiled, units: usize) -> Result<ExitCode, Pi
             let run = compiled.run_sequential()?;
             let seq = sequential_cycles(&compiled.ici, &run.stats, &SeqDurations::default());
             println!("sequential: {seq} cycles");
-            let mut configs = vec![("bam", MachineConfig::bam(), CompactMode::BamGroups)];
+            let mut configs = vec![("bam".into(), MachineConfig::bam(), CompactMode::BamGroups)];
             for u in 1..=5 {
                 configs.push((
-                    Box::leak(format!("{u} unit(s)").into_boxed_str()),
+                    format!("{u} unit(s)"),
                     MachineConfig::units(u),
                     CompactMode::TraceSchedule,
                 ));
@@ -168,9 +169,7 @@ fn dispatch(cmd: &str, compiled: &Compiled, units: usize) -> Result<ExitCode, Pi
                     mode,
                     &TracePolicy::default(),
                 )?;
-                let decoded = DecodedVliw::new(&compacted.program, machine);
-                let sim =
-                    DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
+                let sim = simulate(&compacted.program, machine, &compiled.layout)?;
                 println!(
                     "{name:<10} {:>10} cycles   speed-up {:.2}",
                     sim.cycles,

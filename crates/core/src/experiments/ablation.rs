@@ -13,10 +13,10 @@
 //! * the prototype's two-format issue restriction (§5.1).
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
+use symbol_vliw::MachineConfig;
 
 use crate::benchmarks;
-use crate::pipeline::{Compiled, PipelineError};
+use crate::pipeline::{simulate, Compiled, PipelineError};
 
 /// One ablation variant.
 #[derive(Clone, Debug)]
@@ -185,11 +185,7 @@ pub fn run(subset: &[&str]) -> Result<Vec<AblationRow>, PipelineError> {
                     *seq,
                 )
             };
-            let decoded = DecodedVliw::new(&compacted.program, v.machine);
-            let result = DecodedVliwSim::new(&decoded, &c.layout).run(&SimConfig::default())?;
-            if result.outcome != SimOutcome::Success {
-                return Err(PipelineError::WrongAnswer);
-            }
+            let result = simulate(&compacted.program, v.machine, &c.layout)?;
             speedups += baseline as f64 / result.cycles as f64;
             growth += compacted.stats.code_growth();
         }

@@ -19,10 +19,10 @@ use symbol_compactor::{
 };
 use symbol_intcode::Layout;
 use symbol_obs::Registry;
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome, SimResult};
+use symbol_vliw::{MachineConfig, SimResult};
 
 use crate::benchmarks::Benchmark;
-use crate::pipeline::{Compiled, CompiledCache, PipelineError};
+use crate::pipeline::{self, Compiled, CompiledCache, PipelineError};
 
 /// Unit counts of the Table 3 sweep.
 pub const UNIT_SWEEP: [usize; 5] = [1, 2, 3, 4, 5];
@@ -256,14 +256,7 @@ pub fn measure_cached(
         ];
         let _span = obs.span("simulate", labels);
         let compacted = compactor.compact(&machine, mode)?;
-        // Default engine: pre-decode the schedule for this machine and
-        // run the micro-op simulator (bit-identical to the legacy
-        // `VliwSim`, asserted by the workspace differential suite).
-        let decoded = DecodedVliw::new(&compacted.program, machine);
-        let result = DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
-        if result.outcome != SimOutcome::Success {
-            return Err(PipelineError::WrongAnswer);
-        }
+        let result = pipeline::simulate(&compacted.program, machine, &compiled.layout)?;
         obs.counter("sim.cycles", labels).add(result.cycles);
         obs.counter("sim.ops", labels).add(result.ops);
         obs.counter("sim.taken_branches", labels)
@@ -328,9 +321,9 @@ pub fn measure_cached(
 ///
 /// The run is observed through `obs`: per-benchmark
 /// compile/emulate/simulate spans (thread-aware — the exported Chrome
-/// trace shows the suite fan-out across the worker pool), front-end
-/// events, and per-configuration counters. With
-/// [`Registry::disabled`] nothing is recorded.
+/// trace shows the suite fan-out across the worker pool) and
+/// per-configuration counters. With [`Registry::disabled`] nothing is
+/// recorded.
 ///
 /// # Errors
 ///

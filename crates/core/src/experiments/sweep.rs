@@ -56,10 +56,10 @@ use symbol_analysis::{port_cycle_floor, TextTable};
 use symbol_compactor::{sequential_cycles, CompactMode, Compactor, SeqDurations, TracePolicy};
 use symbol_intcode::OpClass;
 use symbol_obs::Registry;
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
+use symbol_vliw::MachineConfig;
 
 use crate::benchmarks::Benchmark;
-use crate::pipeline::{Compiled, CompiledCache, PipelineError};
+use crate::pipeline::{self, Compiled, CompiledCache, PipelineError};
 
 use super::{default_threads, run_indexed};
 
@@ -626,12 +626,7 @@ pub fn run_sweep(
         let simulate = |i: usize| -> Result<(u64, u64), PipelineError> {
             let point = &points[i];
             let compacted = compactor.compact(&point.machine, point.mode)?;
-            let decoded = DecodedVliw::new(&compacted.program, point.machine);
-            let result =
-                DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
-            if result.outcome != SimOutcome::Success {
-                return Err(PipelineError::WrongAnswer);
-            }
+            let result = pipeline::simulate(&compacted.program, point.machine, &compiled.layout)?;
             Ok((result.cycles, result.class_ops[OpClass::Memory.index()]))
         };
 

@@ -15,6 +15,9 @@ use symbol_intcode::program::IciProgram;
 use symbol_intcode::translate::{self, TranslateError};
 use symbol_obs::Registry;
 use symbol_prolog::{ParseError, PredId, Program};
+use symbol_vliw::{
+    DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome, SimResult, VliwProgram,
+};
 
 /// Any error the pipeline can produce.
 #[derive(Debug)]
@@ -170,9 +173,8 @@ impl Compiled {
     }
 
     /// Compiles for an explicit memory layout, with every compilation
-    /// stage observed through `obs`: RAII spans (`parse`, `compile`,
-    /// `translate`, `decode`) labelled with `bench`, and the front-end
-    /// crates' diagnostics routed to the registry's event sink. With
+    /// stage timed on `obs` by an RAII span (`parse`, `compile`,
+    /// `translate`, `decode`) labelled with `bench`. With
     /// [`Registry::disabled`] nothing is recorded.
     ///
     /// # Errors
@@ -185,14 +187,13 @@ impl Compiled {
         bench: &str,
     ) -> Result<Self, PipelineError> {
         let labels: &[(&str, &str)] = &[("bench", bench)];
-        let events = obs.events();
         let program = {
             let _span = obs.span("parse", labels);
-            symbol_prolog::parse_program_with_events(src, &events)?
+            symbol_prolog::parse_program(src)?
         };
         let bam = {
             let _span = obs.span("compile", labels);
-            symbol_bam::compile_with_events(&program, &events)?
+            symbol_bam::compile(&program)?
         };
         let main_atom = program
             .symbols()
@@ -204,7 +205,7 @@ impl Compiled {
         }
         let ici = {
             let _span = obs.span("translate", labels);
-            translate::translate_with_events(&bam, main, &layout, &events)?
+            translate::translate(&bam, main, &layout)?
         };
         let decoded = {
             let _span = obs.span("decode", labels);
@@ -458,9 +459,35 @@ impl<'a> CompiledCache<'a> {
     }
 }
 
+/// Runs compacted VLIW code on the production simulator: lowers
+/// `program` for `machine` into [`DecodedVliw`] issue records, runs
+/// [`DecodedVliwSim`] over `layout` and re-checks the answer. The
+/// decoded simulator is bit-identical to the legacy `VliwSim`
+/// (asserted by the workspace differential suite).
+///
+/// # Errors
+///
+/// [`PipelineError::Sim`] on a machine-model violation, fault or
+/// cycle-limit exhaustion; [`PipelineError::WrongAnswer`] unless the
+/// query succeeds, as the sequential run the code was compacted from
+/// did.
+pub fn simulate(
+    program: &VliwProgram,
+    machine: MachineConfig,
+    layout: &Layout,
+) -> Result<SimResult, PipelineError> {
+    let decoded = DecodedVliw::new(program, machine);
+    let result = DecodedVliwSim::new(&decoded, layout).run(&SimConfig::default())?;
+    if result.outcome != SimOutcome::Success {
+        return Err(PipelineError::WrongAnswer);
+    }
+    Ok(result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symbol_compactor::{try_compact, CompactMode, TracePolicy};
     use symbol_intcode::emu::Emulator;
 
     /// One run on the legacy op-at-a-time interpreter, the reference
@@ -510,6 +537,24 @@ mod tests {
         let other = Compiled::from_source("main :- 2 = 2.").expect("compiles");
         let err = Compiled::from_artifact(other.ici, c.decoded.clone(), c.layout).unwrap_err();
         assert!(matches!(err, PipelineError::Artifact(_)), "{err}");
+    }
+
+    #[test]
+    fn simulate_rejects_code_whose_query_fails() {
+        let c = Compiled::from_source("main :- 1 = 2.").expect("compiles");
+        let run = legacy_run(&c);
+        assert_eq!(run.outcome, Outcome::Failure);
+        let machine = MachineConfig::units(3);
+        let compacted = try_compact(
+            &c.ici,
+            &run.stats,
+            &machine,
+            CompactMode::TraceSchedule,
+            &TracePolicy::default(),
+        )
+        .expect("schedule verifies");
+        let err = simulate(&compacted.program, machine, &c.layout).unwrap_err();
+        assert!(matches!(err, PipelineError::WrongAnswer), "{err}");
     }
 
     #[test]

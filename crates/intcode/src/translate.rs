@@ -83,61 +83,16 @@ pub fn translate(
     entry: PredId,
     layout: &Layout,
 ) -> Result<IciProgram, TranslateError> {
-    translate_with_events(bam, entry, layout, &symbol_obs::Events::silent())
-}
-
-/// [`translate`] with translator diagnostics emitted to `events`
-/// instead of any output stream — the library never prints; the caller
-/// decides whether events are collected, echoed or dropped.
-///
-/// # Errors
-///
-/// See [`translate`].
-pub fn translate_with_events(
-    bam: &BamProgram,
-    entry: PredId,
-    layout: &Layout,
-    events: &symbol_obs::Events,
-) -> Result<IciProgram, TranslateError> {
     let mut tr = Tr::new(bam, layout);
-    let emit_err = |e: &TranslateError| {
-        events.emit_with(symbol_obs::Level::Error, "intcode::translate", || {
-            format!("translation failed: {e}")
-        });
-    };
-    if let Err(e) = tr.check_arities() {
-        emit_err(&e);
-        return Err(e);
-    }
-    let entry_label = match tr.emit_driver(entry) {
-        Ok(l) => l,
-        Err(e) => {
-            emit_err(&e);
-            return Err(e);
-        }
-    };
+    tr.check_arities()?;
+    let entry_label = tr.emit_driver(entry)?;
     for pred in bam.predicates() {
         tr.emit_predicate(pred.id, &pred.code);
     }
     tr.emit_fail_routine();
     tr.emit_unify_routine();
     tr.emit_struct_eq_routine();
-    let program = match tr.asm.try_finish(entry_label) {
-        Ok(p) => p,
-        Err(e) => {
-            let e = TranslateError::from(e);
-            emit_err(&e);
-            return Err(e);
-        }
-    };
-    events.emit_with(symbol_obs::Level::Info, "intcode::translate", || {
-        format!(
-            "translated {} BAM predicates to {} intermediate code instructions",
-            bam.predicates().count(),
-            program.ops().len()
-        )
-    });
-    Ok(program)
+    Ok(tr.asm.try_finish(entry_label)?)
 }
 
 struct Tr<'a> {

@@ -1,10 +1,11 @@
 //! # symbol-obs
 //!
 //! The zero-dependency observability layer of the SYMBOL reproduction:
-//! counters, gauges, log2-bucketed histograms, RAII span timers,
-//! leveled events, and two exporters — a stable, diffable
-//! `metrics.json` snapshot and a Chrome Trace Format (`trace_event`)
-//! document that opens in Perfetto or `chrome://tracing`.
+//! counters, gauges, log2-bucketed histograms, RAII span timers and a
+//! lock-free flight recorder, with exporters for a stable, diffable
+//! `metrics.json` snapshot, a Chrome Trace Format (`trace_event`)
+//! document that opens in Perfetto or `chrome://tracing`, and an
+//! ndjson timeline of snapshot diffs.
 //!
 //! ## Design
 //!
@@ -40,12 +41,10 @@
 //! # assert!(trace_json.contains("emulate"));
 //! ```
 
-pub mod event;
 pub mod export;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod prom;
 pub mod quantile;
 pub mod timeline;
 pub mod trace;
@@ -53,13 +52,11 @@ pub mod trace;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-pub use event::{EventRecord, Events, Level};
 pub use export::{BucketSample, CounterSample, GaugeSample, HistogramSample, Snapshot};
 pub use flight::{FlightKind, FlightRecord, FlightRecorder};
 pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram};
-pub use prom::to_prometheus;
 pub use quantile::QuantileView;
-pub use timeline::{Timeline, TimelineRecorder};
+pub use timeline::Timeline;
 pub use trace::{chrome_trace_json, thread_id, Span, TraceEvent};
 
 use metrics::{CounterCell, GaugeCell, HistogramCell, MetricId};
@@ -72,25 +69,18 @@ struct RegistryInner {
     gauges: Mutex<Vec<Arc<GaugeCell>>>,
     histograms: Mutex<Vec<Arc<HistogramCell>>>,
     trace: Mutex<Vec<TraceEvent>>,
-    events: Events,
 }
 
 /// The root observability handle. Clone freely; all clones share the
-/// same metric cells, trace buffer and event sink.
+/// same metric cells and trace buffer.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     inner: Option<Arc<RegistryInner>>,
 }
 
 impl Registry {
-    /// An enabled registry collecting events up to [`Level::Info`].
+    /// An enabled registry.
     pub fn new() -> Self {
-        Registry::with_events(Events::collecting(Level::Info))
-    }
-
-    /// An enabled registry with an explicit event sink (e.g.
-    /// [`Events::stderr`] for live diagnostics in a binary).
-    pub fn with_events(events: Events) -> Self {
         Registry {
             inner: Some(Arc::new(RegistryInner {
                 epoch: Instant::now(),
@@ -98,7 +88,6 @@ impl Registry {
                 gauges: Mutex::new(Vec::new()),
                 histograms: Mutex::new(Vec::new()),
                 trace: Mutex::new(Vec::new()),
-                events,
             })),
         }
     }
@@ -218,13 +207,6 @@ impl Registry {
         self.elapsed_since_epoch(Instant::now()).as_nanos() as u64
     }
 
-    /// The registry's event sink (the silent sink when disabled).
-    pub fn events(&self) -> Events {
-        self.inner
-            .as_ref()
-            .map_or_else(Events::silent, |i| i.events.clone())
-    }
-
     /// Takes a point-in-time, canonically sorted copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
@@ -309,7 +291,6 @@ mod tests {
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
         assert!(r.trace_events().is_empty());
-        assert!(!r.events().enabled(Level::Error));
     }
 
     #[test]

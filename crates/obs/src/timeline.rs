@@ -1,4 +1,4 @@
-//! The timeline recorder: periodic [`Snapshot`] diffs as a compact
+//! The timeline: periodic [`Snapshot`] diffs as a compact
 //! ndjson time series.
 //!
 //! A single `metrics.json` tells you where a run *ended up*; the
@@ -7,21 +7,15 @@
 //! one ndjson line holding only what changed: counter deltas, gauge
 //! values, histogram count deltas with their current p50/p99. Ticks
 //! with no changes still produce a (nearly empty) line so the series
-//! has a regular heartbeat.
-//!
-//! [`TimelineRecorder`] drives a [`Timeline`] from a background
-//! thread at a fixed interval — the live-server mode — while
-//! deterministic callers (tests, `obs_report`) call
-//! [`Timeline::tick`] themselves.
+//! has a regular heartbeat. The caller decides when to tick:
+//! `obs_report` ticks after the suite run and after each profiled
+//! benchmark.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use crate::export::Snapshot;
 use crate::json;
 use crate::quantile::QuantileView;
-use crate::Registry;
 
 /// Top-level keys of every timeline ndjson line, in output order
 /// (pinned by `OBS_SCHEMA.json`).
@@ -41,7 +35,7 @@ impl Timeline {
 
     /// Diffs `snap` against the previous tick and renders one ndjson
     /// line stamped `t_ns` (nanoseconds on whatever clock the caller
-    /// uses consistently, e.g. [`Registry::now_ns`]).
+    /// uses consistently, e.g. [`crate::Registry::now_ns`]).
     pub fn tick(&mut self, snap: &Snapshot, t_ns: u64) -> String {
         let mut line = String::new();
         let _ = write!(line, "{{\"t_ns\": {t_ns}, \"counters\": [");
@@ -125,79 +119,10 @@ impl Timeline {
     }
 }
 
-#[derive(Debug, Default)]
-struct RecorderState {
-    lines: Vec<String>,
-    stop: bool,
-}
-
-/// A background thread ticking a [`Timeline`] over a registry at a
-/// fixed interval. Stop it to collect the series (a final tick is
-/// always taken, so even a short-lived recorder yields one line).
-#[derive(Debug)]
-pub struct TimelineRecorder {
-    state: Arc<(Mutex<RecorderState>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TimelineRecorder {
-    /// Spawns the sampling thread over `obs`, one tick per `interval`.
-    pub fn spawn(obs: Registry, interval: Duration) -> Self {
-        let state = Arc::new((Mutex::new(RecorderState::default()), Condvar::new()));
-        let thread_state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
-            let mut timeline = Timeline::new();
-            let (lock, cv) = &*thread_state;
-            let mut guard = lock.lock().expect("timeline state");
-            loop {
-                let (g, timeout) = cv.wait_timeout(guard, interval).expect("timeline state");
-                guard = g;
-                let stopping = guard.stop;
-                if timeout.timed_out() || stopping {
-                    let line = timeline.tick(&obs.snapshot(), obs.now_ns());
-                    guard.lines.push(line);
-                }
-                if stopping {
-                    return;
-                }
-            }
-        });
-        TimelineRecorder {
-            state,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the thread (after one final tick) and returns the ndjson
-    /// lines, oldest first.
-    pub fn stop(mut self) -> Vec<String> {
-        self.shutdown();
-        std::mem::take(&mut self.state.0.lock().expect("timeline state").lines)
-    }
-
-    fn shutdown(&mut self) {
-        {
-            let (lock, cv) = &*self.state;
-            lock.lock().expect("timeline state").stop = true;
-            cv.notify_all();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TimelineRecorder {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.shutdown();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn first_tick_reports_everything_changes_only_after() {
@@ -241,35 +166,5 @@ mod tests {
         assert_eq!(h.get("delta_count").and_then(|d| d.as_u64()), Some(50));
         let p50 = h.get("p50").and_then(|p| p.as_f64()).expect("p50");
         assert!((512.0..=1023.0).contains(&p50), "{p50}");
-    }
-
-    #[test]
-    fn recorder_thread_yields_at_least_one_line() {
-        let obs = Registry::new();
-        obs.counter("c", &[]).add(1);
-        let rec = TimelineRecorder::spawn(obs.clone(), Duration::from_millis(5));
-        obs.counter("c", &[]).add(1);
-        std::thread::sleep(Duration::from_millis(25));
-        let lines = rec.stop();
-        assert!(!lines.is_empty());
-        for line in &lines {
-            json::parse(line).expect("every line is valid json");
-        }
-        // The series accounts the full counter value across its deltas.
-        let total: u64 = lines
-            .iter()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("counters")
-                    .unwrap()
-                    .as_arr()
-                    .unwrap()
-                    .iter()
-                    .filter_map(|c| c.get("delta").and_then(|d| d.as_u64()))
-                    .sum::<u64>()
-            })
-            .sum();
-        assert_eq!(total, 2);
     }
 }

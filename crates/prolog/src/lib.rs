@@ -44,56 +44,10 @@ pub use symbols::{Atom, SymbolTable};
 ///
 /// Returns a [`ParseError`] describing the first syntax error found.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    parse_program_with_events(src, &symbol_obs::Events::silent())
-}
-
-/// [`parse_program`] with front-end diagnostics emitted to `events`
-/// instead of any output stream — the library never prints; the caller
-/// decides whether events are collected, echoed or dropped.
-///
-/// # Errors
-///
-/// See [`parse_program`].
-pub fn parse_program_with_events(
-    src: &str,
-    events: &symbol_obs::Events,
-) -> Result<Program, ParseError> {
     let mut symbols = SymbolTable::new();
-    let clauses = match parser::parse_clauses(src, &mut symbols) {
-        Ok(c) => c,
-        Err(e) => {
-            events.emit_with(symbol_obs::Level::Error, "prolog::parse", || {
-                format!("syntax error: {e}")
-            });
-            return Err(e);
-        }
-    };
-    let parsed = clauses.len();
-    let clauses = match normalize::normalize_clauses(clauses, &mut symbols) {
-        Ok(c) => c,
-        Err(e) => {
-            events.emit_with(symbol_obs::Level::Error, "prolog::normalize", || {
-                format!("unsupported goal: {e}")
-            });
-            return Err(e);
-        }
-    };
-    if clauses.len() != parsed {
-        events.emit_with(symbol_obs::Level::Debug, "prolog::normalize", || {
-            format!(
-                "control expansion grew {parsed} clauses to {}",
-                clauses.len()
-            )
-        });
-    }
-    let program = Program::from_clauses(clauses, symbols);
-    events.emit_with(symbol_obs::Level::Info, "prolog::parse", || {
-        format!(
-            "parsed {parsed} clauses into {} predicates",
-            program.predicates().count()
-        )
-    });
-    Ok(program)
+    let clauses = parser::parse_clauses(src, &mut symbols)?;
+    let clauses = normalize::normalize_clauses(clauses, &mut symbols)?;
+    Ok(Program::from_clauses(clauses, symbols))
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! ```
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
-use symbol_core::pipeline::Compiled;
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig};
+use symbol_core::pipeline::{simulate, Compiled};
+use symbol_vliw::MachineConfig;
 
 const PROGRAM: &str = "
     main :- nrev([1,2,3,4,5,6,7,8,9,10], R),
@@ -45,8 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
     )?;
-    let decoded = DecodedVliw::new(&compacted.program, machine);
-    let result = DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
+    let result = simulate(&compacted.program, machine, &compiled.layout)?;
     println!(
         "3-unit VLIW: {} cycles ({} words, {} taken transfers) -> {:?}",
         result.cycles, result.instructions, result.taken_branches, result.outcome

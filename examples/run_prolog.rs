@@ -9,8 +9,8 @@
 //! ```
 
 use symbol_compactor::{sequential_cycles, try_compact, CompactMode, SeqDurations, TracePolicy};
-use symbol_core::pipeline::{Compiled, PipelineError};
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
+use symbol_core::pipeline::{simulate, Compiled, PipelineError};
+use symbol_vliw::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -33,14 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 CompactMode::TraceSchedule,
                 &TracePolicy::default(),
             )?;
-            let decoded = DecodedVliw::new(&compacted.program, machine);
-            let result =
-                DecodedVliwSim::new(&decoded, &compiled.layout).run(&SimConfig::default())?;
-            assert_eq!(
-                result.outcome,
-                SimOutcome::Success,
-                "the scheduled code must agree with sequential execution"
-            );
+            let result = simulate(&compacted.program, machine, &compiled.layout)?;
             println!(
                 "{units}-unit VLIW: {} cycles, speed-up {:.2}",
                 result.cycles,
