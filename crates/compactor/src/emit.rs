@@ -1,15 +1,16 @@
 //! Whole-program compaction: traces → schedules → a laid-out
 //! [`VliwProgram`].
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use symbol_intcode::{ExecStats, IciProgram, Label};
-use symbol_vliw::{MachineConfig, VliwInstr, VliwProgram};
+use symbol_vliw::{MachineConfig, Timing, VliwProgram};
 
 use crate::cfg::Cfg;
 use crate::liveness::{LiveAtLabel, Liveness};
-use crate::schedule::{LabelAlloc, ScheduleOptions, Scheduler};
+use crate::schedule::{
+    rewrite, DependencePass, Graphs, LabelAlloc, ScheduleOptions, Scheduler, Words,
+};
 use crate::trace::{average_trace_length, pick_traces, single_block_traces, Trace, TracePolicy};
 use crate::verify::{missing_slot, verify_program, Violation};
 
@@ -80,9 +81,11 @@ pub fn try_compact(
 }
 
 /// The per-profile half of compaction: the CFG, liveness, the label
-/// each block is entered by, and each mode's traces. None of it depends
-/// on the machine, so one `Compactor` serves every (mode, machine)
-/// compaction of a profile, shared by reference across threads.
+/// each block is entered by, each mode's traces, and each trace's
+/// dependence graph per (mode, [`Timing`]) class. None of it depends on
+/// the machine's resources, so one `Compactor` serves every (mode,
+/// machine) compaction of a profile, shared by reference across
+/// threads.
 #[derive(Debug)]
 pub struct Compactor<'a> {
     program: &'a IciProgram,
@@ -94,7 +97,14 @@ pub struct Compactor<'a> {
     block_label: Vec<Option<Label>>,
     /// Traces per [`CompactMode`], picked on first use.
     traces: [OnceLock<Vec<Trace>>; 3],
+    /// The trace graphs of each (mode, timing) class compacted so far.
+    /// The lock covers only finding or adding a class's cell; the
+    /// graphs are built outside it, on the class's first use.
+    graphs: Mutex<Vec<GraphClass>>,
 }
+
+/// A (mode, timing) class and the cell its trace graphs are built in.
+type GraphClass = (CompactMode, Timing, Arc<OnceLock<Graphs>>);
 
 impl<'a> Compactor<'a> {
     /// Analyses `program` under its profile `exec`: builds the CFG and
@@ -115,7 +125,51 @@ impl<'a> Compactor<'a> {
             live,
             block_label,
             traces: Default::default(),
+            graphs: Mutex::default(),
         }
+    }
+
+    /// The scheduling options of `mode`.
+    fn options(&self, mode: CompactMode) -> ScheduleOptions {
+        ScheduleOptions {
+            speculate: self.policy.speculate && mode == CompactMode::TraceSchedule,
+            group_barriers: mode == CompactMode::BamGroups,
+            block_barriers: mode == CompactMode::BasicBlock,
+        }
+    }
+
+    /// The cell holding the trace graphs of the (`mode`, `timing`)
+    /// class, added empty on the class's first use.
+    fn class(&self, mode: CompactMode, timing: Timing) -> Arc<OnceLock<Graphs>> {
+        // The only update pushes a whole entry, so the list is valid
+        // even if a thread panicked while holding the lock.
+        let mut classes = self.graphs.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, _, cell)) = classes.iter().find(|c| c.0 == mode && c.1 == timing) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(OnceLock::new());
+        classes.push((mode, timing, Arc::clone(&cell)));
+        cell
+    }
+
+    /// Builds the dependence graph of every trace of `mode` for
+    /// `timing`. The traces are rewritten as [`Compactor::compact`]
+    /// rewrites them, except that a block with no label of its own is
+    /// given `Label(u32::MAX)` instead of a fresh label: the graph reads
+    /// both as labels the program does not bind.
+    fn build_graphs(&self, mode: CompactMode, timing: &Timing) -> Graphs {
+        let live_at = LiveAtLabel::new(&self.cfg, &self.live);
+        let opts = self.options(mode);
+        let mut ops = Vec::new();
+        let mut deps = DependencePass::default();
+        let mut graphs = Graphs::new();
+        for t in self.traces(mode) {
+            let unbound = |block: usize| self.block_label[block].unwrap_or(Label(u32::MAX));
+            rewrite(self.program, &self.cfg, t, unbound, &mut ops);
+            deps.run(&ops, timing, &live_at, &opts, &mut graphs);
+        }
+        graphs.shrink_to_fit();
+        graphs
     }
 
     /// The scheduling regions of `mode`. Basic-block compaction still
@@ -159,48 +213,49 @@ impl<'a> Compactor<'a> {
         }
         let (program, cfg) = (self.program, &self.cfg);
         let traces = self.traces(mode);
+        let timing = machine.timing();
+        let class = self.class(mode, timing);
+        let graphs = class.get_or_init(|| self.build_graphs(mode, &timing));
         let live_at = LiveAtLabel::new(cfg, &self.live);
         let mut labels = LabelAlloc::new(program.label_table().len());
-        let opts = ScheduleOptions {
-            speculate: self.policy.speculate && mode == CompactMode::TraceSchedule,
-            group_barriers: mode == CompactMode::BamGroups,
-            block_barriers: mode == CompactMode::BasicBlock,
-        };
 
         // Labels for blocks that need one but have none in the source
         // program (fall-through targets).
         let mut extra_label: Vec<Option<Label>> = vec![None; cfg.blocks.len()];
 
         // Schedule every trace straight into the program, in pick
-        // order. A block's labels are bound where it heads a trace.
-        let mut sched = Scheduler::default();
-        let mut instrs: Vec<VliwInstr> = Vec::new();
+        // order, on its stored graph. A block's labels are bound where
+        // it heads a trace. The rewrite allocates the fresh labels in
+        // trace order, interleaved with the compensation labels.
+        let ops_in = program.ops().len();
+        let mut sched = Scheduler::with_capacity(graphs.max_len());
+        let mut words = Words::with_capacity(ops_in);
         let mut head_at = vec![None; cfg.blocks.len()];
-        for t in traces {
-            sched.rewrite(program, cfg, t, |block| {
+        for (k, t) in traces.iter().enumerate() {
+            let block_label = |block: usize| {
                 self.block_label[block]
                     .unwrap_or_else(|| *extra_label[block].get_or_insert_with(|| labels.fresh()))
-            });
-            head_at[t.blocks[0]] = Some(instrs.len());
-            sched.schedule(machine, &live_at, &mut labels, &opts, &mut instrs);
+            };
+            rewrite(program, cfg, t, block_label, &mut sched.ops);
+            head_at[t.blocks[0]] = Some(words.len());
+            sched.place(machine, graphs.trace(k), &mut labels, &mut words);
         }
-        let bound = cfg
-            .label_block
-            .iter()
-            .enumerate()
-            .filter_map(|(l, b)| b.map(|b| (Label(l as u32), b)));
-        let extra = extra_label
-            .iter()
-            .enumerate()
-            .filter_map(|(b, l)| l.map(|l| (l, b)));
-        let mut label_at: HashMap<Label, usize> = bound
-            .chain(extra)
-            .filter_map(|(l, b)| head_at[b].map(|at| (l, at)))
-            .collect();
-        sched.emit_comp_blocks(machine, &live_at, &mut labels, &mut label_at, &mut instrs);
+        // Compensation blocks are straight-line, so every label exists
+        // by now.
+        let mut label_addr = vec![usize::MAX; labels.total() as usize];
+        for (l, b) in cfg.label_block.iter().enumerate() {
+            if let Some(at) = b.and_then(|b| head_at[b]) {
+                label_addr[l] = at;
+            }
+        }
+        for (l, at) in extra_label.iter().zip(&head_at) {
+            if let (Some(l), Some(at)) = (l, at) {
+                label_addr[l.0 as usize] = *at;
+            }
+        }
+        sched.emit_comp_blocks(machine, &live_at, &mut labels, &mut label_addr, &mut words);
 
-        let ops_in = program.ops().len();
-        let ops_out: usize = instrs.iter().map(VliwInstr::len).sum();
+        let ops_out = words.slots.len();
         let avg_region_len = match mode {
             CompactMode::TraceSchedule => average_trace_length(cfg, traces),
             _ => cfg.average_block_length(),
@@ -213,7 +268,7 @@ impl<'a> Compactor<'a> {
             ops_out,
         };
 
-        let program = VliwProgram::new(instrs, label_at, labels.total(), program.entry());
+        let program = VliwProgram::new(words.slots, words.word_end, label_addr, program.entry());
         // Every schedule — including cold code the profile never
         // executes — must satisfy the machine statically.
         verify_program(&program, machine)?;

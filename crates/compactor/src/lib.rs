@@ -33,3 +33,34 @@ pub use schedule::ScheduleOptions;
 pub use seqcost::{equal_duration_cycles, sequential_cycles, SeqDurations};
 pub use trace::{Trace, TracePolicy};
 pub use verify::{verify_program, Violation};
+
+/// Test helper: a program of hand-built words, with `labels` as
+/// `(label, word)` bindings and label 0 as the entry.
+#[cfg(test)]
+pub(crate) fn program_of(
+    words: Vec<Vec<symbol_vliw::SlotOp>>,
+    labels: &[(u32, usize)],
+) -> symbol_vliw::VliwProgram {
+    let word_end = words
+        .iter()
+        .scan(0, |end, w| {
+            *end += w.len() as u32;
+            Some(*end)
+        })
+        .collect();
+    let num = labels
+        .iter()
+        .map(|&(l, _)| l as usize + 1)
+        .max()
+        .unwrap_or(1);
+    let mut label_addr = vec![usize::MAX; num];
+    for &(l, at) in labels {
+        label_addr[l as usize] = at;
+    }
+    symbol_vliw::VliwProgram::new(
+        words.concat(),
+        word_end,
+        label_addr,
+        symbol_intcode::Label(0),
+    )
+}

@@ -14,8 +14,10 @@
 use std::collections::HashSet;
 
 use symbol_intcode::layout::reg;
-use symbol_intcode::{Op, R};
+use symbol_intcode::R;
 use symbol_vliw::VliwProgram;
+
+use crate::regalloc::temp_liveness;
 
 /// Register pressure measurements.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,95 +35,26 @@ fn is_temp(r: R) -> bool {
     r.0 >= reg::FIRST_TEMP
 }
 
-/// Measures register pressure of a scheduled program.
+/// Measures register pressure of a scheduled program, on the
+/// word-granularity liveness [`crate::regalloc::temp_liveness`]
+/// computes for the register allocator. Indirect transfers (calls
+/// returning, backtracking) carry no live temporaries by construction:
+/// the translator keeps every value that must survive a call or a retry
+/// in an environment or choice-point slot, never in a renamed
+/// temporary, so indirect words end all temp live ranges.
 pub fn measure(program: &VliwProgram) -> Pressure {
-    let words = program.instrs();
-    let n = words.len();
-
-    // Per-word use/def sets (temps only) and successors.
-    let mut uses: Vec<HashSet<R>> = Vec::with_capacity(n);
-    let mut defs: Vec<HashSet<R>> = Vec::with_capacity(n);
-    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut fixed: HashSet<R> = HashSet::new();
     let mut temps: HashSet<R> = HashSet::new();
-
-    // Indirect transfers (calls returning, backtracking) carry no
-    // live temporaries by construction: the translator keeps every
-    // value that must survive a call or a retry in an environment or
-    // choice-point slot, never in a renamed temporary. Indirect words
-    // therefore end all temp live ranges.
-
-    for (i, w) in words.iter().enumerate() {
-        let mut u = HashSet::new();
-        let mut d = HashSet::new();
-        let mut s = Vec::new();
-        let mut falls = true;
-        for slot in &w.slots {
-            for r in slot.op.uses() {
-                if is_temp(r) {
-                    u.insert(r);
-                    temps.insert(r);
-                } else {
-                    fixed.insert(r);
-                }
-            }
-            if let Some(r) = slot.op.def() {
-                if is_temp(r) {
-                    d.insert(r);
-                    temps.insert(r);
-                } else {
-                    fixed.insert(r);
-                }
-            }
-            match &slot.op {
-                Op::Jmp { t } => {
-                    s.push(program.label_addr(*t));
-                    falls = false;
-                }
-                Op::JmpR { .. } => {
-                    falls = false;
-                }
-                Op::Halt { .. } => falls = false,
-                o if o.is_control() => {
-                    if let Some(t) = o.target() {
-                        s.push(program.label_addr(t));
-                    }
-                }
-                _ => {}
-            }
-        }
-        if falls && i + 1 < n {
-            s.push(i + 1);
-        }
-        s.retain(|&x| x < n);
-        uses.push(u);
-        defs.push(d);
-        succs.push(s);
-    }
-
-    // Backward liveness to a fixpoint.
-    let mut live_in: Vec<HashSet<R>> = vec![HashSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut out: HashSet<R> = HashSet::new();
-            for &s in &succs[i] {
-                out.extend(live_in[s].iter().copied());
-            }
-            let mut inn = uses[i].clone();
-            for r in out {
-                if !defs[i].contains(&r) {
-                    inn.insert(r);
-                }
-            }
-            if inn != live_in[i] {
-                live_in[i] = inn;
-                changed = true;
+    for slot in program.slots() {
+        for r in slot.op.uses().into_iter().chain(slot.op.def()) {
+            if is_temp(r) {
+                temps.insert(r);
+            } else {
+                fixed.insert(r);
             }
         }
     }
-
+    let live_in = temp_liveness(program);
     let max_live_temps = live_in.iter().map(HashSet::len).max().unwrap_or(0);
     Pressure {
         max_live_temps,
@@ -153,9 +86,9 @@ pub fn pressure_summary(pressures: &[(String, Pressure)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap as Map;
-    use symbol_intcode::{Label, Op, Word};
-    use symbol_vliw::{SlotOp, VliwInstr};
+    use crate::program_of;
+    use symbol_intcode::{Op, Word};
+    use symbol_vliw::SlotOp;
 
     fn slot(op: Op) -> SlotOp {
         SlotOp {
@@ -171,33 +104,23 @@ mod tests {
         let t0 = R(reg::FIRST_TEMP);
         let t1 = R(reg::FIRST_TEMP + 1);
         let words = vec![
-            VliwInstr {
-                slots: vec![slot(Op::MvI {
-                    d: t0,
-                    w: Word::int(1),
-                })],
-            },
-            VliwInstr {
-                slots: vec![slot(Op::MvI {
-                    d: t1,
-                    w: Word::int(2),
-                })],
-            },
-            VliwInstr {
-                slots: vec![slot(Op::Alu {
-                    op: symbol_intcode::AluOp::Add,
-                    d: t0,
-                    a: t0,
-                    b: symbol_intcode::Operand::Reg(t1),
-                })],
-            },
-            VliwInstr {
-                slots: vec![slot(Op::Halt { success: true })],
-            },
+            vec![slot(Op::MvI {
+                d: t0,
+                w: Word::int(1),
+            })],
+            vec![slot(Op::MvI {
+                d: t1,
+                w: Word::int(2),
+            })],
+            vec![slot(Op::Alu {
+                op: symbol_intcode::AluOp::Add,
+                d: t0,
+                a: t0,
+                b: symbol_intcode::Operand::Reg(t1),
+            })],
+            vec![slot(Op::Halt { success: true })],
         ];
-        let mut labels = Map::new();
-        labels.insert(Label(0), 0);
-        let p = VliwProgram::new(words, labels, 1, Label(0));
+        let p = program_of(words, &[(0, 0)]);
         let pr = measure(&p);
         assert_eq!(pr.max_live_temps, 2);
         assert_eq!(pr.temps_used, 2);
@@ -207,19 +130,13 @@ mod tests {
     fn dead_code_has_no_pressure() {
         let t0 = R(reg::FIRST_TEMP);
         let words = vec![
-            VliwInstr {
-                slots: vec![slot(Op::MvI {
-                    d: t0,
-                    w: Word::int(1),
-                })],
-            },
-            VliwInstr {
-                slots: vec![slot(Op::Halt { success: true })],
-            },
+            vec![slot(Op::MvI {
+                d: t0,
+                w: Word::int(1),
+            })],
+            vec![slot(Op::Halt { success: true })],
         ];
-        let mut labels = Map::new();
-        labels.insert(Label(0), 0);
-        let p = VliwProgram::new(words, labels, 1, Label(0));
+        let p = program_of(words, &[(0, 0)]);
         let pr = measure(&p);
         assert_eq!(pr.max_live_temps, 0, "t0 is never read");
         assert_eq!(pr.temps_used, 1);

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 
 use symbol_intcode::layout::reg;
 use symbol_intcode::{Op, R};
-use symbol_vliw::{VliwInstr, VliwProgram};
+use symbol_vliw::{SlotOp, VliwProgram};
 
 /// Allocation failure: the program's pressure exceeds the budget.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -47,18 +47,17 @@ fn is_temp(r: R) -> bool {
 /// analysis): `live_in[i]` is the set of temps live when word `i`
 /// issues. Temps never survive indirect transfers by construction.
 pub fn temp_liveness(program: &VliwProgram) -> Vec<HashSet<R>> {
-    let words = program.instrs();
-    let n = words.len();
+    let n = program.len();
     let mut uses: Vec<HashSet<R>> = Vec::with_capacity(n);
     let mut defs: Vec<HashSet<R>> = Vec::with_capacity(n);
     let mut succs: Vec<Vec<usize>> = Vec::with_capacity(n);
 
-    for (i, w) in words.iter().enumerate() {
+    for (i, w) in program.words().enumerate() {
         let mut u = HashSet::new();
         let mut d = HashSet::new();
         let mut s = Vec::new();
         let mut falls = true;
-        for slot in &w.slots {
+        for slot in w {
             for r in slot.op.uses() {
                 if is_temp(r) {
                     u.insert(r);
@@ -130,8 +129,7 @@ pub fn allocate(
     program: &VliwProgram,
     budget: usize,
 ) -> Result<(VliwProgram, usize), OutOfRegisters> {
-    let words = program.instrs();
-    let n = words.len();
+    let n = program.len();
     let live_in = temp_liveness(program);
 
     // live-out per word = union of successors' live-ins; recompute the
@@ -157,7 +155,7 @@ pub fn allocate(
         // next-word set plus branch-target sets
         let mut after: HashSet<R> = HashSet::new();
         let mut falls = true;
-        for slot in &words[i].slots {
+        for slot in program.word(i) {
             match &slot.op {
                 Op::Jmp { t } => {
                     let a = program.label_addr(*t);
@@ -181,7 +179,7 @@ pub fn allocate(
         if falls && i + 1 < n {
             after.extend(live_in[i + 1].iter().copied());
         }
-        for slot in &words[i].slots {
+        for slot in program.word(i) {
             if let Some(d) = slot.op.def() {
                 if is_temp(d) {
                     interf.entry(d).or_default();
@@ -196,12 +194,10 @@ pub fn allocate(
     // Greedy coloring in first-appearance order.
     let mut order: Vec<R> = Vec::new();
     let mut seen: HashSet<R> = HashSet::new();
-    for w in words {
-        for slot in &w.slots {
-            for r in slot.op.uses().into_iter().chain(slot.op.def()) {
-                if is_temp(r) && seen.insert(r) {
-                    order.push(r);
-                }
+    for slot in program.slots() {
+        for r in slot.op.uses().into_iter().chain(slot.op.def()) {
+            if is_temp(r) && seen.insert(r) {
+                order.push(r);
             }
         }
     }
@@ -239,29 +235,25 @@ pub fn allocate(
             r
         }
     };
-    let new_words: Vec<VliwInstr> = words
+    let slots = program
+        .slots()
         .iter()
-        .map(|w| VliwInstr {
-            slots: w
-                .slots
-                .iter()
-                .map(|s| symbol_vliw::SlotOp {
-                    unit: s.unit,
-                    op: rewrite(&s.op, &map),
-                    speculative: s.speculative,
-                })
-                .collect(),
+        .map(|s| SlotOp {
+            unit: s.unit,
+            op: rewrite(&s.op, &map),
+            speculative: s.speculative,
         })
         .collect();
-
-    let label_at: HashMap<symbol_intcode::Label, usize> = program.bound_labels().collect();
+    // The label table, up to the last bound label.
     let num_labels = program
         .bound_labels()
-        .map(|(l, _)| l.0 + 1)
+        .map(|(l, _)| l.0 as usize + 1)
         .max()
         .unwrap_or(1);
+    let label_addr = program.label_table()[..num_labels].to_vec();
+    let word_end = program.word_ends().to_vec();
     Ok((
-        VliwProgram::new(new_words, label_at, num_labels, program.entry()),
+        VliwProgram::new(slots, word_end, label_addr, program.entry()),
         used,
     ))
 }

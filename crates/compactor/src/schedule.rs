@@ -13,16 +13,22 @@
 //! exit are speculated only when provably safe and are marked so the
 //! simulator treats their faults as benign.
 //!
+//! The work splits along what it reads of the machine. A trace's
+//! dependence graph reads only the machine's [`Timing`], so the
+//! dependence pass runs once per (mode, timing) class and stores every
+//! trace's graph; every machine of the class then places the trace on
+//! the stored graph. Placement — list scheduling, compensation code,
+//! emission and unit assignment — is the per-machine scheduler.
+//!
 //! Traces are short (a handful of ops on average), so per-trace set-up
 //! rather than the size of the dependence graph sets the cost. One
 //! scheduler therefore serves a whole compaction: it keeps its buffers
 //! from trace to trace and clears them instead of allocating new ones.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use symbol_intcode::{Cond, IciProgram, Label, Op, OpClass, R};
-use symbol_vliw::{MachineConfig, SlotOp, VliwInstr};
+use symbol_vliw::{MachineConfig, SlotOp, Timing};
 
 use crate::cfg::{Cfg, Edge};
 use crate::liveness::LiveAtLabel;
@@ -30,7 +36,7 @@ use crate::trace::Trace;
 
 /// One op of a rewritten trace.
 #[derive(Clone, Debug)]
-struct TraceOp {
+pub(crate) struct TraceOp {
     /// The (possibly sense-inverted) operation.
     op: Op,
     /// BAM group id (for the BAM-machine barrier mode).
@@ -117,6 +123,115 @@ impl Default for ScheduleOptions {
     }
 }
 
+/// Rewrites a trace's ops for scheduling into `out`: inverts branches
+/// the trace follows through their taken edge (so the trace is the
+/// fall-through path), deletes internal unconditional jumps, and
+/// appends a terminal jump when the last block falls through to
+/// off-trace code.
+///
+/// `block_label` must yield a label bound at any block's start (it may
+/// allocate one).
+pub(crate) fn rewrite(
+    program: &IciProgram,
+    cfg: &Cfg,
+    trace: &Trace,
+    mut block_label: impl FnMut(usize) -> Label,
+    out: &mut Vec<TraceOp>,
+) {
+    let ops = program.ops();
+    let groups = program.groups();
+    out.clear();
+    for (k, &b) in trace.blocks.iter().enumerate() {
+        let block = &cfg.blocks[b];
+        let last = block.end - 1;
+        let kb = k as u32;
+        let next_in_trace = trace.blocks.get(k + 1).copied();
+        for i in block.start..block.end {
+            let op = &ops[i];
+            let is_terminator = i == last;
+            if !is_terminator {
+                out.push(TraceOp {
+                    op: op.clone(),
+                    group: groups[i],
+                    block: kb,
+                });
+                continue;
+            }
+            match (op, next_in_trace) {
+                // Internal unconditional jump: the trace continues
+                // at its target; drop it.
+                (Op::Jmp { .. }, Some(_)) => {}
+                // Conditional branch followed in-trace.
+                (o, Some(next)) if o.is_control() => {
+                    let taken_dest = o
+                        .target()
+                        .and_then(|t| cfg.block_of_label(t))
+                        .expect("conditional branches have bound targets");
+                    if taken_dest == next {
+                        // Trace follows the taken edge: invert so
+                        // the trace falls through; off-trace = old
+                        // fall-through block.
+                        let fall = block
+                            .succs
+                            .iter()
+                            .find_map(|e| match e {
+                                Edge::Fall(d) => Some(*d),
+                                Edge::Taken(_) => None,
+                            })
+                            .expect("conditional branch has a fall-through");
+                        let mut inv = invert(o.clone());
+                        inv.set_target(block_label(fall));
+                        out.push(TraceOp {
+                            op: inv,
+                            group: groups[i],
+                            block: kb,
+                        });
+                    } else {
+                        // Trace follows the fall-through: keep as-is.
+                        out.push(TraceOp {
+                            op: op.clone(),
+                            group: groups[i],
+                            block: kb,
+                        });
+                    }
+                }
+                (o, Some(_)) => {
+                    // Plain fall-through into the next trace block.
+                    out.push(TraceOp {
+                        op: o.clone(),
+                        group: groups[i],
+                        block: kb,
+                    });
+                }
+                // Last block of the trace.
+                (o, None) => {
+                    out.push(TraceOp {
+                        op: o.clone(),
+                        group: groups[i],
+                        block: kb,
+                    });
+                    if o.falls_through() {
+                        // Execution continues at the original
+                        // fall-through block: make it explicit.
+                        let fall = block.succs.iter().find_map(|e| match e {
+                            Edge::Fall(d) => Some(*d),
+                            Edge::Taken(_) if !o.is_control() => Some(e.dest()),
+                            _ => None,
+                        });
+                        if let Some(f) = fall {
+                            out.push(TraceOp {
+                                op: Op::Jmp { t: block_label(f) },
+                                group: groups[i],
+                                block: kb,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// No op / no register: the empty entry of the scheduler's index
 /// tables.
 const NONE: u32 = u32::MAX;
@@ -147,27 +262,136 @@ struct MemRef {
     pos: usize,
 }
 
-/// Per-op state of the list scheduler.
-#[derive(Clone, Copy)]
-struct Node {
-    /// Predecessors not yet placed.
-    indeg: u32,
-    /// Critical-path height: the priority.
-    height: u32,
-    /// First cycle the placed predecessors allow.
-    earliest: u32,
-    /// The cycle it was placed in (`NONE` until then).
-    cycle: u32,
+/// The dependence graphs of a run of traces, back to back in a few flat
+/// arrays (one `Vec` per trace would cost an allocation and its slack
+/// per trace, for the life of the graphs). A node is one op of a
+/// rewritten trace; its successors are numbered within its trace.
+#[derive(Debug)]
+pub(crate) struct Graphs {
+    /// Trace `t`'s nodes are `first[t]..first[t + 1]`.
+    first: Vec<u32>,
+    /// Per node: the number of incoming edges.
+    indeg: Vec<u32>,
+    /// Per node: the critical-path height, the scheduling priority.
+    height: Vec<u32>,
+    /// CSR offsets over all nodes: node `v`'s `(successor, latency)`
+    /// pairs are `succ[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    succ: Vec<(u32, u32)>,
 }
 
-/// The list scheduler and its working storage. One
-/// [`crate::Compactor::compact`] call owns one and runs every trace and
-/// every compensation block through it; each pass clears the buffers
-/// it uses instead of allocating new ones.
+impl Graphs {
+    /// No graphs.
+    pub(crate) fn new() -> Self {
+        Graphs {
+            first: vec![0],
+            indeg: Vec::new(),
+            height: Vec::new(),
+            start: vec![0],
+            succ: Vec::new(),
+        }
+    }
+
+    /// Drops every graph, keeping the buffers.
+    fn clear(&mut self) {
+        self.first.truncate(1);
+        self.indeg.clear();
+        self.height.clear();
+        self.start.truncate(1);
+        self.succ.clear();
+    }
+
+    /// Releases the slack the arrays grew while the graphs were built.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.first.shrink_to_fit();
+        self.indeg.shrink_to_fit();
+        self.height.shrink_to_fit();
+        self.start.shrink_to_fit();
+        self.succ.shrink_to_fit();
+    }
+
+    /// The longest trace, in nodes.
+    pub(crate) fn max_len(&self) -> usize {
+        let lens = self.first.windows(2).map(|w| (w[1] - w[0]) as usize);
+        lens.max().unwrap_or(0)
+    }
+
+    /// Trace `t`'s graph.
+    pub(crate) fn trace(&self, t: usize) -> Graph<'_> {
+        let (a, b) = (self.first[t] as usize, self.first[t + 1] as usize);
+        Graph {
+            indeg: &self.indeg[a..b],
+            height: &self.height[a..b],
+            start: &self.start[a..=b],
+            succ: &self.succ,
+        }
+    }
+
+    /// Appends a trace of `n` nodes with the dependence `edges`
+    /// `(from, to, latency)`: packs them into CSR form and computes the
+    /// in-degrees and heights.
+    fn push(&mut self, n: usize, edges: &[(u32, u32, u32)]) {
+        let base = self.indeg.len();
+        self.first.push((base + n) as u32);
+        if n == 0 {
+            return;
+        }
+        self.indeg.resize(base + n, 0);
+        self.height.resize(base + n, 0);
+        let e0 = self.succ.len() as u32;
+        self.start.resize(base + n + 1, 0);
+        let start = &mut self.start[base..];
+        start.fill(0);
+        let indeg = &mut self.indeg[base..];
+        // A counting sort by source: prefix sums of the out-degrees
+        // give each node's end offset, and filling each list from its
+        // end leaves `start[i]` at its first entry.
+        for &(from, to, _) in edges {
+            start[from as usize] += 1;
+            indeg[to as usize] += 1;
+        }
+        start[0] += e0;
+        for i in 1..n {
+            start[i] += start[i - 1];
+        }
+        start[n] = start[n - 1];
+        self.succ.resize(e0 as usize + edges.len(), (0, 0));
+        for &(from, to, lat) in edges {
+            start[from as usize] -= 1;
+            self.succ[start[from as usize] as usize] = (to, lat);
+        }
+        // Priorities: critical-path heights.
+        let height = &mut self.height[base..];
+        for i in (0..n).rev() {
+            for &(to, lat) in &self.succ[start[i] as usize..start[i + 1] as usize] {
+                height[i] = height[i].max(height[to as usize] + lat.max(1));
+            }
+        }
+    }
+}
+
+/// One trace's dependence graph, as [`Graphs::trace`] hands it out.
+#[derive(Clone, Copy)]
+pub(crate) struct Graph<'a> {
+    indeg: &'a [u32],
+    height: &'a [u32],
+    /// The trace's CSR offsets into `succ`, one past each node.
+    start: &'a [u32],
+    succ: &'a [(u32, u32)],
+}
+
+impl Graph<'_> {
+    /// Node `i`'s `(successor, latency)` pairs.
+    fn succs(&self, i: usize) -> &[(u32, u32)] {
+        &self.succ[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// The dependence pass: builds dependence graphs over registers,
+/// memory and control, with the working storage kept from trace to
+/// trace.
 #[derive(Default)]
-pub(crate) struct Scheduler {
-    /// The rewritten trace (or compensation block) being scheduled.
-    ops: Vec<TraceOp>,
+pub(crate) struct DependencePass {
     /// Dependence edges `(from, to, latency)`, in discovery order.
     /// Duplicates are harmless: heights and earliest cycles take
     /// maxima, and in-degrees count each copy once per release.
@@ -183,177 +407,38 @@ pub(crate) struct Scheduler {
     mem_refs: Vec<MemRef>,
     /// Positions of the control ops.
     branches: Vec<usize>,
-    /// Per-op scheduler state.
-    nodes: Vec<Node>,
-    /// CSR offsets: `succ[start[i]..start[i + 1]]` are op `i`'s
-    /// successors.
-    start: Vec<u32>,
-    /// CSR successor lists, `(successor, latency)`.
-    succ: Vec<(u32, u32)>,
-    /// Unplaced ops whose predecessors are all placed.
-    pending: Vec<usize>,
-    /// The pending ops that may issue in the current cycle.
-    ready: Vec<usize>,
-    /// The compensation label each side exit is retargeted to.
-    retarget: Vec<Option<Label>>,
-    /// Ops per emitted word of the current trace.
-    width: Vec<usize>,
-    /// The compensation blocks of every trace scheduled so far.
-    comps: Vec<CompBlock>,
-    /// Their delayed ops, back to back.
-    comp_ops: Vec<Op>,
 }
 
-impl Scheduler {
-    /// Rewrites a trace's ops for scheduling: inverts branches the
-    /// trace follows through their taken edge (so the trace is the
-    /// fall-through path), deletes internal unconditional jumps, and
-    /// appends a terminal jump when the last block falls through to
-    /// off-trace code.
+impl DependencePass {
+    /// Appends the dependence graph of the rewritten trace `trace_ops`
+    /// to `graphs`.
     ///
-    /// `block_label` must yield a label bound at any block's start (it
-    /// may allocate one).
-    pub(crate) fn rewrite(
+    /// Only `timing` is read of the machine, and labels only through
+    /// `live`, which reads every label the program does not bind as
+    /// live. So every machine of one timing gets the same graph, however
+    /// the fresh labels of its rewrite are numbered.
+    pub(crate) fn run(
         &mut self,
-        program: &IciProgram,
-        cfg: &Cfg,
-        trace: &Trace,
-        mut block_label: impl FnMut(usize) -> Label,
-    ) {
-        let ops = program.ops();
-        let groups = program.groups();
-        let out = &mut self.ops;
-        out.clear();
-        for (k, &b) in trace.blocks.iter().enumerate() {
-            let block = &cfg.blocks[b];
-            let last = block.end - 1;
-            let kb = k as u32;
-            let next_in_trace = trace.blocks.get(k + 1).copied();
-            for i in block.start..block.end {
-                let op = &ops[i];
-                let is_terminator = i == last;
-                if !is_terminator {
-                    out.push(TraceOp {
-                        op: op.clone(),
-                        group: groups[i],
-                        block: kb,
-                    });
-                    continue;
-                }
-                match (op, next_in_trace) {
-                    // Internal unconditional jump: the trace continues
-                    // at its target; drop it.
-                    (Op::Jmp { .. }, Some(_)) => {}
-                    // Conditional branch followed in-trace.
-                    (o, Some(next)) if o.is_control() => {
-                        let taken_dest = o
-                            .target()
-                            .and_then(|t| cfg.block_of_label(t))
-                            .expect("conditional branches have bound targets");
-                        if taken_dest == next {
-                            // Trace follows the taken edge: invert so
-                            // the trace falls through; off-trace = old
-                            // fall-through block.
-                            let fall = block
-                                .succs
-                                .iter()
-                                .find_map(|e| match e {
-                                    Edge::Fall(d) => Some(*d),
-                                    Edge::Taken(_) => None,
-                                })
-                                .expect("conditional branch has a fall-through");
-                            let mut inv = invert(o.clone());
-                            inv.set_target(block_label(fall));
-                            out.push(TraceOp {
-                                op: inv,
-                                group: groups[i],
-                                block: kb,
-                            });
-                        } else {
-                            // Trace follows the fall-through: keep as-is.
-                            out.push(TraceOp {
-                                op: op.clone(),
-                                group: groups[i],
-                                block: kb,
-                            });
-                        }
-                    }
-                    (o, Some(_)) => {
-                        // Plain fall-through into the next trace block.
-                        out.push(TraceOp {
-                            op: o.clone(),
-                            group: groups[i],
-                            block: kb,
-                        });
-                    }
-                    // Last block of the trace.
-                    (o, None) => {
-                        out.push(TraceOp {
-                            op: o.clone(),
-                            group: groups[i],
-                            block: kb,
-                        });
-                        if o.falls_through() {
-                            // Execution continues at the original
-                            // fall-through block: make it explicit.
-                            let fall = block.succs.iter().find_map(|e| match e {
-                                Edge::Fall(d) => Some(*d),
-                                Edge::Taken(_) if !o.is_control() => Some(e.dest()),
-                                _ => None,
-                            });
-                            if let Some(f) = fall {
-                                out.push(TraceOp {
-                                    op: Op::Jmp { t: block_label(f) },
-                                    group: groups[i],
-                                    block: kb,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Schedules the rewritten trace onto `machine` and appends its
-    /// instruction words (with explicit empty words for latency stalls)
-    /// to `out`. Compensation blocks for its side exits are kept for
-    /// [`Scheduler::emit_comp_blocks`].
-    pub(crate) fn schedule(
-        &mut self,
-        machine: &MachineConfig,
+        trace_ops: &[TraceOp],
+        timing: &Timing,
         live: &LiveAtLabel<'_>,
-        labels: &mut LabelAlloc,
         opts: &ScheduleOptions,
-        out: &mut Vec<VliwInstr>,
+        graphs: &mut Graphs,
     ) {
-        let Scheduler {
-            ops: trace_ops,
+        let DependencePass {
             edges,
             regs,
             reg,
             use_link,
             mem_refs,
             branches: branch_positions,
-            nodes,
-            start,
-            succ,
-            pending,
-            ready,
-            retarget,
-            width,
-            comps,
-            comp_ops,
         } = self;
-        let trace_ops: &[TraceOp] = trace_ops;
         let n = trace_ops.len();
+        edges.clear();
         if n == 0 {
+            graphs.push(0, edges);
             return;
         }
-
-        // ---------------- dependence DAG ----------------
-        // Edges are collected flat and packed into CSR form below.
-        edges.clear();
         let mut add_edge =
             |from: usize, to: usize, lat: u32| edges.push((from as u32, to as u32, lat));
 
@@ -389,7 +474,7 @@ impl Scheduler {
                 let r = &mut reg[local(u)];
                 if r.last_def != NONE {
                     let d = r.last_def as usize;
-                    add_edge(d, j, machine.latency(&trace_ops[d].op));
+                    add_edge(d, j, timing.latency(&trace_ops[d].op));
                 }
                 use_link.push((j as u32, r.uses));
                 r.uses = (use_link.len() - 1) as u32;
@@ -458,7 +543,7 @@ impl Scheduler {
         {
             // Branch-order chain.
             for w in branch_positions.windows(2) {
-                add_edge(w[0], w[1], u32::from(!machine.multiway_branch));
+                add_edge(w[0], w[1], u32::from(!timing.multiway_branch));
             }
             // Ops after a side exit: hoisting rules.
             for &b in branch_positions {
@@ -489,13 +574,13 @@ impl Scheduler {
             // exit ends up in the compensation block and needs no edge
             // — but a nonzero drain edge pins it above, which is the
             // conservative choice.
-            let resume = 1 + machine.taken_branch_penalty;
+            let resume = 1 + timing.taken_branch_penalty;
             for &b in branch_positions {
                 for i in 0..b {
                     if trace_ops[i].op.is_control() {
                         continue;
                     }
-                    let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
+                    let drain = timing.latency(&trace_ops[i].op).saturating_sub(resume);
                     if drain > 0 {
                         add_edge(i, b, drain);
                     }
@@ -506,7 +591,7 @@ impl Scheduler {
             let term = n - 1;
             if trace_ops[term].op.is_control() {
                 for i in 0..term {
-                    let drain = machine.latency(&trace_ops[i].op).saturating_sub(resume);
+                    let drain = timing.latency(&trace_ops[i].op).saturating_sub(resume);
                     add_edge(i, term, drain);
                 }
             }
@@ -539,46 +624,122 @@ impl Scheduler {
             }
         }
 
-        // CSR successor lists: `succ[start[i]..start[i + 1]]` are op
-        // `i`'s `(successor, latency)` pairs. A counting sort by source:
-        // prefix sums of the out-degrees give each op's end offset, and
-        // filling each list from its end leaves `start[i]` at its first
-        // entry.
-        nodes.clear();
-        nodes.resize(
-            n,
-            Node {
-                indeg: 0,
-                height: 0,
-                earliest: 0,
-                cycle: NONE,
-            },
-        );
-        start.clear();
-        start.resize(n + 1, 0);
-        for &(from, to, _) in edges.iter() {
-            start[from as usize] += 1;
-            nodes[to as usize].indeg += 1;
-        }
-        for i in 1..n {
-            start[i] += start[i - 1];
-        }
-        start[n] = start[n - 1];
-        succ.clear();
-        succ.resize(edges.len(), (0, 0));
-        for &(from, to, lat) in edges.iter() {
-            start[from as usize] -= 1;
-            succ[start[from as usize] as usize] = (to, lat);
-        }
-        let (start, succ): (&[u32], &[(u32, u32)]) = (start, succ);
-        let succs = |i: usize| &succ[start[i] as usize..start[i + 1] as usize];
+        graphs.push(n, edges);
+    }
+}
 
-        // ---------------- priorities (critical-path height) ----------------
-        for i in (0..n).rev() {
-            for &(to, lat) in succs(i) {
-                nodes[i].height = nodes[i].height.max(nodes[to as usize].height + lat.max(1));
-            }
+/// Per-op state of the list scheduler.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Predecessors not yet placed.
+    indeg: u32,
+    /// First cycle the placed predecessors allow.
+    earliest: u32,
+    /// The cycle it was placed in (`NONE` until then).
+    cycle: u32,
+}
+
+/// The words being laid out: every word's slots back to back, and the
+/// end offset of each word, as [`symbol_vliw::VliwProgram::new`] takes
+/// them.
+#[derive(Default)]
+pub(crate) struct Words {
+    pub(crate) slots: Vec<SlotOp>,
+    pub(crate) word_end: Vec<u32>,
+}
+
+impl Words {
+    /// Room for about `ops` slots and words.
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        Words {
+            slots: Vec::with_capacity(ops),
+            word_end: Vec::with_capacity(ops),
         }
+    }
+
+    /// Number of words so far.
+    pub(crate) fn len(&self) -> usize {
+        self.word_end.len()
+    }
+}
+
+/// The placement pass and its working storage. One
+/// [`crate::Compactor::compact`] call owns one and runs every trace and
+/// every compensation block through it; each pass clears the buffers
+/// it uses instead of allocating new ones.
+#[derive(Default)]
+pub(crate) struct Scheduler {
+    /// The rewritten trace (or compensation block) being scheduled.
+    pub(crate) ops: Vec<TraceOp>,
+    /// Per-op scheduler state.
+    nodes: Vec<Node>,
+    /// Unplaced ops whose predecessors are all placed.
+    pending: Vec<usize>,
+    /// The pending ops that may issue in the current cycle.
+    ready: Vec<usize>,
+    /// The compensation label each side exit is retargeted to.
+    retarget: Vec<Option<Label>>,
+    /// Per emitted word of the current trace: its first slot, then, as
+    /// the ops are given their slots, one past its last.
+    word_at: Vec<u32>,
+    /// The ops in slot order, each with its speculative flag.
+    order: Vec<(u32, bool)>,
+    /// The compensation blocks of every trace scheduled so far.
+    comps: Vec<CompBlock>,
+    /// Their delayed ops, back to back.
+    comp_ops: Vec<Op>,
+}
+
+impl Scheduler {
+    /// A scheduler with room for traces of `len` ops.
+    pub(crate) fn with_capacity(len: usize) -> Self {
+        Scheduler {
+            ops: Vec::with_capacity(len),
+            nodes: Vec::with_capacity(len),
+            pending: Vec::with_capacity(len),
+            ready: Vec::with_capacity(len),
+            retarget: Vec::with_capacity(len),
+            word_at: Vec::with_capacity(len),
+            order: Vec::with_capacity(len),
+            ..Scheduler::default()
+        }
+    }
+
+    /// Schedules the rewritten trace in `self.ops` onto `machine`,
+    /// given its dependence graph, and appends its instruction words
+    /// (with explicit empty words for latency stalls) to `out`.
+    /// Compensation blocks for its side exits are kept for
+    /// [`Scheduler::emit_comp_blocks`].
+    pub(crate) fn place(
+        &mut self,
+        machine: &MachineConfig,
+        graph: Graph<'_>,
+        labels: &mut LabelAlloc,
+        out: &mut Words,
+    ) {
+        let Scheduler {
+            ops: trace_ops,
+            nodes,
+            pending,
+            ready,
+            retarget,
+            word_at,
+            order,
+            comps,
+            comp_ops,
+        } = self;
+        let trace_ops: &[TraceOp] = trace_ops;
+        let n = trace_ops.len();
+        if n == 0 {
+            return;
+        }
+        nodes.clear();
+        nodes.extend(graph.indeg.iter().map(|&indeg| Node {
+            indeg,
+            earliest: 0,
+            cycle: NONE,
+        }));
+        let height = graph.height;
 
         // ---------------- list scheduling ----------------
         pending.clear();
@@ -601,7 +762,7 @@ impl Scheduler {
                     .copied()
                     .filter(|&i| nodes[i].earliest <= cycle),
             );
-            ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(nodes[i].height), i));
+            ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(height[i]), i));
 
             let mut used = [0usize; OpClass::COUNT]; // indexed by OpClass::index()
             let mut total_used = 0usize;
@@ -624,7 +785,7 @@ impl Scheduler {
                 if nodes[i].cycle != cycle {
                     continue;
                 }
-                for &(to, lat) in succs(i) {
+                for &(to, lat) in graph.succs(i) {
                     let node = &mut nodes[to as usize];
                     node.indeg -= 1;
                     node.earliest = node.earliest.max(cycle + lat);
@@ -640,9 +801,11 @@ impl Scheduler {
         // ---------------- compensation code ----------------
         retarget.clear();
         retarget.resize(n, None);
-        for &b in branch_positions {
-            if b == n - 1 {
-                continue; // the terminal transfer has no delayed ops below it
+        // Side exits only: the terminal transfer, op `n - 1`, has no
+        // delayed ops below it.
+        for b in 0..n - 1 {
+            if !trace_ops[b].op.is_control() {
+                continue;
             }
             let target = match trace_ops[b].op.target() {
                 Some(t) => t,
@@ -667,43 +830,51 @@ impl Scheduler {
         }
 
         // ---------------- emit words ----------------
-        // Each word's slot vector is allocated once, at its final size.
-        width.clear();
-        width.resize(num_words, 0);
+        // Each word's ops, in original order (the branch priority), are
+        // one run of slots: a counting sort of the ops by cycle. An op
+        // is speculative when it issues no later than some earlier
+        // branch of the trace: a running maximum of those cycles.
+        word_at.clear();
+        word_at.resize(num_words, 0);
         for node in nodes.iter() {
-            width[node.cycle as usize] += 1;
+            word_at[node.cycle as usize] += 1;
         }
-        let first_word = out.len();
-        out.extend(width.iter().map(|&k| VliwInstr {
-            slots: Vec::with_capacity(k),
-        }));
-        let words = &mut out[first_word..];
-        // Ops enter their words in original order, which is the branch
-        // priority. An op is speculative when it issues no later than
-        // some earlier branch of the trace: a running maximum of those
-        // cycles.
+        let mut at = 0;
+        for w in word_at.iter_mut() {
+            (*w, at) = (at, at + *w);
+        }
+        order.clear();
+        order.resize(n, (0, false));
         let mut branch_cycle: Option<u32> = None;
         for (i, top) in trace_ops.iter().enumerate() {
             let c = nodes[i].cycle;
-            let mut op = top.op.clone();
-            if let Some(l) = retarget[i] {
-                op.set_target(l);
-            }
-            words[c as usize].slots.push(SlotOp {
-                unit: 0,
-                op,
-                speculative: branch_cycle.is_some_and(|b| c <= b),
-            });
+            let slot = &mut word_at[c as usize];
+            order[*slot as usize] = (i as u32, branch_cycle.is_some_and(|b| c <= b));
+            *slot += 1;
             if top.op.is_control() {
                 branch_cycle = branch_cycle.max(Some(c));
             }
         }
-        for word in words {
+        let base = out.slots.len();
+        let mut from = 0;
+        for &end in word_at.iter() {
             let mut unit_next = [0usize; OpClass::COUNT];
-            for slot in &mut word.slots {
-                let class = slot.op.class();
-                slot.unit = assign_unit(machine, class, &mut unit_next, class.index());
+            for &(i, speculative) in &order[from..end as usize] {
+                let i = i as usize;
+                let mut op = trace_ops[i].op.clone();
+                if let Some(l) = retarget[i] {
+                    op.set_target(l);
+                }
+                let class = op.class();
+                let unit = assign_unit(machine, class, &mut unit_next, class.index());
+                out.slots.push(SlotOp {
+                    unit,
+                    op,
+                    speculative,
+                });
             }
+            from = end as usize;
+            out.word_end.push((base + from) as u32);
         }
     }
 
@@ -716,20 +887,23 @@ impl Scheduler {
     /// delayed ops plus the final jump, straight-line, so no further
     /// compensation arises — and appends their words to `out` in the
     /// order the blocks were made, binding each block's label to its
-    /// first word in `label_at`.
+    /// first word in `label_addr`.
     pub(crate) fn emit_comp_blocks(
         &mut self,
         machine: &MachineConfig,
         live: &LiveAtLabel<'_>,
         labels: &mut LabelAlloc,
-        label_at: &mut HashMap<Label, usize>,
-        out: &mut Vec<VliwInstr>,
+        label_addr: &mut [usize],
+        out: &mut Words,
     ) {
         let straight = ScheduleOptions {
             speculate: false,
             group_barriers: false,
             block_barriers: false,
         };
+        let timing = machine.timing();
+        let mut deps = DependencePass::default();
+        let mut graph = Graphs::new();
         let count = self.comps.len();
         for k in 0..count {
             let CompBlock { label, ops, target } = self.comps[k].clone();
@@ -744,8 +918,10 @@ impl Scheduler {
                 group: 0,
                 block: 0,
             });
-            label_at.insert(label, out.len());
-            self.schedule(machine, live, labels, &straight, out);
+            graph.clear();
+            deps.run(&self.ops, &timing, live, &straight, &mut graph);
+            label_addr[label.0 as usize] = out.len();
+            self.place(machine, graph.trace(0), labels, out);
         }
         assert_eq!(
             self.comps.len(),

@@ -140,7 +140,7 @@ pub fn pick_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
 }
 
 /// The off-trace blocks a trace will reference once rewritten
-/// (mirrors the decisions of `Scheduler::rewrite`).
+/// (mirrors the decisions of `schedule::rewrite`).
 fn referenced_blocks(cfg: &Cfg, trace: &Trace, out: &mut Vec<usize>) {
     use symbol_intcode::Op;
     let blocks = &trace.blocks;

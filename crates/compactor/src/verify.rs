@@ -111,17 +111,17 @@ pub(crate) fn missing_slot(machine: &MachineConfig) -> Option<&'static str> {
 pub fn verify_program(program: &VliwProgram, machine: &MachineConfig) -> Result<(), Violation> {
     let mut unit_class: Vec<(usize, OpClass)> = Vec::new();
     let mut written: Vec<u32> = Vec::new();
-    for (at, word) in program.instrs().iter().enumerate() {
-        if word.slots.len() > machine.issue_width {
+    for (at, word) in program.words().enumerate() {
+        if word.len() > machine.issue_width {
             return Err(Violation::IssueWidth {
                 at,
-                ops: word.slots.len(),
+                ops: word.len(),
             });
         }
         let mut class_used = [0usize; OpClass::COUNT];
         unit_class.clear();
         written.clear();
-        for s in &word.slots {
+        for s in word {
             let class = s.op.class();
             let idx = class.index();
             class_used[idx] += 1;
@@ -168,16 +168,12 @@ pub fn verify_program(program: &VliwProgram, machine: &MachineConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::program_of;
     use symbol_intcode::{AluOp, Label, Layout, Op, Operand, Word, R};
-    use symbol_vliw::{
-        DecodedVliw, DecodedVliwSim, SimConfig, SimError, SlotOp, VliwInstr, VliwSim,
-    };
+    use symbol_vliw::{DecodedVliw, DecodedVliwSim, SimConfig, SimError, SlotOp, VliwSim};
 
-    fn program(words: Vec<VliwInstr>) -> VliwProgram {
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        VliwProgram::new(words, labels, 1, Label(0))
+    fn program(words: Vec<Vec<SlotOp>>) -> VliwProgram {
+        program_of(words, &[(0, 0)])
     }
 
     fn slot(unit: usize, op: Op) -> SlotOp {
@@ -190,97 +186,89 @@ mod tests {
 
     #[test]
     fn accepts_legal_word() {
-        let p = program(vec![VliwInstr {
-            slots: vec![
-                slot(
-                    0,
-                    Op::MvI {
-                        d: R(40),
-                        w: Word::int(1),
-                    },
-                ),
-                slot(
-                    1,
-                    Op::MvI {
-                        d: R(41),
-                        w: Word::int(2),
-                    },
-                ),
-            ],
-        }]);
+        let p = program(vec![vec![
+            slot(
+                0,
+                Op::MvI {
+                    d: R(40),
+                    w: Word::int(1),
+                },
+            ),
+            slot(
+                1,
+                Op::MvI {
+                    d: R(41),
+                    w: Word::int(2),
+                },
+            ),
+        ]]);
         assert!(verify_program(&p, &MachineConfig::units(2)).is_ok());
     }
 
     #[test]
     fn rejects_issue_width_overflow() {
-        let p = program(vec![VliwInstr {
-            slots: vec![
-                slot(
-                    0,
-                    Op::MvI {
-                        d: R(40),
-                        w: Word::int(1),
-                    },
-                ),
-                slot(
-                    1,
-                    Op::MvI {
-                        d: R(41),
-                        w: Word::int(2),
-                    },
-                ),
-            ],
-        }]);
+        let p = program(vec![vec![
+            slot(
+                0,
+                Op::MvI {
+                    d: R(40),
+                    w: Word::int(1),
+                },
+            ),
+            slot(
+                1,
+                Op::MvI {
+                    d: R(41),
+                    w: Word::int(2),
+                },
+            ),
+        ]]);
         let err = verify_program(&p, &MachineConfig::units(1)).unwrap_err();
         assert!(matches!(err, Violation::IssueWidth { .. }));
     }
 
     #[test]
     fn rejects_memory_port_overflow() {
-        let p = program(vec![VliwInstr {
-            slots: vec![
-                slot(
-                    0,
-                    Op::Ld {
-                        d: R(40),
-                        base: R(50),
-                        off: 0,
-                    },
-                ),
-                slot(
-                    1,
-                    Op::Ld {
-                        d: R(41),
-                        base: R(50),
-                        off: 1,
-                    },
-                ),
-            ],
-        }]);
+        let p = program(vec![vec![
+            slot(
+                0,
+                Op::Ld {
+                    d: R(40),
+                    base: R(50),
+                    off: 0,
+                },
+            ),
+            slot(
+                1,
+                Op::Ld {
+                    d: R(41),
+                    base: R(50),
+                    off: 1,
+                },
+            ),
+        ]]);
         let err = verify_program(&p, &MachineConfig::wide_units(2)).unwrap_err();
         assert!(matches!(err, Violation::ClassBudget { .. }));
     }
 
     #[test]
     fn rejects_double_write() {
-        let p = program(vec![VliwInstr {
-            slots: vec![
-                slot(
-                    0,
-                    Op::MvI {
-                        d: R(40),
-                        w: Word::int(1),
-                    },
-                ),
-                slot(
-                    1,
-                    Op::MvI {
-                        d: R(40),
-                        w: Word::int(2),
-                    },
-                ),
-            ],
-        }]);
+        let p = program(vec![vec![
+            slot(
+                0,
+                Op::MvI {
+                    d: R(40),
+                    w: Word::int(1),
+                },
+            ),
+            slot(
+                1,
+                Op::MvI {
+                    d: R(40),
+                    w: Word::int(2),
+                },
+            ),
+        ]]);
         let err = verify_program(&p, &MachineConfig::units(2)).unwrap_err();
         assert!(matches!(err, Violation::DoubleWrite { reg: 40, .. }));
     }
@@ -300,9 +288,7 @@ mod tests {
             pdl_size: 8,
         };
         let jmp = slot(0, Op::Jmp { t: Label(1) });
-        let halt = VliwInstr {
-            slots: vec![slot(0, Op::Halt { success: true })],
-        };
+        let halt = vec![slot(0, Op::Halt { success: true })];
         let ops = [
             Op::Mv { d: R(40), s: R(41) },
             Op::MvI {
@@ -319,20 +305,19 @@ mod tests {
         for op in ops {
             let (op, jmp) = (slot(0, op), jmp.clone());
             for slots in [vec![op.clone(), jmp.clone()], vec![jmp, op]] {
-                let word = VliwInstr { slots };
-                let labels = HashMap::from([(Label(0), 0), (Label(1), 1)]);
-                let p = VliwProgram::new(vec![word.clone(), halt.clone()], labels, 2, Label(0));
+                let p = program_of(vec![slots, halt.clone()], &[(0, 0), (1, 1)]);
+                let word = p.word(0);
                 assert_eq!(
                     verify_program(&p, &machine),
                     Err(Violation::FormatConflict { at: 0, unit: 0 }),
-                    "{word}"
+                    "{word:?}"
                 );
                 let conflict = Err(SimError::FormatConflict { at: 0, unit: 0 });
                 let legacy = VliwSim::new(&p, machine, &layout).run(&SimConfig::default());
-                assert_eq!(legacy, conflict, "legacy {word}");
+                assert_eq!(legacy, conflict, "legacy {word:?}");
                 let decoded = DecodedVliw::new(&p, machine);
                 let fast = DecodedVliwSim::new(&decoded, &layout).run(&SimConfig::default());
-                assert_eq!(fast, conflict, "decoded {word}");
+                assert_eq!(fast, conflict, "decoded {word:?}");
                 // fine on a machine without the restriction
                 assert!(verify_program(&p, &MachineConfig::units(3)).is_ok());
             }

@@ -255,7 +255,10 @@ pub fn measure_cached(
             ("machine", machine_label),
         ];
         let _span = obs.span("simulate", labels);
-        let compacted = compactor.compact(&machine, mode)?;
+        let compacted = {
+            let _span = obs.span("compact", labels);
+            compactor.compact(&machine, mode)?
+        };
         let result = pipeline::simulate(&compacted.program, machine, &compiled.layout)?;
         obs.counter("sim.cycles", labels).add(result.cycles);
         obs.counter("sim.ops", labels).add(result.ops);

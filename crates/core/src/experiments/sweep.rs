@@ -21,7 +21,8 @@
 //!   ([`CompiledCache`]), and every simulation reads that one profile
 //!   immutably;
 //! * simulations are distributed through `run_indexed`, which
-//!   collects results **by job index**, never by completion order;
+//!   collects results **by job index**, never by completion order, and
+//!   each job's result is stored at its point's index;
 //! * reductions (geomean, frontier, winners) iterate in fixed config /
 //!   benchmark order with deterministic tie-breaks (lower hardware
 //!   cost, then lower config index);
@@ -56,7 +57,7 @@ use symbol_analysis::{port_cycle_floor, TextTable};
 use symbol_compactor::{sequential_cycles, CompactMode, Compactor, SeqDurations, TracePolicy};
 use symbol_intcode::OpClass;
 use symbol_obs::Registry;
-use symbol_vliw::MachineConfig;
+use symbol_vliw::{MachineConfig, Timing};
 
 use crate::benchmarks::Benchmark;
 use crate::pipeline::{self, Compiled, CompiledCache, PipelineError};
@@ -565,10 +566,14 @@ pub struct SweepReport {
 /// Per benchmark: one compile, one sequential profiling run
 /// ([`CompiledCache`]) and one [`Compactor`], then the whole point list
 /// fans out over `opts.threads` workers through `run_indexed`, sharing
-/// the compactor's per-profile analysis. Per-benchmark spans
-/// (`sweep.bench`) and cycle/point counters are recorded on `obs`;
-/// labels carry only the benchmark name, never the configuration, so
-/// the metric cardinality stays bounded for thousand-point grids.
+/// the compactor's per-profile analysis and its dependence graphs per
+/// (mode, timing) class. The points are handed out round-robin across
+/// those classes, so that the workers start on different classes, and
+/// collected by point index.
+/// Per-benchmark spans (`sweep.bench`, and `compact` around each
+/// compaction) and cycle/point counters are recorded on `obs`; labels
+/// carry only the benchmark name, never the configuration, so the
+/// metric cardinality stays bounded for thousand-point grids.
 ///
 /// # Errors
 ///
@@ -585,6 +590,7 @@ pub fn run_sweep(
     let mut normalized = grid.clone();
     normalized.normalize().map_err(SweepError::Grid)?;
     let points = normalized.expand();
+    let order = class_interleaved(&points);
     let start = Instant::now();
 
     let mut report = SweepReport {
@@ -625,17 +631,23 @@ pub fn run_sweep(
 
         let simulate = |i: usize| -> Result<(u64, u64), PipelineError> {
             let point = &points[i];
-            let compacted = compactor.compact(&point.machine, point.mode)?;
+            let compacted = {
+                let _span = obs.span("compact", labels);
+                compactor.compact(&point.machine, point.mode)?
+            };
             let result = pipeline::simulate(&compacted.program, point.machine, &compiled.layout)?;
             Ok((result.cycles, result.class_ops[OpClass::Memory.index()]))
         };
 
+        let mut results: Vec<_> = run_indexed(order.len(), opts.threads, |k| simulate(order[k]))
+            .into_iter()
+            .zip(&order)
+            .map(|(r, &i)| (i, r))
+            .collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
         let mut cycles = Vec::with_capacity(points.len());
         let mut mem_ops = Vec::with_capacity(points.len());
-        for (i, r) in run_indexed(points.len(), opts.threads, simulate)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, r) in results {
             let (c, m) = r.map_err(|e| wrap(e, points[i].label()))?;
             cycles.push(c);
             mem_ops.push(m);
@@ -653,6 +665,27 @@ pub fn run_sweep(
         });
     }
     Ok(report)
+}
+
+/// The order `run_sweep` hands its points to the workers in: one point
+/// of each (mode, [`Timing`]) class in turn, classes in order of first
+/// appearance and each class's points in grid order. The machines of a
+/// class share their dependence graphs, which the first of them builds;
+/// taking the points class by class in grid order would have the
+/// workers start on one class, and all but one wait for its graphs.
+fn class_interleaved(points: &[SweepPoint]) -> Vec<usize> {
+    let mut classes: Vec<((CompactMode, Timing), Vec<usize>)> = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        let key = (p.mode, p.machine.timing());
+        match classes.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => classes.push((key, vec![i])),
+        }
+    }
+    let rounds = classes.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|r| classes.iter().filter_map(move |(_, m)| m.get(r).copied()))
+        .collect()
 }
 
 impl SweepReport {

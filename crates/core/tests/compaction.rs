@@ -32,21 +32,74 @@ fn suite() -> &'static [(&'static str, IciProgram, ExecStats)] {
 }
 
 /// The (mode, machine) jobs a shared compactor serves: every mode, and
-/// machines from one unit to unbounded, split formats included.
+/// machines from one unit to unbounded, split formats included. Then,
+/// in all three modes, machines that differ from `units(3)` in one
+/// timing field each, alternating with machines that differ from it
+/// only in resources (issue width, memory ports, split formats), so
+/// that consecutive jobs belong to different (mode, timing) classes
+/// and each class's dependence graphs are shared by jobs of both
+/// workers.
 fn jobs() -> Vec<(CompactMode, MachineConfig)> {
-    vec![
+    let mut jobs = vec![
         (CompactMode::BamGroups, MachineConfig::bam()),
         (CompactMode::BasicBlock, MachineConfig::unbounded()),
         (CompactMode::TraceSchedule, MachineConfig::units(1)),
         (CompactMode::TraceSchedule, MachineConfig::unbounded()),
         (CompactMode::TraceSchedule, MachineConfig::prototype()),
-    ]
+    ];
+    let base = MachineConfig::units(3);
+    let timing = [
+        MachineConfig {
+            mem_latency: 1,
+            ..base
+        },
+        MachineConfig {
+            mem_latency: 4,
+            ..base
+        },
+        MachineConfig {
+            alu_latency: 2,
+            ..base
+        },
+        MachineConfig {
+            taken_branch_penalty: 0,
+            ..base
+        },
+        MachineConfig {
+            taken_branch_penalty: 2,
+            ..base
+        },
+        MachineConfig {
+            multiway_branch: false,
+            ..base
+        },
+    ];
+    let resources = [
+        MachineConfig::wide_units(3),
+        MachineConfig {
+            mem_ports: 2,
+            ..base
+        },
+        MachineConfig::prototype(),
+    ];
+    for (k, &machine) in timing.iter().enumerate() {
+        for mode in [
+            CompactMode::TraceSchedule,
+            CompactMode::BasicBlock,
+            CompactMode::BamGroups,
+        ] {
+            jobs.push((mode, machine));
+            if let Some(&other) = resources.get(k) {
+                jobs.push((mode, other));
+            }
+        }
+    }
+    jobs
 }
 
 fn assert_same(name: &str, what: &str, a: &Compacted, b: &Compacted) {
-    assert_eq!(
-        a.program.instrs(),
-        b.program.instrs(),
+    assert!(
+        a.program.words().eq(b.program.words()),
         "{name} {what}: words"
     );
     assert_eq!(

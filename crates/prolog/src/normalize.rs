@@ -61,17 +61,13 @@ impl Ctx<'_> {
         } = rc;
         let at = (line, col);
         let (head, body_term) = match term {
-            Term::Struct(f, mut args) if f == wk::NECK && args.len() == 2 => {
-                let body = args.pop().expect("binary neck");
-                let head = args.pop().expect("binary neck");
-                (head, Some(body))
-            }
-            // Directives (`:- G.`) are ignored: the benchmark driver
-            // always calls `main/0` explicitly.
-            Term::Struct(f, args) if f == wk::NECK && args.len() == 1 => {
-                let _ = args;
-                return Ok(());
-            }
+            Term::Struct(f, args) if f == wk::NECK => match <[Term; 2]>::try_from(args) {
+                Ok([head, body]) => (head, Some(body)),
+                // Directives (`:- G.`) are ignored: the pipeline always
+                // calls `main/0` explicitly.
+                Err(args) if args.len() == 1 => return Ok(()),
+                Err(args) => (Term::Struct(f, args), None),
+            },
             other => (other, None),
         };
         let mut goals = Vec::new();
@@ -91,35 +87,38 @@ impl Ctx<'_> {
         at: (usize, usize),
         acc: &mut Vec<Term>,
     ) -> Result<(), ParseError> {
+        // A control functor of another arity is an ordinary goal.
         match goal {
-            Term::Struct(f, mut args) if f == wk::COMMA && args.len() == 2 => {
-                let b = args.pop().expect("binary comma");
-                let a = args.pop().expect("binary comma");
-                self.flatten(a, var_names, at, acc)?;
-                self.flatten(b, var_names, at, acc)?;
-            }
-            Term::Atom(a) if a == wk::TRUE => {}
-            Term::Struct(f, mut args) if f == wk::SEMICOLON && args.len() == 2 => {
-                let else_ = args.pop().expect("binary ;");
-                let left = args.pop().expect("binary ;");
-                match left {
-                    Term::Struct(g, mut ct) if g == wk::ARROW && ct.len() == 2 => {
-                        let then = ct.pop().expect("binary ->");
-                        let cond = ct.pop().expect("binary ->");
-                        self.emit_ite(cond, then, else_, var_names, at, acc)?;
-                    }
-                    other => self.emit_or(other, else_, var_names, at, acc)?,
+            Term::Struct(f, args) if f == wk::COMMA => match <[Term; 2]>::try_from(args) {
+                Ok([a, b]) => {
+                    self.flatten(a, var_names, at, acc)?;
+                    self.flatten(b, var_names, at, acc)?;
                 }
-            }
-            Term::Struct(f, mut args) if f == wk::ARROW && args.len() == 2 => {
-                let then = args.pop().expect("binary ->");
-                let cond = args.pop().expect("binary ->");
-                self.emit_ite(cond, then, Term::Atom(wk::FAIL), var_names, at, acc)?;
-            }
-            Term::Struct(f, mut args) if f == wk::NAF && args.len() == 1 => {
-                let g = args.pop().expect("unary \\+");
-                self.emit_not(g, var_names, at, acc)?;
-            }
+                Err(args) => acc.push(Term::Struct(f, args)),
+            },
+            Term::Atom(a) if a == wk::TRUE => {}
+            Term::Struct(f, args) if f == wk::SEMICOLON => match <[Term; 2]>::try_from(args) {
+                Ok([Term::Struct(g, ct), else_]) if g == wk::ARROW => {
+                    match <[Term; 2]>::try_from(ct) {
+                        Ok([cond, then]) => self.emit_ite(cond, then, else_, var_names, at, acc)?,
+                        Err(ct) => {
+                            self.emit_or(Term::Struct(g, ct), else_, var_names, at, acc)?;
+                        }
+                    }
+                }
+                Ok([left, else_]) => self.emit_or(left, else_, var_names, at, acc)?,
+                Err(args) => acc.push(Term::Struct(f, args)),
+            },
+            Term::Struct(f, args) if f == wk::ARROW => match <[Term; 2]>::try_from(args) {
+                Ok([cond, then]) => {
+                    self.emit_ite(cond, then, Term::Atom(wk::FAIL), var_names, at, acc)?;
+                }
+                Err(args) => acc.push(Term::Struct(f, args)),
+            },
+            Term::Struct(f, args) if f == wk::NAF => match <[Term; 1]>::try_from(args) {
+                Ok([g]) => self.emit_not(g, var_names, at, acc)?,
+                Err(args) => acc.push(Term::Struct(f, args)),
+            },
             Term::Var(v) => {
                 let name = var_names.get(v).map_or("_", String::as_str);
                 return Err(ParseError::new(
@@ -150,7 +149,7 @@ impl Ctx<'_> {
         then.collect_vars(&mut vars);
         else_.collect_vars(&mut vars);
         let aux = self.fresh_aux("$ite");
-        let then_body = conj(vec![cond, Term::Atom(wk::CUT), then]);
+        let then_body = conj([cond, Term::Atom(wk::CUT), then]);
         self.emit_aux_clause(aux, &vars, then_body, var_names, at)?;
         self.emit_aux_clause(aux, &vars, else_, var_names, at)?;
         acc.push(aux_goal(aux, &vars));
@@ -185,7 +184,7 @@ impl Ctx<'_> {
         let mut vars = Vec::new();
         g.collect_vars(&mut vars);
         let aux = self.fresh_aux("$not");
-        let fail_body = conj(vec![g, Term::Atom(wk::CUT), Term::Atom(wk::FAIL)]);
+        let fail_body = conj([g, Term::Atom(wk::CUT), Term::Atom(wk::FAIL)]);
         self.emit_aux_clause(aux, &vars, fail_body, var_names, at)?;
         self.emit_aux_clause(aux, &vars, Term::Atom(wk::TRUE), var_names, at)?;
         acc.push(aux_goal(aux, &vars));
@@ -240,12 +239,14 @@ fn aux_goal(aux: crate::symbols::Atom, vars: &[usize]) -> Term {
     }
 }
 
-fn conj(goals: Vec<Term>) -> Term {
-    let mut it = goals.into_iter().rev();
-    let last = it.next().expect("conj of at least one goal");
-    it.fold(last, |acc, g| Term::Struct(wk::COMMA, vec![g, acc]))
+/// `(a, (b, c))`.
+fn conj([a, b, c]: [Term; 3]) -> Term {
+    Term::Struct(wk::COMMA, vec![a, Term::Struct(wk::COMMA, vec![b, c])])
 }
 
+/// Renames `t`'s variables through `map`. Invariant: `map` holds every
+/// variable of `t`, since the caller built it from the variables
+/// collected from the same construct.
 fn renumber(t: Term, map: &HashMap<usize, usize>) -> Term {
     match t {
         Term::Var(v) => Term::Var(*map.get(&v).expect("construct var set is complete")),

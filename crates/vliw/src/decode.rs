@@ -5,9 +5,8 @@
 //!
 //! * every long-instruction word's slots become dense per-class issue
 //!   records (`DecodedSlot`s) with register ids, immediates and the
-//!   (at most two) source registers of the latency check pre-extracted
-//!   — the per-cycle `Vec` allocations of the legacy issue loop
-//!   (`Op::uses()`, the write buffers) are gone,
+//!   (at most two) source registers of the latency check pre-extracted,
+//!   so the issue loop never matches on an `Op` or its operands,
 //! * the static resource verdict of each word — issue width, per-class
 //!   slot budgets, unit conflicts, the prototype's format restriction —
 //!   is evaluated **once** per word by
@@ -33,7 +32,7 @@ use symbol_intcode::mem::DataMem;
 use symbol_intcode::{AluOp, Cond, Label, Op, OpClass, Operand, Tag, Word, R};
 
 use crate::machine::MachineConfig;
-use crate::program::{VliwInstr, VliwProgram};
+use crate::program::{SlotOp, VliwProgram};
 use crate::sim::{check_word_resources, SimConfig, SimError, SimOutcome, SimResult};
 
 /// Sentinel for "no register" in a [`DecodedSlot`]'s use list and for
@@ -178,9 +177,9 @@ pub(crate) struct DecodedWord {
 /// written twice, and no load follows a store. Every other word needs
 /// the buffered two-phase issue, which evaluates all slots against the
 /// state before the word.
-fn hazard_free(word: &VliwInstr) -> bool {
-    word.slots.iter().enumerate().all(|(i, s)| {
-        let earlier = &word.slots[..i];
+fn hazard_free(word: &[SlotOp]) -> bool {
+    word.iter().enumerate().all(|(i, s)| {
+        let earlier = &word[..i];
         let written = |r: R| earlier.iter().any(|e| e.op.def() == Some(r));
         let load_after_store =
             matches!(s.op, Op::Ld { .. }) && earlier.iter().any(|e| matches!(e.op, Op::St { .. }));
@@ -214,15 +213,14 @@ impl DecodedVliw {
     /// Panics if the program has ≥ `u32::MAX` slots or instruction
     /// words (far beyond any schedulable program).
     pub fn new(program: &VliwProgram, machine: MachineConfig) -> Self {
-        let instrs = program.instrs();
-        assert!(instrs.len() < u32::MAX as usize, "program too large");
-        let mut words = Vec::with_capacity(instrs.len());
+        assert!(program.len() < u32::MAX as usize, "program too large");
+        let mut words = Vec::with_capacity(program.len());
         let mut slots = Vec::with_capacity(program.num_ops());
         let mut num_regs = 1usize;
-        for (at, w) in instrs.iter().enumerate() {
+        for (at, w) in program.words().enumerate() {
             let first = u32::try_from(slots.len()).expect("slot count fits u32");
             let mut class_counts = [0u16; OpClass::COUNT];
-            for s in &w.slots {
+            for s in w {
                 class_counts[s.op.class().index()] += 1;
                 let mut uses = [NONE; 2];
                 for (k, r) in s.op.uses().into_iter().enumerate() {
@@ -333,7 +331,7 @@ impl DecodedVliw {
             }
             words.push(DecodedWord {
                 first,
-                len: w.slots.len() as u32,
+                len: w.len() as u32,
                 class_counts,
                 fault: check_word_resources(w, &machine, at).err(),
                 hazard_free: hazard_free(w),
@@ -820,9 +818,8 @@ impl<'a> DecodedVliwSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{SlotOp, VliwInstr};
+    use crate::program::from_words;
     use crate::sim::VliwSim;
-    use std::collections::HashMap;
 
     fn tiny_layout() -> Layout {
         Layout {
@@ -834,18 +831,15 @@ mod tests {
         }
     }
 
-    fn word(ops: Vec<Op>) -> VliwInstr {
-        VliwInstr {
-            slots: ops
-                .into_iter()
-                .enumerate()
-                .map(|(u, op)| SlotOp {
-                    unit: u,
-                    op,
-                    speculative: false,
-                })
-                .collect(),
-        }
+    fn word(ops: Vec<Op>) -> Vec<SlotOp> {
+        ops.into_iter()
+            .enumerate()
+            .map(|(u, op)| SlotOp {
+                unit: u,
+                op,
+                speculative: false,
+            })
+            .collect()
     }
 
     /// Runs a program through both engines and asserts bit-identical
@@ -868,16 +862,6 @@ mod tests {
         }
     }
 
-    fn program(instrs: Vec<VliwInstr>, labels: &[(u32, usize)]) -> VliwProgram {
-        let mut map = HashMap::new();
-        let mut num = 1;
-        for &(l, at) in labels {
-            map.insert(Label(l), at);
-            num = num.max(l + 1);
-        }
-        VliwProgram::new(instrs, map, num, Label(0))
-    }
-
     #[test]
     fn decoded_matches_legacy_on_swap_and_branches() {
         let instrs = vec![
@@ -891,12 +875,12 @@ mod tests {
                     w: Word::int(2),
                 },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![
                 Op::Mv { d: R(40), s: R(41) },
                 Op::Mv { d: R(41), s: R(40) },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Br {
                 cond: Cond::Ne,
                 a: R(41),
@@ -906,7 +890,7 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
             word(vec![Op::Halt { success: false }]),
         ];
-        let p = program(instrs, &[(0, 0), (1, 6)]);
+        let p = from_words(instrs, &[(0, 0), (1, 6)]);
         differential(&p, MachineConfig::units(4));
     }
 
@@ -925,12 +909,12 @@ mod tests {
                     w: Word::int(2),
                 },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![
                 Op::Mv { d: R(40), s: R(41) },
                 Op::Mv { d: R(41), s: R(40) },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Br {
                 cond: Cond::Ne,
                 a: R(41),
@@ -940,7 +924,7 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
             word(vec![Op::Halt { success: false }]),
         ];
-        let p = program(instrs, &[(0, 0), (1, 6)]);
+        let p = from_words(instrs, &[(0, 0), (1, 6)]);
         let machine = MachineConfig::units(4);
         let layout = tiny_layout();
         let decoded = DecodedVliw::new(&p, machine);
@@ -989,7 +973,7 @@ mod tests {
                 d: R(50),
                 w: Word::int(3),
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::St {
                 s: R(50),
                 base: R(50),
@@ -1000,8 +984,8 @@ mod tests {
                 base: R(50),
                 off: 0,
             }]),
-            VliwInstr::default(),
-            VliwInstr::default(),
+            vec![],
+            vec![],
             word(vec![Op::BrWEq {
                 a: R(40),
                 b: R(50),
@@ -1011,7 +995,7 @@ mod tests {
             word(vec![Op::Halt { success: false }]),
             word(vec![Op::Halt { success: true }]),
         ];
-        let p = program(instrs, &[(0, 0), (1, 8)]);
+        let p = from_words(instrs, &[(0, 0), (1, 8)]);
         differential(&p, MachineConfig::units(2));
     }
 
@@ -1038,7 +1022,7 @@ mod tests {
                 base: R(50),
                 off: 0,
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::BrWord {
                 a: R(40),
                 w: Word::int(0),
@@ -1048,7 +1032,7 @@ mod tests {
             word(vec![Op::Halt { success: false }]),
             word(vec![Op::Halt { success: true }]),
         ];
-        let p = program(instrs, &[(0, 0), (1, 7)]);
+        let p = from_words(instrs, &[(0, 0), (1, 7)]);
         let decoded = DecodedVliw::new(&p, MachineConfig::units(2));
         // A length no other test uses: each simulator after the first
         // takes the buffer its predecessor dropped.
@@ -1074,7 +1058,7 @@ mod tests {
                 d: R(50),
                 w: Word::int(3),
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Ld {
                 d: R(40),
                 base: R(50),
@@ -1083,14 +1067,14 @@ mod tests {
             word(vec![Op::Mv { d: R(41), s: R(40) }]),
             word(vec![Op::Halt { success: true }]),
         ];
-        let p = program(instrs, &[(0, 0)]);
+        let p = from_words(instrs, &[(0, 0)]);
         differential(&p, MachineConfig::units(1));
     }
 
     #[test]
     fn decoded_matches_legacy_on_double_write_and_overflow() {
         // double write
-        let p = program(
+        let p = from_words(
             vec![
                 word(vec![
                     Op::MvI {
@@ -1109,7 +1093,7 @@ mod tests {
         differential(&p, MachineConfig::units(4));
 
         // memory-port slot overflow
-        let p = program(
+        let p = from_words(
             vec![
                 word(vec![
                     Op::Ld {
@@ -1132,7 +1116,7 @@ mod tests {
 
     #[test]
     fn precomputed_fault_carries_the_overflowing_class() {
-        let p = program(
+        let p = from_words(
             vec![
                 word(vec![
                     Op::Ld {
@@ -1165,7 +1149,7 @@ mod tests {
 
     #[test]
     fn width_overflow_is_its_own_error() {
-        let p = program(
+        let p = from_words(
             vec![
                 word(vec![
                     Op::MvI {
@@ -1197,7 +1181,7 @@ mod tests {
     fn unexecuted_overfull_word_is_not_an_error() {
         // The fault is precomputed at decode but must only surface when
         // the word is actually issued — the legacy lazy semantics.
-        let p = program(
+        let p = from_words(
             vec![
                 word(vec![Op::Halt { success: true }]),
                 word(vec![
@@ -1265,7 +1249,7 @@ mod tests {
         let mut instrs = Vec::new();
         for _ in 0..body {
             if rng.below(4) == 0 {
-                instrs.push(VliwInstr::default());
+                instrs.push(vec![]);
                 continue;
             }
             let len = 1 + rng.below(machine.issue_width.min(4) as u64) as usize;
@@ -1358,11 +1342,19 @@ mod tests {
                     }
                 })
                 .collect();
-            instrs.push(VliwInstr { slots });
+            instrs.push(slots);
         }
         instrs.push(word(vec![Op::Halt { success: true }]));
-        let bound = (0..=body).map(|i| (Label(i), i as usize)).collect();
-        VliwProgram::new(instrs, bound, body + 2, Label(0))
+        let word_end = instrs
+            .iter()
+            .scan(0, |end, w: &Vec<SlotOp>| {
+                *end += w.len() as u32;
+                Some(*end)
+            })
+            .collect();
+        let mut bound: Vec<usize> = (0..=body as usize).collect();
+        bound.push(usize::MAX);
+        VliwProgram::new(instrs.concat(), word_end, bound, Label(0))
     }
 
     #[test]
@@ -1450,7 +1442,7 @@ mod tests {
             (vec![st(41), ld(40)], false),
         ] {
             let w = word(ops);
-            assert_eq!(hazard_free(&w), expect, "{w}");
+            assert_eq!(hazard_free(&w), expect, "{w:?}");
         }
     }
 

@@ -16,6 +16,6 @@ pub mod program;
 pub mod sim;
 
 pub use decode::{DecodedVliw, DecodedVliwSim, SimProfile};
-pub use machine::MachineConfig;
-pub use program::{SlotOp, VliwInstr, VliwProgram};
+pub use machine::{MachineConfig, Timing};
+pub use program::{SlotOp, VliwProgram};
 pub use sim::{check_word_resources, SimConfig, SimError, SimOutcome, SimResult, VliwSim};

@@ -168,6 +168,41 @@ impl MachineConfig {
         )
     }
 
+    /// The machine's operation durations and control timing.
+    pub fn timing(&self) -> Timing {
+        Timing {
+            mem_latency: self.mem_latency,
+            alu_latency: self.alu_latency,
+            taken_branch_penalty: self.taken_branch_penalty,
+            multiway_branch: self.multiway_branch,
+        }
+    }
+
+    /// Result latency for an op.
+    pub fn latency(&self, op: &symbol_intcode::Op) -> u32 {
+        self.timing().latency(op)
+    }
+}
+
+/// The part of a [`MachineConfig`] that fixes when an op's result and a
+/// control transfer take effect: result latencies, the taken-branch
+/// bubble, and whether branches may share a word. Machines with equal
+/// timing differ only in resources — units, issue width, memory ports,
+/// formats — so a trace's dependence graph, which reads nothing else,
+/// is the same for all of them.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Timing {
+    /// Result latency of a memory load, cycles.
+    pub mem_latency: u32,
+    /// Result latency of ALU ops.
+    pub alu_latency: u32,
+    /// Taken-branch bubble, cycles.
+    pub taken_branch_penalty: u32,
+    /// Whether several branches may issue in one instruction.
+    pub multiway_branch: bool,
+}
+
+impl Timing {
     /// Result latency for an op.
     pub fn latency(&self, op: &symbol_intcode::Op) -> u32 {
         use symbol_intcode::OpClass::*;

@@ -19,7 +19,7 @@ use symbol_intcode::layout::Layout;
 use symbol_intcode::{Label, Op, OpClass, Operand, Tag, Word};
 
 use crate::machine::MachineConfig;
-use crate::program::VliwProgram;
+use crate::program::{SlotOp, VliwProgram};
 
 /// Why the simulated query stopped.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -220,20 +220,20 @@ impl Default for SimConfig {
 /// The first violation in the legacy check order: width overflow, then
 /// per-slot unit/format conflicts, then per-class slot overflow.
 pub fn check_word_resources(
-    word: &crate::program::VliwInstr,
+    word: &[SlotOp],
     machine: &MachineConfig,
     at: usize,
 ) -> Result<(), SimError> {
     use OpClass::*;
-    if word.slots.len() > machine.issue_width {
+    if word.len() > machine.issue_width {
         return Err(SimError::WidthOverflow { at });
     }
     let mut counts = [0usize; OpClass::COUNT];
-    for (i, s) in word.slots.iter().enumerate() {
+    for (i, s) in word.iter().enumerate() {
         let c = s.op.class();
         counts[c.index()] += 1;
         let mut formats_clash = false;
-        for e in &word.slots[..i] {
+        for e in &word[..i] {
             if e.unit != s.unit {
                 continue;
             }
@@ -261,13 +261,6 @@ pub fn check_word_resources(
 pub struct VliwSim<'a> {
     program: &'a VliwProgram,
     machine: MachineConfig,
-    /// Pre-decoded direct branch targets: for every word and slot, the
-    /// slot op's explicit `Label` operand resolved to an instruction
-    /// index at program-load time (`usize::MAX` = no explicit target,
-    /// or a label with no address in this program). The issue loop
-    /// never consults the label table for direct control transfers;
-    /// only indirect jumps (`JmpR`) resolve dynamically.
-    targets: Vec<Vec<usize>>,
     regs: Vec<Word>,
     ready: Vec<u64>,
     mem: Vec<Word>,
@@ -277,28 +270,16 @@ pub struct VliwSim<'a> {
 impl<'a> VliwSim<'a> {
     /// Creates a simulator with zeroed state.
     pub fn new(program: &'a VliwProgram, machine: MachineConfig, layout: &Layout) -> Self {
-        let mut max_reg = 0;
-        for w in program.instrs() {
-            for s in &w.slots {
-                for r in s.op.uses().into_iter().chain(s.op.def()) {
-                    max_reg = max_reg.max(r.0);
-                }
-            }
-        }
-        let targets = program
-            .instrs()
+        let max_reg = program
+            .slots()
             .iter()
-            .map(|w| {
-                w.slots
-                    .iter()
-                    .map(|s| s.op.target().map_or(usize::MAX, |t| program.label_addr(t)))
-                    .collect()
-            })
-            .collect();
+            .flat_map(|s| s.op.uses().into_iter().chain(s.op.def()))
+            .map(|r| r.0)
+            .max()
+            .unwrap_or(0);
         VliwSim {
             program,
             machine,
-            targets,
             regs: vec![Word::int(0); max_reg as usize + 1],
             ready: vec![0; max_reg as usize + 1],
             mem: vec![Word::int(0); layout.total()],
@@ -313,12 +294,15 @@ impl<'a> VliwSim<'a> {
     /// Returns a [`SimError`] on any machine-model violation or
     /// run-time fault; Prolog failure is a normal outcome.
     pub fn run(&mut self, cfg: &SimConfig) -> Result<SimResult, SimError> {
-        let instrs = self.program.instrs();
+        let program = self.program;
         let mut cycle: u64 = 0;
         let mut executed: u64 = 0;
         let mut ops: u64 = 0;
         let mut taken: u64 = 0;
         let mut class_ops = [0u64; OpClass::COUNT];
+        let mut reg_writes: Vec<(u32, Word, u64)> = Vec::new();
+        let mut mem_writes: Vec<(i64, Word)> = Vec::new();
+        let mut written: Vec<u32> = Vec::new();
 
         loop {
             if cycle >= cfg.max_cycles {
@@ -327,25 +311,25 @@ impl<'a> VliwSim<'a> {
                 });
             }
             let at = self.pc;
-            let word = match instrs.get(at) {
-                Some(w) => w,
-                None => return Err(SimError::RanOffEnd),
-            };
+            if at >= program.len() {
+                return Err(SimError::RanOffEnd);
+            }
+            let word = program.word(at);
             executed += 1;
-            ops += word.slots.len() as u64;
-            for slot in &word.slots {
+            ops += word.len() as u64;
+            for slot in word {
                 class_ops[slot.op.class().index()] += 1;
             }
 
-            self.check_resources(word, at)?;
+            check_word_resources(word, &self.machine, at)?;
 
             // Phase 1: evaluate everything against the pre-state.
-            let mut reg_writes: Vec<(u32, Word, u64)> = Vec::new();
-            let mut mem_writes: Vec<(i64, Word)> = Vec::new();
+            reg_writes.clear();
+            mem_writes.clear();
             let mut transfer: Option<Option<usize>> = None; // Some(None) = halt-success marker handled below
             let mut halt: Option<SimOutcome> = None;
 
-            for (si, s) in word.slots.iter().enumerate() {
+            for s in word {
                 // Latency check on every read.
                 for r in s.op.uses() {
                     if self.ready[r.0 as usize] > cycle {
@@ -412,7 +396,7 @@ impl<'a> VliwSim<'a> {
                             let av = self.regs[a.0 as usize].val;
                             let bv = self.operand(b);
                             if cond.eval(av, bv) {
-                                transfer = Some(Some(self.direct(at, si, *t)?));
+                                transfer = Some(Some(self.resolve(*t, at)?));
                             }
                         }
                     }
@@ -420,7 +404,7 @@ impl<'a> VliwSim<'a> {
                         if transfer.is_none() && halt.is_none() {
                             let c = (self.regs[a.0 as usize].tag == *tag) == *eq;
                             if c {
-                                transfer = Some(Some(self.direct(at, si, *t)?));
+                                transfer = Some(Some(self.resolve(*t, at)?));
                             }
                         }
                     }
@@ -428,7 +412,7 @@ impl<'a> VliwSim<'a> {
                         if transfer.is_none() && halt.is_none() {
                             let c = (self.regs[a.0 as usize] == *w) == *eq;
                             if c {
-                                transfer = Some(Some(self.direct(at, si, *t)?));
+                                transfer = Some(Some(self.resolve(*t, at)?));
                             }
                         }
                     }
@@ -436,13 +420,13 @@ impl<'a> VliwSim<'a> {
                         if transfer.is_none() && halt.is_none() {
                             let c = (self.regs[a.0 as usize] == self.regs[b.0 as usize]) == *eq;
                             if c {
-                                transfer = Some(Some(self.direct(at, si, *t)?));
+                                transfer = Some(Some(self.resolve(*t, at)?));
                             }
                         }
                     }
                     Op::Jmp { t } => {
                         if transfer.is_none() && halt.is_none() {
-                            transfer = Some(Some(self.direct(at, si, *t)?));
+                            transfer = Some(Some(self.resolve(*t, at)?));
                         }
                     }
                     Op::JmpR { r } => {
@@ -467,18 +451,16 @@ impl<'a> VliwSim<'a> {
             }
 
             // Phase 2: commit.
-            {
-                let mut written: Vec<u32> = Vec::with_capacity(reg_writes.len());
-                for (r, w, rdy) in reg_writes {
-                    if written.contains(&r) {
-                        return Err(SimError::DoubleWrite { at, reg: r });
-                    }
-                    written.push(r);
-                    self.regs[r as usize] = w;
-                    self.ready[r as usize] = rdy;
+            written.clear();
+            for &(r, w, rdy) in &reg_writes {
+                if written.contains(&r) {
+                    return Err(SimError::DoubleWrite { at, reg: r });
                 }
+                written.push(r);
+                self.regs[r as usize] = w;
+                self.ready[r as usize] = rdy;
             }
-            for (addr, w) in mem_writes {
+            for &(addr, w) in &mem_writes {
                 self.mem[addr as usize] = w;
             }
 
@@ -506,24 +488,9 @@ impl<'a> VliwSim<'a> {
         }
     }
 
-    fn check_resources(&self, word: &crate::program::VliwInstr, at: usize) -> Result<(), SimError> {
-        check_word_resources(word, &self.machine, at)
-    }
-
-    /// Pre-resolved target of the direct control transfer in slot `si`
-    /// of word `at`; the label is only used to report an unmapped
-    /// target (deferred to first execution, matching lazy resolution).
-    fn direct(&self, at: usize, si: usize, l: Label) -> Result<usize, SimError> {
-        let a = self.targets[at][si];
-        if a == usize::MAX {
-            Err(SimError::UnmappedLabel { at, label: l })
-        } else {
-            Ok(a)
-        }
-    }
-
-    /// Dynamic label resolution, still needed for indirect jumps whose
-    /// target lives in a `Cod`-tagged register at run time.
+    /// Resolves the target of a taken control transfer, direct or read
+    /// from a `Cod`-tagged register; a label with no address in this
+    /// program is reported then, not at load time.
     fn resolve(&self, l: Label, at: usize) -> Result<usize, SimError> {
         let a = self.program.label_addr(l);
         if a == usize::MAX {
@@ -557,8 +524,7 @@ impl<'a> VliwSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{SlotOp, VliwInstr};
-    use std::collections::HashMap;
+    use crate::program::from_words;
     use symbol_intcode::{AluOp, Cond, R};
 
     fn tiny_layout() -> Layout {
@@ -571,24 +537,19 @@ mod tests {
         }
     }
 
-    fn word(ops: Vec<Op>) -> VliwInstr {
-        VliwInstr {
-            slots: ops
-                .into_iter()
-                .enumerate()
-                .map(|(u, op)| SlotOp {
-                    unit: u,
-                    op,
-                    speculative: false,
-                })
-                .collect(),
-        }
+    fn word(ops: Vec<Op>) -> Vec<SlotOp> {
+        ops.into_iter()
+            .enumerate()
+            .map(|(u, op)| SlotOp {
+                unit: u,
+                op,
+                speculative: false,
+            })
+            .collect()
     }
 
-    fn run_words(instrs: Vec<VliwInstr>, machine: MachineConfig) -> Result<SimResult, SimError> {
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        let p = VliwProgram::new(instrs, labels, 1, Label(0));
+    fn run_words(instrs: Vec<Vec<SlotOp>>, machine: MachineConfig) -> Result<SimResult, SimError> {
+        let p = from_words(instrs, &[(0, 0)]);
         VliwSim::new(&p, machine, &tiny_layout()).run(&SimConfig::default())
     }
 
@@ -709,10 +670,8 @@ mod tests {
             }]),
             word(vec![Op::Halt { success: true }]),
         ];
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        labels.insert(Label(1), 1);
-        let p = VliwProgram::new(instrs, labels, 2, Label(0));
+        let labels = [(0, 0), (1, 1)];
+        let p = from_words(instrs, &labels);
         let fast = VliwSim::new(&p, zero, &tiny_layout())
             .run(&SimConfig::default())
             .expect("zero-latency machine runs");
@@ -728,10 +687,9 @@ mod tests {
     #[test]
     fn cycle_limit_enforced() {
         // an unconditional self-loop must hit the configured limit
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
+        let labels = [(0, 0)];
         let instrs = vec![word(vec![Op::Jmp { t: Label(0) }])];
-        let p = VliwProgram::new(instrs, labels, 1, Label(0));
+        let p = from_words(instrs, &labels);
         let err = VliwSim::new(&p, MachineConfig::units(1), &tiny_layout())
             .run(&SimConfig { max_cycles: 1000 })
             .unwrap_err();
@@ -751,12 +709,12 @@ mod tests {
                     w: Word::int(2),
                 },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![
                 Op::Mv { d: R(40), s: R(41) },
                 Op::Mv { d: R(41), s: R(40) },
             ]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Br {
                 cond: Cond::Ne,
                 a: R(41),
@@ -766,10 +724,8 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
             word(vec![Op::Halt { success: false }]), // label 1: r41 != 1
         ];
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        labels.insert(Label(1), 6);
-        let p = VliwProgram::new(instrs, labels, 2, Label(0));
+        let labels = [(0, 0), (1, 6)];
+        let p = from_words(instrs, &labels);
         let r = VliwSim::new(&p, MachineConfig::units(4), &tiny_layout())
             .run(&SimConfig::default())
             .unwrap();
@@ -783,7 +739,7 @@ mod tests {
                 d: R(50),
                 w: Word::int(3),
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Ld {
                 d: R(40),
                 base: R(50),
@@ -804,7 +760,7 @@ mod tests {
                 d: R(50),
                 w: Word::int(3),
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![
                 Op::Ld {
                     d: R(40),
@@ -825,14 +781,12 @@ mod tests {
 
     #[test]
     fn taken_branch_pays_bubble() {
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        labels.insert(Label(1), 1);
+        let labels = [(0, 0), (1, 1)];
         let instrs = vec![
             word(vec![Op::Jmp { t: Label(1) }]),
             word(vec![Op::Halt { success: true }]),
         ];
-        let p = VliwProgram::new(instrs, labels, 2, Label(0));
+        let p = from_words(instrs, &labels);
         let r = VliwSim::new(&p, MachineConfig::units(1), &tiny_layout())
             .run(&SimConfig::default())
             .unwrap();
@@ -863,25 +817,23 @@ mod tests {
     #[test]
     fn format_conflict_detected_on_prototype() {
         let instrs = vec![
-            VliwInstr {
-                slots: vec![
-                    SlotOp {
-                        unit: 0,
-                        op: Op::Alu {
-                            op: AluOp::Add,
-                            d: R(40),
-                            a: R(40),
-                            b: Operand::Imm(1),
-                        },
-                        speculative: false,
+            vec![
+                SlotOp {
+                    unit: 0,
+                    op: Op::Alu {
+                        op: AluOp::Add,
+                        d: R(40),
+                        a: R(40),
+                        b: Operand::Imm(1),
                     },
-                    SlotOp {
-                        unit: 0,
-                        op: Op::Jmp { t: Label(0) },
-                        speculative: false,
-                    },
-                ],
-            },
+                    speculative: false,
+                },
+                SlotOp {
+                    unit: 0,
+                    op: Op::Jmp { t: Label(0) },
+                    speculative: false,
+                },
+            ],
             word(vec![Op::Halt { success: true }]),
         ];
         let err = run_words(instrs, MachineConfig::prototype()).unwrap_err();
@@ -896,15 +848,13 @@ mod tests {
         // -7 mod 3 =:= 2 (floored, divisor's sign); -7 rem 3 =:= -1
         // (truncated, dividend's sign). Any other result branches to
         // the failure halt.
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        labels.insert(Label(1), 7);
+        let labels = [(0, 0), (1, 7)];
         let instrs = vec![
             word(vec![Op::MvI {
                 d: R(40),
                 w: Word::int(-7),
             }]),
-            VliwInstr::default(),
+            vec![],
             word(vec![Op::Alu {
                 op: AluOp::Mod,
                 d: R(41),
@@ -932,7 +882,7 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
             word(vec![Op::Halt { success: false }]), // label 1
         ];
-        let p = VliwProgram::new(instrs, labels, 2, Label(0));
+        let p = from_words(instrs, &labels);
         let r = VliwSim::new(&p, MachineConfig::units(1), &tiny_layout())
             .run(&SimConfig::default())
             .unwrap();
@@ -942,16 +892,13 @@ mod tests {
     #[test]
     fn multiway_branch_priority() {
         // two branches, both true: the first (priority) wins
-        let mut labels = HashMap::new();
-        labels.insert(Label(0), 0);
-        labels.insert(Label(1), 1);
-        labels.insert(Label(2), 2);
+        let labels = [(0, 0), (1, 1), (2, 2)];
         let instrs = vec![
             word(vec![Op::Jmp { t: Label(1) }, Op::Jmp { t: Label(2) }]),
             word(vec![Op::Halt { success: true }]),  // label 1
             word(vec![Op::Halt { success: false }]), // label 2
         ];
-        let p = VliwProgram::new(instrs, labels, 3, Label(0));
+        let p = from_words(instrs, &labels);
         let r = VliwSim::new(&p, MachineConfig::units(2), &tiny_layout())
             .run(&SimConfig::default())
             .unwrap();

@@ -1,23 +1,30 @@
 //! Tests of the resource-utilization statistics.
 
-use std::collections::HashMap;
-
 use symbol_intcode::layout::Layout;
 use symbol_intcode::{Label, Op, OpClass, Word, R};
-use symbol_vliw::{MachineConfig, SimConfig, SlotOp, VliwInstr, VliwProgram, VliwSim};
+use symbol_vliw::{MachineConfig, SimConfig, SlotOp, VliwProgram, VliwSim};
 
-fn word(ops: Vec<Op>) -> VliwInstr {
-    VliwInstr {
-        slots: ops
-            .into_iter()
-            .enumerate()
-            .map(|(u, op)| SlotOp {
-                unit: u,
-                op,
-                speculative: false,
-            })
-            .collect(),
-    }
+fn word(ops: Vec<Op>) -> Vec<SlotOp> {
+    ops.into_iter()
+        .enumerate()
+        .map(|(u, op)| SlotOp {
+            unit: u,
+            op,
+            speculative: false,
+        })
+        .collect()
+}
+
+/// A program of `words` entered at label 0, bound to the first word.
+fn program(words: Vec<Vec<SlotOp>>) -> VliwProgram {
+    let word_end = words
+        .iter()
+        .scan(0, |end, w| {
+            *end += w.len() as u32;
+            Some(*end)
+        })
+        .collect();
+    VliwProgram::new(words.concat(), word_end, vec![0], Label(0))
 }
 
 fn layout() -> Layout {
@@ -32,8 +39,6 @@ fn layout() -> Layout {
 
 #[test]
 fn class_ops_and_issue_rate() {
-    let mut labels = HashMap::new();
-    labels.insert(Label(0), 0);
     let instrs = vec![
         word(vec![
             Op::MvI {
@@ -45,7 +50,7 @@ fn class_ops_and_issue_rate() {
                 w: Word::int(4),
             },
         ]),
-        VliwInstr::default(),
+        vec![],
         word(vec![Op::Ld {
             d: R(42),
             base: R(40),
@@ -53,7 +58,7 @@ fn class_ops_and_issue_rate() {
         }]),
         word(vec![Op::Halt { success: true }]),
     ];
-    let p = VliwProgram::new(instrs, labels, 1, Label(0));
+    let p = program(instrs);
     let machine = MachineConfig::wide_units(2);
     let r = VliwSim::new(&p, machine, &layout())
         .run(&SimConfig::default())
@@ -72,13 +77,11 @@ fn class_ops_and_issue_rate() {
 
 #[test]
 fn utilization_bounded_by_one() {
-    let mut labels = HashMap::new();
-    labels.insert(Label(0), 0);
     let instrs = vec![
         word(vec![Op::Mv { d: R(40), s: R(41) }]),
         word(vec![Op::Halt { success: true }]),
     ];
-    let p = VliwProgram::new(instrs, labels, 1, Label(0));
+    let p = program(instrs);
     let machine = MachineConfig::units(1);
     let r = VliwSim::new(&p, machine, &layout())
         .run(&SimConfig::default())
