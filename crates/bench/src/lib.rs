@@ -8,9 +8,12 @@
 //!   `cargo run --release -p symbol-bench --bin tables`.
 //! * The benches under `benches/` time the pipeline stages
 //!   (`pipeline_stages`), the emulator and simulator engines
-//!   (`emulator_decode`), the serving tier (`serve_throughput`) and the
-//!   design-space sweep (`sweep_grid`) with the self-contained
-//!   [`timing`] harness; `ablation` prints the E9 ablation table.
+//!   (`emulator_decode`) and the serving tier (`serve_throughput`) with
+//!   the self-contained [`timing`] harness.
+//! * The E9 ablation table is
+//!   `cargo run --release -p symbol-core --example ablation_demo`; the
+//!   design-space sweep's paper grid is
+//!   `cargo run --release -p symbol-core --bin sweep -- --grid paper`.
 
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;

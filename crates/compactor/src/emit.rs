@@ -12,7 +12,7 @@ use crate::schedule::{
     rewrite, DependencePass, Graphs, LabelAlloc, ScheduleOptions, Scheduler, Words,
 };
 use crate::trace::{average_trace_length, pick_traces, single_block_traces, Trace, TracePolicy};
-use crate::verify::{missing_slot, verify_program, Violation};
+use crate::verify::{verify_program, Violation};
 
 /// Which compaction strategy to apply.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -208,7 +208,7 @@ impl<'a> Compactor<'a> {
         machine: &MachineConfig,
         mode: CompactMode,
     ) -> Result<Compacted, Violation> {
-        if let Some(resource) = missing_slot(machine) {
+        if let Some(resource) = machine.missing_slot() {
             return Err(Violation::NoSlot { resource });
         }
         let (program, cfg) = (self.program, &self.cfg);

@@ -27,8 +27,8 @@
 
 use std::ops::Range;
 
-use symbol_intcode::{Cond, IciProgram, Label, Op, OpClass, R};
-use symbol_vliw::{MachineConfig, SlotOp, Timing};
+use symbol_intcode::{Cond, IciProgram, Label, Op, R};
+use symbol_vliw::{MachineConfig, SlotOp, Timing, WordUse};
 
 use crate::cfg::{Cfg, Edge};
 use crate::liveness::LiveAtLabel;
@@ -764,18 +764,11 @@ impl Scheduler {
             );
             ready.sort_unstable_by_key(|&i| (std::cmp::Reverse(height[i]), i));
 
-            let mut used = [0usize; OpClass::COUNT]; // indexed by OpClass::index()
-            let mut total_used = 0usize;
+            let mut word = WordUse::default();
             for &i in ready.iter() {
                 let class = trace_ops[i].op.class();
-                let idx = class.index();
-                let budget = machine.slots(class);
-                let fits = total_used < machine.issue_width
-                    && used[idx] < budget
-                    && (!machine.split_formats || fits_split_formats(machine, &used, class));
-                if fits {
-                    used[idx] += 1;
-                    total_used += 1;
+                if word.fits(machine, class) {
+                    word.add(machine, class);
                     nodes[i].cycle = cycle;
                     remaining -= 1;
                 }
@@ -858,15 +851,14 @@ impl Scheduler {
         let base = out.slots.len();
         let mut from = 0;
         for &end in word_at.iter() {
-            let mut unit_next = [0usize; OpClass::COUNT];
+            let mut word = WordUse::default();
             for &(i, speculative) in &order[from..end as usize] {
                 let i = i as usize;
                 let mut op = trace_ops[i].op.clone();
                 if let Some(l) = retarget[i] {
                     op.set_target(l);
                 }
-                let class = op.class();
-                let unit = assign_unit(machine, class, &mut unit_next, class.index());
+                let unit = word.add(machine, op.class());
                 out.slots.push(SlotOp {
                     unit,
                     op,
@@ -929,41 +921,6 @@ impl Scheduler {
             "compensation blocks are straight-line"
         );
     }
-}
-
-fn fits_split_formats(
-    machine: &MachineConfig,
-    used: &[usize; OpClass::COUNT],
-    adding: OpClass,
-) -> bool {
-    let (mut alu, mut mov, mut ctl) = (
-        used[OpClass::Alu.index()],
-        used[OpClass::Move.index()],
-        used[OpClass::Control.index()],
-    );
-    match adding {
-        OpClass::Alu => alu += 1,
-        OpClass::Move => mov += 1,
-        OpClass::Control => ctl += 1,
-        OpClass::Memory => return true, // memory fits either format
-    }
-    ctl + alu.max(mov) <= machine.units
-}
-
-fn assign_unit(
-    machine: &MachineConfig,
-    class: OpClass,
-    unit_next: &mut [usize; OpClass::COUNT],
-    idx: usize,
-) -> usize {
-    let unit = if machine.split_formats && class == OpClass::Control {
-        // control ops take the highest units to keep formats apart
-        machine.units - 1 - unit_next[idx]
-    } else {
-        unit_next[idx] % machine.units
-    };
-    unit_next[idx] += 1;
-    unit
 }
 
 /// Can a [`Cond`]-negation round-trip? (sanity helper used in tests)

@@ -9,6 +9,10 @@
 
 use crate::cfg::{Cfg, Edge};
 
+/// Tail duplication copies a join block only when it ran at least this
+/// often, so joins that are cold in the profile do not bloat the code.
+const TAIL_DUP_MIN_EXPECT: u64 = 2;
+
 /// One trace: block ids in execution order.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Trace {
@@ -21,16 +25,11 @@ pub struct Trace {
 pub struct TracePolicy {
     /// Upper bound on blocks per trace.
     pub max_blocks: usize,
-    /// Minimum probability an edge needs to extend the trace.
-    pub min_prob: f64,
     /// Op budget for tail duplication per trace (0 disables it).
     /// Duplicating the blocks behind a side entrance is what lets
     /// traces grow past the frequent read/write-mode joins of Prolog
     /// code, at the cost of compensation copies (paper §4.4).
     pub tail_dup_ops: usize,
-    /// Only duplicate through blocks at least this hot (execution
-    /// count), so cold joins do not bloat the code.
-    pub tail_dup_min_expect: u64,
     /// Allow hoisting safe ops above side exits (speculation); only
     /// meaningful for trace scheduling.
     pub speculate: bool,
@@ -40,9 +39,7 @@ impl Default for TracePolicy {
     fn default() -> Self {
         TracePolicy {
             max_blocks: 64,
-            min_prob: 0.0,
             tail_dup_ops: 32,
-            tail_dup_min_expect: 2,
             speculate: true,
         }
     }
@@ -101,11 +98,11 @@ pub fn pick_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
                     best = Some((p, e.dest()));
                 }
             }
-            let (prob, next) = match best {
-                Some(x) => x,
+            let next = match best {
+                Some((_, next)) => next,
                 None => break, // indirect transfer or halt
             };
-            if prob < policy.min_prob || blocks.contains(&next) {
+            if blocks.contains(&next) {
                 break;
             }
             let is_join =
@@ -119,7 +116,7 @@ pub fn pick_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
                 // code for nothing.
                 let len = cfg.blocks[next].len();
                 let head_expect = cfg.blocks[blocks[0]].expect;
-                let hot = cfg.blocks[next].expect >= policy.tail_dup_min_expect
+                let hot = cfg.blocks[next].expect >= TAIL_DUP_MIN_EXPECT
                     && cfg.blocks[next].expect * 2 >= head_expect;
                 if hot && len <= dup_budget {
                     dup_budget -= len;

@@ -78,7 +78,6 @@ fn any_policy_and_machine_preserve_semantics() {
             tail_dup_ops: rng.below(64) as usize,
             max_blocks: 2 + rng.below(46) as usize,
             speculate: rng.below(2) == 0,
-            ..TracePolicy::default()
         };
         let mode = [
             CompactMode::TraceSchedule,

@@ -798,7 +798,7 @@ impl SweepReport {
         for b in &self.benches {
             for (i, point) in self.points.iter().enumerate() {
                 let m = &point.machine;
-                let ports = m.mem_ports.min(m.units);
+                let ports = m.slots(OpClass::Memory);
                 let floor = port_cycle_floor(b.mem_ops[i], ports);
                 if b.cycles[i] < floor {
                     violations.push(format!(

@@ -4,6 +4,8 @@ use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use symbol_obs::json;
+
 use crate::corpus::{render, Expect};
 use crate::oracle::{run_case, Case, Failure, FailureKind, OracleConfig};
 use crate::rng::Rng;
@@ -126,35 +128,15 @@ impl FuzzReport {
                 s,
                 "{{\"index\":{},\"kind\":{},\"case_kind\":{},\"detail\":{},\"reproducer\":{}}}",
                 f.index,
-                json_string(&f.kind_tag),
-                json_string(f.case_kind),
-                json_string(&f.detail),
-                json_string(&f.reproducer)
+                json::string(&f.kind_tag),
+                json::string(f.case_kind),
+                json::string(&f.detail),
+                json::string(&f.reproducer)
             );
         }
         s.push_str("]}");
         s
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs the oracle with panics converted into [`FailureKind::Panic`]

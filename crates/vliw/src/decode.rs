@@ -7,11 +7,11 @@
 //!   records (`DecodedSlot`s) with register ids, immediates and the
 //!   (at most two) source registers of the latency check pre-extracted,
 //!   so the issue loop never matches on an `Op` or its operands,
-//! * the static resource verdict of each word — issue width, per-class
-//!   slot budgets, unit conflicts, the prototype's format restriction —
-//!   is evaluated **once** per word by
-//!   [`crate::sim::check_word_resources`] and stored, so the issue loop
-//!   replays a precomputed `Option<SimError>` instead of re-matching
+//! * the static verdict of each word — issue width, per-class slot
+//!   budgets, unit conflicts, the prototype's format restriction, one
+//!   writer per register — is evaluated **once** per word by
+//!   [`MachineConfig::check_word`] and stored, so the issue loop
+//!   replays a precomputed `Option<WordFault>` instead of re-matching
 //!   slots against classes every cycle,
 //! * direct branch targets are pre-resolved instruction indices and the
 //!   per-word class-operation counts are pre-summed,
@@ -31,9 +31,9 @@ use symbol_intcode::layout::Layout;
 use symbol_intcode::mem::DataMem;
 use symbol_intcode::{AluOp, Cond, Label, Op, OpClass, Operand, Tag, Word, R};
 
-use crate::machine::MachineConfig;
+use crate::machine::{MachineConfig, WordFault};
 use crate::program::{SlotOp, VliwProgram};
-use crate::sim::{check_word_resources, SimConfig, SimError, SimOutcome, SimResult};
+use crate::sim::{SimConfig, SimError, SimOutcome, SimResult};
 
 /// Sentinel for "no register" in a [`DecodedSlot`]'s use list and for
 /// "no address" in a resolved target.
@@ -162,10 +162,10 @@ pub(crate) struct DecodedWord {
     /// Pre-summed executed-op counts per class (memory, ALU, move,
     /// control).
     pub(crate) class_counts: [u16; OpClass::COUNT],
-    /// Pre-evaluated static resource verdict: the error the legacy
-    /// simulator would raise on every issue of this word, or `None`
-    /// when the word fits the machine.
-    pub(crate) fault: Option<SimError>,
+    /// Pre-evaluated static verdict: the fault the legacy simulator
+    /// would raise on every issue of this word, or `None` when the word
+    /// fits the machine.
+    pub(crate) fault: Option<WordFault>,
     /// Whether the word is hazard-free ([`hazard_free`]), so that its
     /// slots may commit one by one as they issue.
     pub(crate) hazard_free: bool,
@@ -217,7 +217,7 @@ impl DecodedVliw {
         let mut words = Vec::with_capacity(program.len());
         let mut slots = Vec::with_capacity(program.num_ops());
         let mut num_regs = 1usize;
-        for (at, w) in program.words().enumerate() {
+        for w in program.words() {
             let first = u32::try_from(slots.len()).expect("slot count fits u32");
             let mut class_counts = [0u16; OpClass::COUNT];
             for s in w {
@@ -333,7 +333,7 @@ impl DecodedVliw {
                 first,
                 len: w.len() as u32,
                 class_counts,
-                fault: check_word_resources(w, &machine, at).err(),
+                fault: machine.check_word(w).err(),
                 hazard_free: hazard_free(w),
             });
         }
@@ -429,7 +429,6 @@ pub struct DecodedVliwSim<'a> {
     /// result-ready cycle); cleared every issue instead of reallocated.
     reg_writes: Vec<(u32, Word, u64)>,
     mem_writes: Vec<(i64, Word)>,
-    written: Vec<u32>,
 }
 
 impl<'a> DecodedVliwSim<'a> {
@@ -444,7 +443,6 @@ impl<'a> DecodedVliwSim<'a> {
             pc: program.entry_pc,
             reg_writes: Vec::new(),
             mem_writes: Vec::new(),
-            written: Vec::new(),
         }
     }
 
@@ -522,8 +520,8 @@ impl<'a> DecodedVliwSim<'a> {
                     *acc += c as u64;
                 }
             }
-            if let Some(fault) = &word.fault {
-                return Err(fault.clone());
+            if let Some(fault) = word.fault {
+                return Err(SimError::IllegalWord { at, fault });
             }
             let slots = &all_slots[word.first as usize..(word.first + word.len) as usize];
             let (transfer, halt) = if word.hazard_free {
@@ -565,13 +563,12 @@ impl<'a> DecodedVliwSim<'a> {
     ///
     /// `BUFFERED` picks the commit step. A buffered issue evaluates
     /// every slot against the state before the word and commits the
-    /// results afterwards, checking for double writes; it runs any
-    /// word. An unbuffered issue commits each slot's result at once,
-    /// which is the same thing only for a [`hazard_free`] word. If a
-    /// later slot of such a word faults, the earlier slots' results are
-    /// already committed; the run then returns that error, and the
-    /// simulator has no accessor for its state, so nothing can observe
-    /// the difference.
+    /// results afterwards; it runs any word. An unbuffered issue
+    /// commits each slot's result at once, which is the same thing
+    /// only for a [`hazard_free`] word. If a later slot of such a word
+    /// faults, the earlier slots' results are already committed; the
+    /// run then returns that error, and the simulator has no accessor
+    /// for its state, so nothing can observe the difference.
     #[inline(always)]
     fn issue<const BUFFERED: bool>(
         &mut self,
@@ -721,12 +718,7 @@ impl<'a> DecodedVliwSim<'a> {
 
         if BUFFERED {
             // Commit: registers in slot order, then memory.
-            self.written.clear();
             for &(r, w, rdy) in &self.reg_writes {
-                if self.written.contains(&r) {
-                    return Err(SimError::DoubleWrite { at, reg: r });
-                }
-                self.written.push(r);
                 self.regs[r as usize] = w;
                 self.ready[r as usize] = rdy;
             }
@@ -820,6 +812,7 @@ mod tests {
     use super::*;
     use crate::program::from_words;
     use crate::sim::VliwSim;
+    use crate::Rng;
 
     fn tiny_layout() -> Layout {
         Layout {
@@ -1140,9 +1133,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            SimError::SlotOverflow {
+            SimError::IllegalWord {
                 at: 0,
-                class: OpClass::Memory
+                fault: WordFault::SlotOverflow {
+                    class: OpClass::Memory
+                }
             }
         );
     }
@@ -1173,7 +1168,13 @@ mod tests {
         let err = DecodedVliwSim::new(&decoded, &tiny_layout())
             .run(&SimConfig::default())
             .unwrap_err();
-        assert_eq!(err, SimError::WidthOverflow { at: 0 });
+        assert_eq!(
+            err,
+            SimError::IllegalWord {
+                at: 0,
+                fault: WordFault::WidthOverflow
+            }
+        );
         differential(&p, machine);
     }
 
@@ -1205,25 +1206,6 @@ mod tests {
             .run(&SimConfig::default())
             .expect("halts before the bad word");
         assert_eq!(r.outcome, SimOutcome::Success);
-    }
-
-    /// Deterministic xorshift64* PRNG for the random-program test.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        }
-
-        /// Uniform value in `0..n`.
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
     }
 
     /// A random hand-built program over registers r1–r4 and the 320

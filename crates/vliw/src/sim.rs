@@ -1,9 +1,10 @@
 //! Cycle-accurate VLIW simulator.
 //!
 //! Executes a [`VliwProgram`] on a [`MachineConfig`], validating as it
-//! goes that the schedule respects the machine: slot budgets per class,
-//! the shared-memory port limit, result latencies, the two-format
-//! restriction of the prototype, and single-writer-per-register words.
+//! goes that the schedule respects the machine: every issued word
+//! against [`MachineConfig::check_word`] (slot budgets per class, the
+//! shared-memory port limit, the two-format restriction of the
+//! prototype, single-writer-per-register words), and result latencies.
 //! A schedule produced by a buggy compactor fails loudly here instead
 //! of silently computing wrong answers or impossible speed-ups.
 //!
@@ -18,8 +19,8 @@ use std::fmt;
 use symbol_intcode::layout::Layout;
 use symbol_intcode::{Label, Op, OpClass, Operand, Tag, Word};
 
-use crate::machine::MachineConfig;
-use crate::program::{SlotOp, VliwProgram};
+use crate::machine::{MachineConfig, WordFault};
+use crate::program::VliwProgram;
 
 /// Why the simulated query stopped.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -34,24 +35,13 @@ pub enum SimOutcome {
 /// bug) or a run-time fault.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SimError {
-    /// More ops of a class in one word than the machine has slots.
-    SlotOverflow {
+    /// A word that breaks the machine's word rules
+    /// ([`MachineConfig::check_word`]).
+    IllegalWord {
         /// Instruction index.
         at: usize,
-        /// The class that overflowed.
-        class: OpClass,
-    },
-    /// More ops in one word than the machine's total issue width.
-    WidthOverflow {
-        /// Instruction index.
-        at: usize,
-    },
-    /// Two ops write the same register in one word.
-    DoubleWrite {
-        /// Instruction index.
-        at: usize,
-        /// The register written twice.
-        reg: u32,
+        /// The broken rule.
+        fault: WordFault,
     },
     /// A register is read before its producer's latency elapsed.
     LatencyViolation {
@@ -59,21 +49,6 @@ pub enum SimError {
         at: usize,
         /// The register read too early.
         reg: u32,
-    },
-    /// ALU and control op share a unit in one word under the
-    /// two-format restriction.
-    FormatConflict {
-        /// Instruction index.
-        at: usize,
-        /// The unit with the conflict.
-        unit: usize,
-    },
-    /// Two ops issue on the same unit/class slot.
-    UnitConflict {
-        /// Instruction index.
-        at: usize,
-        /// The unit with the conflict.
-        unit: usize,
     },
     /// Memory access out of range.
     BadAddress {
@@ -111,23 +86,9 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::SlotOverflow { at, class } => {
-                write!(f, "slot overflow for class {class} at word {at}")
-            }
-            SimError::WidthOverflow { at } => {
-                write!(f, "issue width exceeded at word {at}")
-            }
-            SimError::DoubleWrite { at, reg } => {
-                write!(f, "double write of r{reg} at word {at}")
-            }
+            SimError::IllegalWord { at, fault } => write!(f, "{fault} at word {at}"),
             SimError::LatencyViolation { at, reg } => {
                 write!(f, "r{reg} read before ready at word {at}")
-            }
-            SimError::FormatConflict { at, unit } => {
-                write!(f, "format conflict on unit {unit} at word {at}")
-            }
-            SimError::UnitConflict { at, unit } => {
-                write!(f, "unit {unit} oversubscribed at word {at}")
             }
             SimError::BadAddress { at, addr } => {
                 write!(f, "bad address {addr} at word {at}")
@@ -203,59 +164,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Validates one instruction word against a machine's static resource
-/// model: total issue width, per-class slot budgets, one op per
-/// (unit, class) pair, and the prototype's two-format restriction (a
-/// unit issues either the ALU/move format or the control format).
-///
-/// The verdict depends only on the word and the machine — never on
-/// run-time state — so the pre-decoded engine evaluates it once per
-/// word at load time while the legacy simulator calls it on every
-/// issue; both report the identical (first) violation. Each slot is
-/// compared with the earlier slots of its word, so the check allocates
-/// nothing.
-///
-/// # Errors
-///
-/// The first violation in the legacy check order: width overflow, then
-/// per-slot unit/format conflicts, then per-class slot overflow.
-pub fn check_word_resources(
-    word: &[SlotOp],
-    machine: &MachineConfig,
-    at: usize,
-) -> Result<(), SimError> {
-    use OpClass::*;
-    if word.len() > machine.issue_width {
-        return Err(SimError::WidthOverflow { at });
-    }
-    let mut counts = [0usize; OpClass::COUNT];
-    for (i, s) in word.iter().enumerate() {
-        let c = s.op.class();
-        counts[c.index()] += 1;
-        let mut formats_clash = false;
-        for e in &word[..i] {
-            if e.unit != s.unit {
-                continue;
-            }
-            let ec = e.op.class();
-            if ec == c {
-                return Err(SimError::UnitConflict { at, unit: s.unit });
-            }
-            formats_clash |= ec != Memory && c != Memory && (ec == Control) != (c == Control);
-        }
-        if machine.split_formats && formats_clash {
-            return Err(SimError::FormatConflict { at, unit: s.unit });
-        }
-    }
-    let budgets = OpClass::ALL.map(|c| (c, counts[c.index()]));
-    for (class, used) in budgets {
-        if used > machine.slots(class) {
-            return Err(SimError::SlotOverflow { at, class });
-        }
-    }
-    Ok(())
-}
-
 /// The VLIW machine state.
 #[derive(Debug)]
 pub struct VliwSim<'a> {
@@ -302,7 +210,6 @@ impl<'a> VliwSim<'a> {
         let mut class_ops = [0u64; OpClass::COUNT];
         let mut reg_writes: Vec<(u32, Word, u64)> = Vec::new();
         let mut mem_writes: Vec<(i64, Word)> = Vec::new();
-        let mut written: Vec<u32> = Vec::new();
 
         loop {
             if cycle >= cfg.max_cycles {
@@ -321,7 +228,9 @@ impl<'a> VliwSim<'a> {
                 class_ops[slot.op.class().index()] += 1;
             }
 
-            check_word_resources(word, &self.machine, at)?;
+            self.machine
+                .check_word(word)
+                .map_err(|fault| SimError::IllegalWord { at, fault })?;
 
             // Phase 1: evaluate everything against the pre-state.
             reg_writes.clear();
@@ -451,12 +360,7 @@ impl<'a> VliwSim<'a> {
             }
 
             // Phase 2: commit.
-            written.clear();
             for &(r, w, rdy) in &reg_writes {
-                if written.contains(&r) {
-                    return Err(SimError::DoubleWrite { at, reg: r });
-                }
-                written.push(r);
                 self.regs[r as usize] = w;
                 self.ready[r as usize] = rdy;
             }
@@ -524,7 +428,7 @@ impl<'a> VliwSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::from_words;
+    use crate::program::{from_words, SlotOp};
     use symbol_intcode::{AluOp, Cond, R};
 
     fn tiny_layout() -> Layout {
@@ -570,18 +474,17 @@ mod tests {
             },
         ]);
         let one_port = MachineConfig::units(2);
-        assert!(matches!(
-            check_word_resources(&two_loads, &one_port, 0),
-            Err(SimError::SlotOverflow {
-                at: 0,
+        assert_eq!(
+            one_port.check_word(&two_loads),
+            Err(WordFault::SlotOverflow {
                 class: OpClass::Memory
             })
-        ));
+        );
         let two_ports = MachineConfig {
             mem_ports: 2,
             ..one_port
         };
-        assert!(check_word_resources(&two_loads, &two_ports, 0).is_ok());
+        assert!(two_ports.check_word(&two_loads).is_ok());
         // The port budget is still clamped by the unit count: 4 ports
         // on 2 units cannot issue 3 memory ops.
         let three_loads = word(vec![
@@ -606,13 +509,12 @@ mod tests {
             issue_width: 4,
             ..MachineConfig::units(2)
         };
-        assert!(matches!(
-            check_word_resources(&three_loads, &many_ports, 7),
-            Err(SimError::SlotOverflow {
-                at: 7,
+        assert_eq!(
+            many_ports.check_word(&three_loads),
+            Err(WordFault::SlotOverflow {
                 class: OpClass::Memory
             })
-        ));
+        );
     }
 
     #[test]
@@ -628,15 +530,15 @@ mod tests {
             Op::Mv { d: R(42), s: R(41) },
             Op::Mv { d: R(43), s: R(41) },
         ]);
-        assert!(matches!(
-            check_word_resources(&three_moves, &narrow, 3),
-            Err(SimError::WidthOverflow { at: 3 })
-        ));
+        assert_eq!(
+            narrow.check_word(&three_moves),
+            Err(WordFault::WidthOverflow)
+        );
         let two_moves = word(vec![
             Op::Mv { d: R(40), s: R(41) },
             Op::Mv { d: R(42), s: R(41) },
         ]);
-        assert!(check_word_resources(&two_moves, &narrow, 3).is_ok());
+        assert!(narrow.check_word(&two_moves).is_ok());
     }
 
     #[test]
@@ -776,7 +678,13 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
         ];
         let err = run_words(instrs, MachineConfig::units(4)).unwrap_err();
-        assert!(matches!(err, SimError::SlotOverflow { .. }));
+        assert!(matches!(
+            err,
+            SimError::IllegalWord {
+                fault: WordFault::SlotOverflow { .. },
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -811,7 +719,13 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
         ];
         let err = run_words(instrs, MachineConfig::units(4)).unwrap_err();
-        assert!(matches!(err, SimError::DoubleWrite { reg: 40, .. }));
+        assert!(matches!(
+            err,
+            SimError::IllegalWord {
+                fault: WordFault::DoubleWrite { reg: 40 },
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -837,7 +751,13 @@ mod tests {
             word(vec![Op::Halt { success: true }]),
         ];
         let err = run_words(instrs, MachineConfig::prototype()).unwrap_err();
-        assert!(matches!(err, SimError::FormatConflict { .. }));
+        assert!(matches!(
+            err,
+            SimError::IllegalWord {
+                fault: WordFault::FormatConflict { .. },
+                ..
+            }
+        ));
         // the same word is fine on the unrestricted machine if on one unit?
         // (unit conflict rules still apply across classes: alu+control on the
         // same unit is legal without split formats)
