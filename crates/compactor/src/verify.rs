@@ -186,6 +186,55 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_slot_on_a_unit_the_machine_lacks() {
+        // Three ALU ops on units 0-2 and a jump on unit 9 of a 3-unit
+        // machine: every count fits, but the machine has no unit 9. The
+        // verifier and both simulators refuse the word alike.
+        let machine = MachineConfig {
+            split_formats: true,
+            ..MachineConfig::wide_units(3)
+        };
+        let layout = Layout {
+            heap_size: 8,
+            env_size: 8,
+            cp_size: 8,
+            trail_size: 8,
+            pdl_size: 8,
+        };
+        let add = |unit: usize, d: u32| {
+            slot(
+                unit,
+                Op::Alu {
+                    op: AluOp::Add,
+                    d: R(d),
+                    a: R(50),
+                    b: Operand::Imm(1),
+                },
+            )
+        };
+        let word = vec![
+            add(0, 40),
+            add(1, 41),
+            add(2, 42),
+            slot(9, Op::Jmp { t: Label(1) }),
+        ];
+        let halt = vec![slot(0, Op::Halt { success: true })];
+        let p = program_of(vec![word, halt], &[(0, 0), (1, 1)]);
+        let fault = WordFault::NoSuchUnit { unit: 9 };
+        assert_eq!(machine.check_word(p.word(0)), Err(fault));
+        assert_eq!(
+            verify_program(&p, &machine),
+            Err(Violation::IllegalWord { at: 0, fault })
+        );
+        let refused = Err(SimError::IllegalWord { at: 0, fault });
+        let legacy = VliwSim::new(&p, machine, &layout).run(&SimConfig::default());
+        assert_eq!(legacy, refused, "legacy");
+        let decoded = DecodedVliw::new(&p, machine);
+        let fast = DecodedVliwSim::new(&decoded, &layout).run(&SimConfig::default());
+        assert_eq!(fast, refused, "decoded");
+    }
+
+    #[test]
     fn rejects_format_mix_on_prototype() {
         // Under split formats a unit issues the ALU/move format or the
         // control format: a move or an ALU op beside a jump on one unit

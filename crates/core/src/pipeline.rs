@@ -129,14 +129,17 @@ pub struct FrontEnd {
 
 /// The profile-guided second execution tier: the fused program, what
 /// the fusion pass did, and the hash of the profile it specialized
-/// against (the invalidation token of the serve-layer cache key).
+/// against.
 #[derive(Debug)]
 pub struct FusedTier {
     /// The re-decoded program with fused superinstructions installed.
     pub program: DecodedProgram,
     /// Static and dynamic accounting of the fusion pass.
     pub report: FusionReport,
-    /// `fuse::profile_hash` of the profile this tier was built from.
+    /// `fuse::profile_hash` of the profile this tier was built from: a
+    /// record of where the tier came from, stored with it. It is not a
+    /// cache token; a restored tier is checked against its base program
+    /// instead ([`Compiled::attach_fused_tier`]).
     pub profile_hash: u64,
 }
 
@@ -297,8 +300,7 @@ impl Compiled {
     /// the execution statistics, branch-predictor profile, and step
     /// count. Deterministic — two profiling runs of the same program
     /// produce identical profiles (and so an identical
-    /// `fuse::profile_hash`), which is what lets the serve layer
-    /// recover the fused artifact's cache key on a warm path.
+    /// `fuse::profile_hash`).
     ///
     /// # Errors
     ///
@@ -314,8 +316,8 @@ impl Compiled {
     }
 
     /// Builds and installs the fused tier from an already-collected
-    /// profile (the serve layer's path: it profiles once, derives the
-    /// cache key, and only then decides whether to fuse or attach).
+    /// profile (the serve layer's cold path: it profiles under its own
+    /// span, then fuses under another).
     pub fn attach_fused_from_profile(
         &mut self,
         stats: &ExecStats,
@@ -344,16 +346,16 @@ impl Compiled {
     }
 
     /// Installs a fused tier restored from a serialized artifact,
-    /// cross-checking that it is parallel to this program's IntCode
-    /// (same invariant [`Compiled::from_artifact`] enforces for the
-    /// unfused decoded form).
+    /// checking that its program is a legal fusion of this image's
+    /// decoded program ([`fuse::is_fusion_of`]), so that it behaves
+    /// exactly like the program it replaces.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Artifact`] on a length mismatch — a fused
-    /// artifact for some other program.
+    /// [`PipelineError::Artifact`] when it is not — a fused artifact
+    /// for some other program, or one that breaks the fusion rules.
     pub fn attach_fused_tier(&mut self, tier: FusedTier) -> Result<(), PipelineError> {
-        if tier.program.len() != self.ici.len() {
+        if !fuse::is_fusion_of(&tier.program, &self.decoded) {
             return Err(PipelineError::Artifact(
                 symbol_intcode::WireError::Corrupt {
                     what: "fused/intcode consistency",

@@ -39,12 +39,17 @@
 //! interpreter — which the workspace differential suite and the fuzz
 //! oracle's third engine pair both assert.
 //!
-//! ## Invalidation
+//! ## Checking a stored tier
 //!
-//! [`profile_hash`] condenses the whole profile into the cache key of
-//! the serialized fused artifact: a source change, layout change or
-//! any behavioral drift that alters the profile changes the hash, so a
-//! stale specialized program can never be served.
+//! A fused program read back from disk is served only if
+//! [`is_fusion_of`] accepts it against the base program it is attached
+//! to: every record equals the base's or is a head [`fuse`] could have
+//! built under rules 1 and 3, with its interior kept. That is what
+//! makes the tier behave exactly like its base, whatever profile chose
+//! the pairs. A stale profile can only leave a different set of legal
+//! pairs fused, which changes speed, never answers, so the profile is
+//! not part of the artifact's cache key; [`profile_hash`] records which
+//! profile a tier was fused from.
 
 use crate::decode::{DecodedProgram, ExecProfile, MicroOp};
 use crate::emu::ExecStats;
@@ -87,9 +92,9 @@ impl Default for FuseConfig {
 impl FuseConfig {
     /// Stable hash of the knob values, mixed into the fused artifact's
     /// cache key: a configuration change must invalidate cached fused
-    /// programs exactly like a profile change does (they are still
-    /// bit-identical, but the serving tier should never silently keep
-    /// serving a program fused under retired knobs).
+    /// programs (they are still bit-identical, but the serving tier
+    /// should never silently keep serving a program fused under
+    /// retired knobs).
     pub fn cache_salt(&self) -> u64 {
         let mut w = Writer::new();
         w.u64(self.min_expect);
@@ -180,8 +185,8 @@ impl FusionReport {
 }
 
 /// Stable content hash of an execution profile (Expect counts, taken
-/// counts and per-pc mispredictions), used in the fused artifact's
-/// cache key so a profile change invalidates the specialized program.
+/// counts and per-pc mispredictions), stored with a fused tier as the
+/// record of the profile it was fused from.
 pub fn profile_hash(stats: &ExecStats, profile: &ExecProfile) -> u64 {
     let mut w = Writer::new();
     w.count(stats.expect.len());
@@ -302,6 +307,42 @@ fn fuse_pair(head: MicroOp, next: MicroOp) -> Option<(MicroOp, PairKind)> {
         }
         _ => None,
     }
+}
+
+/// Whether `fused` is a legal fusion of `base`: the same length, label
+/// table, entry pc and register count, and at every pc either the base
+/// record or a head that [`fuse`]'s pair matcher builds from the base
+/// pair `(i, i + 1)`, where `i + 1` is not a branch target of `base`
+/// and keeps its base record. Pairs cannot overlap, since an interior
+/// keeps its record. Such a program behaves exactly like `base`.
+///
+/// One pass over the records, allocating nothing.
+pub fn is_fusion_of(fused: &DecodedProgram, base: &DecodedProgram) -> bool {
+    if fused.len() != base.len()
+        || fused.label_pc != base.label_pc
+        || fused.entry_pc != base.entry_pc
+        || fused.num_regs != base.num_regs
+    {
+        return false;
+    }
+    let (f, b) = (&fused.micro, &base.micro);
+    let mut i = 0;
+    while i < b.len() {
+        if f[i] == b[i] {
+            i += 1;
+            continue;
+        }
+        let interior = i + 1;
+        let head = interior < b.len()
+            && !base.is_branch_target(interior)
+            && f[interior] == b[interior]
+            && fuse_pair(b[i], b[interior]).is_some_and(|(head, _)| head == f[i]);
+        if !head {
+            return false;
+        }
+        i += 2;
+    }
+    true
 }
 
 /// Re-decodes `program` under the execution profile `(stats, profile)`
@@ -890,6 +931,151 @@ mod tests {
         let dq = DecodedProgram::new(&q);
         let (_, s3, _, p3) = DecodedEmulator::new(&dq, &layout).run_with_profile(&cfg);
         assert_ne!(profile_hash(&s1, &p1), profile_hash(&s3, &p3));
+    }
+
+    /// `p` with its record at `pc` replaced by `m`.
+    fn with_record(p: &DecodedProgram, pc: usize, m: MicroOp) -> DecodedProgram {
+        let mut micro = p.micro.clone();
+        micro[pc] = m;
+        DecodedProgram::from_parts(micro, p.label_pc.clone(), p.entry_pc, p.num_regs)
+    }
+
+    /// The base program of `p` and its fusion under its own profile.
+    fn base_and_fused(p: &IciProgram) -> (DecodedProgram, DecodedProgram) {
+        let base = DecodedProgram::new(p);
+        let (_, stats, _, profile) =
+            DecodedEmulator::new(&base, &tiny_layout()).run_with_profile(&ExecConfig::default());
+        let (fused, report) = fuse(&base, &stats, &profile, &FuseConfig::default());
+        assert!(report.pairs > 0, "the test needs a fused pair");
+        (base, fused)
+    }
+
+    #[test]
+    fn fusions_are_recognised_and_the_base_is_its_own_fusion() {
+        let (base, fused) = base_and_fused(&counted_loop(100));
+        assert!(is_fusion_of(&fused, &base));
+        assert!(is_fusion_of(&base, &base), "zero pairs is a fusion");
+        assert!(
+            !is_fusion_of(&base, &fused),
+            "a fused head is no base record"
+        );
+    }
+
+    #[test]
+    fn a_head_over_a_branch_target_is_not_a_fusion() {
+        // pc 1 is the loop target; MvI at 0 and the Alu at 1 match the
+        // immediate-folding shape, but the loop would skip the head.
+        let p = assemble(|a| {
+            let e = a.fresh_label();
+            let lp = a.fresh_label();
+            let i = a.fresh_reg();
+            a.bind(e);
+            a.emit(Op::MvI {
+                d: i,
+                w: Word::int(0),
+            });
+            a.bind(lp);
+            a.emit(Op::Alu {
+                op: AluOp::Add,
+                d: i,
+                a: i,
+                b: Operand::Reg(i),
+            });
+            a.emit(Op::Br {
+                cond: Cond::Lt,
+                a: i,
+                b: Operand::Imm(50),
+                t: lp,
+            });
+            a.emit(Op::Halt { success: true });
+            e
+        });
+        let base = DecodedProgram::new(&p);
+        assert!(base.is_branch_target(1));
+        let (head, _) = fuse_pair(base.micro[0], base.micro[1]).expect("a fused shape");
+        assert!(!is_fusion_of(&with_record(&base, 0, head), &base));
+    }
+
+    #[test]
+    fn a_changed_interior_is_not_a_fusion() {
+        let (base, fused) = base_and_fused(&counted_loop(100));
+        // The loop's add+branch pair: head at pc 1, interior at pc 2.
+        assert!(matches!(fused.micro[1], MicroOp::CmpBrRI { .. }));
+        let mut interior = fused.micro[2];
+        let MicroOp::BrRI { imm, .. } = &mut interior else {
+            panic!("interior kept: {interior:?}");
+        };
+        *imm += 1;
+        assert!(!is_fusion_of(&with_record(&fused, 2, interior), &base));
+    }
+
+    #[test]
+    fn a_head_the_matcher_would_not_build_is_not_a_fusion() {
+        let (base, fused) = base_and_fused(&counted_loop(100));
+        let mut head = fused.micro[1];
+        let MicroOp::CmpBrRI { bimm, .. } = &mut head else {
+            panic!("head at pc 1: {head:?}");
+        };
+        *bimm += 1;
+        assert!(!is_fusion_of(&with_record(&fused, 1, head), &base));
+        // Nor is a head over a base pair with no fused shape: the
+        // branch at pc 2 and the halt behind it.
+        assert!(!base.is_branch_target(3));
+        assert!(!is_fusion_of(&with_record(&base, 2, head), &base));
+    }
+
+    #[test]
+    fn overlapping_pairs_are_not_a_fusion() {
+        // Ld, Mv, St: (1, 2) is a Ld+Mv pair and (2, 3) a Mv+St pair.
+        let p = assemble(|a| {
+            let e = a.fresh_label();
+            let base = a.fresh_reg();
+            let w = a.fresh_reg();
+            let v = a.fresh_reg();
+            a.bind(e);
+            a.emit(Op::MvI {
+                d: base,
+                w: Word::int(8),
+            });
+            a.emit(Op::Ld { d: w, base, off: 0 });
+            a.emit(Op::Mv { d: v, s: w });
+            a.emit(Op::St { s: v, base, off: 1 });
+            a.emit(Op::Halt { success: true });
+            e
+        });
+        let base = DecodedProgram::new(&p);
+        let (ld_mv, _) = fuse_pair(base.micro[1], base.micro[2]).expect("Ld+Mv");
+        let (mv_st, _) = fuse_pair(base.micro[2], base.micro[3]).expect("Mv+St");
+        let first = with_record(&base, 1, ld_mv);
+        assert!(is_fusion_of(&first, &base));
+        assert!(is_fusion_of(&with_record(&base, 2, mv_st), &base));
+        assert!(!is_fusion_of(&with_record(&first, 2, mv_st), &base));
+    }
+
+    #[test]
+    fn a_different_label_table_entry_or_register_file_is_not_a_fusion() {
+        let (base, fused) = base_and_fused(&counted_loop(100));
+        let parts = |label_pc: Vec<u32>, entry_pc: usize, num_regs: usize| {
+            DecodedProgram::from_parts(fused.micro.clone(), label_pc, entry_pc, num_regs)
+        };
+        let (labels, entry, regs) = (fused.label_pc.clone(), fused.entry_pc, fused.num_regs);
+        assert!(is_fusion_of(&parts(labels.clone(), entry, regs), &base));
+        let mut moved = labels.clone();
+        moved[0] += 1;
+        let mut extra = labels.clone();
+        extra.push(u32::MAX);
+        for (what, other) in [
+            ("moved label", parts(moved, entry, regs)),
+            ("extra label", parts(extra, entry, regs)),
+            ("entry pc", parts(labels.clone(), entry + 1, regs)),
+            ("register count", parts(labels.clone(), entry, regs + 1)),
+        ] {
+            assert!(!is_fusion_of(&other, &base), "{what}");
+        }
+        let mut shorter = fused.micro.clone();
+        shorter.pop();
+        let shorter = DecodedProgram::from_parts(shorter, labels, entry, regs);
+        assert!(!is_fusion_of(&shorter, &base), "length");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! *emulator image* (the IntCode, its pre-decoded micro-op form and
 //! the memory layout it was generated for) or a *fused image* (the
 //! profile-guided superinstruction tier: the fused [`DecodedProgram`]
-//! plus the hash of the execution profile it specialized against and
-//! the fusion report). The server only executes these two; scheduled
+//! plus the hash of the execution profile it was fused from and the
+//! fusion report). The server only executes these two; scheduled
 //! VLIW code is a measurement product, rebuilt from the profile, and
 //! has no artifact kind.
 //!
@@ -31,9 +31,11 @@
 //! wire bytes, decoded-program wire bytes, then the five [`Layout`]
 //! sizes as `u64`s. The fused payload is one section of fused
 //! decoded-program wire bytes, then the profile hash (`u64`) and the
-//! serialized [`FusionReport`]; its cache key folds the profile hash
-//! into the config hash, so a changed profile is a different artifact
-//! — stale specializations can never be served.
+//! serialized [`FusionReport`]. Its cache key is the source, the layout
+//! and the fusion pass's salt, not the profile, so a warm start finds
+//! it without profiling; the cache serves it only after checking that
+//! it is a legal fusion of the base image it is attached to
+//! ([`symbol_intcode::fuse::is_fusion_of`]).
 //!
 //! Decoding never panics: every failure mode — wrong magic, unknown
 //! version, truncation, checksum mismatch, malformed payload — comes
@@ -103,8 +105,8 @@ pub struct ArtifactKey {
     /// FNV-1a 64 of the Prolog source text.
     pub source_hash: u64,
     /// FNV-1a 64 of the canonical encoding of everything else that
-    /// shapes the artifact (layout; plus profile and fusion salt for
-    /// the fused tier).
+    /// shapes the artifact (layout; plus the fusion salt for the fused
+    /// tier).
     pub config_hash: u64,
 }
 
@@ -143,18 +145,20 @@ impl ArtifactKey {
     }
 
     /// Key of the fused second-tier image of `source` under `layout`,
-    /// specialized against the profile hashed as `profile_hash` and
     /// fused under the configuration hashed as `fuse_salt`
-    /// ([`symbol_intcode::FuseConfig::cache_salt`]). Both are folded
-    /// into the config hash: a new profile (new source behavior,
-    /// different layout, changed predictor) or a retuned fusion
-    /// threshold yields a new key, which is exactly the invalidation
-    /// the fused tier needs — a cache seeded under old thresholds is
-    /// never served after the pass changes.
-    pub fn fused(source: &str, layout: &Layout, profile_hash: u64, fuse_salt: u64) -> Self {
+    /// ([`symbol_intcode::FuseConfig::cache_salt`]): a retuned fusion
+    /// threshold yields a new key, so a cache seeded under old
+    /// thresholds is never served after the pass changes.
+    ///
+    /// The profile is not in the key. It is a deterministic function of
+    /// the base image, which source and layout already name, and the
+    /// cache checks a loaded tier against its base program instead. So
+    /// `_profile_hash` is unused; it stays only because the benchmark
+    /// package (`perfbench/src/serve.rs`) still passes one, until that
+    /// package moves to the library's loader (ROADMAP.md, item 1).
+    pub fn fused(source: &str, layout: &Layout, _profile_hash: u64, fuse_salt: u64) -> Self {
         let mut w = Writer::new();
         layout_bytes(&mut w, layout);
-        w.u64(profile_hash);
         w.u64(fuse_salt);
         ArtifactKey {
             source_hash: fnv1a64(source.as_bytes()),
@@ -189,7 +193,8 @@ pub enum Payload {
     Fused {
         /// The fused decoded program.
         fused: DecodedProgram,
-        /// Hash of the execution profile the fusion consumed.
+        /// Hash of the execution profile the fusion consumed (a
+        /// record, not part of the key).
         profile_hash: u64,
         /// What the fusion pass did (for metrics on attach).
         report: FusionReport,
@@ -450,22 +455,30 @@ mod tests {
     }
 
     #[test]
-    fn fused_key_separates_profiles_and_fuse_configs() {
+    fn fused_key_separates_layouts_and_fuse_configs_but_not_profiles() {
+        let src = "main :- 1 = 1.";
         let layout = Layout::default();
         let salt = symbol_intcode::FuseConfig::default().cache_salt();
-        let a = ArtifactKey::fused("main :- 1 = 1.", &layout, 1, salt);
-        let b = ArtifactKey::fused("main :- 1 = 1.", &layout, 2, salt);
-        assert_eq!(a.source_hash, b.source_hash);
-        assert_ne!(a.config_hash, b.config_hash, "profile hash is in the key");
-        let emu = ArtifactKey::emulator("main :- 1 = 1.", &layout);
+        let a = ArtifactKey::fused(src, &layout, 1, salt);
+        let b = ArtifactKey::fused(src, &layout, 2, salt);
+        assert_eq!(a, b, "a warm start finds the tier without profiling");
+        let emu = ArtifactKey::emulator(src, &layout);
+        assert_eq!(a.source_hash, emu.source_hash);
         assert_ne!(a.config_hash, emu.config_hash);
+        let small = Layout {
+            heap_size: 1 << 10,
+            ..layout
+        };
+        let c = ArtifactKey::fused(src, &small, 1, salt);
+        assert_eq!(a.source_hash, c.source_hash);
+        assert_ne!(a.config_hash, c.config_hash, "the layout is in the key");
         let retuned = symbol_intcode::FuseConfig {
             min_pair_permille: 500,
             ..symbol_intcode::FuseConfig::default()
         };
-        let c = ArtifactKey::fused("main :- 1 = 1.", &layout, 1, retuned.cache_salt());
+        let d = ArtifactKey::fused(src, &layout, 1, retuned.cache_salt());
         assert_ne!(
-            a.config_hash, c.config_hash,
+            a.config_hash, d.config_hash,
             "retuning the fusion pass invalidates cached fused artifacts"
         );
     }

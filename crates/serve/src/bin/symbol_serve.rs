@@ -14,14 +14,15 @@
 //!   --workers N          worker threads (default 4)
 //!   --metrics PATH       write a metrics.json snapshot here
 //!   --fused              serve the profile-guided fused tier: each
-//!                        benchmark is profiled, its fused artifact
-//!                        loaded (or built and stored), and queries
-//!                        run on the fused program
+//!                        benchmark's fused artifact is loaded (or,
+//!                        on a cold start only, the benchmark is
+//!                        profiled and fused and the artifact stored),
+//!                        and queries run on the fused program
 //!   --expect-all-hits    fail unless every load was a cache hit
 //!                        (zero misses, zero corrupt entries, zero
 //!                        compiles; with --fused, also a fused-tier
-//!                        hit per benchmark) — the CI warm-restart
-//!                        check
+//!                        hit per benchmark and zero profiling runs
+//!                        and fusions) — the CI warm-restart check
 //!   --stats              issue a live Stats query per benchmark from
 //!                        the running pool, answered after every query
 //!                        submitted before it, and print the per-stage
@@ -294,13 +295,16 @@ fn main() -> ExitCode {
         let hits = get("serve.cache.hit");
         let misses = get("serve.cache.miss");
         let corrupt = get("serve.cache.corrupt");
-        let compiles = obs
-            .snapshot()
-            .histograms
-            .iter()
-            .filter(|h| h.name == "span.serve.compile.ns")
-            .map(|h| h.count)
-            .sum::<u64>();
+        let snapshot = obs.snapshot();
+        let spans = |name: &str| {
+            snapshot
+                .histograms
+                .iter()
+                .filter(|h| h.name == name)
+                .map(|h| h.count)
+                .sum::<u64>()
+        };
+        let compiles = spans("span.serve.compile.ns");
         println!("cache: {hits} hits, {misses} misses, {corrupt} corrupt, {compiles} compiles");
         if misses > 0 || corrupt > 0 || compiles > 0 || hits < selected.len() as u64 {
             eprintln!("symbol-serve: expected a fully warm cache");
@@ -311,8 +315,18 @@ fn main() -> ExitCode {
             let fhits = fget("serve.cache.hit");
             let fmisses = fget("serve.cache.miss");
             let fcorrupt = fget("serve.cache.corrupt");
-            println!("fused tier: {fhits} hits, {fmisses} misses, {fcorrupt} corrupt");
-            if fmisses > 0 || fcorrupt > 0 || fhits < selected.len() as u64 {
+            let profiles = spans("span.serve.profile.ns");
+            let fusions = spans("span.serve.fuse.ns");
+            println!(
+                "fused tier: {fhits} hits, {fmisses} misses, {fcorrupt} corrupt, \
+                 {profiles} profiles, {fusions} fusions"
+            );
+            if fmisses > 0
+                || fcorrupt > 0
+                || profiles > 0
+                || fusions > 0
+                || fhits < selected.len() as u64
+            {
                 eprintln!("symbol-serve: expected a fully warm fused tier");
                 failed = true;
             }

@@ -8,8 +8,10 @@
 //! the new complete file, never a partial write. Corrupt entries —
 //! bad magic, wrong version, truncation, checksum or key mismatch —
 //! are counted, removed (best effort) and treated as misses: the
-//! serving tier recompiles and the next store repairs the cache. No
-//! artifact content can make [`ArtifactCache`] panic.
+//! serving tier recompiles and the next store repairs the cache. A
+//! fused tier that decodes but is not a legal fusion of its base image
+//! is counted corrupt too, and re-fused. No artifact content can make
+//! [`ArtifactCache`] panic.
 //!
 //! Observability (all under the shared [`Registry`]):
 //!
@@ -17,7 +19,9 @@
 //!   counters, labelled with the payload `kind`,
 //! * `serve.cache.store` / `serve.cache.store_failed` counters,
 //! * `serve.deserialize` and `serve.compile` spans (their duration
-//!   histograms expose deserialize-vs-compile latency directly),
+//!   histograms expose deserialize-vs-compile latency directly), and
+//!   the fused tier's `serve.profile` and `serve.fuse` spans, which
+//!   only a cold or refused fused load runs,
 //! * when a flight recorder is attached
 //!   ([`ArtifactCache::with_flight`]), every hit/miss/corrupt also
 //!   leaves a flight record carrying the key's hashes, so incident
@@ -27,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use symbol_core::pipeline::Compiled;
+use symbol_core::pipeline::{Compiled, FusedTier};
 use symbol_core::PipelineError;
 use symbol_intcode::Layout;
 use symbol_obs::{FlightKind, FlightRecorder, Registry};
@@ -231,14 +235,14 @@ impl ArtifactCache {
     /// [`ArtifactCache::load_compiled_shared`] loads it), then the
     /// fused superinstruction tier on top.
     ///
-    /// The fused artifact's cache key includes the hash of the
-    /// execution profile it was specialized against, and profiling is
-    /// deterministic — so the warm path re-derives the key with one
-    /// profiling run (`serve.profile` span), loads the fused artifact,
-    /// and attaches it. When the artifact is absent (or stale: a stored
-    /// profile hash that disagrees with the recomputed one is counted
-    /// corrupt), the fusion pass runs (`serve.fuse` span) and the fresh
-    /// artifact is stored, repairing the cache for the next start.
+    /// The fused artifact is keyed by source, layout and the fusion
+    /// pass's salt, so a warm start loads it and attaches it with no
+    /// profiling run and no fusion. [`Compiled::attach_fused_tier`]
+    /// serves it only if it is a legal fusion of the base program; a
+    /// decodable artifact it refuses is counted corrupt. When the
+    /// artifact is absent or refused, the base program is profiled
+    /// (`serve.profile` span) and fused (`serve.fuse` span), and the
+    /// fresh artifact is stored, repairing the cache for the next start.
     ///
     /// Tier traffic is visible per kind: the fused artifact's hits,
     /// misses, corruptions and stores are all labelled `kind=fused`
@@ -256,40 +260,36 @@ impl ArtifactCache {
         layout: Layout,
     ) -> Result<Arc<Compiled>, PipelineError> {
         let mut compiled = self.load_compiled(source, layout)?;
-        let (stats, profile, _steps) = {
-            let _span = self.obs.span("serve.profile", &[("kind", "fused")]);
-            compiled.profile()?
-        };
-        let profile_hash = symbol_intcode::fuse::profile_hash(&stats, &profile);
         // The fusion pass's own configuration is part of the key:
         // retuning a threshold must invalidate artifacts fused under
         // the old one.
         let fuse_salt = symbol_intcode::FuseConfig::default().cache_salt();
-        let key = ArtifactKey::fused(source, &layout, profile_hash, fuse_salt);
+        let key = ArtifactKey::fused(source, &layout, 0, fuse_salt);
         if let Some(art) = self.load(&key, PayloadKind::Fused) {
             if let Payload::Fused {
                 fused,
-                profile_hash: stored_hash,
+                profile_hash,
                 report,
             } = art.payload
             {
-                let attached = stored_hash == profile_hash
-                    && compiled
-                        .attach_fused_tier(symbol_core::pipeline::FusedTier {
-                            program: fused,
-                            report,
-                            profile_hash: stored_hash,
-                        })
-                        .is_ok();
-                if attached {
+                let tier = FusedTier {
+                    program: fused,
+                    report,
+                    profile_hash,
+                };
+                if compiled.attach_fused_tier(tier).is_ok() {
                     return Ok(Arc::new(compiled));
                 }
-                // A decodable artifact that does not match this
-                // program/profile must not be served.
+                // A decodable artifact that is not a fusion of this
+                // program must not be served.
                 self.counter("serve.cache.corrupt", PayloadKind::Fused)
                     .inc();
             }
         }
+        let (stats, profile, _steps) = {
+            let _span = self.obs.span("serve.profile", &[("kind", "fused")]);
+            compiled.profile()?
+        };
         let tier = {
             let _span = self.obs.span("serve.fuse", &[("kind", "fused")]);
             compiled.attach_fused_from_profile(&stats, &profile)
@@ -425,6 +425,16 @@ mod tests {
         obs.counter(name, &[("kind", "fused")]).get()
     }
 
+    /// How many times the span `name` closed on `obs`.
+    fn span_count(obs: &Registry, name: &str) -> u64 {
+        obs.snapshot()
+            .histograms
+            .iter()
+            .filter(|h| h.name == format!("span.{name}.ns"))
+            .map(|h| h.count)
+            .sum()
+    }
+
     /// One run of the image's installed fused tier.
     fn fused_run(c: &Compiled) -> RunResult {
         let tier = c.fused.as_ref().expect("fused tier installed");
@@ -449,10 +459,17 @@ mod tests {
             .expect("warm");
         assert!(b.fused.is_some(), "warm path attached the fused tier");
         assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
+        for span in ["serve.profile", "serve.fuse"] {
+            assert_eq!(
+                span_count(&obs, span),
+                1,
+                "{span} ran on the cold load only"
+            );
+        }
         assert_eq!(
             a.fused.as_ref().unwrap().profile_hash,
             b.fused.as_ref().unwrap().profile_hash,
-            "deterministic profiling re-derives the same key"
+            "the stored profile record round-trips"
         );
         // Bit-identical across tiers and paths.
         let base = a.run_sequential().expect("decoded runs");
@@ -493,6 +510,55 @@ mod tests {
             .expect("warm");
         assert!(d.fused.is_some());
         assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
+    }
+
+    #[test]
+    fn a_tier_fused_for_another_program_is_refused_and_re_fused() {
+        // Two programs of one length that differ only in a constant:
+        // a length check cannot tell their tiers apart.
+        let a_src = LOOP_SRC;
+        let b_src = "main :- count(31). count(0). count(N) :- N > 0, M is N - 1, count(M).";
+        let layout = Layout::default();
+        let mut a = Compiled::from_source(a_src).expect("compiles");
+        let reference = Compiled::from_source(b_src).expect("compiles");
+        assert_eq!(reference.decoded.len(), a.decoded.len());
+        let a_tier = a.build_fused_tier().expect("profiles and fuses");
+        assert!(a_tier.report.pairs > 0, "A's tier fuses something");
+
+        let t = TempDir::new("fusedforeign");
+        let obs = Registry::new();
+        let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
+        let salt = symbol_intcode::FuseConfig::default().cache_salt();
+        let b_key = ArtifactKey::fused(b_src, &layout, 0, salt);
+        let bytes =
+            artifact::encode_fused(&b_key, &a_tier.program, a_tier.profile_hash, &a_tier.report);
+        cache
+            .store(&b_key, PayloadKind::Fused, &bytes)
+            .expect("plant A's tier under B's key");
+
+        let b = cache
+            .load_compiled_fused_shared(b_src, layout)
+            .expect("refuses and re-fuses");
+        assert_eq!(fused_counter(&obs, "serve.cache.corrupt"), 1);
+        assert_eq!(span_count(&obs, "serve.fuse"), 1, "B was fused afresh");
+        let expected = reference.run_sequential().expect("B runs");
+        let served = fused_run(&b);
+        assert_eq!(served.outcome, expected.outcome);
+        assert_eq!(served.steps, expected.steps);
+        assert_eq!(served.stats.expect, expected.stats.expect);
+        assert_eq!(served.stats.taken, expected.stats.taken);
+
+        // The re-fused tier replaced the planted one.
+        let hits = fused_counter(&obs, "serve.cache.hit");
+        let warm = cache
+            .load_compiled_fused_shared(b_src, layout)
+            .expect("warm");
+        assert_eq!(fused_counter(&obs, "serve.cache.hit"), hits + 1);
+        assert_eq!(fused_counter(&obs, "serve.cache.corrupt"), 1);
+        assert_eq!(
+            warm.fused.as_ref().unwrap().program.to_wire_bytes(),
+            b.fused.as_ref().unwrap().program.to_wire_bytes()
+        );
     }
 
     #[test]

@@ -1434,4 +1434,15 @@ mod tests {
         // past 48 bytes (32-byte op payload + uses + flags).
         assert!(std::mem::size_of::<DecodedSlot>() <= 48);
     }
+
+    #[test]
+    fn the_issue_loop_fault_types_stay_small() {
+        // The issue loop builds these only on its fault paths, yet its
+        // speed follows their layout: with a larger `SimError` (a
+        // nested 16-byte fault enum) `DecodedVliwSim` ran 10-15% slower
+        // per cycle and the `tables` workload about 10% slower, measured
+        // on a 2-vCPU Xeon VM. Today they are 8 and 24 bytes.
+        assert!(std::mem::size_of::<WordFault>() <= 8);
+        assert!(std::mem::size_of::<SimError>() <= 24);
+    }
 }

@@ -138,10 +138,10 @@ impl MachineConfig {
     }
 
     /// Checks one instruction word against the machine, in one order
-    /// for every caller: the issue width; then, slot by slot, one op per
-    /// unit and class and, under split formats, no control op on a unit
-    /// with an ALU or move op; then each class's [`MachineConfig::slots`];
-    /// then one writer per register.
+    /// for every caller: the issue width; then, slot by slot, a unit the
+    /// machine has, one op per unit and class and, under split formats,
+    /// no control op on a unit with an ALU or move op; then each class's
+    /// [`MachineConfig::slots`]; then one writer per register.
     ///
     /// The verdict depends only on the word and the machine. Each slot
     /// is compared with the earlier slots of its word, so the check
@@ -165,6 +165,9 @@ impl MachineConfig {
                     .map(|e| e.op.class())
             };
             let unit = || u32::try_from(s.unit).unwrap_or(u32::MAX);
+            if s.unit >= self.units {
+                return Err(WordFault::NoSuchUnit { unit: unit() });
+            }
             if on_unit().any(|c| c == class) {
                 return Err(WordFault::UnitConflict { unit: unit() });
             }
@@ -279,6 +282,11 @@ fn formats_clash(a: OpClass, b: OpClass) -> bool {
 pub enum WordFault {
     /// More ops than the machine's issue width.
     WidthOverflow,
+    /// An op on a unit the machine does not have.
+    NoSuchUnit {
+        /// The unit (`u32::MAX` for a unit number beyond it).
+        unit: u32,
+    },
     /// Two ops of one class on one unit.
     UnitConflict {
         /// The unit (`u32::MAX` for a unit number beyond it).
@@ -306,6 +314,7 @@ impl fmt::Display for WordFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WordFault::WidthOverflow => write!(f, "issue width exceeded"),
+            WordFault::NoSuchUnit { unit } => write!(f, "no unit {unit}"),
             WordFault::UnitConflict { unit } => write!(f, "unit {unit} oversubscribed"),
             WordFault::FormatConflict { unit } => write!(f, "format conflict on unit {unit}"),
             WordFault::SlotOverflow { class } => write!(f, "slot overflow for class {class}"),
@@ -447,10 +456,12 @@ mod tests {
     fn admission_agrees_with_the_word_check() {
         // On random machines, `WordUse` admits a word's per-class op
         // counts exactly when `check_word` accepts the word laid out on
-        // the units `WordUse` numbers it with, in any slot order.
+        // the units `WordUse` numbers it with, in any slot order. And
+        // whenever `check_word` accepts the same ops laid out on random
+        // units, two past the last included, `WordUse` admits them.
         use symbol_intcode::{AluOp, Label, Op, Operand, R};
         let mut rng = crate::Rng(0x005e_ed0f_a9ee_3e17);
-        let (mut accepted, mut rejected) = (0u32, 0u32);
+        let (mut accepted, mut rejected, mut laid_out) = (0u32, 0u32, 0u32);
         for case in 0..4000 {
             let units = 1 + rng.below(6) as usize;
             let machine = MachineConfig {
@@ -510,10 +521,31 @@ mod tests {
             } else {
                 rejected += 1;
             }
+            // Each class's ops on distinct units of a shuffled
+            // 0..units + 2, so that most layouts keep one op per unit
+            // and class.
+            let mut free = [(); OpClass::COUNT].map(|()| {
+                let mut order: Vec<usize> = (0..units + 2).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                order
+            });
+            let random: Vec<SlotOp> = slots
+                .iter()
+                .map(|s| SlotOp {
+                    unit: free[s.op.class().index()].pop().expect("a free unit"),
+                    ..s.clone()
+                })
+                .collect();
+            if machine.check_word(&random).is_ok() {
+                assert!(admitted, "case {case}, {}: {random:?}", machine.describe());
+                laid_out += 1;
+            }
         }
         assert!(
-            accepted >= 400 && rejected >= 400,
-            "{accepted} / {rejected}"
+            accepted >= 400 && rejected >= 400 && laid_out >= 50,
+            "{accepted} / {rejected} / {laid_out}"
         );
     }
 

@@ -486,7 +486,8 @@ mod tests {
         };
         assert!(two_ports.check_word(&two_loads).is_ok());
         // The port budget is still clamped by the unit count: 4 ports
-        // on 2 units cannot issue 3 memory ops.
+        // on 2 units cannot issue 3 memory ops. Laid out one per unit,
+        // the third needs a unit the machine does not have.
         let three_loads = word(vec![
             Op::Ld {
                 d: R(40),
@@ -509,11 +510,10 @@ mod tests {
             issue_width: 4,
             ..MachineConfig::units(2)
         };
+        assert_eq!(many_ports.slots(OpClass::Memory), 2);
         assert_eq!(
             many_ports.check_word(&three_loads),
-            Err(WordFault::SlotOverflow {
-                class: OpClass::Memory
-            })
+            Err(WordFault::NoSuchUnit { unit: 2 })
         );
     }
 

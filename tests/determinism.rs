@@ -296,3 +296,50 @@ fn corrupt_artifacts_recompile_cleanly() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A warm `--fused` start reads the tier a cold start stored instead of
+/// profiling again: on every benchmark the warm-loaded fused program,
+/// its report and its profile record equal the cold build's, and only
+/// the cold loads profile or fuse.
+#[test]
+fn warm_fused_tier_equals_the_cold_build_for_every_benchmark() {
+    use symbol_intcode::Layout;
+    use symbol_serve::cache::ArtifactCache;
+
+    let dir = std::env::temp_dir().join(format!("symbol-determinism-fused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let obs = Registry::new();
+    let cache = ArtifactCache::new(&dir, obs.clone()).expect("open cache");
+    let layout = Layout::default();
+    for b in benchmarks::ALL {
+        let cold = cache
+            .load_compiled_fused_shared(b.source, layout)
+            .expect("cold start");
+        let warm = cache
+            .load_compiled_fused_shared(b.source, layout)
+            .expect("warm start");
+        assert!(warm.front.is_none(), "{}: warm start compiled", b.name);
+        let cold = cold.fused.as_ref().expect("cold tier");
+        let warm = warm.fused.as_ref().expect("warm tier");
+        assert_eq!(
+            warm.program.to_wire_bytes(),
+            cold.program.to_wire_bytes(),
+            "{}: fused program",
+            b.name
+        );
+        assert_eq!(warm.report, cold.report, "{}: fusion report", b.name);
+        assert_eq!(warm.profile_hash, cold.profile_hash, "{}", b.name);
+    }
+    let n = benchmarks::ALL.len() as u64;
+    let snapshot = obs.snapshot();
+    for span in ["span.serve.profile.ns", "span.serve.fuse.ns"] {
+        let runs: u64 = snapshot
+            .histograms
+            .iter()
+            .filter(|h| h.name == span)
+            .map(|h| h.count)
+            .sum();
+        assert_eq!(runs, n, "{span}: one per cold start, none per warm one");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

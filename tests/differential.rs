@@ -15,7 +15,7 @@ use symbol_compactor::{try_compact, CompactMode, Compactor, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::experiments::measure_cached;
 use symbol_core::pipeline::{Compiled, CompiledCache};
-use symbol_intcode::fuse::{fuse, FuseConfig};
+use symbol_intcode::fuse::{fuse, is_fusion_of, FuseConfig};
 use symbol_intcode::{DecodedEmulator, Emulator, ExecConfig};
 use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, VliwSim};
@@ -121,6 +121,35 @@ fn emulator_fused_matches_decoded_and_legacy_on_every_benchmark() {
         "the fusion pass found no hot pairs across the whole suite — \
          the tier is not being exercised"
     );
+}
+
+/// The check the artifact cache runs on a stored fused tier accepts
+/// every program the fusion pass builds: on every benchmark, at the
+/// default thresholds and with the profitability threshold off, so that
+/// every legal pair the profile reaches is fused.
+#[test]
+fn fused_programs_are_legal_fusions_of_their_base_on_every_benchmark() {
+    let every_pair = FuseConfig {
+        min_pair_permille: 0,
+        ..FuseConfig::default()
+    };
+    for_each_benchmark(|b| {
+        let compiled = Compiled::from_source(b.source).expect("compiles");
+        let (stats, profile, _) = compiled.profile().expect("profiles");
+        let pairs = [FuseConfig::default(), every_pair].map(|cfg| {
+            let (fused, report) = fuse(&compiled.decoded, &stats, &profile, &cfg);
+            assert!(
+                is_fusion_of(&fused, &compiled.decoded),
+                "{}: {cfg:?}",
+                b.name
+            );
+            if report.pairs > 0 {
+                assert!(!is_fusion_of(&compiled.decoded, &fused), "{}", b.name);
+            }
+            report.pairs
+        });
+        assert!(pairs[1] >= pairs[0], "{}: {pairs:?}", b.name);
+    });
 }
 
 /// Observability must never change a result: the fully instrumented
