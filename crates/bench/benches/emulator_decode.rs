@@ -28,11 +28,7 @@
 //!   [`Registry::disabled`] costs more than [`MAX_OBS_OVERHEAD`] over
 //!   the plain engine (the zero-cost-when-off guarantee of
 //!   `symbol-obs`, measured on the same machine in the same process
-//!   rather than against a stale cross-machine baseline), or
-//! * the same path with an **enabled** flight recorder taking the
-//!   serving tier's per-query records costs more than
-//!   [`MAX_FLIGHT_OVERHEAD`] — the always-on incident recorder must
-//!   stay cheap enough to leave enabled in production.
+//!   rather than against a stale cross-machine baseline).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -44,16 +40,12 @@ use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::{DecodedEmulator, Emulator, ExecConfig, Layout};
-use symbol_obs::{FlightKind, FlightRecorder, Registry};
+use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, VliwSim};
 
 /// Largest tolerated geomean slowdown of the disabled-observability
 /// path over the plain engine (2%).
 const MAX_OBS_OVERHEAD: f64 = 0.02;
-
-/// Largest tolerated geomean slowdown with an enabled flight recorder
-/// taking the serving tier's per-query records (5%).
-const MAX_FLIGHT_OVERHEAD: f64 = 0.05;
 
 /// Smallest tolerated geomean speedup of the fused tier over the
 /// decoded engine it rewrites. 1.0 would be the true break-even line;
@@ -77,9 +69,6 @@ struct Row {
     /// The same decoded run through `run_sequential_obs` with a
     /// disabled registry — the instrumented-but-off product path.
     obs_off: Duration,
-    /// The obs-off path with an enabled [`FlightRecorder`] taking the
-    /// serving tier's per-query start/end records.
-    flight: Duration,
     /// The decoded engine on the fused superinstruction program.
     fused: Duration,
     /// Hot pairs the fusion pass rewrote for this benchmark.
@@ -100,12 +89,6 @@ impl Row {
     /// slower than the plain engine; negative = within noise).
     fn obs_overhead(&self) -> f64 {
         self.obs_off.as_secs_f64() / self.decoded.as_secs_f64() - 1.0
-    }
-
-    /// Fractional cost of the flight-recorder-enabled path over the
-    /// plain engine.
-    fn flight_overhead(&self) -> f64 {
-        self.flight.as_secs_f64() / self.decoded.as_secs_f64() - 1.0
     }
 
     fn steps_per_sec(&self, mean: Duration) -> f64 {
@@ -169,20 +152,6 @@ fn measure(h: &mut Harness) -> Vec<Row> {
         h.bench_function(&format!("emulator/obs-off/{name}"), |bch| {
             bch.iter(|| c.run_sequential_obs(&off, name).expect("runs"))
         });
-        // The serving hot path with the incident recorder live: the
-        // same run bracketed by the per-query flight records the
-        // query server takes.
-        let flight = FlightRecorder::new(1024);
-        let mut req = 0u64;
-        h.bench_function(&format!("emulator/flight/{name}"), |bch| {
-            bch.iter(|| {
-                flight.record(FlightKind::QueryStart, req, 0);
-                let r = c.run_sequential_obs(&off, name).expect("runs");
-                flight.record(FlightKind::QueryOk, req, r.steps);
-                req += 1;
-                r
-            })
-        });
 
         // Second tier: build the fused program from this benchmark's
         // own profile, then time the same engine on it.
@@ -200,10 +169,9 @@ fn measure(h: &mut Harness) -> Vec<Row> {
         rows.push(Row {
             name,
             steps: run.steps,
-            legacy: h.samples()[n - 5].mean,
-            decoded: h.samples()[n - 4].mean,
-            obs_off: h.samples()[n - 3].mean,
-            flight: h.samples()[n - 2].mean,
+            legacy: h.samples()[n - 4].mean,
+            decoded: h.samples()[n - 3].mean,
+            obs_off: h.samples()[n - 2].mean,
             fused: h.samples()[n - 1].mean,
             fused_pairs: tier.report.pairs,
         });
@@ -309,12 +277,6 @@ fn geomean_obs_overhead(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| 1.0 + r.obs_overhead())) - 1.0
 }
 
-/// Geomean of the flight-enabled/plain time ratios, expressed as an
-/// overhead fraction.
-fn geomean_flight_overhead(rows: &[Row]) -> f64 {
-    geomean(rows.iter().map(|r| 1.0 + r.flight_overhead())) - 1.0
-}
-
 fn write_report(rows: &[Row], h: &Harness, summary: &Summary) {
     let mut out = String::from("{\n  \"emulator\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -322,17 +284,16 @@ fn write_report(rows: &[Row], h: &Harness, summary: &Summary) {
         let _ = writeln!(
             out,
             "    {{\"name\": \"{}\", \"steps\": {}, \"legacy_ns\": {}, \"decoded_ns\": {}, \
-             \"obs_off_ns\": {}, \"flight_ns\": {}, \"fused_ns\": {}, \
+             \"obs_off_ns\": {}, \"fused_ns\": {}, \
              \"legacy_steps_per_sec\": {:.0}, \
              \"decoded_steps_per_sec\": {:.0}, \"fused_steps_per_sec\": {:.0}, \
              \"speedup\": {:.3}, \"fused_speedup\": {:.3}, \"fused_pairs\": {}, \
-             \"obs_overhead\": {:.4}, \"flight_overhead\": {:.4}}}{sep}",
+             \"obs_overhead\": {:.4}}}{sep}",
             r.name,
             r.steps,
             r.legacy.as_nanos(),
             r.decoded.as_nanos(),
             r.obs_off.as_nanos(),
-            r.flight.as_nanos(),
             r.fused.as_nanos(),
             r.steps_per_sec(r.legacy),
             r.steps_per_sec(r.decoded),
@@ -341,7 +302,6 @@ fn write_report(rows: &[Row], h: &Harness, summary: &Summary) {
             r.fused_speedup(),
             r.fused_pairs,
             r.obs_overhead(),
-            r.flight_overhead(),
         );
     }
     let _ = write!(out, "  ],\n  \"vliw\": [\n");
@@ -363,9 +323,8 @@ fn write_report(rows: &[Row], h: &Harness, summary: &Summary) {
         out,
         "  ],\n  \"emulator_geomean_speedup\": {:.3},\n  \
          \"fused_geomean_speedup\": {:.3},\n  \
-         \"obs_off_geomean_overhead\": {:.4},\n  \
-         \"flight_geomean_overhead\": {:.4}\n}}\n",
-        summary.geomean, summary.fused_geomean, summary.obs_overhead, summary.flight_overhead
+         \"obs_off_geomean_overhead\": {:.4}\n}}\n",
+        summary.geomean, summary.fused_geomean, summary.obs_overhead
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_emulator.json");
     if let Err(e) = std::fs::write(&path, out) {
@@ -379,7 +338,6 @@ struct Summary {
     geomean: f64,
     fused_geomean: f64,
     obs_overhead: f64,
-    flight_overhead: f64,
 }
 
 fn main() {
@@ -390,13 +348,12 @@ fn main() {
         geomean: geomean(rows.iter().map(Row::speedup)),
         fused_geomean: geomean(rows.iter().map(Row::fused_speedup)),
         obs_overhead: geomean_obs_overhead(&rows),
-        flight_overhead: geomean_flight_overhead(&rows),
     };
     write_report(&rows, &h, &summary);
     for r in &rows {
         println!(
             "{:<10} {:>12} steps  legacy {:>9.2} Msteps/s  decoded {:>9.2} Msteps/s  {:>5.2}x  \
-             fused {:>9.2} Msteps/s  {:>5.2}x ({} pairs)  obs-off {:>+6.2}%  flight {:>+6.2}%",
+             fused {:>9.2} Msteps/s  {:>5.2}x ({} pairs)  obs-off {:>+6.2}%",
             r.name,
             r.steps,
             r.steps_per_sec(r.legacy) / 1e6,
@@ -405,8 +362,7 @@ fn main() {
             r.steps_per_sec(r.fused) / 1e6,
             r.fused_speedup(),
             r.fused_pairs,
-            r.obs_overhead() * 100.0,
-            r.flight_overhead() * 100.0
+            r.obs_overhead() * 100.0
         );
     }
     println!("emulator geomean speedup: {:.3}x", summary.geomean);
@@ -418,11 +374,6 @@ fn main() {
         "disabled-observability geomean overhead: {:+.2}% (limit {:.0}%)",
         summary.obs_overhead * 100.0,
         MAX_OBS_OVERHEAD * 100.0
-    );
-    println!(
-        "flight-recorder-enabled geomean overhead: {:+.2}% (limit {:.0}%)",
-        summary.flight_overhead * 100.0,
-        MAX_FLIGHT_OVERHEAD * 100.0
     );
     h.final_summary();
     if check && summary.geomean < 1.0 {
@@ -466,14 +417,6 @@ fn main() {
             "FAIL: disabled observability costs {:.2}% over the plain engine (limit {:.0}%)",
             summary.obs_overhead * 100.0,
             MAX_OBS_OVERHEAD * 100.0
-        );
-        std::process::exit(1);
-    }
-    if check && summary.flight_overhead > MAX_FLIGHT_OVERHEAD {
-        eprintln!(
-            "FAIL: the enabled flight recorder costs {:.2}% over the plain engine (limit {:.0}%)",
-            summary.flight_overhead * 100.0,
-            MAX_FLIGHT_OVERHEAD * 100.0
         );
         std::process::exit(1);
     }

@@ -116,8 +116,6 @@ fn throughput(compiled: &Arc<Compiled>, workers: usize, queries: usize) -> (f64,
         &ServerConfig {
             workers,
             queue_capacity: 1024,
-            flight_capacity: 0,
-            ..ServerConfig::default()
         },
         &obs,
     );
@@ -179,8 +177,6 @@ fn determinism_sweep() -> usize {
                     &ServerConfig {
                         workers,
                         queue_capacity: 16,
-                        flight_capacity: 0,
-                        ..ServerConfig::default()
                     },
                     &obs,
                 );

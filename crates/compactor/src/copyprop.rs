@@ -34,25 +34,11 @@ pub struct Optimized {
 
 /// Runs copy propagation + dead-move elimination.
 ///
-/// # Panics
-///
-/// Panics if the rewritten program fails validation — an internal bug
-/// of this pass. Error-propagating callers (the serving tier) use
-/// [`try_copy_propagate`] instead.
-pub fn copy_propagate(program: &IciProgram, stats: &ExecStats) -> Optimized {
-    match try_copy_propagate(program, stats) {
-        Ok(o) => o,
-        Err(e) => panic!("copy propagation produced a malformed program: {e}"),
-    }
-}
-
-/// [`copy_propagate`] returning the [`ProgramError`] instead of
-/// panicking when the rewritten program fails validation.
-///
 /// # Errors
 ///
 /// The first structural defect [`IciProgram::try_new`] finds in the
-/// rewritten program.
+/// rewritten program — an internal bug of this pass, returned rather
+/// than panicked.
 pub fn try_copy_propagate(
     program: &IciProgram,
     stats: &ExecStats,
@@ -247,7 +233,7 @@ mod tests {
         let before = Emulator::new(&p, &layout)
             .run(&ExecConfig::default())
             .expect("original runs");
-        let opt = copy_propagate(&p, &before.stats);
+        let opt = try_copy_propagate(&p, &before.stats).expect("rewritten program validates");
         let after = Emulator::new(&opt.program, &layout)
             .run(&ExecConfig::default())
             .expect("optimized runs");

@@ -25,7 +25,7 @@ pub mod trace;
 pub mod verify;
 
 pub use cfg::{Block, Cfg, Edge};
-pub use copyprop::{copy_propagate, try_copy_propagate};
+pub use copyprop::try_copy_propagate;
 pub use emit::{try_compact, CompactMode, CompactStats, Compacted, Compactor};
 pub use pressure::{measure as measure_pressure, Pressure};
 pub use regalloc::{allocate as allocate_registers, OutOfRegisters};

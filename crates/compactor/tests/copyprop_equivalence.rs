@@ -2,7 +2,7 @@
 //! IntCode computes the same answers sequentially AND after trace
 //! scheduling, while removing a measurable share of the moves.
 
-use symbol_compactor::{copy_propagate, try_compact, CompactMode, TracePolicy};
+use symbol_compactor::{try_compact, try_copy_propagate, CompactMode, TracePolicy};
 use symbol_intcode::{Emulator, ExecConfig, Layout};
 use symbol_prolog::PredId;
 use symbol_vliw::{MachineConfig, SimConfig, SimOutcome, VliwSim};
@@ -27,7 +27,7 @@ fn check(src: &str) -> (u64, u64) {
         .run(&ExecConfig::default())
         .expect("original runs");
 
-    let opt = copy_propagate(&ici, &before.stats);
+    let opt = try_copy_propagate(&ici, &before.stats).expect("rewritten program validates");
     let after = Emulator::new(&opt.program, &layout)
         .run(&ExecConfig::default())
         .expect("optimized runs");

@@ -1,60 +1,30 @@
 //! Run the benchmark suite under full observability and emit the run
 //! report: a human summary table, the per-PC hot-block report, the
-//! stable `metrics.json`, the timeline ndjson, and a Chrome Trace
-//! Format JSON for Perfetto.
+//! stable `metrics.json`, and a Chrome Trace Format JSON for Perfetto.
 //!
 //! ```sh
 //! cargo run --release -p symbol-core --bin obs_report -- --out report/
 //! cargo run --release -p symbol-core --bin obs_report -- --check-schema
 //! cargo run --release -p symbol-core --bin obs_report -- --print-schema
-//! cargo run --release -p symbol-core --bin obs_report -- --flight dump.ndjson
 //! ```
 //!
 //! `--check-schema` exits non-zero when the metric schema drifted from
 //! the checked-in `OBS_SCHEMA.json` — or when the freshly produced
-//! `metrics.json` / timeline dumps fail deep validation (missing or
-//! non-finite quantiles, malformed timeline lines). `--print-schema`
-//! prints the current schema (redirect it over `OBS_SCHEMA.json` to
-//! re-pin). `--flight FILE` and `--timeline FILE` render an existing
-//! incident dump without running the suite.
+//! `metrics.json` fails deep validation (missing or non-finite
+//! quantiles). `--print-schema` prints the current schema (redirect it
+//! over `OBS_SCHEMA.json` to re-pin).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use symbol_core::obs_report::{
-    collect, render_flight_dump, render_sweep_report, render_timeline, validate_dump,
-    validate_timeline, ReportOptions,
-};
+use symbol_core::obs_report::{collect, validate_dump, ReportOptions};
 
 fn usage() -> ! {
     eprintln!(
         "usage: obs_report [--out DIR] [--threads N] [--hot N] \
-         [--quick] [--check-schema] [--print-schema] \
-         [--flight FILE] [--timeline FILE] [--sweep FILE]"
+         [--quick] [--check-schema] [--print-schema]"
     );
     std::process::exit(2);
-}
-
-/// Renders a dump file with `render` and prints it; shared by the
-/// `--flight` and `--timeline` modes.
-fn render_file(path: &PathBuf, render: fn(&str) -> Result<String, String>) -> ExitCode {
-    let contents = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("obs_report: {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match render(&contents) {
-        Ok(rendered) => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("obs_report: {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -62,9 +32,6 @@ fn main() -> ExitCode {
     let mut out_dir: Option<PathBuf> = None;
     let mut check_schema = false;
     let mut print_schema = false;
-    let mut flight_file: Option<PathBuf> = None;
-    let mut timeline_file: Option<PathBuf> = None;
-    let mut sweep_file: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -84,28 +51,8 @@ fn main() -> ExitCode {
             "--quick" => opts.benches = &symbol_core::benchmarks::ALL[..1],
             "--check-schema" => check_schema = true,
             "--print-schema" => print_schema = true,
-            "--flight" => {
-                flight_file = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
-            "--timeline" => {
-                timeline_file = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
-            "--sweep" => {
-                sweep_file = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())));
-            }
             _ => usage(),
         }
-    }
-
-    // Render-only modes: no suite run.
-    if let Some(path) = &flight_file {
-        return render_file(path, render_flight_dump);
-    }
-    if let Some(path) = &timeline_file {
-        return render_file(path, render_timeline);
-    }
-    if let Some(path) = &sweep_file {
-        return render_file(path, render_sweep_report);
     }
 
     let report = match collect(&opts) {
@@ -134,16 +81,14 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::create_dir_all(&dir)
             .and_then(|()| std::fs::write(dir.join("metrics.json"), &report.metrics_json))
             .and_then(|()| std::fs::write(dir.join("trace.json"), &report.trace_json))
-            .and_then(|()| std::fs::write(dir.join("timeline.ndjson"), &report.timeline_ndjson))
         {
             eprintln!("obs_report: writing report: {e}");
             return ExitCode::FAILURE;
         }
         println!(
-            "wrote {}, {} and {} (load trace.json in Perfetto)",
+            "wrote {} and {} (load trace.json in Perfetto)",
             dir.join("metrics.json").display(),
-            dir.join("trace.json").display(),
-            dir.join("timeline.ndjson").display()
+            dir.join("trace.json").display()
         );
     }
 
@@ -152,17 +97,13 @@ fn main() -> ExitCode {
             eprintln!("{drift}");
             return ExitCode::FAILURE;
         }
-        // The line diff proves the shape; the deep checks prove the
-        // v2 payloads (quantiles, timeline ticks) are really there.
+        // The line diff proves the shape; the deep check proves the
+        // v2 payload (per-histogram quantiles) is really there.
         if let Err(e) = validate_dump(&report.metrics_json) {
             eprintln!("obs_report: dump validation failed: {e}");
             return ExitCode::FAILURE;
         }
-        if let Err(e) = validate_timeline(&report.timeline_ndjson) {
-            eprintln!("obs_report: timeline validation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics.json schema matches OBS_SCHEMA.json; dump and timeline validate");
+        println!("metrics.json schema matches OBS_SCHEMA.json; the dump validates");
     }
     ExitCode::SUCCESS
 }

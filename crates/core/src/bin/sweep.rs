@@ -157,7 +157,7 @@ fn main() -> ExitCode {
         failed |= report_violations("invariant", &report.check_invariants());
     }
     if check {
-        if let Err(violations) = check_paper_points(&report, &benches, opts.threads) {
+        if let Err(violations) = check_paper_points(&report, &benches) {
             failed |= report_violations("paper-point", &violations);
         }
         // Jobs-independence: the whole sweep again on one thread must

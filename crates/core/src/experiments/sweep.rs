@@ -996,11 +996,7 @@ impl SweepReport {
 ///
 /// Returns the list of mismatches, or a message when the grid contains
 /// no paper point at all (the cross-check would be vacuous).
-pub fn check_paper_points(
-    report: &SweepReport,
-    benches: &[Benchmark],
-    threads: usize,
-) -> Result<(), Vec<String>> {
+pub fn check_paper_points(report: &SweepReport, benches: &[Benchmark]) -> Result<(), Vec<String>> {
     let paper_points: Vec<(usize, usize)> = report
         .points
         .iter()
@@ -1031,7 +1027,6 @@ pub fn check_paper_points(
                 continue;
             }
         };
-        let _ = threads;
         for &(units, i) in &paper_points {
             let expect = measured.unit_cycles[units - 1];
             if b.cycles[i] != expect {
@@ -1274,7 +1269,7 @@ mod tests {
         assert_eq!(report.to_json(), seq.to_json());
 
         // And the paper points agree with the Table 3 driver.
-        check_paper_points(&report, &[bench], 1).expect("paper points reproduce");
+        check_paper_points(&report, &[bench]).expect("paper points reproduce");
     }
 
     #[test]

@@ -13,13 +13,7 @@
 //! adds, removes or relabels a metric without updating the snapshot.
 //! [`validate_dump`] goes further than the line diff: it parses an
 //! actual `metrics.json` document and checks the version-2 fields
-//! (per-histogram quantiles) are really present and finite, and
-//! [`validate_timeline`] does the same for a timeline ndjson series.
-//!
-//! The report also renders the serving tier's incident artifacts:
-//! [`render_flight_dump`] turns a flight-recorder ndjson dump into a
-//! readable table, and [`render_timeline`] summarizes a timeline
-//! series tick by tick.
+//! (per-histogram quantiles) are really present and finite.
 
 use std::fmt::Write as _;
 
@@ -29,8 +23,7 @@ use symbol_intcode::emu::{ExecConfig, Outcome};
 use symbol_intcode::OpClass;
 use symbol_obs::export::{HISTOGRAM_FIELDS, SCHEMA_VERSION};
 use symbol_obs::json;
-use symbol_obs::timeline::TIMELINE_FIELDS;
-use symbol_obs::{Registry, Snapshot, Timeline};
+use symbol_obs::{Registry, Snapshot};
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimOutcome};
 
 use crate::benchmarks::{self, Benchmark};
@@ -123,10 +116,6 @@ pub struct ObsReport {
     pub schema_json: String,
     /// Chrome Trace Format JSON (load in Perfetto / `chrome://tracing`).
     pub trace_json: String,
-    /// Timeline ndjson: one tick after the suite run and one after
-    /// each profiled benchmark, so the series shows when the work
-    /// happened (counter deltas per phase).
-    pub timeline_ndjson: String,
 }
 
 /// Runs the instrumented suite and the profiled passes.
@@ -142,16 +131,10 @@ pub fn collect(opts: &ReportOptions) -> Result<ObsReport, PipelineError> {
     } else {
         opts.threads
     };
-    let mut timeline = Timeline::new();
-    let mut timeline_ndjson = String::new();
     let results = experiments::measure_suite_obs(opts.benches, threads, &obs)?;
-    timeline_ndjson.push_str(&timeline.tick(&obs.snapshot(), obs.now_ns()));
-    timeline_ndjson.push('\n');
     let mut profiles = Vec::with_capacity(opts.benches.len());
     for b in opts.benches {
         profiles.push(profile_bench(b, opts.hot_pcs, &obs)?);
-        timeline_ndjson.push_str(&timeline.tick(&obs.snapshot(), obs.now_ns()));
-        timeline_ndjson.push('\n');
     }
     let snapshot = obs.snapshot();
     Ok(ObsReport {
@@ -160,7 +143,6 @@ pub fn collect(opts: &ReportOptions) -> Result<ObsReport, PipelineError> {
         metrics_json: snapshot.to_json(),
         schema_json: snapshot.schema_json(),
         trace_json: obs.chrome_trace_json(),
-        timeline_ndjson,
         snapshot,
     })
 }
@@ -386,269 +368,6 @@ pub fn validate_dump(metrics_json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a timeline ndjson series: every line must parse and hold
-/// all [`TIMELINE_FIELDS`], and the tick timestamps must not go
-/// backwards.
-///
-/// # Errors
-///
-/// Returns the first violation as a human-readable message.
-pub fn validate_timeline(ndjson: &str) -> Result<(), String> {
-    let mut prev_t = 0u64;
-    let mut lines = 0usize;
-    for (i, line) in ndjson.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("timeline line {}: {e}", i + 1))?;
-        for field in TIMELINE_FIELDS {
-            if v.get(field).is_none() {
-                return Err(format!("timeline line {}: missing field {field:?}", i + 1));
-            }
-        }
-        let t = v
-            .get("t_ns")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("timeline line {}: t_ns is not a u64", i + 1))?;
-        if t < prev_t {
-            return Err(format!("timeline line {}: t_ns went backwards", i + 1));
-        }
-        prev_t = t;
-        lines += 1;
-    }
-    if lines == 0 {
-        return Err("timeline is empty".into());
-    }
-    Ok(())
-}
-
-/// Renders a flight-recorder ndjson dump (as written by the serving
-/// tier's `--flight-dir` triggers, or by `FlightRecorder::to_ndjson`)
-/// as a human-readable table. A leading header line (`request_id`,
-/// `reason`, `elapsed_ns`, `dropped`) is summarized above the table
-/// when present.
-///
-/// # Errors
-///
-/// Fails on the first malformed line.
-pub fn render_flight_dump(dump: &str) -> Result<String, String> {
-    let mut out = String::new();
-    let mut rows: Vec<(u64, u64, u64, String, u64, u64)> = Vec::new();
-    let mut seen_any = false;
-    for (i, line) in dump.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("flight line {}: {e}", i + 1))?;
-        if !seen_any && v.get("seq").is_none() {
-            // The incident header the serving tier writes first.
-            let req = v
-                .get("request_id")
-                .and_then(json::Value::as_u64)
-                .ok_or_else(|| format!("flight line {}: neither record nor header", i + 1))?;
-            let reason = v.get("reason").and_then(json::Value::as_str).unwrap_or("?");
-            let elapsed = v
-                .get("elapsed_ns")
-                .and_then(json::Value::as_u64)
-                .unwrap_or(0);
-            let dropped = v.get("dropped").and_then(json::Value::as_u64).unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "incident: request {req} ({reason}), execute {:.3} ms, {dropped} records dropped",
-                elapsed as f64 / 1e6
-            );
-            seen_any = true;
-            continue;
-        }
-        seen_any = true;
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(json::Value::as_u64)
-                .ok_or_else(|| format!("flight line {}: missing {key}", i + 1))
-        };
-        let kind = v
-            .get("kind")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| format!("flight line {}: missing kind", i + 1))?;
-        rows.push((
-            num("seq")?,
-            num("ts_ns")?,
-            num("tid")?,
-            kind.to_string(),
-            num("a")?,
-            num("b")?,
-        ));
-    }
-    if rows.is_empty() {
-        let _ = writeln!(out, "(no flight records)");
-        return Ok(out);
-    }
-    let _ = writeln!(
-        out,
-        "{:>8} {:>14} {:>5} {:<14} {:>20} {:>20}",
-        "seq", "ts_ns", "tid", "kind", "a", "b"
-    );
-    for (seq, ts, tid, kind, a, b) in &rows {
-        let _ = writeln!(out, "{seq:>8} {ts:>14} {tid:>5} {kind:<14} {a:>20} {b:>20}");
-    }
-    let _ = writeln!(out, "{} records", rows.len());
-    Ok(out)
-}
-
-/// Renders a timeline ndjson series as one human-readable line per
-/// tick: the timestamp plus the tick's counter deltas, changed gauges
-/// and histogram activity.
-///
-/// # Errors
-///
-/// Fails on the first malformed line (via [`validate_timeline`]).
-pub fn render_timeline(ndjson: &str) -> Result<String, String> {
-    validate_timeline(ndjson)?;
-    let mut out = String::new();
-    for line in ndjson.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).expect("validated above");
-        let t = v.get("t_ns").and_then(json::Value::as_u64).unwrap_or(0);
-        let _ = write!(out, "t={:>12.3} ms", t as f64 / 1e6);
-        let arr = |key: &str| {
-            v.get(key)
-                .and_then(json::Value::as_arr)
-                .cloned()
-                .unwrap_or_default()
-        };
-        let counters = arr("counters");
-        let gauges = arr("gauges");
-        let hists = arr("histograms");
-        let total_delta: u64 = counters
-            .iter()
-            .filter_map(|c| c.get("delta").and_then(json::Value::as_u64))
-            .sum();
-        let _ = write!(
-            out,
-            "  {:>3} counters (+{total_delta})  {:>2} gauges  {:>2} histograms",
-            counters.len(),
-            gauges.len(),
-            hists.len()
-        );
-        // The busiest counter of the tick anchors the eye.
-        let top = counters
-            .iter()
-            .max_by_key(|c| c.get("delta").and_then(json::Value::as_u64).unwrap_or(0));
-        if let Some(top) = top {
-            let name = top.get("name").and_then(json::Value::as_str).unwrap_or("?");
-            let delta = top.get("delta").and_then(json::Value::as_u64).unwrap_or(0);
-            let _ = write!(out, "  top {name} +{delta}");
-        }
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Renders a `BENCH_sweep.json` document (the `sweep` binary's
-/// `sweep-v1` schema) as the human frontier report: the Pareto
-/// frontier of hardware cost vs. geomean speedup, and the fastest
-/// machine per benchmark — without re-running anything.
-///
-/// # Errors
-///
-/// Fails on malformed JSON, a wrong schema tag, or indices that point
-/// outside the config table.
-pub fn render_sweep_report(doc: &str) -> Result<String, String> {
-    let v = json::parse(doc)?;
-    if v.get("schema").and_then(json::Value::as_str) != Some("sweep-v1") {
-        return Err("not a sweep-v1 report (missing or wrong `schema`)".into());
-    }
-    let configs = v
-        .get("configs")
-        .and_then(json::Value::as_arr)
-        .ok_or("sweep report: missing `configs`")?;
-    let config = |i: u64| -> Result<&json::Value, String> {
-        configs
-            .get(i as usize)
-            .ok_or_else(|| format!("sweep report: config index {i} out of range"))
-    };
-    let cfg_str = |c: &json::Value, key: &str| -> String {
-        c.get(key)
-            .and_then(json::Value::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    let cfg_num = |c: &json::Value, key: &str| -> f64 {
-        c.get(key).and_then(json::Value::as_f64).unwrap_or(f64::NAN)
-    };
-
-    let mut out = String::new();
-    let grid = v.get("grid").and_then(json::Value::as_str).unwrap_or("?");
-    let benches = v
-        .get("benches")
-        .and_then(json::Value::as_arr)
-        .ok_or("sweep report: missing `benches`")?;
-    let _ = writeln!(
-        out,
-        "Design-space sweep: {} configs x {} benchmarks (grid {grid})",
-        configs.len(),
-        benches.len()
-    );
-    if let Some(truncated) = v.get("truncated").and_then(json::Value::as_arr) {
-        if !truncated.is_empty() {
-            let names: Vec<&str> = truncated.iter().filter_map(json::Value::as_str).collect();
-            let _ = writeln!(
-                out,
-                "TRUNCATED by time budget; skipped: {}",
-                names.join(", ")
-            );
-        }
-    }
-    out.push('\n');
-
-    let best_overall = v.get("best_overall").and_then(json::Value::as_u64);
-    out.push_str("Pareto frontier (hardware cost vs geomean speedup):\n");
-    let mut frontier = symbol_analysis::TextTable::new(&["config", "cost", "geomean speedup"]);
-    for i in v
-        .get("frontier")
-        .and_then(json::Value::as_arr)
-        .ok_or("sweep report: missing `frontier`")?
-        .iter()
-        .filter_map(json::Value::as_u64)
-    {
-        let c = config(i)?;
-        let marker = if Some(i) == best_overall {
-            " *best"
-        } else {
-            ""
-        };
-        frontier.row(vec![
-            format!("{}{marker}", cfg_str(c, "label")),
-            format!("{:.2}", cfg_num(c, "cost")),
-            format!("{:.2}", cfg_num(c, "geomean_speedup")),
-        ]);
-    }
-    out.push_str(&frontier.to_string());
-
-    out.push_str("\nBest machine per benchmark:\n");
-    let mut winners = symbol_analysis::TextTable::new(&["benchmark", "config", "speedup"]);
-    for w in v
-        .get("best_per_bench")
-        .and_then(json::Value::as_arr)
-        .ok_or("sweep report: missing `best_per_bench`")?
-    {
-        let i = w
-            .get("config")
-            .and_then(json::Value::as_u64)
-            .ok_or("sweep report: winner without a config index")?;
-        let c = config(i)?;
-        winners.row(vec![
-            cfg_str(w, "bench"),
-            cfg_str(c, "label"),
-            format!("{:.2}", cfg_num(w, "speedup")),
-        ]);
-    }
-    out.push_str(&winners.to_string());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,14 +406,8 @@ mod tests {
         assert!(r.human_table().contains(p.name));
         assert!(r.hot_block_report().contains("execs"));
         // The v2 dump checks are not vacuous: the freshly collected
-        // report passes them, and its timeline renders.
+        // report passes them.
         validate_dump(&r.metrics_json).expect("metrics.json validates");
-        validate_timeline(&r.timeline_ndjson).expect("timeline validates");
-        // One tick after the suite plus one per profiled benchmark.
-        assert_eq!(r.timeline_ndjson.lines().count(), 1 + r.profiles.len());
-        assert!(render_timeline(&r.timeline_ndjson)
-            .expect("timeline renders")
-            .contains("counters"));
     }
 
     #[test]
@@ -714,38 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_timeline_rejects_broken_series() {
-        assert!(validate_timeline("").unwrap_err().contains("empty"));
-        assert!(validate_timeline("{\"t_ns\": 1}\n")
-            .unwrap_err()
-            .contains("missing field"));
-        let backwards = "{\"t_ns\": 5, \"counters\": [], \"gauges\": [], \"histograms\": []}\n\
-                         {\"t_ns\": 4, \"counters\": [], \"gauges\": [], \"histograms\": []}\n";
-        assert!(validate_timeline(backwards)
-            .unwrap_err()
-            .contains("backwards"));
-    }
-
-    #[test]
-    fn flight_dump_renders_header_and_records() {
-        let dump = "{\"request_id\": 42, \"reason\": \"slow\", \"elapsed_ns\": 2500000, \
-                    \"dropped\": 0}\n\
-                    {\"seq\": 1, \"ts_ns\": 10, \"tid\": 3, \"kind\": \"query_start\", \
-                    \"a\": 42, \"b\": 0}\n\
-                    {\"seq\": 2, \"ts_ns\": 20, \"tid\": 3, \"kind\": \"query_ok\", \
-                    \"a\": 42, \"b\": 99}\n";
-        let rendered = render_flight_dump(dump).expect("renders");
-        assert!(rendered.contains("request 42 (slow)"));
-        assert!(rendered.contains("query_start"));
-        assert!(rendered.contains("2 records"));
-        // A headerless dump (raw FlightRecorder::to_ndjson) also renders.
-        let raw = "{\"seq\": 7, \"ts_ns\": 1, \"tid\": 0, \"kind\": \"mark\", \
-                   \"a\": 0, \"b\": 0}\n";
-        assert!(render_flight_dump(raw).expect("renders").contains("mark"));
-        assert!(render_flight_dump("{\"bogus\": true}").is_err());
-    }
-
-    #[test]
     fn schema_drift_reports_first_divergence() {
         assert!(schema_drift_against("a\nb\n", "a\nb\n").is_none());
         let msg = schema_drift_against("a\nx\n", "a\nb\n").unwrap();
@@ -753,37 +434,5 @@ mod tests {
         assert!(schema_drift_against("a\n", "a\nb\n")
             .unwrap()
             .contains("missing line"));
-    }
-
-    #[test]
-    fn sweep_report_renders_from_its_json() {
-        use crate::experiments::sweep::{BenchSweep, GridSpec, SweepReport};
-        let grid = GridSpec {
-            units: vec![1, 2],
-            ..GridSpec::paper()
-        };
-        let report = SweepReport {
-            grid: grid.describe(),
-            points: grid.expand(),
-            units_chunk: 2,
-            benches: vec![BenchSweep {
-                name: "nreverse",
-                seq_cycles: 1000,
-                seq_mem_ops: 100,
-                cycles: vec![500, 250],
-                mem_ops: vec![100, 110],
-            }],
-            truncated: vec!["qsort"],
-        };
-        let rendered = render_sweep_report(&report.to_json()).expect("renders");
-        assert!(rendered.contains("Pareto frontier"));
-        assert!(rendered.contains("*best"));
-        assert!(rendered.contains("nreverse"));
-        assert!(rendered.contains("skipped: qsort"));
-        // The winner row shows the 2-unit machine's 4.00x speedup.
-        assert!(rendered.contains("4.00"), "{rendered}");
-
-        assert!(render_sweep_report("{\"schema\": \"nope\"}").is_err());
-        assert!(render_sweep_report("not json").is_err());
     }
 }

@@ -15,8 +15,7 @@ use crate::metrics::{bucket_bounds, HISTOGRAM_BUCKETS};
 
 /// Version stamp written into every `metrics.json`. Bump when the
 /// document structure changes (and update the checked-in schema
-/// snapshot). Version 2 added per-histogram `quantiles` and the
-/// timeline line shape.
+/// snapshot). Version 2 added per-histogram `quantiles`.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Keys of every histogram entry in `metrics.json`, in output order
@@ -222,23 +221,12 @@ impl Snapshot {
             );
         }
         let _ = writeln!(out, "  ],");
-        let join = |fields: &[&str]| {
-            fields
-                .iter()
-                .map(|f| json::string(f))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(
-            out,
-            "  \"histogram_fields\": [{}],",
-            join(&HISTOGRAM_FIELDS)
-        );
-        let _ = writeln!(
-            out,
-            "  \"timeline_fields\": [{}]",
-            join(&crate::timeline::TIMELINE_FIELDS)
-        );
+        let fields = HISTOGRAM_FIELDS
+            .iter()
+            .map(|f| json::string(f))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let _ = writeln!(out, "  \"histogram_fields\": [{fields}]");
         let _ = writeln!(out, "}}");
         out
     }
@@ -283,8 +271,6 @@ mod tests {
         let schema = crate::json::parse(&s.schema_json()).expect("schema parses");
         let hf = schema.get("histogram_fields").unwrap().as_arr().unwrap();
         assert!(hf.iter().any(|f| f.as_str() == Some("quantiles")));
-        let tf = schema.get("timeline_fields").unwrap().as_arr().unwrap();
-        assert!(tf.iter().any(|f| f.as_str() == Some("t_ns")));
     }
 
     #[test]

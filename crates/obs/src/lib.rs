@@ -1,11 +1,12 @@
 //! # symbol-obs
 //!
 //! The zero-dependency observability layer of the SYMBOL reproduction:
-//! counters, gauges, log2-bucketed histograms, RAII span timers and a
-//! lock-free flight recorder, with exporters for a stable, diffable
-//! `metrics.json` snapshot, a Chrome Trace Format (`trace_event`)
-//! document that opens in Perfetto or `chrome://tracing`, and an
-//! ndjson timeline of snapshot diffs.
+//! counters, gauges, log2-bucketed histograms and RAII span timers,
+//! with exporters for a stable, diffable `metrics.json` snapshot
+//! (p50/p90/p99/max for every histogram) and a Chrome Trace Format
+//! (`trace_event`) document that opens in Perfetto or
+//! `chrome://tracing`. The [`Registry`] is the only reporting channel:
+//! whoever holds it can snapshot it at any time.
 //!
 //! ## Design
 //!
@@ -42,21 +43,17 @@
 //! ```
 
 pub mod export;
-pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod quantile;
-pub mod timeline;
 pub mod trace;
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub use export::{BucketSample, CounterSample, GaugeSample, HistogramSample, Snapshot};
-pub use flight::{FlightKind, FlightRecord, FlightRecorder};
 pub use metrics::{bucket_bounds, bucket_index, Counter, Gauge, Histogram};
 pub use quantile::QuantileView;
-pub use timeline::Timeline;
 pub use trace::{chrome_trace_json, thread_id, Span, TraceEvent};
 
 use metrics::{CounterCell, GaugeCell, HistogramCell, MetricId};
@@ -200,13 +197,6 @@ impl Registry {
         }
     }
 
-    /// Nanoseconds elapsed since this registry was created (0 when
-    /// disabled) — the clock timeline ticks and flight-dump stamps
-    /// share so they can be correlated.
-    pub fn now_ns(&self) -> u64 {
-        self.elapsed_since_epoch(Instant::now()).as_nanos() as u64
-    }
-
     /// Takes a point-in-time, canonically sorted copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
@@ -344,15 +334,6 @@ mod tests {
             "per-request spans must not create histogram cells"
         );
         drop(Registry::disabled().event_span("s", &[]));
-    }
-
-    #[test]
-    fn now_ns_is_monotone_and_zero_when_disabled() {
-        let r = Registry::new();
-        let a = r.now_ns();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        assert!(r.now_ns() > a);
-        assert_eq!(Registry::disabled().now_ns(), 0);
     }
 
     #[test]

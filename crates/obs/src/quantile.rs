@@ -10,7 +10,7 @@
 
 use crate::export::{BucketSample, HistogramSample};
 
-/// p50/p90/p99/max of one (or a merged set of) histogram snapshot(s).
+/// p50/p90/p99/max of one histogram snapshot.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct QuantileView {
     /// Samples the view is computed over.
@@ -28,28 +28,7 @@ pub struct QuantileView {
 impl QuantileView {
     /// The view of one histogram snapshot, `None` when it is empty.
     pub fn from_sample(h: &HistogramSample) -> Option<QuantileView> {
-        Self::from_buckets(&h.buckets)
-    }
-
-    /// The view of several histogram snapshots merged (e.g. the same
-    /// metric across label sets), `None` when all are empty.
-    pub fn from_samples<'a>(
-        samples: impl IntoIterator<Item = &'a HistogramSample>,
-    ) -> Option<QuantileView> {
-        let mut merged: Vec<BucketSample> = Vec::new();
-        for h in samples {
-            for b in &h.buckets {
-                match merged.iter_mut().find(|m| m.lo == b.lo) {
-                    Some(m) => m.count += b.count,
-                    None => merged.push(b.clone()),
-                }
-            }
-        }
-        merged.sort_by_key(|b| b.lo);
-        Self::from_buckets(&merged)
-    }
-
-    fn from_buckets(buckets: &[BucketSample]) -> Option<QuantileView> {
+        let buckets = &h.buckets;
         let count: u64 = buckets.iter().map(|b| b.count).sum();
         if count == 0 {
             return None;
@@ -61,12 +40,6 @@ impl QuantileView {
             p99: quantile(buckets, count, 0.99),
             max: buckets.last().map_or(0, |b| b.hi),
         })
-    }
-
-    /// Whether every estimate is finite (what the serve smoke test
-    /// asserts about a live p99).
-    pub fn is_finite(&self) -> bool {
-        self.p50.is_finite() && self.p90.is_finite() && self.p99.is_finite()
     }
 }
 
@@ -128,7 +101,6 @@ mod tests {
             assert!((512.0..=1023.0).contains(&q), "{q}");
         }
         assert_eq!(v.max, 1023);
-        assert!(v.is_finite());
     }
 
     #[test]
@@ -166,21 +138,5 @@ mod tests {
         let p90 = quantile(&s.buckets, 100, 0.90);
         assert!(p10 < p90, "{p10} < {p90}");
         assert!((64.0..=127.0).contains(&p10) && (64.0..=127.0).contains(&p90));
-    }
-
-    #[test]
-    fn merged_view_sums_label_sets() {
-        let r = Registry::new();
-        r.histogram("lat", &[("tier", "decoded")]).record(100);
-        r.histogram("lat", &[("tier", "fused")]).record(5000);
-        let snap = r.snapshot();
-        let merged = QuantileView::from_samples(snap.histograms.iter().filter(|h| h.name == "lat"))
-            .expect("non-empty");
-        assert_eq!(merged.count, 2);
-        assert_eq!(merged.max, 8191, "max comes from the slower label set");
-        assert!(
-            merged.p50 < 1024.0,
-            "median from the faster one: {merged:?}"
-        );
     }
 }

@@ -5,7 +5,7 @@
 
 use std::thread;
 
-use symbol_obs::{bucket_bounds, bucket_index, FlightKind, FlightRecorder, Registry};
+use symbol_obs::{bucket_bounds, bucket_index, Registry};
 
 #[test]
 fn concurrent_counter_updates_are_lossless() {
@@ -91,72 +91,6 @@ fn concurrent_spans_from_worker_threads_all_surface() {
     tids.sort();
     tids.dedup();
     assert_eq!(tids.len(), THREADS, "each worker thread got its own tid");
-}
-
-#[test]
-fn concurrent_flight_writers_never_tear_records() {
-    // Many writer threads hammer a small ring (maximum overwrite
-    // pressure) while a reader snapshots in a loop. Every record the
-    // reader sees must be internally consistent: the payload word `a`
-    // carries the writer's sequence-correlated value, so a torn read
-    // (payload from one write, seq from another) is detectable.
-    const WRITERS: u64 = 6;
-    const PER_WRITER: u64 = 20_000;
-    let f = FlightRecorder::new(32);
-    thread::scope(|s| {
-        for t in 0..WRITERS {
-            let f = &f;
-            s.spawn(move || {
-                for i in 0..PER_WRITER {
-                    // a encodes (writer, i); b is a checksum of a.
-                    let a = t * PER_WRITER + i;
-                    f.record(FlightKind::Mark, a, a.wrapping_mul(31));
-                }
-            });
-        }
-        let f = &f;
-        s.spawn(move || {
-            for _ in 0..200 {
-                for r in f.snapshot() {
-                    assert_eq!(r.b, r.a.wrapping_mul(31), "torn record: {r:?}");
-                    assert_ne!(r.seq, 0);
-                }
-            }
-        });
-    });
-    assert_eq!(f.recorded(), WRITERS * PER_WRITER);
-    let final_snap = f.snapshot();
-    assert_eq!(final_snap.len(), 32, "quiescent ring is full");
-    let seqs: Vec<u64> = final_snap.iter().map(|r| r.seq).collect();
-    let want: Vec<u64> = (WRITERS * PER_WRITER - 31..=WRITERS * PER_WRITER).collect();
-    assert_eq!(seqs, want, "the newest records survive, in order");
-}
-
-#[test]
-fn flight_sequences_are_unique_across_threads() {
-    // With a ring larger than the total writes, every record survives
-    // and the claimed sequence numbers must be exactly 1..=N.
-    const WRITERS: u64 = 8;
-    const PER_WRITER: u64 = 100;
-    let f = FlightRecorder::new((WRITERS * PER_WRITER) as usize);
-    thread::scope(|s| {
-        for t in 0..WRITERS {
-            let f = &f;
-            s.spawn(move || {
-                for i in 0..PER_WRITER {
-                    f.record(FlightKind::Enqueue, t, i);
-                }
-            });
-        }
-    });
-    let snap = f.snapshot();
-    assert_eq!(snap.len(), (WRITERS * PER_WRITER) as usize);
-    let seqs: Vec<u64> = snap.iter().map(|r| r.seq).collect();
-    assert_eq!(seqs, (1..=WRITERS * PER_WRITER).collect::<Vec<_>>());
-    let mut tids: Vec<u64> = snap.iter().map(|r| r.tid).collect();
-    tids.sort();
-    tids.dedup();
-    assert_eq!(tids.len(), WRITERS as usize, "each writer left its tid");
 }
 
 #[test]

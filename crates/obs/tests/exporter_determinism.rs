@@ -5,7 +5,7 @@
 //! Also proves the string escaper round-trips through the strict
 //! parser, including astral-plane and control characters.
 
-use symbol_obs::{json, Registry, Timeline};
+use symbol_obs::{json, Registry};
 
 type Update = Box<dyn Fn(&Registry)>;
 
@@ -127,15 +127,4 @@ fn strict_parser_rejects_trailing_garbage() {
     assert!(json::parse("[1, 2,]").is_err(), "trailing comma");
     assert!(json::parse("").is_err());
     assert!(json::parse("  {\"a\": [1, 2.5, -3e2, true, null]}  ").is_ok());
-}
-
-#[test]
-fn timeline_render_is_deterministic_for_equal_snapshots() {
-    let make = || {
-        let r = Registry::new();
-        populate(&r, false);
-        let mut tl = Timeline::new();
-        tl.tick(&r.snapshot(), 42)
-    };
-    assert_eq!(make(), make());
 }

@@ -23,15 +23,6 @@
 //!                        compiles; with --fused, also a fused-tier
 //!                        hit per benchmark and zero profiling runs
 //!                        and fusions) — the CI warm-restart check
-//!   --stats              issue a live Stats query per benchmark from
-//!                        the running pool, answered after every query
-//!                        submitted before it, and print the per-stage
-//!                        quantiles; fails unless every p99 is present
-//!                        and finite
-//!   --flight-dir DIR     enable flight-recorder incident dumps into
-//!                        DIR (slow queries and panics)
-//!   --slow-us N          execute-time threshold (microseconds) that
-//!                        marks a query slow and triggers a dump
 //! ```
 //!
 //! Each selected benchmark is loaded through the cache (deserialized
@@ -40,17 +31,15 @@
 //! immutable image. Every query is self-checking; any failure makes
 //! the process exit nonzero.
 //!
-//! One flight-recorder ring is shared by the artifact cache and every
-//! per-benchmark server, so an incident dump shows the cache and
-//! query traffic interleaved.
+//! The cache and every per-benchmark server report to one registry;
+//! `--metrics` writes it out, with p50/p90/p99/max of the
+//! `serve.stage.ns` queue-wait and execute histograms.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use symbol_core::benchmarks;
 use symbol_intcode::Layout;
-use symbol_obs::{FlightRecorder, Registry};
+use symbol_obs::Registry;
 use symbol_serve::cache::ArtifactCache;
 use symbol_serve::server::{QueryAnswer, QueryServer, ServerConfig};
 
@@ -63,16 +52,12 @@ struct Args {
     metrics: Option<String>,
     fused: bool,
     expect_all_hits: bool,
-    stats: bool,
-    flight_dir: Option<PathBuf>,
-    slow_us: Option<u64>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: symbol-serve --cache-dir DIR [--benches a,b,c] [--queries N] \
-         [--batch N] [--workers N] [--metrics PATH] [--fused] [--expect-all-hits] \
-         [--stats] [--flight-dir DIR] [--slow-us N]"
+         [--batch N] [--workers N] [--metrics PATH] [--fused] [--expect-all-hits]"
     );
     ExitCode::FAILURE
 }
@@ -87,9 +72,6 @@ fn parse_args() -> Option<Args> {
         metrics: None,
         fused: false,
         expect_all_hits: false,
-        stats: false,
-        flight_dir: None,
-        slow_us: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -104,9 +86,6 @@ fn parse_args() -> Option<Args> {
             "--metrics" => args.metrics = Some(it.next()?),
             "--fused" => args.fused = true,
             "--expect-all-hits" => args.expect_all_hits = true,
-            "--stats" => args.stats = true,
-            "--flight-dir" => args.flight_dir = Some(PathBuf::from(it.next()?)),
-            "--slow-us" => args.slow_us = Some(it.next()?.parse().ok()?),
             _ => return None,
         }
     }
@@ -121,9 +100,8 @@ fn main() -> ExitCode {
         return usage();
     };
     let obs = Registry::new();
-    let flight = Arc::new(FlightRecorder::new(4096));
     let cache = match ArtifactCache::new(&args.cache_dir, obs.clone()) {
-        Ok(c) => c.with_flight(Arc::clone(&flight)),
+        Ok(c) => c,
         Err(e) => {
             eprintln!("symbol-serve: cannot open cache {}: {e}", args.cache_dir);
             return ExitCode::FAILURE;
@@ -170,16 +148,13 @@ fn main() -> ExitCode {
             (false, true) => "cold (compiled, fused)",
             (false, false) => "cold (compiled)",
         };
-        let server = QueryServer::start_with_flight(
+        let server = QueryServer::start(
             compiled,
             &ServerConfig {
                 workers: args.workers,
-                flight_dir: args.flight_dir.clone(),
-                slow_query_ns: args.slow_us.map(|us| us * 1000),
                 ..ServerConfig::default()
             },
             &obs,
-            Arc::clone(&flight),
         );
         let requests = match args.batch {
             Some(bs) => {
@@ -200,12 +175,7 @@ fn main() -> ExitCode {
                 args.queries
             }
         };
-        let stats_id = args.queries;
-        if args.stats {
-            server.submit_stats(stats_id);
-        }
         let results = server.finish();
-        let expected = requests + u64::from(args.stats);
         let errors = results.iter().filter(|r| r.outcome.is_err()).count();
         if let Some(bs) = args.batch {
             // Every sub-query of every batch must have run, and all of
@@ -238,47 +208,8 @@ fn main() -> ExitCode {
                 results.len()
             );
         }
-        if errors > 0 || results.len() as u64 != expected {
+        if errors > 0 || results.len() as u64 != requests {
             failed = true;
-        }
-        if args.stats {
-            let report = results
-                .iter()
-                .find(|r| r.id == stats_id)
-                .and_then(|r| r.outcome.as_ref().ok())
-                .and_then(|a| a.stats());
-            match report {
-                Some(report) => {
-                    let line = |label: &str, q: &Option<symbol_obs::QuantileView>| match q {
-                        Some(q) => format!(
-                            "{label} p50={:.1} p90={:.1} p99={:.1} max={}",
-                            q.p50, q.p90, q.p99, q.max
-                        ),
-                        None => format!("{label} (no samples)"),
-                    };
-                    let hot: Vec<String> = report
-                        .hot_pcs
-                        .iter()
-                        .map(|(pc, n)| format!("{pc}:{n}"))
-                        .collect();
-                    println!(
-                        "  stats {}: {} | {} | hot_pcs [{}]",
-                        b.name,
-                        line("execute", &report.execute),
-                        line("queue_wait", &report.queue_wait),
-                        hot.join(" ")
-                    );
-                    let p99_ok = report.execute.is_some_and(|q| q.is_finite() && q.count > 0);
-                    if !p99_ok {
-                        eprintln!("symbol-serve: {}: stats p99 missing or not finite", b.name);
-                        failed = true;
-                    }
-                }
-                None => {
-                    eprintln!("symbol-serve: {}: no stats answer", b.name);
-                    failed = true;
-                }
-            }
         }
     }
 

@@ -16,16 +16,13 @@
 //! Observability (all under the shared [`Registry`]):
 //!
 //! * `serve.cache.hit` / `serve.cache.miss` / `serve.cache.corrupt`
-//!   counters, labelled with the payload `kind`,
+//!   counters, labelled with the payload `kind`; the loaders count a
+//!   hit only for an artifact they serve,
 //! * `serve.cache.store` / `serve.cache.store_failed` counters,
 //! * `serve.deserialize` and `serve.compile` spans (their duration
 //!   histograms expose deserialize-vs-compile latency directly), and
 //!   the fused tier's `serve.profile` and `serve.fuse` spans, which
-//!   only a cold or refused fused load runs,
-//! * when a flight recorder is attached
-//!   ([`ArtifactCache::with_flight`]), every hit/miss/corrupt also
-//!   leaves a flight record carrying the key's hashes, so incident
-//!   dumps show the cache traffic around a slow query.
+//!   only a cold or refused fused load runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +31,7 @@ use std::sync::Arc;
 use symbol_core::pipeline::{Compiled, FusedTier};
 use symbol_core::PipelineError;
 use symbol_intcode::Layout;
-use symbol_obs::{FlightKind, FlightRecorder, Registry};
+use symbol_obs::Registry;
 
 use crate::artifact::{self, Artifact, ArtifactKey, Payload, PayloadKind};
 
@@ -44,7 +41,6 @@ use crate::artifact::{self, Artifact, ArtifactKey, Payload, PayloadKind};
 pub struct ArtifactCache {
     dir: PathBuf,
     obs: Registry,
-    flight: Arc<FlightRecorder>,
     seq: AtomicU64,
 }
 
@@ -69,19 +65,8 @@ impl ArtifactCache {
         Ok(ArtifactCache {
             dir,
             obs,
-            flight: Arc::new(FlightRecorder::disabled()),
             seq: AtomicU64::new(0),
         })
-    }
-
-    /// Attaches a flight recorder (typically the query server's, so
-    /// one ring holds both cache and query events): hits, misses and
-    /// corruption each leave a record with the key's source and
-    /// config hashes as payload.
-    #[must_use]
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = flight;
-        self
     }
 
     /// The directory this cache lives in.
@@ -98,7 +83,8 @@ impl ArtifactCache {
         self.obs.counter(name, &[("kind", kind.name())])
     }
 
-    /// Loads and fully validates the artifact of `key`/`kind`.
+    /// Loads and fully validates the artifact of `key`/`kind`, and
+    /// counts it under `serve.cache.hit`.
     ///
     /// Returns `None` — never an error, never a panic — when the entry
     /// is absent or fails any validation (magic, version, checksum,
@@ -107,15 +93,18 @@ impl ArtifactCache {
     /// `serve.cache.corrupt` and removed best-effort so the next store
     /// replaces them.
     pub fn load(&self, key: &ArtifactKey, kind: PayloadKind) -> Option<Artifact> {
+        let art = self.read(key, kind)?;
+        self.counter("serve.cache.hit", kind).inc();
+        Some(art)
+    }
+
+    /// [`ArtifactCache::load`] without the hit count, which the
+    /// loaders below leave until the image accepts the payload.
+    fn read(&self, key: &ArtifactKey, kind: PayloadKind) -> Option<Artifact> {
         let path = self.path_for(key, kind);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.counter("serve.cache.miss", kind).inc();
-                self.flight
-                    .record(FlightKind::CacheMiss, key.source_hash, key.config_hash);
-                return None;
-            }
+        let Ok(bytes) = std::fs::read(&path) else {
+            self.counter("serve.cache.miss", kind).inc();
+            return None;
         };
         let _span = self.obs.span("serve.deserialize", &[("kind", kind.name())]);
         let decoded = artifact::decode(&bytes).ok().filter(|a| {
@@ -123,21 +112,11 @@ impl ArtifactCache {
             // wrong program: key and kind must match the request.
             a.key == *key && a.payload.kind() == kind
         });
-        match decoded {
-            Some(a) => {
-                self.counter("serve.cache.hit", kind).inc();
-                self.flight
-                    .record(FlightKind::CacheHit, key.source_hash, key.config_hash);
-                Some(a)
-            }
-            None => {
-                self.counter("serve.cache.corrupt", kind).inc();
-                self.flight
-                    .record(FlightKind::CacheCorrupt, key.source_hash, key.config_hash);
-                let _ = std::fs::remove_file(&path);
-                None
-            }
+        if decoded.is_none() {
+            self.counter("serve.cache.corrupt", kind).inc();
+            let _ = std::fs::remove_file(&path);
         }
+        decoded
     }
 
     /// Publishes `bytes` as the artifact of `key`/`kind` via
@@ -177,7 +156,7 @@ impl ArtifactCache {
     /// [`ArtifactCache::load_compiled_shared`]).
     fn load_compiled(&self, source: &str, layout: Layout) -> Result<Compiled, PipelineError> {
         let key = ArtifactKey::emulator(source, &layout);
-        if let Some(art) = self.load(&key, PayloadKind::Emulator) {
+        if let Some(art) = self.read(&key, PayloadKind::Emulator) {
             if let Payload::Emulator {
                 ici,
                 decoded,
@@ -187,6 +166,7 @@ impl ArtifactCache {
                 // `decode` already cross-checked the parts, so this
                 // cannot fail; route it anyway rather than unwrap.
                 if let Ok(c) = Compiled::from_artifact(ici, decoded, layout) {
+                    self.counter("serve.cache.hit", PayloadKind::Emulator).inc();
                     return Ok(c);
                 }
                 self.counter("serve.cache.corrupt", PayloadKind::Emulator)
@@ -265,7 +245,7 @@ impl ArtifactCache {
         // the old one.
         let fuse_salt = symbol_intcode::FuseConfig::default().cache_salt();
         let key = ArtifactKey::fused(source, &layout, 0, fuse_salt);
-        if let Some(art) = self.load(&key, PayloadKind::Fused) {
+        if let Some(art) = self.read(&key, PayloadKind::Fused) {
             if let Payload::Fused {
                 fused,
                 profile_hash,
@@ -278,6 +258,7 @@ impl ArtifactCache {
                     profile_hash,
                 };
                 if compiled.attach_fused_tier(tier).is_ok() {
+                    self.counter("serve.cache.hit", PayloadKind::Fused).inc();
                     return Ok(Arc::new(compiled));
                 }
                 // A decodable artifact that is not a fusion of this
@@ -540,6 +521,11 @@ mod tests {
             .load_compiled_fused_shared(b_src, layout)
             .expect("refuses and re-fuses");
         assert_eq!(fused_counter(&obs, "serve.cache.corrupt"), 1);
+        assert_eq!(
+            fused_counter(&obs, "serve.cache.hit"),
+            0,
+            "a refused tier is not a hit"
+        );
         assert_eq!(span_count(&obs, "serve.fuse"), 1, "B was fused afresh");
         let expected = reference.run_sequential().expect("B runs");
         let served = fused_run(&b);
@@ -549,11 +535,10 @@ mod tests {
         assert_eq!(served.stats.taken, expected.stats.taken);
 
         // The re-fused tier replaced the planted one.
-        let hits = fused_counter(&obs, "serve.cache.hit");
         let warm = cache
             .load_compiled_fused_shared(b_src, layout)
             .expect("warm");
-        assert_eq!(fused_counter(&obs, "serve.cache.hit"), hits + 1);
+        assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
         assert_eq!(fused_counter(&obs, "serve.cache.corrupt"), 1);
         assert_eq!(
             warm.fused.as_ref().unwrap().program.to_wire_bytes(),
@@ -614,28 +599,6 @@ mod tests {
             "key mismatch must not serve the wrong program"
         );
         assert_eq!(counter(&obs, "serve.cache.corrupt"), 1);
-    }
-
-    #[test]
-    fn attached_flight_recorder_sees_cache_traffic() {
-        let t = TempDir::new("flight");
-        let flight = Arc::new(symbol_obs::FlightRecorder::new(64));
-        let cache = ArtifactCache::new(&t.0, Registry::new())
-            .expect("open cache")
-            .with_flight(Arc::clone(&flight));
-        cache
-            .load_compiled_shared(SRC, Layout::default())
-            .expect("cold");
-        cache
-            .load_compiled_shared(SRC, Layout::default())
-            .expect("warm");
-        let kinds: Vec<&str> = flight.snapshot().iter().map(|r| r.kind_name()).collect();
-        assert_eq!(kinds, ["cache_miss", "cache_hit"]);
-        let key = ArtifactKey::emulator(SRC, &Layout::default());
-        for r in flight.snapshot() {
-            assert_eq!(r.a, key.source_hash, "payload carries the key hashes");
-            assert_eq!(r.b, key.config_hash);
-        }
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! fully validating payload decoders), counted, and healed by
 //! recompiling from source.
 //!
+//! Both halves report only through the [`symbol_obs::Registry`]
+//! passed to [`ArtifactCache::new`] and [`QueryServer::start`]:
+//! counters, the `serve.stage.ns` latency histograms, the queue-depth
+//! gauge and spans. Whoever holds the registry snapshots it; there is
+//! no in-band stats request and no incident dump.
+//!
 //! ```no_run
 //! use symbol_serve::cache::ArtifactCache;
 //! use symbol_serve::server::{QueryServer, ServerConfig};
@@ -42,4 +48,4 @@ pub mod server;
 
 pub use artifact::{Artifact, ArtifactKey, Payload, PayloadKind, FORMAT_VERSION, MAGIC};
 pub use cache::ArtifactCache;
-pub use server::{QueryAnswer, QueryResult, QueryServer, ServerConfig, StatsReport};
+pub use server::{QueryAnswer, QueryResult, QueryServer, ServerConfig};

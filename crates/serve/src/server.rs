@@ -26,22 +26,13 @@
 //! killing the worker, and a poisoned lock is recovered, never
 //! propagated.
 //!
-//! ## Request kinds
-//!
-//! Besides plain run queries ([`QueryServer::submit`]), the pool
-//! answers live [`QueryServer::submit_stats`] requests from the same
-//! queue: a stats request waits until every request submitted before
-//! it has been answered, then snapshots the shared registry, folds the
-//! per-stage latency histograms into p50/p90/p99 quantile views, and
-//! attaches the image's hottest program counters — so an operator can
-//! interrogate a running server without stopping it.
-//!
 //! ## Observability
 //!
-//! All on the registry handed to [`QueryServer::start`]:
+//! All on the registry handed to [`QueryServer::start`], which its
+//! caller can snapshot at any time:
 //!
 //! * `serve.queries.ok` / `serve.queries.failed` /
-//!   `serve.queries.panicked` / `serve.queries.stats` counters,
+//!   `serve.queries.panicked` counters,
 //! * a `serve.tier` counter labelled `tier=fused` / `tier=decoded`
 //!   with which execution tier answered each successful query,
 //! * `serve.queue.depth` gauge, incremented on enqueue and
@@ -49,29 +40,18 @@
 //! * `serve.batch.queries` counter of sub-queries answered through
 //!   batched [`QueryServer::submit_batch`] requests,
 //! * `serve.stage.ns` histograms labelled `stage=queue_wait` /
-//!   `execute` and by `tier` — the per-stage latency split live stats
-//!   queries report quantiles over,
+//!   `execute` and by `tier`, whose quantiles `metrics.json` exports,
 //! * a per-request `serve.query{req, n, tier}` trace span (see
 //!   [`Compiled::run_query_batch_obs`]).
-//!
-//! And, independent of the registry, a lock-free
-//! [`FlightRecorder`] ring capturing the last
-//! `ServerConfig::flight_capacity` structured events (enqueue and
-//! dequeue with the queue depth, query start/end, stats, dumps). When
-//! a query exceeds `ServerConfig::slow_query_ns` or panics and
-//! `ServerConfig::flight_dir` is set, the ring is dumped to an ndjson
-//! file stamped with the offending request id.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::batch::ArenaPool;
-use symbol_obs::{FlightKind, FlightRecorder, Gauge, QuantileView, Registry, Snapshot};
+use symbol_obs::{Gauge, Registry};
 
 /// Tuning knobs of a [`QueryServer`].
 #[derive(Clone, Debug)]
@@ -81,15 +61,6 @@ pub struct ServerConfig {
     /// Maximum unclaimed requests before [`QueryServer::submit`] blocks
     /// (clamped to at least 1).
     pub queue_capacity: usize,
-    /// Flight-recorder ring capacity in records (0 disables the
-    /// recorder entirely).
-    pub flight_capacity: usize,
-    /// Directory incident dumps are written to. `None` disables
-    /// dumping; the directory is created on first dump.
-    pub flight_dir: Option<PathBuf>,
-    /// Execute-time threshold (nanoseconds) beyond which a query is
-    /// considered slow and triggers a flight dump.
-    pub slow_query_ns: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -97,9 +68,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_capacity: 64,
-            flight_capacity: 1024,
-            flight_dir: None,
-            slow_query_ns: None,
         }
     }
 }
@@ -113,77 +81,23 @@ enum Request {
     /// back-to-back on one worker, with engine state pooled between
     /// them ([`Compiled::run_query_batch_obs`]).
     RunBatch(u64, usize),
-    /// Produce a live [`StatsReport`].
-    Stats(u64),
     /// Panic inside the protected region — exercises the containment
-    /// and panic-dump paths end to end (used by tests and smoke
-    /// drills, never by normal serving).
+    /// path end to end (used by tests, never by normal serving).
     PanicProbe(u64),
 }
 
 impl Request {
     fn id(&self) -> u64 {
         match self {
-            Request::Run(id)
-            | Request::RunBatch(id, _)
-            | Request::Stats(id)
-            | Request::PanicProbe(id) => *id,
+            Request::Run(id) | Request::RunBatch(id, _) | Request::PanicProbe(id) => *id,
         }
     }
 }
 
-/// A queued request, its place in submission order, and when it
-/// entered the queue.
+/// A queued request and when it entered the queue.
 struct Pending {
     req: Request,
-    seq: u64,
     enqueued: Instant,
-}
-
-/// The live statistics a stats query ([`QueryServer::submit_stats`])
-/// answers with.
-#[derive(Clone, Debug)]
-pub struct StatsReport {
-    /// The stats request's own id.
-    pub request_id: u64,
-    /// Quantiles of `serve.stage.ns{stage=queue_wait}`, merged across
-    /// tiers (`None` until at least one query has been served).
-    pub queue_wait: Option<QuantileView>,
-    /// Quantiles of the execute stage.
-    pub execute: Option<QuantileView>,
-    /// The image's hottest program counters `(pc, executions)` from a
-    /// deterministic profiling run, hottest first.
-    pub hot_pcs: Vec<(usize, u64)>,
-    /// Full metric snapshot at answer time.
-    pub snapshot: Snapshot,
-}
-
-impl StatsReport {
-    /// Renders the report as one JSON document (`metrics` embeds the
-    /// full `metrics.json` snapshot).
-    pub fn to_json(&self) -> String {
-        let quantiles = |v: &Option<QuantileView>| match v {
-            Some(q) => format!(
-                "{{\"count\": {}, \"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"max\": {}}}",
-                q.count, q.p50, q.p90, q.p99, q.max
-            ),
-            None => "null".to_string(),
-        };
-        let hot: Vec<String> = self
-            .hot_pcs
-            .iter()
-            .map(|(pc, n)| format!("{{\"pc\": {pc}, \"count\": {n}}}"))
-            .collect();
-        format!(
-            "{{\"request_id\": {}, \"stages\": {{\"queue_wait\": {}, \"execute\": {}}}, \
-             \"hot_pcs\": [{}], \"metrics\": {}}}",
-            self.request_id,
-            quantiles(&self.queue_wait),
-            quantiles(&self.execute),
-            hot.join(", "),
-            self.snapshot.to_json()
-        )
-    }
 }
 
 /// What a successful request produced.
@@ -195,9 +109,6 @@ pub enum QueryAnswer {
     /// submission (index) order — position `i` is the `i`-th query of
     /// the batch, independent of which worker ran it.
     Batch(Vec<u64>),
-    /// The report of a live stats query (boxed: the report carries a
-    /// full metric snapshot and would otherwise dominate the enum).
-    Stats(Box<StatsReport>),
 }
 
 impl QueryAnswer {
@@ -205,7 +116,7 @@ impl QueryAnswer {
     pub fn steps(&self) -> Option<u64> {
         match self {
             QueryAnswer::Steps(s) => Some(*s),
-            QueryAnswer::Batch(_) | QueryAnswer::Stats(_) => None,
+            QueryAnswer::Batch(_) => None,
         }
     }
 
@@ -213,15 +124,7 @@ impl QueryAnswer {
     pub fn batch(&self) -> Option<&[u64]> {
         match self {
             QueryAnswer::Batch(v) => Some(v),
-            QueryAnswer::Steps(_) | QueryAnswer::Stats(_) => None,
-        }
-    }
-
-    /// The report, if this answered a stats query.
-    pub fn stats(&self) -> Option<&StatsReport> {
-        match self {
-            QueryAnswer::Stats(r) => Some(r),
-            QueryAnswer::Steps(_) | QueryAnswer::Batch(_) => None,
+            QueryAnswer::Steps(_) => None,
         }
     }
 }
@@ -230,7 +133,7 @@ impl QueryAnswer {
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     /// The id passed to [`QueryServer::submit`] (or
-    /// [`QueryServer::submit_stats`]).
+    /// [`QueryServer::submit_batch`]).
     pub id: u64,
     /// The answer on success; a rendered error otherwise. A worker
     /// panic surfaces here as an error string, never as a dead
@@ -243,10 +146,6 @@ struct State {
     /// Submitted requests no worker has claimed yet, oldest first.
     queue: VecDeque<Pending>,
     closed: bool,
-    /// The submission sequence number of the next request.
-    next_seq: u64,
-    /// Sequence numbers of the claimed requests not yet answered.
-    running: Vec<u64>,
     /// Answers, in completion order.
     results: Vec<QueryResult>,
 }
@@ -257,20 +156,9 @@ struct Shared {
     work: Condvar,
     /// Signalled when a request is claimed (space for submitters).
     space: Condvar,
-    /// Signalled when a request is answered (stats requests wait on
-    /// the ones submitted before them).
-    answered: Condvar,
     capacity: usize,
     /// `serve.queue.depth`: +1 on enqueue, -1 on claim.
     depth: Gauge,
-    flight: Arc<FlightRecorder>,
-    flight_dir: Option<PathBuf>,
-    slow_query_ns: Option<u64>,
-    /// Distinguishes dump files triggered by the same request id.
-    dump_seq: AtomicU64,
-    /// Hottest pcs of the shared image, profiled lazily on the first
-    /// stats query (deterministic, so once is enough).
-    hot_pcs: OnceLock<Vec<(usize, u64)>>,
 }
 
 /// Waits on `cv`, recovering the guard from a poisoned lock.
@@ -279,53 +167,39 @@ fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
 }
 
 impl Shared {
-    fn new(cfg: &ServerConfig, obs: &Registry, flight: Arc<FlightRecorder>) -> Self {
+    fn new(cfg: &ServerConfig, obs: &Registry) -> Self {
         Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 closed: false,
-                next_seq: 0,
-                running: Vec::new(),
                 results: Vec::new(),
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            answered: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
             depth: obs.gauge("serve.queue.depth", &[]),
-            flight,
-            flight_dir: cfg.flight_dir.clone(),
-            slow_query_ns: cfg.slow_query_ns,
-            dump_seq: AtomicU64::new(0),
-            hot_pcs: OnceLock::new(),
         }
     }
 
     /// Locks the pool state. Every update under the lock is a single
-    /// push, pop, removal or flag write, so a thread that panicked
-    /// while holding it cannot have left the state torn: a poisoned
-    /// lock is recovered, not propagated.
+    /// push, pop or flag write, so a thread that panicked while holding
+    /// it cannot have left the state torn: a poisoned lock is
+    /// recovered, not propagated.
     fn state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends `req` to the queue, blocking while it is full.
     fn enqueue(&self, req: Request) {
-        let id = req.id();
         let mut st = self.state();
         while st.queue.len() >= self.capacity {
             st = wait(&self.space, st);
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
         st.queue.push_back(Pending {
             req,
-            seq,
             enqueued: Instant::now(),
         });
         self.depth.add(1);
-        self.flight
-            .record(FlightKind::Enqueue, id, st.queue.len() as u64);
         drop(st);
         self.work.notify_one();
     }
@@ -343,33 +217,15 @@ impl Shared {
             }
             st = wait(&self.work, st);
         };
-        st.running.push(p.seq);
-        let left = st.queue.len() as u64;
         drop(st);
         self.space.notify_one();
         self.depth.add(-1);
-        self.flight.record(FlightKind::Dequeue, p.req.id(), left);
         Some(p)
     }
 
-    /// Records the answer to the claimed request `seq`.
-    fn answer(&self, seq: u64, result: QueryResult) {
-        let mut st = self.state();
-        st.results.push(result);
-        st.running.retain(|&s| s != seq);
-        drop(st);
-        self.answered.notify_all();
-    }
-
-    /// Blocks until every request submitted before `seq` has been
-    /// answered. Claims follow submission order, so each of those
-    /// requests is already claimed, and none of them waits on a later
-    /// one: the wait always ends.
-    fn await_earlier(&self, seq: u64) {
-        let mut st = self.state();
-        while st.running.iter().any(|&s| s < seq) {
-            st = wait(&self.answered, st);
-        }
+    /// Records the answer to a claimed request.
+    fn answer(&self, result: QueryResult) {
+        self.state().results.push(result);
     }
 }
 
@@ -382,70 +238,9 @@ pub struct QueryServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Writes the flight ring to `flight_dir` with a header line naming
-/// the triggering request. Never panics: dump failures are counted
-/// and otherwise ignored — an incident dump must not take the server
-/// down with it.
-fn dump_flight(shared: &Shared, obs: &Registry, req_id: u64, reason: &str, elapsed_ns: u64) {
-    let Some(dir) = &shared.flight_dir else {
-        return;
-    };
-    if !shared.flight.enabled() {
-        return;
-    }
-    shared.flight.record(FlightKind::Dump, req_id, 0);
-    let n = shared.dump_seq.fetch_add(1, Ordering::Relaxed);
-    let mut doc = format!(
-        "{{\"request_id\": {req_id}, \"reason\": \"{reason}\", \"elapsed_ns\": {elapsed_ns}, \
-         \"dropped\": {}}}\n",
-        shared.flight.dropped()
-    );
-    doc.push_str(&shared.flight.dump_ndjson());
-    let ok = std::fs::create_dir_all(dir).is_ok()
-        && std::fs::write(dir.join(format!("flight-{req_id}-{n}.ndjson")), doc).is_ok();
-    let status = if ok { "ok" } else { "write_failed" };
-    obs.counter(
-        "serve.flight.dumps",
-        &[("reason", reason), ("status", status)],
-    )
-    .inc();
-}
-
-fn stats_report(compiled: &Compiled, obs: &Registry, shared: &Shared, id: u64) -> StatsReport {
-    let hot_pcs = shared
-        .hot_pcs
-        .get_or_init(|| {
-            compiled
-                .profile()
-                .map(|(stats, _, _)| stats.hot_pcs(8))
-                .unwrap_or_default()
-        })
-        .clone();
-    let snapshot = obs.snapshot();
-    let stage = |name: &str| {
-        QuantileView::from_samples(snapshot.histograms.iter().filter(|h| {
-            h.name == "serve.stage.ns" && h.labels.iter().any(|(k, v)| k == "stage" && v == name)
-        }))
-    };
-    StatsReport {
-        request_id: id,
-        queue_wait: stage("queue_wait"),
-        execute: stage("execute"),
-        hot_pcs,
-        snapshot,
-    }
-}
-
-fn run_one(
-    compiled: &Compiled,
-    p: &Pending,
-    obs: &Registry,
-    shared: &Shared,
-    pool: &mut ArenaPool,
-) -> QueryResult {
+fn run_one(compiled: &Compiled, p: &Pending, obs: &Registry, pool: &mut ArenaPool) -> QueryResult {
     let req = &p.req;
     let id = req.id();
-    let flight = &shared.flight;
     let tier = if compiled.fused.is_some() {
         "fused"
     } else {
@@ -454,22 +249,6 @@ fn run_one(
     obs.histogram("serve.stage.ns", &[("stage", "queue_wait"), ("tier", tier)])
         .record(p.enqueued.elapsed().as_nanos() as u64);
 
-    if let Request::Stats(id) = req {
-        shared.await_earlier(p.seq);
-        flight.record(FlightKind::StatsQuery, *id, 0);
-        let report = stats_report(compiled, obs, shared, *id);
-        obs.counter("serve.queries.stats", &[]).inc();
-        return QueryResult {
-            id: *id,
-            outcome: Ok(QueryAnswer::Stats(Box::new(report))),
-        };
-    }
-
-    let start_payload = match req {
-        Request::RunBatch(_, n) => *n as u64,
-        _ => 0,
-    };
-    flight.record(FlightKind::QueryStart, id, start_payload);
     let t_exec = Instant::now();
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match req {
         Request::PanicProbe(_) => panic!("panic probe"),
@@ -490,48 +269,33 @@ fn run_one(
             None => Err("query produced no answer".to_string()),
         },
     }));
-    let execute_ns = t_exec.elapsed().as_nanos() as u64;
     obs.histogram("serve.stage.ns", &[("stage", "execute"), ("tier", tier)])
-        .record(execute_ns);
-    let panicked = ran.is_err();
+        .record(t_exec.elapsed().as_nanos() as u64);
     let outcome = match ran {
         Ok(Ok(ans)) => {
             obs.counter("serve.queries.ok", &[]).inc();
             obs.counter("serve.tier", &[("tier", tier)]).inc();
-            let payload = match &ans {
-                QueryAnswer::Steps(s) => *s,
-                QueryAnswer::Batch(v) => {
-                    obs.counter("serve.batch.queries", &[]).add(v.len() as u64);
-                    v.iter().sum()
-                }
-                QueryAnswer::Stats(_) => 0,
-            };
-            flight.record(FlightKind::QueryOk, id, payload);
+            if let QueryAnswer::Batch(v) = &ans {
+                obs.counter("serve.batch.queries", &[]).add(v.len() as u64);
+            }
             Ok(ans)
         }
         Ok(Err(e)) => {
             obs.counter("serve.queries.failed", &[]).inc();
-            flight.record(FlightKind::QueryFail, id, 0);
             Err(e)
         }
         Err(_) => {
             obs.counter("serve.queries.panicked", &[]).inc();
-            flight.record(FlightKind::QueryPanic, id, 0);
-            dump_flight(shared, obs, id, "panic", execute_ns);
             Err("query panicked".to_string())
         }
     };
-    if !panicked && shared.slow_query_ns.is_some_and(|t| execute_ns >= t) {
-        dump_flight(shared, obs, id, "slow", execute_ns);
-    }
     QueryResult { id, outcome }
 }
 
 fn worker_loop(shared: &Shared, compiled: &Compiled, obs: &Registry) {
     let mut pool = ArenaPool::new();
     while let Some(p) = shared.claim() {
-        let result = run_one(compiled, &p, obs, shared, &mut pool);
-        shared.answer(p.seq, result);
+        shared.answer(run_one(compiled, &p, obs, &mut pool));
     }
 }
 
@@ -540,26 +304,7 @@ impl QueryServer {
     /// `compiled`. The registry may be shared with the artifact cache
     /// so one `metrics.json` covers both tiers.
     pub fn start(compiled: Arc<Compiled>, cfg: &ServerConfig, obs: &Registry) -> Self {
-        Self::start_with_flight(
-            compiled,
-            cfg,
-            obs,
-            Arc::new(FlightRecorder::new(cfg.flight_capacity)),
-        )
-    }
-
-    /// [`QueryServer::start`] recording into a caller-supplied flight
-    /// ring instead of a fresh one — share it with the
-    /// [`crate::cache::ArtifactCache`] (and across restarts of the
-    /// server) so one dump shows cache and query traffic interleaved.
-    /// `cfg.flight_capacity` is ignored on this path.
-    pub fn start_with_flight(
-        compiled: Arc<Compiled>,
-        cfg: &ServerConfig,
-        obs: &Registry,
-        flight: Arc<FlightRecorder>,
-    ) -> Self {
-        let shared = Arc::new(Shared::new(cfg, obs, flight));
+        let shared = Arc::new(Shared::new(cfg, obs));
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -569,13 +314,6 @@ impl QueryServer {
             })
             .collect();
         QueryServer { shared, workers }
-    }
-
-    /// The server's flight recorder (disabled when
-    /// `ServerConfig::flight_capacity` was 0). Snapshot or dump it at
-    /// any time, including while queries are in flight.
-    pub fn flight(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.shared.flight)
     }
 
     /// Enqueues one run query, blocking while the queue is full.
@@ -592,17 +330,8 @@ impl QueryServer {
         self.shared.enqueue(Request::RunBatch(id, n));
     }
 
-    /// Enqueues a live stats query: the worker that claims it waits
-    /// until every request submitted before it has been answered, then
-    /// answers with a [`StatsReport`] over the shared registry instead
-    /// of running the image.
-    pub fn submit_stats(&self, id: u64) {
-        self.shared.enqueue(Request::Stats(id));
-    }
-
     /// Enqueues a request that panics inside the protected region —
-    /// a containment drill for tests and smoke checks. The panic is
-    /// caught, counted and (when a flight dir is configured) dumped,
+    /// a containment drill for tests. The panic is caught and counted
     /// exactly like a real engine defect would be; it never escapes.
     pub fn submit_panic_probe(&self, id: u64) {
         self.shared.enqueue(Request::PanicProbe(id));
@@ -640,27 +369,10 @@ impl Drop for QueryServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symbol_obs::QuantileView;
 
     fn compiled() -> Arc<Compiled> {
         Arc::new(Compiled::from_source("main :- X is 2 + 2, X = 4.").expect("compiles"))
-    }
-
-    /// A unique, self-cleaning temp dir for dump tests.
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir()
-                .join(format!("symbol-serve-test-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            TempDir(dir)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
     }
 
     fn steps_of(r: &QueryResult) -> u64 {
@@ -679,7 +391,6 @@ mod tests {
             &ServerConfig {
                 workers: 4,
                 queue_capacity: 8,
-                ..ServerConfig::default()
             },
             &obs,
         );
@@ -709,15 +420,25 @@ mod tests {
             0,
             "every enqueue was matched by a dequeue"
         );
-        assert_eq!(
-            obs.histogram(
-                "serve.stage.ns",
-                &[("stage", "execute"), ("tier", "decoded")]
-            )
-            .count(),
-            100,
-            "every query recorded its execute latency"
-        );
+        let snapshot = obs.snapshot();
+        for stage in ["queue_wait", "execute"] {
+            let labels = [("stage", stage), ("tier", "decoded")];
+            assert_eq!(
+                obs.histogram("serve.stage.ns", &labels).count(),
+                100,
+                "every query recorded its {stage} latency"
+            );
+            let h = snapshot
+                .histograms
+                .iter()
+                .find(|h| h.name == "serve.stage.ns" && h.labels.iter().any(|(_, v)| v == stage))
+                .expect("stage histogram exported");
+            let q = QuantileView::from_sample(h).expect("non-empty");
+            assert!(
+                [q.p50, q.p90, q.p99].iter().all(|p| p.is_finite()) && q.p50 <= q.p99,
+                "{stage}: {q:?}"
+            );
+        }
     }
 
     #[test]
@@ -839,8 +560,6 @@ mod tests {
             &ServerConfig {
                 workers: 0,
                 queue_capacity: 0,
-                flight_capacity: 0,
-                ..ServerConfig::default()
             },
             &Registry::disabled(),
         );
@@ -848,83 +567,6 @@ mod tests {
         let results = server.finish();
         assert_eq!(results.len(), 1);
         assert!(results[0].outcome.is_ok());
-    }
-
-    #[test]
-    fn stats_query_answers_live_quantiles_and_hot_pcs() {
-        let obs = Registry::new();
-        let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
-        for id in 0..40 {
-            server.submit(id);
-        }
-        server.submit_stats(1000);
-        let results = server.finish();
-        assert_eq!(results.len(), 41);
-        let stats = results
-            .iter()
-            .find(|r| r.id == 1000)
-            .expect("stats result present");
-        let report = stats
-            .outcome
-            .as_ref()
-            .expect("stats succeeds")
-            .stats()
-            .expect("stats answer");
-        assert_eq!(report.request_id, 1000);
-        let exec = report.execute.expect("execute quantiles after 40 queries");
-        assert!(exec.count >= 1);
-        assert!(exec.is_finite(), "p99 must be finite: {exec:?}");
-        assert!(exec.p50 <= exec.p99);
-        let wait = report.queue_wait.expect("queue-wait quantiles");
-        assert!(wait.is_finite());
-        assert!(!report.hot_pcs.is_empty(), "hot pcs from the lazy profile");
-        assert!(
-            report.hot_pcs.windows(2).all(|w| w[0].1 >= w[1].1),
-            "hot pcs are hottest-first: {:?}",
-            report.hot_pcs
-        );
-        assert!(
-            report
-                .snapshot
-                .counters
-                .iter()
-                .any(|c| c.name == "serve.queries.ok"),
-            "report embeds the live snapshot"
-        );
-        let json = report.to_json();
-        assert!(json.contains("\"request_id\": 1000"));
-        assert!(json.contains("\"hot_pcs\""));
-        assert_eq!(obs.counter("serve.queries.stats", &[]).get(), 1);
-    }
-
-    #[test]
-    fn stats_waits_for_the_requests_submitted_before_it() {
-        let obs = Registry::new();
-        let src = "main :- count(20000). count(0). count(N) :- N > 0, M is N - 1, count(M).";
-        let server = QueryServer::start(
-            Arc::new(Compiled::from_source(src).expect("compiles")),
-            &ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
-        // The idle second worker claims the stats request while the
-        // first is still running the batch ahead of it.
-        server.submit_batch(0, 8);
-        server.submit_stats(1);
-        let results = server.finish();
-        assert!(results[0].outcome.is_ok());
-        let report = results[1]
-            .outcome
-            .as_ref()
-            .expect("stats succeeds")
-            .stats()
-            .expect("stats answer");
-        let exec = report
-            .execute
-            .expect("the request ahead of the stats request was answered first");
-        assert_eq!(exec.count, 1, "{exec:?}");
     }
 
     #[test]
@@ -949,42 +591,26 @@ mod tests {
     #[test]
     fn requests_are_claimed_in_submission_order_with_the_depth_left() {
         let obs = Registry::new();
-        let shared = Shared::new(
-            &ServerConfig::default(),
-            &obs,
-            Arc::new(FlightRecorder::new(64)),
-        );
+        let shared = Shared::new(&ServerConfig::default(), &obs);
         for id in [7, 3, 5] {
             shared.enqueue(Request::Run(id));
         }
         shared.state().closed = true;
-        let claimed: Vec<u64> = std::iter::from_fn(|| shared.claim())
-            .map(|p| p.req.id())
+        let depth = obs.gauge("serve.queue.depth", &[]);
+        let claimed: Vec<(u64, i64)> = std::iter::from_fn(|| shared.claim())
+            .map(|p| (p.req.id(), depth.get()))
             .collect();
-        assert_eq!(claimed, [7, 3, 5], "FIFO, and none once closed and drained");
-        let left: Vec<u64> = shared
-            .flight
-            .snapshot()
-            .iter()
-            .filter(|r| r.kind_name() == "dequeue")
-            .map(|r| r.b)
-            .collect();
-        assert_eq!(left, [2, 1, 0], "each dequeue carries the depth left");
-        assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
+        assert_eq!(
+            claimed,
+            [(7, 2), (3, 1), (5, 0)],
+            "FIFO, each claim leaves the depth behind it, and none once closed and drained"
+        );
     }
 
     #[test]
-    fn panic_probe_is_contained_counted_and_dumped() {
-        let tmp = TempDir::new("panic");
+    fn panic_probe_is_contained_and_counted() {
         let obs = Registry::new();
-        let server = QueryServer::start(
-            compiled(),
-            &ServerConfig {
-                flight_dir: Some(tmp.0.clone()),
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
+        let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
         for id in 0..10 {
             server.submit(id);
         }
@@ -999,71 +625,6 @@ mod tests {
             obs.gauge("serve.queue.depth", &[]).get(),
             0,
             "depth returns to zero through the panic path too"
-        );
-        let dumps: Vec<_> = std::fs::read_dir(&tmp.0)
-            .expect("dump dir exists")
-            .map(|e| e.expect("entry").path())
-            .collect();
-        assert_eq!(dumps.len(), 1, "one panic dump: {dumps:?}");
-        let body = std::fs::read_to_string(&dumps[0]).expect("dump readable");
-        assert!(body.starts_with("{\"request_id\": 77, \"reason\": \"panic\""));
-        assert!(body.contains("\"kind\": \"query_panic\""));
-        assert_eq!(
-            obs.counter(
-                "serve.flight.dumps",
-                &[("reason", "panic"), ("status", "ok")]
-            )
-            .get(),
-            1
-        );
-    }
-
-    #[test]
-    fn slow_query_trigger_dumps_with_the_request_id() {
-        let tmp = TempDir::new("slow");
-        let obs = Registry::new();
-        let server = QueryServer::start(
-            compiled(),
-            &ServerConfig {
-                workers: 1,
-                flight_dir: Some(tmp.0.clone()),
-                slow_query_ns: Some(0),
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
-        server.submit(5);
-        let results = server.finish();
-        assert!(results[0].outcome.is_ok());
-        let dumps: Vec<_> = std::fs::read_dir(&tmp.0)
-            .expect("dump dir exists")
-            .map(|e| e.expect("entry").path())
-            .collect();
-        assert_eq!(dumps.len(), 1);
-        let body = std::fs::read_to_string(&dumps[0]).expect("dump readable");
-        assert!(body.starts_with("{\"request_id\": 5, \"reason\": \"slow\""));
-        assert!(body.contains("\"kind\": \"query_start\""));
-        assert!(body.contains("\"kind\": \"enqueue\""));
-    }
-
-    #[test]
-    fn flight_ring_traces_the_request_lifecycle() {
-        let obs = Registry::new();
-        let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
-        let flight = server.flight();
-        assert!(flight.enabled());
-        for id in 0..5 {
-            server.submit(id);
-        }
-        server.finish();
-        let kinds: Vec<&str> = flight.snapshot().iter().map(|r| r.kind_name()).collect();
-        for kind in ["enqueue", "dequeue", "query_start", "query_ok"] {
-            assert!(kinds.contains(&kind), "{kind} missing from {kinds:?}");
-        }
-        assert_eq!(
-            kinds.iter().filter(|k| **k == "query_ok").count(),
-            5,
-            "every query left an ok record"
         );
     }
 }

@@ -80,8 +80,6 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     &ServerConfig {
                         workers,
                         queue_capacity: 8,
-                        flight_capacity: 0,
-                        ..ServerConfig::default()
                     },
                     &obs,
                 );
