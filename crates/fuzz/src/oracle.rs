@@ -9,11 +9,13 @@
 //!    profile-guided [`fuse`] pass rewrites the decoded program and the
 //!    fused engine must match legacy bit for bit too — every generated
 //!    program cross-checks superinstruction fusion from day one;
-//!    finally the same query is run three times through the pooled
-//!    concurrent batch executor ([`batch::run_batch_parallel`], two
-//!    workers) and every copy must reproduce the sequential result and
-//!    step count exactly — the serving tier's bit-identical contract,
-//!    cross-checked on every generated program;
+//!    finally, in stage 1¾, the same query is run three times through
+//!    the pooled concurrent batch executor ([`batch::run_batch_parallel`],
+//!    two workers, the statistics-free serving loop) on the decoded
+//!    program and three times on the fused one (the `symbol-serve
+//!    --fused` path), and every copy must reproduce the legacy result
+//!    and step count exactly — the serving tier's bit-identical
+//!    contract, cross-checked on every generated program;
 //! 2. when the sequential run is clean, the program is compacted for a
 //!    small matrix of `(mode, machine)` configurations via
 //!    [`try_compact`] — an illegal schedule is a finding, and
@@ -95,9 +97,11 @@ pub enum FailureKind {
     /// The profile-guided fused engine disagrees with the legacy
     /// engine (a fusion-pass or fused-step-loop bug).
     FusedDivergence,
-    /// The pooled concurrent batch executor disagrees with the
-    /// sequential engine (a state-pooling or reset bug: a query saw a
-    /// neighbour's leftover heap/trail, or chunking perturbed order).
+    /// The pooled concurrent batch executor, on the decoded or the
+    /// fused program, disagrees with the sequential engine (a
+    /// state-pooling or reset bug: a query saw a neighbour's leftover
+    /// heap/trail, or chunking perturbed order; or a statistics-free
+    /// step-loop bug).
     BatchDivergence,
     /// Clean run, wrong answer against the generator's prediction.
     Expectation,
@@ -258,22 +262,27 @@ fn check_program(
         });
     }
 
-    // Stage 1¾: the pooled concurrent batch executor. Three copies of
-    // the same query across two workers: every copy must reproduce the
-    // sequential run bit for bit — result, error, and step count —
-    // errors and step limits included. A divergence here means pooled
-    // engine state leaked between queries or worker scheduling changed
-    // execution, the exact bugs the serving tier must never have.
-    let batch = batch::run_batch_parallel(&decoded, layout, &[exec_cfg; 3], 2);
-    for (i, b) in batch.iter().enumerate() {
-        if b.result != lr || b.steps != lsteps {
-            return Err(Failure {
-                kind: FailureKind::BatchDivergence,
-                detail: format!(
-                    "sequential: {lr:?} in {lsteps} steps; batch query {i}/3: {:?} in {} steps",
-                    b.result, b.steps
-                ),
-            });
+    // Stage 1¾: the pooled concurrent batch executor, on the decoded
+    // and on the fused program. Three copies of the same query across
+    // two workers: every copy must reproduce the sequential run bit for
+    // bit — result, error, and step count — errors and step limits
+    // included. A divergence here means pooled engine state leaked
+    // between queries, worker scheduling changed execution, or the
+    // statistics-free loop runs a record differently, the exact bugs
+    // the serving tier must never have.
+    for (tier, program) in [("decoded", &decoded), ("fused", &fused)] {
+        let batch = batch::run_batch_parallel(program, layout, &[exec_cfg; 3], 2);
+        for (i, b) in batch.iter().enumerate() {
+            if b.result != lr || b.steps != lsteps {
+                return Err(Failure {
+                    kind: FailureKind::BatchDivergence,
+                    detail: format!(
+                        "sequential: {lr:?} in {lsteps} steps; {tier} batch query {i}/3: \
+                         {:?} in {} steps",
+                        b.result, b.steps
+                    ),
+                });
+            }
         }
     }
 

@@ -13,13 +13,16 @@
 //!   and indirect jumps go through a dense label → pc table instead of
 //!   [`IciProgram::label_addr`]'s assert-on-missing lookup.
 //!
-//! [`DecodedEmulator`] executes the decoded form with the trace
-//! instrumentation monomorphized out through a const-generic step loop:
-//! the common profile-only path contains no trace branch at all. The
-//! engine is **bit-identical** to [`crate::emu::Emulator`] — same
-//! [`Outcome`], same step count, same [`ExecStats`] and same
-//! [`ExecError`] values on every program — which the workspace
-//! differential suite asserts over the whole benchmark suite.
+//! [`DecodedEmulator`] executes the decoded form through one
+//! const-generic step loop whose `TRACE`, `PROFILE` and `STATS`
+//! parameters compile the trace ring, the branch predictor and the
+//! per-pc Expect/taken counters out of the paths that do not use them:
+//! the serving loop has none of the three, the profiling run of the
+//! experiments only the counters. The engine is **bit-identical** to
+//! [`crate::emu::Emulator`] — same [`Outcome`], same step count, same
+//! [`ExecStats`] and same [`ExecError`] values on every program — which
+//! the workspace differential suite asserts over the whole benchmark
+//! suite.
 
 use std::collections::VecDeque;
 
@@ -30,9 +33,10 @@ use crate::op::{AluOp, Cond, Label, Op, Operand};
 use crate::program::IciProgram;
 use crate::word::{Tag, Word};
 
-/// One pre-decoded micro-op. `Copy` and at most 32 bytes, so the step
-/// loop fetches a whole record by value and never chases references
-/// into the source [`Op`] vector.
+/// One pre-decoded micro-op. `Copy` and at most 32 bytes, so the
+/// records lie densely in one vector and the step loop never chases
+/// references into the source [`Op`] vector. The loop matches each
+/// record in place, so an arm loads only the fields it uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) enum MicroOp {
     /// `d = mem[base.val + off]`.
@@ -384,6 +388,12 @@ impl DecodedProgram {
     pub fn is_branch_target(&self, pc: usize) -> bool {
         self.branch_targets.get(pc).copied().unwrap_or(false)
     }
+
+    /// Whether the record at `pc` is the head of a fused pair, which
+    /// also executes the op at `pc + 1` ([`crate::fuse::fuse`]).
+    pub fn is_fused_head(&self, pc: usize) -> bool {
+        self.micro.get(pc).is_some_and(|m| m.is_fused())
+    }
 }
 
 /// Per-PC dynamic profile gathered by the profiled step loop
@@ -506,16 +516,7 @@ impl<'a> DecodedEmulator<'a> {
     /// bit-identical to [`DecodedEmulator::run_with_stats`] — the
     /// batch determinism suite asserts exactly that.
     pub(crate) fn run_pooled(&mut self, cfg: &ExecConfig) -> (Result<Outcome, ExecError>, u64) {
-        let mut steps: u64 = 0;
-        let res = self.step_loop::<false, false, false>(
-            cfg,
-            &mut [],
-            &mut [],
-            &mut steps,
-            &mut [],
-            &mut [],
-        );
-        (res, steps)
+        self.step_loop::<false, false, false>(cfg, &mut [], &mut [], &mut [], &mut [])
     }
 
     /// Enables a circular trace of the last `cap` executed op indices.
@@ -553,25 +554,10 @@ impl<'a> DecodedEmulator<'a> {
         let n = self.program.micro.len();
         let mut expect = vec![0u64; n];
         let mut taken = vec![0u64; n];
-        let mut steps: u64 = 0;
-        let res = if self.trace_cap > 0 {
-            self.step_loop::<true, false, true>(
-                cfg,
-                &mut expect,
-                &mut taken,
-                &mut steps,
-                &mut [],
-                &mut [],
-            )
+        let (res, steps) = if self.trace_cap > 0 {
+            self.step_loop::<true, false, true>(cfg, &mut expect, &mut taken, &mut [], &mut [])
         } else {
-            self.step_loop::<false, false, true>(
-                cfg,
-                &mut expect,
-                &mut taken,
-                &mut steps,
-                &mut [],
-                &mut [],
-            )
+            self.step_loop::<false, false, true>(cfg, &mut expect, &mut taken, &mut [], &mut [])
         };
         (res, ExecStats { expect, taken }, steps)
     }
@@ -597,13 +583,11 @@ impl<'a> DecodedEmulator<'a> {
         // One 2-bit counter per op, initialized to 01 (weakly not
         // taken); only conditional branches ever read or update theirs.
         let mut predictor = vec![1u8; n];
-        let mut steps: u64 = 0;
-        let res = if self.trace_cap > 0 {
+        let (res, steps) = if self.trace_cap > 0 {
             self.step_loop::<true, true, true>(
                 cfg,
                 &mut expect,
                 &mut taken,
-                &mut steps,
                 &mut predictor,
                 &mut mispredict,
             )
@@ -612,7 +596,6 @@ impl<'a> DecodedEmulator<'a> {
                 cfg,
                 &mut expect,
                 &mut taken,
-                &mut steps,
                 &mut predictor,
                 &mut mispredict,
             )
@@ -625,27 +608,42 @@ impl<'a> DecodedEmulator<'a> {
         )
     }
 
-    /// The monomorphized step loop. With `TRACE = false` (the
-    /// profile-only default) the trace bookkeeping — including its
-    /// capacity test — compiles out entirely; with `PROFILE = false`
-    /// the branch-predictor accounting compiles out the same way, so
-    /// the default path is the same machine code it was before the
-    /// profiling hooks existed. `STATS = false` (the batch serving
-    /// path, [`DecodedEmulator::run_pooled`]) additionally compiles
-    /// out the per-pc Expect/taken counters — outcome, step count and
-    /// errors are unaffected.
-    #[allow(clippy::too_many_arguments)]
+    /// The monomorphized step loop; returns the outcome and the steps
+    /// executed. With `TRACE = false` (the profile-only default) the
+    /// trace bookkeeping — including its capacity test — compiles out
+    /// entirely; with `PROFILE = false` the branch-predictor
+    /// accounting compiles out the same way. `STATS = false` (the
+    /// batch serving path, [`DecodedEmulator::run_pooled`])
+    /// additionally compiles out the per-pc Expect/taken counters —
+    /// outcome, step count and errors are unaffected.
+    ///
+    /// The step count is a local, not a reference, and each record is
+    /// matched in place (`match *m`), so an arm loads only its own
+    /// fields instead of copying the whole record first; both keep the
+    /// loop head small enough that its state can stay in registers.
+    /// The counter arrays are checked once against the program length,
+    /// so indexing them at a pc that `micro.get` accepted needs no
+    /// further bounds check.
     fn step_loop<const TRACE: bool, const PROFILE: bool, const STATS: bool>(
         &mut self,
         cfg: &ExecConfig,
         expect: &mut [u64],
         taken: &mut [u64],
-        steps: &mut u64,
         predictor: &mut [u8],
         mispredict: &mut [u64],
-    ) -> Result<Outcome, ExecError> {
+    ) -> (Result<Outcome, ExecError>, u64) {
         let micro = self.program.micro.as_slice();
         let label_pc = self.program.label_pc.as_slice();
+        let n = micro.len();
+        if STATS {
+            assert!(expect.len() == n && taken.len() == n, "stats arrays");
+        }
+        if PROFILE {
+            assert!(
+                predictor.len() == n && mispredict.len() == n,
+                "profile arrays"
+            );
+        }
         let Self {
             regs,
             mem,
@@ -655,15 +653,16 @@ impl<'a> DecodedEmulator<'a> {
         } = self;
         let regs = regs.as_mut_slice();
         let mut pc = self.pc;
+        let mut steps: u64 = 0;
         let max_steps = cfg.max_steps;
         let r = loop {
-            let Some(&m) = micro.get(pc) else {
+            let Some(m) = micro.get(pc) else {
                 break Err(ExecError::RanOffEnd);
             };
-            if *steps >= max_steps {
+            if steps >= max_steps {
                 break Err(ExecError::StepLimit { limit: max_steps });
             }
-            *steps += 1;
+            steps += 1;
             let at = pc;
             if STATS {
                 expect[at] += 1;
@@ -721,10 +720,10 @@ impl<'a> DecodedEmulator<'a> {
             // lands between the two halves.
             macro_rules! second {
                 () => {{
-                    if *steps >= max_steps {
+                    if steps >= max_steps {
                         fail!(ExecError::StepLimit { limit: max_steps });
                     }
-                    *steps += 1;
+                    steps += 1;
                     if STATS {
                         expect[at + 1] += 1;
                     }
@@ -736,7 +735,7 @@ impl<'a> DecodedEmulator<'a> {
                     }
                 }};
             }
-            match m {
+            match *m {
                 MicroOp::Ld { d, base, off } => {
                     let addr = regs[base as usize].val + off as i64;
                     match load(mem, addr, at) {
@@ -959,7 +958,7 @@ impl<'a> DecodedEmulator<'a> {
             }
         };
         self.pc = pc;
-        r
+        (r, steps)
     }
 
     /// Read access to a memory word (for tests and answer inspection).

@@ -16,7 +16,7 @@ use symbol_core::benchmarks;
 use symbol_core::experiments::measure_cached;
 use symbol_core::pipeline::{Compiled, CompiledCache};
 use symbol_intcode::fuse::{fuse, is_fusion_of, FuseConfig};
-use symbol_intcode::{DecodedEmulator, Emulator, ExecConfig};
+use symbol_intcode::{ArenaPool, DecodedEmulator, DecodedProgram, Emulator, ExecConfig, Layout};
 use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, VliwSim};
 
@@ -121,6 +121,71 @@ fn emulator_fused_matches_decoded_and_legacy_on_every_benchmark() {
         "the fusion pass found no hot pairs across the whole suite — \
          the tier is not being exercised"
     );
+}
+
+/// The serving loop on the fused tier: on every benchmark, with the
+/// fused tier attached, the stats-off loop (`Compiled::run_batch` on
+/// the serving program, the loop every served query runs) and the
+/// stats-on loop must give the legacy engine's outcome or error and
+/// step count at the step limits where a run ends differently: none,
+/// one step, one step short of the end, exactly the end, and either
+/// side of the second half of the first fused pair that runs whole.
+#[test]
+fn serving_loop_on_the_fused_tier_matches_legacy_at_every_step_limit() {
+    let split_pairs = AtomicU64::new(0);
+    for_each_benchmark(|b| {
+        let mut compiled = Compiled::from_source(b.source).expect("compiles");
+        let full = Emulator::new(&compiled.ici, &compiled.layout)
+            .run(&ExecConfig::default())
+            .expect("legacy run")
+            .steps;
+        compiled.build_fused_tier().expect("fuses");
+        let fused = compiled.serving_program();
+        let mut limits = vec![0, 1, full - 1, full];
+        if let Some(second) = first_whole_pair(fused, &compiled.layout, full) {
+            // `second` ops run before the second half: a limit of
+            // `second` stops between the halves, one more runs both.
+            limits.extend([second, second + 1]);
+            split_pairs.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut pool = ArenaPool::new();
+        for max_steps in limits {
+            let cfg = ExecConfig { max_steps };
+            let (lres, lstats, lsteps) =
+                Emulator::new(&compiled.ici, &compiled.layout).run_with_stats(&cfg);
+            let served = compiled.run_batch(&[cfg], &mut pool).remove(0);
+            assert_eq!(served.result, lres, "{} at {max_steps}: served", b.name);
+            assert_eq!(served.steps, lsteps, "{} at {max_steps}: served", b.name);
+            let (fres, fstats, fsteps) =
+                DecodedEmulator::new(fused, &compiled.layout).run_with_stats(&cfg);
+            assert_eq!(fres, lres, "{} at {max_steps}: stats on", b.name);
+            assert_eq!(fsteps, lsteps, "{} at {max_steps}: stats on", b.name);
+            assert_eq!(fstats.expect, lstats.expect, "{} at {max_steps}", b.name);
+            assert_eq!(fstats.taken, lstats.taken, "{} at {max_steps}", b.name);
+        }
+    });
+    assert!(
+        split_pairs.load(Ordering::Relaxed) > 0,
+        "no benchmark ran a whole fused pair"
+    );
+}
+
+/// The number of ops a run of `program` executes before the second half
+/// of its first fused pair that runs whole (a taken tag check runs only
+/// the head), or `None` when no pair runs whole in its `full` steps.
+/// One traced run over the whole execution finds it; a program without
+/// a fused pair is not run.
+fn first_whole_pair(program: &DecodedProgram, layout: &Layout, full: u64) -> Option<u64> {
+    if !(0..program.len()).any(|pc| program.is_fused_head(pc)) {
+        return None;
+    }
+    let mut emu = DecodedEmulator::new(program, layout);
+    emu.set_trace(full as usize);
+    emu.run(&ExecConfig::default()).expect("fused run");
+    emu.trace()
+        .windows(2)
+        .position(|w| program.is_fused_head(w[0]) && w[1] == w[0] + 1)
+        .map(|i| i as u64 + 1)
 }
 
 /// The check the artifact cache runs on a stored fused tier accepts
