@@ -13,10 +13,16 @@
 //!   reports the median and IQR of its rounds' fastest passes, and each
 //!   benchmark reports how many rounds decoded (stats on) won against
 //!   legacy, with the one-sided sign-test p-value.
+//! * **Simulator rows**, on every benchmark's trace-scheduled code for
+//!   `units(3)` at `Layout::default()`: the legacy [`VliwSim`] and the
+//!   production [`DecodedVliwSim`], each built before its timer starts,
+//!   timed the same way in [`ROUNDS`] rounds. Each reports the median
+//!   and IQR of its rounds' fastest passes, and each benchmark how many
+//!   rounds decoded won, with the sign-test p-value. These rows are
+//!   printed and recorded, not gated.
 //! * **Set-up-inclusive rows** ([`Harness`] means at small layouts):
 //!   the legacy and decoded engines, the decoded run through a disabled
-//!   registry, and the fused tier; and, as a sidecar on the smaller
-//!   `TIMING_SUBSET`, the two VLIW simulators.
+//!   registry, and the fused tier.
 //!
 //! Every run prints the step-loop verdict: whether decoded (stats on)
 //! beat legacy at p < [`SIGN_P`] (10 of 11 rounds) on every benchmark
@@ -52,7 +58,6 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use symbol_bench::timing::{interleave, sign_test, Harness, Interleaved, SignTest};
-use symbol_bench::TIMING_SUBSET;
 use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks::{self, Benchmark};
 use symbol_core::pipeline::Compiled;
@@ -60,7 +65,7 @@ use symbol_intcode::{
     run_batch, ArenaPool, DecodedEmulator, DecodedProgram, Emulator, ExecConfig, Layout,
 };
 use symbol_obs::Registry;
-use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, VliwSim};
+use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimResult, VliwSim};
 
 /// Interleaved rounds per step-loop row.
 const ROUNDS: usize = 11;
@@ -79,6 +84,9 @@ const SIGN_P: f64 = 0.01;
 
 /// The step-loop engines, in [`interleave`] order.
 const ENGINES: [&str; 4] = ["legacy", "decoded", "batch", "batch_fused"];
+
+/// The simulator rows' engines, in [`interleave`] order.
+const SIM_ENGINES: [&str; 2] = ["legacy", "decoded"];
 
 /// Largest tolerated geomean slowdown of the disabled-observability
 /// path over the plain engine (2%).
@@ -189,6 +197,75 @@ fn step_loop_row(b: &Benchmark) -> LoopRow {
     }
 }
 
+/// One benchmark's simulator samples, one [`Interleaved`] per entry
+/// of [`SIM_ENGINES`].
+struct SimRow {
+    name: &'static str,
+    cycles: u64,
+    engines: Vec<Interleaved>,
+}
+
+impl SimRow {
+    /// Rounds in which decoded beat legacy.
+    fn decoded_vs_legacy(&self) -> SignTest {
+        sign_test(&self.engines[1], &self.engines[0])
+    }
+}
+
+/// A simulator built and ready to run.
+enum ReadySim<'a> {
+    Legacy(VliwSim<'a>),
+    Decoded(DecodedVliwSim<'a>),
+}
+
+/// Times both simulators on one benchmark's trace-scheduled code for
+/// `units(3)`. Each is built before the timed runs of its pass —
+/// legacy fills its whole memory, decoded takes a recycled
+/// [`symbol_intcode::mem::DataMem`] — so a sample is the run alone.
+/// Every run must give legacy's [`SimResult`].
+fn sim_row(b: &Benchmark) -> SimRow {
+    let c = Compiled::from_source(b.source).expect("compiles");
+    let run = c.run_sequential().expect("profiling run");
+    let machine = MachineConfig::units(3);
+    let program = try_compact(
+        &c.ici,
+        &run.stats,
+        &machine,
+        CompactMode::TraceSchedule,
+        &TracePolicy::default(),
+    )
+    .expect("compacts")
+    .program;
+    let lowered = DecodedVliw::new(&program, machine);
+    let cfg = SimConfig::default();
+    let expected: SimResult = VliwSim::new(&program, machine, &c.layout)
+        .run(&cfg)
+        .expect("simulates");
+    let mut setup = |e: usize| match e {
+        0 => ReadySim::Legacy(VliwSim::new(&program, machine, &c.layout)),
+        _ => ReadySim::Decoded(DecodedVliwSim::new(&lowered, &c.layout)),
+    };
+    let mut time = |mut ready: ReadySim| -> Duration {
+        let t = Instant::now();
+        let got = match &mut ready {
+            ReadySim::Legacy(sim) => sim.run(&cfg),
+            ReadySim::Decoded(sim) => sim.run(&cfg),
+        };
+        let elapsed = t.elapsed();
+        // Freeing the simulator is not part of the run.
+        drop(ready);
+        assert_eq!(got.as_ref(), Ok(&expected), "{}", b.name);
+        elapsed
+    };
+    // One unrecorded round warms both simulators' code and memory.
+    interleave(&SIM_ENGINES, 1, 1, &mut setup, &mut time);
+    SimRow {
+        name: b.name,
+        cycles: expected.cycles,
+        engines: interleave(&SIM_ENGINES, ROUNDS, PASSES, setup, time),
+    }
+}
+
 /// One benchmark's set-up-inclusive legacy/decoded/fused emulator
 /// comparison.
 struct Row {
@@ -227,11 +304,10 @@ impl Row {
 }
 
 /// Arenas just big enough for the benchmark suite, for the
-/// set-up-inclusive rows. The legacy `Emulator` and `VliwSim` fill
-/// their whole data memory on every `new`; at the default ~3.6M-word
-/// layout that fill would dominate their rows. The decoded engines
-/// reset only the pages a run wrote, so for them the layout matters
-/// little.
+/// set-up-inclusive rows. The legacy `Emulator` fills its whole data
+/// memory on every `new`; at the default ~3.6M-word layout that fill
+/// would dominate its rows. The decoded engines reset only the pages a
+/// run wrote, so for them the layout matters little.
 fn small_layout() -> Layout {
     Layout {
         heap_size: 1 << 16,
@@ -305,39 +381,6 @@ fn measure(h: &mut Harness) -> Vec<Row> {
             fused: h.samples()[n - 1].mean,
             fused_pairs: tier.report.pairs,
         });
-
-        // VLIW sidecar on the timing subset only: same comparison on
-        // the scheduled code (timed, reported in the JSON's sidecar
-        // section, but not part of the --check gate — the emulator
-        // dominates runtime).
-        if !TIMING_SUBSET.contains(&name) {
-            continue;
-        }
-        let machine = MachineConfig::units(3);
-        let compacted = try_compact(
-            &c.ici,
-            &run.stats,
-            &machine,
-            CompactMode::TraceSchedule,
-            &TracePolicy::default(),
-        )
-        .expect("compacts");
-        let sim_cfg = SimConfig::default();
-        h.bench_function(&format!("vliw/legacy/{name}"), |bch| {
-            bch.iter(|| {
-                VliwSim::new(&compacted.program, machine, &c.layout)
-                    .run(&sim_cfg)
-                    .expect("simulates")
-            })
-        });
-        let lowered = DecodedVliw::new(&compacted.program, machine);
-        h.bench_function(&format!("vliw/decoded/{name}"), |bch| {
-            bch.iter(|| {
-                DecodedVliwSim::new(&lowered, &c.layout)
-                    .run(&sim_cfg)
-                    .expect("simulates")
-            })
-        });
     }
     rows
 }
@@ -407,7 +450,7 @@ fn geomean_obs_overhead(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| 1.0 + r.obs_overhead())) - 1.0
 }
 
-fn write_report(loops: &[LoopRow], rows: &[Row], h: &Harness, summary: &Summary) {
+fn write_report(loops: &[LoopRow], sims: &[SimRow], rows: &[Row], summary: &Summary) {
     let mut out = format!("{{\n  \"rounds\": {ROUNDS},\n  \"step_loop\": [\n");
     for (i, r) in loops.iter().enumerate() {
         let sep = if i + 1 == loops.len() { "" } else { "," };
@@ -465,18 +508,31 @@ fn write_report(loops: &[LoopRow], rows: &[Row], h: &Harness, summary: &Summary)
         );
     }
     let _ = write!(out, "  ],\n  \"vliw\": [\n");
-    let vliw: Vec<_> = h
-        .samples()
-        .iter()
-        .filter(|s| s.name.starts_with("vliw/"))
-        .collect();
-    for (i, s) in vliw.iter().enumerate() {
-        let sep = if i + 1 == vliw.len() { "" } else { "," };
+    for (i, r) in sims.iter().enumerate() {
+        let sep = if i + 1 == sims.len() { "" } else { "," };
+        let _ = write!(
+            out,
+            "    {{\"name\": \"{}\", \"cycles\": {}",
+            r.name, r.cycles
+        );
+        for e in &r.engines {
+            let s = e.spread_ns();
+            let _ = write!(
+                out,
+                ", \"{}\": {{\"median_ns\": {:.0}, \"q1_ns\": {:.0}, \"q3_ns\": {:.0}, \
+                 \"ns_per_cycle\": {:.3}}}",
+                e.name,
+                s.median,
+                s.q1,
+                s.q3,
+                s.median / r.cycles as f64
+            );
+        }
+        let t = r.decoded_vs_legacy();
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"mean_ns\": {}}}{sep}",
-            s.name,
-            s.mean.as_nanos()
+            ", \"decoded_wins\": {}, \"sign_p\": {:.5}}}{sep}",
+            t.wins, t.p
         );
     }
     let _ = write!(
@@ -531,6 +587,32 @@ fn print_loop_row(r: &LoopRow) {
     println!("{line}");
 }
 
+fn print_sim_row(r: &SimRow) {
+    let mut line = format!(
+        "vliw/{:<10} {:>9} cycles  ns/cycle median (q1-q3):",
+        r.name, r.cycles
+    );
+    for e in &r.engines {
+        let s = e.spread_ns();
+        let per = |v: f64| v / r.cycles as f64;
+        let _ = write!(
+            line,
+            "  {} {:.2} ({:.2}-{:.2})",
+            e.name,
+            per(s.median),
+            per(s.q1),
+            per(s.q3)
+        );
+    }
+    let t = r.decoded_vs_legacy();
+    let _ = write!(
+        line,
+        "  decoded<legacy {}/{} (p={:.4}), not gated",
+        t.wins, t.rounds, t.p
+    );
+    println!("{line}");
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let loops: Vec<LoopRow> = benchmarks::ALL
@@ -538,6 +620,14 @@ fn main() {
         .map(|b| {
             let row = step_loop_row(b);
             print_loop_row(&row);
+            row
+        })
+        .collect();
+    let sims: Vec<SimRow> = benchmarks::ALL
+        .iter()
+        .map(|b| {
+            let row = sim_row(b);
+            print_sim_row(&row);
             row
         })
         .collect();
@@ -557,7 +647,7 @@ fn main() {
         fused_geomean: geomean(rows.iter().map(Row::fused_speedup)),
         obs_overhead: geomean_obs_overhead(&rows),
     };
-    write_report(&loops, &rows, &h, &summary);
+    write_report(&loops, &sims, &rows, &summary);
     for r in &rows {
         println!(
             "{:<10} {:>12} steps  legacy {:>9.2} Msteps/s  decoded {:>9.2} Msteps/s  {:>5.2}x  \

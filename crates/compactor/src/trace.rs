@@ -48,6 +48,14 @@ impl Default for TracePolicy {
 /// Picks traces covering every block at least once. Blocks may appear
 /// additionally as tail-duplicated copies inside hot traces.
 pub fn pick_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
+    let mut traces = grow_traces(cfg, policy);
+    resolve_interior_references(cfg, &mut traces);
+    traces
+}
+
+/// The traces as picked, before any is split at a block referenced
+/// from off-trace.
+fn grow_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
     let nb = cfg.blocks.len();
     let mut visited = vec![false; nb];
     let mut traces = Vec::new();
@@ -132,18 +140,15 @@ pub fn pick_traces(cfg: &Cfg, policy: &TracePolicy) -> Vec<Trace> {
         }
         traces.push(Trace { blocks });
     }
-    resolve_interior_references(cfg, &mut traces);
     traces
 }
 
 /// The off-trace blocks a trace will reference once rewritten
 /// (mirrors the decisions of `schedule::rewrite`).
 fn referenced_blocks(cfg: &Cfg, trace: &Trace, out: &mut Vec<usize>) {
-    use symbol_intcode::Op;
     let blocks = &trace.blocks;
     for (k, &b) in blocks.iter().enumerate() {
         let block = &cfg.blocks[b];
-        let next = blocks.get(k + 1).copied();
         let taken = block.succs.iter().find_map(|e| match e {
             Edge::Taken(d) => Some(*d),
             Edge::Fall(_) => None,
@@ -153,10 +158,8 @@ fn referenced_blocks(cfg: &Cfg, trace: &Trace, out: &mut Vec<usize>) {
             Edge::Taken(_) => None,
         });
         let is_cond = block.taken_prob.is_some() || (taken.is_some() && fall.is_some());
-        let is_jmp = taken.is_some() && fall.is_none();
-        let _ = is_jmp;
-        match next {
-            Some(n) => {
+        match blocks.get(k + 1) {
+            Some(&n) => {
                 if is_cond {
                     if taken == Some(n) {
                         out.extend(fall); // inverted branch
@@ -168,53 +171,55 @@ fn referenced_blocks(cfg: &Cfg, trace: &Trace, out: &mut Vec<usize>) {
             }
             None => {
                 // last block: whatever is off-trace gets referenced
+                // (JmpR and Halt reference nothing)
                 if is_cond {
                     out.extend(taken);
                     out.extend(fall); // appended jump
                 } else if let Some(t) = taken {
                     out.push(t); // trailing unconditional jump
-                } else if matches!(cfg.blocks[b].succs.as_slice(), [Edge::Fall(_)]) {
+                } else if matches!(block.succs.as_slice(), [Edge::Fall(_)]) {
                     out.extend(fall); // appended jump after fall-through
                 }
-                let _ = Op::Halt { success: true }; // (JmpR/Halt: no refs)
             }
         }
     }
 }
 
 /// Splits traces so every block referenced from off-trace is a trace
-/// head (whose label can be bound), iterating to a fixpoint.
+/// head (whose label can be bound).
+///
+/// One pass suffices. Splitting a trace before block `b` makes `b` a
+/// head, and the only reference it adds is the one to `b` from the
+/// block before it, which now ends its trace. So the referenced blocks
+/// that are not heads are known up front, and each split removes
+/// exactly the one it is made for. They are split in ascending block
+/// order, each at its first occurrence in the lowest-numbered trace
+/// that holds it — a suffix an earlier split appended included — which
+/// is what picking the lowest such block again after every split
+/// would do.
 fn resolve_interior_references(cfg: &Cfg, traces: &mut Vec<Trace>) {
-    loop {
-        let mut referenced: Vec<usize> = Vec::new();
-        for t in traces.iter() {
-            referenced_blocks(cfg, t, &mut referenced);
+    let mut referenced: Vec<usize> = Vec::new();
+    for t in traces.iter() {
+        referenced_blocks(cfg, t, &mut referenced);
+    }
+    referenced.sort_unstable();
+    referenced.dedup();
+    let mut head = vec![false; cfg.blocks.len()];
+    for t in traces.iter() {
+        head[t.blocks[0]] = true;
+    }
+    for b in referenced {
+        if head[b] {
+            continue;
         }
-        referenced.sort_unstable();
-        referenced.dedup();
-
-        let heads: std::collections::HashSet<usize> = traces.iter().map(|t| t.blocks[0]).collect();
-
-        // Find a referenced block that is not a head: split the first
-        // trace containing it so it becomes one.
-        let mut split_at: Option<(usize, usize)> = None;
-        'search: for &b in &referenced {
-            if heads.contains(&b) {
-                continue;
-            }
-            for (ti, t) in traces.iter().enumerate() {
-                if let Some(pos) = t.blocks.iter().position(|&x| x == b) {
-                    split_at = Some((ti, pos));
-                    break 'search;
-                }
-            }
-        }
-        match split_at {
-            None => break,
-            Some((ti, pos)) => {
-                let suffix: Vec<usize> = traces[ti].blocks.split_off(pos);
-                traces.push(Trace { blocks: suffix });
-            }
+        let found = traces
+            .iter()
+            .enumerate()
+            .find_map(|(ti, t)| t.blocks.iter().position(|&x| x == b).map(|pos| (ti, pos)));
+        if let Some((ti, pos)) = found {
+            let suffix = traces[ti].blocks.split_off(pos);
+            traces.push(Trace { blocks: suffix });
+            head[b] = true;
         }
     }
 }
@@ -260,7 +265,7 @@ pub fn single_block_traces(cfg: &Cfg) -> Vec<Trace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::Cfg;
+    use crate::cfg::{Block, Cfg};
     use symbol_intcode::{Asm, Cond, Op, Operand, Word};
 
     fn diamond() -> (symbol_intcode::IciProgram, symbol_intcode::ExecStats) {
@@ -387,6 +392,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The splitting rule as first written: after every split,
+    /// recompute the referenced blocks and the heads, and split the
+    /// lowest referenced block that is not a head, until none is left.
+    fn split_to_fixpoint(cfg: &Cfg, traces: &mut Vec<Trace>) {
+        loop {
+            let mut referenced = Vec::new();
+            for t in traces.iter() {
+                referenced_blocks(cfg, t, &mut referenced);
+            }
+            referenced.sort_unstable();
+            referenced.dedup();
+            let split = referenced
+                .into_iter()
+                .filter(|b| traces.iter().all(|t| t.blocks[0] != *b))
+                .find_map(|b| {
+                    traces
+                        .iter()
+                        .enumerate()
+                        .find_map(|(ti, t)| t.blocks.iter().position(|&x| x == b).map(|p| (ti, p)))
+                });
+            let Some((ti, pos)) = split else { break };
+            let suffix = traces[ti].blocks.split_off(pos);
+            traces.push(Trace { blocks: suffix });
+        }
+    }
+
+    /// A block of `len` ops with the given successors.
+    fn block(start: usize, len: usize, succs: Vec<Edge>, expect: u64) -> Block {
+        let taken_prob = (succs.len() == 2).then_some(0.5);
+        Block {
+            start,
+            end: start + len,
+            succs,
+            preds: Vec::new(),
+            expect,
+            taken_prob,
+            address_taken: false,
+        }
+    }
+
+    /// A CFG over `blocks`, with predecessors filled in.
+    fn cfg_of(mut blocks: Vec<Block>) -> Cfg {
+        for b in 0..blocks.len() {
+            for e in blocks[b].succs.clone() {
+                blocks[e.dest()].preds.push(b);
+            }
+        }
+        Cfg {
+            blocks,
+            block_of_op: Vec::new(),
+            label_block: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn one_pass_splits_inside_a_suffix_an_earlier_split_made() {
+        use Edge::{Fall, Taken};
+        // Trace 0 runs 0-1-2-3. Block 4 jumps to 2 and block 5 to 3, so
+        // the trace is split before 2, and the suffix 2-3 that split
+        // appends is split again before 3.
+        let cfg = cfg_of(vec![
+            block(0, 1, vec![Fall(1)], 9),
+            block(1, 1, vec![Fall(2)], 9),
+            block(2, 1, vec![Fall(3)], 9),
+            block(3, 1, vec![], 9),
+            block(4, 1, vec![Taken(2)], 1),
+            block(5, 1, vec![Taken(3)], 1),
+        ]);
+        let trace = |b: &[usize]| Trace { blocks: b.to_vec() };
+        let mut traces = vec![trace(&[0, 1, 2, 3]), trace(&[4]), trace(&[5])];
+        resolve_interior_references(&cfg, &mut traces);
+        assert_eq!(
+            traces,
+            [
+                trace(&[0, 1]),
+                trace(&[4]),
+                trace(&[5]),
+                trace(&[2]),
+                trace(&[3])
+            ]
+        );
+    }
+
+    #[test]
+    fn one_pass_splits_as_the_fixpoint_did_on_random_cfgs() {
+        use Edge::{Fall, Taken};
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let mut splits = 0;
+        for _ in 0..300 {
+            let n = 3 + below(30);
+            let mut start = 0;
+            let blocks = (0..n)
+                .map(|b| {
+                    let last = b + 1 == n;
+                    let succs = match below(4) {
+                        0 if !last => vec![Fall(b + 1)],
+                        1 => vec![Taken(below(n))],
+                        2 if !last => vec![Taken(below(n)), Fall(b + 1)],
+                        _ => vec![],
+                    };
+                    let len = 1 + below(4);
+                    start += len;
+                    block(start - len, len, succs, below(20) as u64)
+                })
+                .collect();
+            let cfg = cfg_of(blocks);
+            for tail_dup_ops in [0, 8] {
+                let policy = TracePolicy {
+                    tail_dup_ops,
+                    ..TracePolicy::default()
+                };
+                let grown = grow_traces(&cfg, &policy);
+                let mut expected = grown.clone();
+                split_to_fixpoint(&cfg, &mut expected);
+                splits += expected.len() - grown.len();
+                let mut got = grown;
+                resolve_interior_references(&cfg, &mut got);
+                assert_eq!(got, expected, "{cfg:?}");
+            }
+        }
+        assert!(splits >= 100, "only {splits} splits");
     }
 
     #[test]

@@ -180,6 +180,12 @@ const SIM_JOBS: [(CompactMode, usize); 8] = [
     (CompactMode::TraceSchedule, 5),
 ];
 
+/// Every (compaction mode, machine) pair one [`BenchResult`]
+/// simulates, in work-list order.
+pub fn sim_jobs() -> [(CompactMode, MachineConfig); 8] {
+    SIM_JOBS.map(|(mode, code)| (mode, sim_machine(code)))
+}
+
 /// Decodes the machine column of [`SIM_JOBS`].
 fn sim_machine(code: usize) -> MachineConfig {
     match code {

@@ -13,7 +13,7 @@ use std::thread;
 
 use symbol_compactor::{try_compact, CompactMode, Compactor, TracePolicy};
 use symbol_core::benchmarks;
-use symbol_core::experiments::measure_cached;
+use symbol_core::experiments::{measure_cached, sim_jobs};
 use symbol_core::pipeline::{Compiled, CompiledCache};
 use symbol_intcode::fuse::{fuse, is_fusion_of, FuseConfig};
 use symbol_intcode::{ArenaPool, DecodedEmulator, DecodedProgram, Emulator, ExecConfig, Layout};
@@ -262,7 +262,7 @@ fn instrumentation_on_and_off_are_bit_identical_on_every_benchmark() {
             b.name
         );
 
-        // PROFILE = true VLIW monomorphization vs the plain simulator.
+        // The profiled VLIW run vs the plain one.
         let machine = MachineConfig::units(3);
         let compacted = try_compact(
             &plain.ici,
@@ -328,6 +328,40 @@ fn vliw_decoded_matches_legacy_on_every_benchmark() {
                 fast.class_ops, legacy.class_ops,
                 "{}/{mode:?}: per-class op counts",
                 b.name
+            );
+        }
+    });
+}
+
+#[test]
+fn vliw_profile_accounts_for_every_issued_word_on_every_tables_job() {
+    for_each_benchmark(|b| {
+        let compiled = Compiled::from_source(b.source).expect("compiles");
+        let run = compiled.run_sequential().expect("profiling run");
+        let compactor = Compactor::new(&compiled.ici, &run.stats, &TracePolicy::default());
+        for (mode, machine) in sim_jobs() {
+            let what = format!("{}/{mode:?}/{}", b.name, machine.describe());
+            let compacted = compactor.compact(&machine, mode).expect("compacts");
+            let lowered = DecodedVliw::new(&compacted.program, machine);
+            let (result, profile) =
+                DecodedVliwSim::new(&lowered, &compiled.layout).run_profiled(&SimConfig::default());
+            let r = result.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                profile.occupancy.iter().sum::<u64>(),
+                r.instructions,
+                "{what}: occupancy"
+            );
+            let ops: u64 = (0..)
+                .zip(&profile.occupancy)
+                .map(|(k, &n): (u64, _)| k * n)
+                .sum();
+            assert_eq!(ops, r.ops, "{what}: ops by occupancy");
+            assert_eq!(profile.empty_words, profile.occupancy[0], "{what}");
+            assert_eq!(profile.class_busy, r.class_ops, "{what}: class busy");
+            assert_eq!(
+                profile.branch_bubble_cycles,
+                r.taken_branches * machine.taken_branch_penalty as u64,
+                "{what}: bubbles"
             );
         }
     });
