@@ -1,78 +1,74 @@
 //! Emulator and simulator engine timing over the **full** benchmark
 //! suite. Writes the per-benchmark numbers to `BENCH_emulator.json` at
-//! the workspace root. Two kinds of rows:
+//! the workspace root.
 //!
-//! * **Step-loop rows**, at `Layout::default()`: the legacy
-//!   [`symbol_intcode::Emulator`] and [`symbol_intcode::DecodedEmulator::run`]
-//!   with statistics on (the profiling loop), and
-//!   [`symbol_intcode::run_batch`] on the decoded and on the fused
-//!   program with statistics off (the serving loop). Every engine is
-//!   built before its timer starts, so a sample is its step loop alone,
-//!   and the four are timed in [`ROUNDS`] rounds of [`PASSES`]
-//!   back-to-back passes ([`symbol_bench::timing::interleave`]); each
-//!   reports the median and IQR of its rounds' fastest passes, and each
-//!   benchmark reports how many rounds decoded (stats on) won against
-//!   legacy, with the one-sided sign-test p-value.
-//! * **Simulator rows**, on every benchmark's trace-scheduled code for
-//!   `units(3)` at `Layout::default()`: the legacy [`VliwSim`] and the
-//!   production [`DecodedVliwSim`], each built before its timer starts,
-//!   timed the same way in [`ROUNDS`] rounds. Each reports the median
-//!   and IQR of its rounds' fastest passes, and each benchmark how many
-//!   rounds decoded won, with the sign-test p-value. These rows are
-//!   printed and recorded, not gated.
-//! * **Set-up-inclusive rows** ([`Harness`] means at small layouts):
-//!   the legacy and decoded engines, the decoded run through a disabled
-//!   registry, and the fused tier.
+//! Every comparison is a [`Pair`]: two engines, each built before its
+//! timer starts, timed alone in [`ROUNDS`] rounds of [`PASSES`]
+//! back-to-back passes whose order alternates, each pass of a round at
+//! its own stack depth ([`symbol_bench::timing::interleave`]). A row
+//! reports each engine's median and quartiles, the median and
+//! quartiles of the per-round ratio of the two engines' fastest passes
+//! (first engine's time over the second's), and how many rounds the
+//! second engine won, with the one-sided sign-test p-value. Four pairs
+//! per benchmark, all
+//! at `Layout::default()`:
+//!
+//! * **`step_loop`**: the legacy [`Emulator`] against
+//!   [`DecodedEmulator::run`], statistics on (the profiling run of
+//!   `tables` and `sweep`). One run per pass: legacy fills its whole
+//!   59 MB memory for every engine it builds.
+//! * **`serving`**: [`run_batch`] on the decoded against the fused
+//!   program, statistics off, both on one warm [`ArenaPool`]. This is
+//!   the only loop the fused tier runs in
+//!   ([`Compiled::serving_program`]).
+//! * **`obs`**: [`Compiled::run_sequential_obs`] with a
+//!   [`Registry::disabled`] against [`Compiled::run_sequential`].
+//! * **`vliw`**: the legacy [`VliwSim`] against the production
+//!   [`DecodedVliwSim`], on the benchmark's trace-scheduled code for
+//!   `units(3)`. Printed and recorded, not gated.
+//!
+//! A `serving` or `obs` pass runs back-to-back queries until it covers
+//! at least [`PASS_STEPS`] steps: a single run of most benchmarks
+//! takes tens of microseconds, where timer and scheduler noise rival
+//! the loop.
 //!
 //! Every run prints the step-loop verdict: whether decoded (stats on)
 //! beat legacy at p < [`SIGN_P`] (10 of 11 rounds) on every benchmark
 //! of over [`SIGN_STEPS`] steps. The verdict is not a `--check` gate:
 //! on a 2-vCPU VM it holds in only some processes, because the stats-on
 //! loop is only 5–15% ahead of legacy, so noise takes a benchmark down
-//! to 9 of 11, and in some processes the loop loses a whole benchmark
-//! (ROADMAP item 3).
+//! to 9 of 11 (ROADMAP item 3).
 //!
-//! With `--check`, exits nonzero if:
+//! With `--check`, exits nonzero if, over the per-benchmark medians:
 //!
-//! * the decoded emulator's geometric mean speedup over legacy in the
-//!   set-up-inclusive rows drops below 1.0×, or
-//! * the fused tier's geometric mean speedup over the decoded engine
-//!   drops below [`MIN_FUSED_SPEEDUP`] (slightly under 1.0 to absorb
-//!   shared-runner timing noise; the tier must at minimum break even,
-//!   not pay for itself), or
-//! * any **single** benchmark's fused speedup drops below
-//!   [`MIN_FUSED_PER_BENCH`] — a geomean can hide one benchmark the
-//!   profitability threshold mis-tiered behind fifteen that fused
-//!   well; the per-benchmark floor cannot (a benchmark that lands
-//!   under the floor is confirmed by paired back-to-back re-measures
-//!   before failing — see [`remeasure_fused`] — so scheduler hiccups
-//!   on a shared runner do not fail the gate), or
+//! * decoded's (stats on) geomean speedup over legacy falls below 1.0×;
+//! * the fused program's geomean speedup over the decoded one on the
+//!   serving loop falls below [`MIN_FUSED_SPEEDUP`], or any single
+//!   benchmark's below [`MIN_FUSED_PER_BENCH`] — a geomean can hide
+//!   one benchmark the profitability threshold mis-tiered behind
+//!   fifteen that fused well;
 //! * running through the observability layer with a
 //!   [`Registry::disabled`] costs more than [`MAX_OBS_OVERHEAD`] over
-//!   the plain engine (the zero-cost-when-off guarantee of
-//!   `symbol-obs`, measured on the same machine in the same process
-//!   rather than against a stale cross-machine baseline).
+//!   the plain engine (geomean), the zero-cost-when-off guarantee of
+//!   `symbol-obs`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use symbol_bench::timing::{interleave, sign_test, Harness, Interleaved, SignTest};
+use symbol_bench::timing::{geomean, Pair, PASSES, ROUNDS};
 use symbol_compactor::{try_compact, CompactMode, TracePolicy};
 use symbol_core::benchmarks::{self, Benchmark};
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::{
-    run_batch, ArenaPool, DecodedEmulator, DecodedProgram, Emulator, ExecConfig, Layout,
+    run_batch, ArenaPool, DecodedEmulator, DecodedProgram, Emulator, ExecConfig, ExecError,
+    ExecStats, Outcome,
 };
 use symbol_obs::Registry;
 use symbol_vliw::{DecodedVliw, DecodedVliwSim, MachineConfig, SimConfig, SimResult, VliwSim};
 
-/// Interleaved rounds per step-loop row.
-const ROUNDS: usize = 11;
-
-/// Passes per round, even so that each engine of a pair runs first in
-/// half of them. A round reports each engine's fastest pass.
-const PASSES: usize = 4;
+/// Fewest steps a `serving` or `obs` pass covers.
+const PASS_STEPS: u64 = 200_000;
 
 /// The step-loop verdict covers benchmarks of more steps than this;
 /// shorter runs take microseconds, where timer and scheduler noise
@@ -82,134 +78,142 @@ const SIGN_STEPS: u64 = 50_000;
 /// The step-loop verdict's significance level.
 const SIGN_P: f64 = 0.01;
 
-/// The step-loop engines, in [`interleave`] order.
-const ENGINES: [&str; 4] = ["legacy", "decoded", "batch", "batch_fused"];
-
-/// The simulator rows' engines, in [`interleave`] order.
-const SIM_ENGINES: [&str; 2] = ["legacy", "decoded"];
-
 /// Largest tolerated geomean slowdown of the disabled-observability
 /// path over the plain engine (2%).
 const MAX_OBS_OVERHEAD: f64 = 0.02;
 
-/// Smallest tolerated geomean speedup of the fused tier over the
-/// decoded engine it rewrites. 1.0 would be the true break-even line;
+/// Smallest tolerated geomean speedup of the fused program over the
+/// decoded program it rewrites. 1.0 would be the true break-even line;
 /// the 2% allowance absorbs wall-clock jitter on shared CI runners.
 const MIN_FUSED_SPEEDUP: f64 = 0.98;
 
-/// Smallest tolerated fused speedup on any **individual** benchmark.
-/// Looser than the geomean floor (single measurements are noisier
-/// than a 16-benchmark mean), but strict enough that a benchmark the
-/// profitability threshold should have left un-fused — fusing
-/// once-executed pairs whose superinstruction dispatch costs more
-/// than it saves — fails the gate instead of hiding in the mean.
+/// Smallest tolerated fused speedup on any **individual** benchmark:
+/// looser than the geomean floor, but strict enough that a benchmark
+/// the profitability threshold should have left un-fused fails the
+/// gate instead of hiding in the mean.
 const MIN_FUSED_PER_BENCH: f64 = 0.95;
 
-/// One benchmark's step-loop samples, one [`Interleaved`] per entry
-/// of [`ENGINES`].
-struct LoopRow {
+/// One benchmark's four pairs.
+struct Timings {
     name: &'static str,
     steps: u64,
-    engines: Vec<Interleaved>,
+    /// Queries per `serving` and `obs` pass.
+    runs: usize,
+    /// Hot pairs the fusion pass rewrote.
+    fused_pairs: u64,
+    /// Cycles of the simulated `units(3)` run.
+    cycles: u64,
+    step_loop: Pair,
+    serving: Pair,
+    obs: Pair,
+    vliw: Pair,
 }
 
-impl LoopRow {
-    fn engine(&self, name: &str) -> &Interleaved {
-        self.engines
-            .iter()
-            .find(|e| e.name == name)
-            .expect("known engine")
-    }
-
-    /// Rounds in which decoded (stats on) beat legacy.
-    fn decoded_vs_legacy(&self) -> SignTest {
-        sign_test(self.engine("decoded"), self.engine("legacy"))
-    }
-
+impl Timings {
     /// Whether the benchmark counts toward the step-loop verdict.
     fn counted(&self) -> bool {
         self.steps > SIGN_STEPS
     }
 }
 
+/// What every emulator run of a benchmark must give.
+type Expected = Result<(Outcome, u64), ExecError>;
+
 /// A step-loop engine built and ready to run.
 enum Ready<'a> {
     Legacy(Emulator<'a>),
     Decoded(DecodedEmulator<'a>),
-    /// A program and a pool whose arena already holds zeroed memory.
-    Batch(&'a DecodedProgram, ArenaPool),
 }
 
-/// Times the four step loops of one benchmark at `Layout::default()`.
-/// Each engine is built before the timed runs of its pass — legacy
-/// fills its whole memory, decoded takes a recycled
-/// [`symbol_intcode::mem::DataMem`], and a batch engine runs a
-/// zero-step query on a new pool, whose arena takes and zeroes a
-/// recycled memory the same way — so a sample is the run alone. Every
-/// run must give legacy's outcome and step count.
-fn step_loop_row(b: &Benchmark) -> LoopRow {
-    let mut c = Compiled::from_source(b.source).expect("compiles");
-    c.build_fused_tier().expect("fuses");
-    let fused = &c.fused.as_ref().expect("tier installed").program;
+/// Legacy against decoded, stats on, one run per pass. Legacy fills
+/// its whole memory as it is built and decoded takes a recycled
+/// [`symbol_intcode::mem::DataMem`], both before the timer starts.
+fn step_loop(c: &Compiled, name: &str, expected: &Expected) -> Pair {
     let cfg = ExecConfig::default();
-    let reference = Emulator::new(&c.ici, &c.layout)
-        .run(&cfg)
-        .expect("legacy run");
-    let expected = Ok((reference.outcome, reference.steps));
-    let mut setup = |e: usize| match e {
-        0 => Ready::Legacy(Emulator::new(&c.ici, &c.layout)),
-        1 => Ready::Decoded(DecodedEmulator::new(&c.decoded, &c.layout)),
-        _ => {
-            let program = if e == 2 { &c.decoded } else { fused };
-            let mut pool = ArenaPool::new();
-            run_batch(
-                program,
-                &c.layout,
-                &[ExecConfig { max_steps: 0 }],
-                &mut pool,
-            );
-            Ready::Batch(program, pool)
-        }
-    };
-    let mut time = |mut ready: Ready| -> Duration {
-        let t = Instant::now();
-        let got = match &mut ready {
-            Ready::Legacy(emu) => emu.run(&cfg).map(|r| (r.outcome, r.steps)),
-            Ready::Decoded(emu) => emu.run(&cfg).map(|r| (r.outcome, r.steps)),
-            Ready::Batch(program, pool) => {
-                let out = run_batch(program, &c.layout, &[cfg], pool).remove(0);
-                out.result.map(|o| (o, out.steps))
+    Pair::time(
+        ["legacy", "decoded"],
+        |e| match e {
+            0 => Ready::Legacy(Emulator::new(&c.ici, &c.layout)),
+            _ => Ready::Decoded(DecodedEmulator::new(&c.decoded, &c.layout)),
+        },
+        |mut ready| {
+            let t = Instant::now();
+            let got = match &mut ready {
+                Ready::Legacy(emu) => emu.run(&cfg),
+                Ready::Decoded(emu) => emu.run(&cfg),
             }
-        };
-        let elapsed = t.elapsed();
-        // Freeing the engine (legacy unmaps its whole memory) is not
-        // part of the run.
-        drop(ready);
-        assert_eq!(got, expected, "{}", b.name);
-        elapsed
-    };
-    // One unrecorded round warms every engine's code and memory.
-    interleave(&ENGINES, 1, 1, &mut setup, &mut time);
-    LoopRow {
-        name: b.name,
-        steps: reference.steps,
-        engines: interleave(&ENGINES, ROUNDS, PASSES, setup, time),
-    }
+            .map(|r| (r.outcome, r.steps));
+            let elapsed = t.elapsed();
+            // Freeing the engine (legacy unmaps its whole memory) is
+            // not part of the run.
+            drop(ready);
+            assert_eq!(&got, expected, "{name}");
+            elapsed
+        },
+    )
 }
 
-/// One benchmark's simulator samples, one [`Interleaved`] per entry
-/// of [`SIM_ENGINES`].
-struct SimRow {
-    name: &'static str,
-    cycles: u64,
-    engines: Vec<Interleaved>,
+/// Decoded against fused on the serving loop: `runs` queries through
+/// one [`run_batch`] call. Both run on one pool, so on the same
+/// register file and data memory, as a serving worker's queries do.
+/// Pass `i` of a round runs copy `i` of each program: where an array
+/// falls relative to cache lines and to the loop's hot stores moves
+/// the loop by several percent, so a round samples four placements of
+/// each program as it samples four stack depths.
+fn serving(
+    c: &Compiled,
+    fused: &DecodedProgram,
+    name: &str,
+    runs: usize,
+    expected: &Expected,
+) -> Pair {
+    let queries = vec![ExecConfig::default(); runs];
+    let copies = [&c.decoded, fused].map(|p| vec![p.clone(); PASSES]);
+    let mut pool = ArenaPool::new();
+    // Both engines of a pass are set up before either runs.
+    let mut setups = 0;
+    Pair::time(
+        ["decoded", "fused"],
+        |e| {
+            let program = &copies[e][setups / 2 % PASSES];
+            setups += 1;
+            program
+        },
+        |program| {
+            let t = Instant::now();
+            let out = run_batch(program, &c.layout, &queries, &mut pool);
+            let elapsed = t.elapsed();
+            for o in out {
+                assert_eq!(&o.result.map(|r| (r, o.steps)), expected, "{name}");
+            }
+            elapsed
+        },
+    )
 }
 
-impl SimRow {
-    /// Rounds in which decoded beat legacy.
-    fn decoded_vs_legacy(&self) -> SignTest {
-        sign_test(&self.engines[1], &self.engines[0])
-    }
+/// The disabled-observability path against the plain one, each called
+/// `runs` times per pass.
+fn obs(c: &Compiled, name: &str, runs: usize, steps: u64) -> Pair {
+    let off = Registry::disabled();
+    Pair::time(
+        ["obs_off", "plain"],
+        |e| e,
+        |e| {
+            let t = Instant::now();
+            let total: u64 = if e == 0 {
+                (0..runs)
+                    .map(|_| c.run_sequential_obs(&off, name).expect("runs").steps)
+                    .sum()
+            } else {
+                (0..runs)
+                    .map(|_| c.run_sequential().expect("runs").steps)
+                    .sum()
+            };
+            let elapsed = t.elapsed();
+            assert_eq!(total, steps * runs as u64, "{name}");
+            elapsed
+        },
+    )
 }
 
 /// A simulator built and ready to run.
@@ -218,18 +222,15 @@ enum ReadySim<'a> {
     Decoded(DecodedVliwSim<'a>),
 }
 
-/// Times both simulators on one benchmark's trace-scheduled code for
-/// `units(3)`. Each is built before the timed runs of its pass —
-/// legacy fills its whole memory, decoded takes a recycled
-/// [`symbol_intcode::mem::DataMem`] — so a sample is the run alone.
-/// Every run must give legacy's [`SimResult`].
-fn sim_row(b: &Benchmark) -> SimRow {
-    let c = Compiled::from_source(b.source).expect("compiles");
-    let run = c.run_sequential().expect("profiling run");
+/// Both simulators on the trace-scheduled code for `units(3)`, one run
+/// per pass. Legacy fills its whole memory as it is built and decoded
+/// takes a recycled [`symbol_intcode::mem::DataMem`], both before the
+/// timer starts. Returns the pair and the run's cycle count.
+fn vliw(c: &Compiled, stats: &ExecStats, name: &str) -> (Pair, u64) {
     let machine = MachineConfig::units(3);
     let program = try_compact(
         &c.ici,
-        &run.stats,
+        stats,
         &machine,
         CompactMode::TraceSchedule,
         &TracePolicy::default(),
@@ -241,303 +242,145 @@ fn sim_row(b: &Benchmark) -> SimRow {
     let expected: SimResult = VliwSim::new(&program, machine, &c.layout)
         .run(&cfg)
         .expect("simulates");
-    let mut setup = |e: usize| match e {
-        0 => ReadySim::Legacy(VliwSim::new(&program, machine, &c.layout)),
-        _ => ReadySim::Decoded(DecodedVliwSim::new(&lowered, &c.layout)),
-    };
-    let mut time = |mut ready: ReadySim| -> Duration {
-        let t = Instant::now();
-        let got = match &mut ready {
-            ReadySim::Legacy(sim) => sim.run(&cfg),
-            ReadySim::Decoded(sim) => sim.run(&cfg),
-        };
-        let elapsed = t.elapsed();
-        // Freeing the simulator is not part of the run.
-        drop(ready);
-        assert_eq!(got.as_ref(), Ok(&expected), "{}", b.name);
-        elapsed
-    };
-    // One unrecorded round warms both simulators' code and memory.
-    interleave(&SIM_ENGINES, 1, 1, &mut setup, &mut time);
-    SimRow {
-        name: b.name,
-        cycles: expected.cycles,
-        engines: interleave(&SIM_ENGINES, ROUNDS, PASSES, setup, time),
-    }
+    let pair = Pair::time(
+        ["legacy", "decoded"],
+        |e| match e {
+            0 => ReadySim::Legacy(VliwSim::new(&program, machine, &c.layout)),
+            _ => ReadySim::Decoded(DecodedVliwSim::new(&lowered, &c.layout)),
+        },
+        |mut ready| -> Duration {
+            let t = Instant::now();
+            let got = match &mut ready {
+                ReadySim::Legacy(sim) => sim.run(&cfg),
+                ReadySim::Decoded(sim) => sim.run(&cfg),
+            };
+            let elapsed = t.elapsed();
+            // Freeing the simulator is not part of the run.
+            drop(ready);
+            assert_eq!(got.as_ref(), Ok(&expected), "{name}");
+            elapsed
+        },
+    );
+    (pair, expected.cycles)
 }
 
-/// One benchmark's set-up-inclusive legacy/decoded/fused emulator
-/// comparison.
-struct Row {
-    name: &'static str,
-    steps: u64,
-    legacy: Duration,
-    decoded: Duration,
-    /// The same decoded run through `run_sequential_obs` with a
-    /// disabled registry — the instrumented-but-off product path.
-    obs_off: Duration,
-    /// The decoded engine on the fused superinstruction program.
-    fused: Duration,
-    /// Hot pairs the fusion pass rewrote for this benchmark.
-    fused_pairs: u64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.legacy.as_secs_f64() / self.decoded.as_secs_f64()
-    }
-
-    /// Fused-tier speedup over the decoded engine it was built from.
-    fn fused_speedup(&self) -> f64 {
-        self.decoded.as_secs_f64() / self.fused.as_secs_f64()
-    }
-
-    /// Fractional cost of the disabled observability layer (0.01 = 1%
-    /// slower than the plain engine; negative = within noise).
-    fn obs_overhead(&self) -> f64 {
-        self.obs_off.as_secs_f64() / self.decoded.as_secs_f64() - 1.0
-    }
-
-    fn steps_per_sec(&self, mean: Duration) -> f64 {
-        self.steps as f64 / mean.as_secs_f64()
-    }
-}
-
-/// Arenas just big enough for the benchmark suite, for the
-/// set-up-inclusive rows. The legacy `Emulator` fills its whole data
-/// memory on every `new`; at the default ~3.6M-word layout that fill
-/// would dominate its rows. The decoded engines reset only the pages a
-/// run wrote, so for them the layout matters little.
-fn small_layout() -> Layout {
-    Layout {
-        heap_size: 1 << 16,
-        env_size: 1 << 14,
-        cp_size: 1 << 14,
-        trail_size: 1 << 14,
-        pdl_size: 1 << 10,
-    }
-}
-
-/// `tak` recurses ~64k calls deep and blows through the small arenas;
-/// it gets deeper env/cp/trail stacks.
-fn layout_for(name: &str) -> Layout {
-    if name == "tak" {
-        Layout {
-            heap_size: 1 << 17,
-            env_size: 1 << 19,
-            cp_size: 1 << 18,
-            trail_size: 1 << 19,
-            pdl_size: 1 << 14,
-        }
-    } else {
-        small_layout()
-    }
-}
-
-fn measure(h: &mut Harness) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for b in benchmarks::ALL {
-        let name = b.name;
-        let mut c =
-            Compiled::from_source_obs(b.source, layout_for(name), &Registry::disabled(), "")
-                .expect("compiles");
-        let run = c.run_sequential().expect("profiling run");
-        let cfg = ExecConfig::default();
-
-        h.bench_function(&format!("emulator/legacy/{name}"), |bch| {
-            bch.iter(|| Emulator::new(&c.ici, &c.layout).run(&cfg).expect("runs"))
-        });
-        h.bench_function(&format!("emulator/decoded/{name}"), |bch| {
-            bch.iter(|| {
-                DecodedEmulator::new(&c.decoded, &c.layout)
-                    .run(&cfg)
-                    .expect("runs")
-            })
-        });
-        let off = Registry::disabled();
-        h.bench_function(&format!("emulator/obs-off/{name}"), |bch| {
-            bch.iter(|| c.run_sequential_obs(&off, name).expect("runs"))
-        });
-
-        // Second tier: build the fused program from this benchmark's
-        // own profile, then time the same engine on it.
-        c.build_fused_tier().expect("fuses");
-        let tier = c.fused.as_ref().expect("tier installed");
-        h.bench_function(&format!("emulator/fused/{name}"), |bch| {
-            bch.iter(|| {
-                DecodedEmulator::new(&tier.program, &c.layout)
-                    .run(&cfg)
-                    .expect("runs")
-            })
-        });
-
-        let n = h.samples().len();
-        rows.push(Row {
-            name,
-            steps: run.steps,
-            legacy: h.samples()[n - 4].mean,
-            decoded: h.samples()[n - 3].mean,
-            obs_off: h.samples()[n - 2].mean,
-            fused: h.samples()[n - 1].mean,
-            fused_pairs: tier.report.pairs,
-        });
-    }
-    rows
-}
-
-/// A fresh decoded-vs-fused confirmation of `name`, used before
-/// failing the per-benchmark floor gate. The first pass times every
-/// engine of every benchmark minutes apart, so a descheduling blip or
-/// a frequency step can dent one ratio; on shared runners identical
-/// programs measured one-sidedly read 15% apart. Two defences:
-///
-/// * if the fusion pass selected zero pairs, the fused program is
-///   bit-identical to the decoded one and the ratio is 1.0 by
-///   construction — no measurement, no noise;
-/// * otherwise up to three *paired* rounds, each timing decoded then
-///   fused immediately back-to-back, keeping the **best** ratio seen:
-///   noise can fake a slow round but never a fast one, so a violation
-///   that survives every round is a real regression.
-fn remeasure_fused(name: &str) -> f64 {
-    let b = benchmarks::ALL
-        .iter()
-        .find(|b| b.name == name)
-        .expect("known benchmark");
-    let mut c = Compiled::from_source_obs(b.source, layout_for(name), &Registry::disabled(), "")
-        .expect("compiles");
+/// Compiles one benchmark, builds its fused tier from its own profile
+/// and times its four pairs.
+fn time_benchmark(b: &Benchmark) -> Timings {
+    let mut c = Compiled::from_source(b.source).expect("compiles");
+    let reference = c.run_sequential().expect("profiling run");
+    let expected: Expected = Ok((reference.outcome, reference.steps));
     c.build_fused_tier().expect("fuses");
     let tier = c.fused.as_ref().expect("tier installed");
-    if tier.report.pairs == 0 {
-        println!("recheck/{name}: 0 pairs fused, program unchanged");
-        return 1.0;
+    let runs = PASS_STEPS.div_ceil(reference.steps.max(1)) as usize;
+    let (vliw, cycles) = vliw(&c, &reference.stats, b.name);
+    Timings {
+        name: b.name,
+        steps: reference.steps,
+        runs,
+        fused_pairs: tier.report.pairs,
+        cycles,
+        step_loop: step_loop(&c, b.name, &expected),
+        serving: serving(&c, &tier.program, b.name, runs, &expected),
+        obs: obs(&c, b.name, runs, reference.steps),
+        vliw,
     }
-    let cfg = ExecConfig::default();
-    let mut best = 0.0f64;
-    for round in 0..3 {
-        let mut h = Harness::new();
-        h.bench_function(&format!("recheck{round}/decoded/{name}"), |bch| {
-            bch.iter(|| {
-                DecodedEmulator::new(&c.decoded, &c.layout)
-                    .run(&cfg)
-                    .expect("runs")
-            })
-        });
-        h.bench_function(&format!("recheck{round}/fused/{name}"), |bch| {
-            bch.iter(|| {
-                DecodedEmulator::new(&tier.program, &c.layout)
-                    .run(&cfg)
-                    .expect("runs")
-            })
-        });
-        let n = h.samples().len();
-        best =
-            best.max(h.samples()[n - 2].mean.as_secs_f64() / h.samples()[n - 1].mean.as_secs_f64());
-        if best >= MIN_FUSED_PER_BENCH {
-            break;
-        }
-    }
-    best
 }
 
-fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (log_sum, n) = ratios.fold((0.0f64, 0usize), |(s, n), r| (s + r.ln(), n + 1));
-    (log_sum / n.max(1) as f64).exp()
+fn print_timings(t: &Timings) {
+    let per_step = |work: u64| move |ns: f64| ns / work as f64;
+    let batched = t.steps * t.runs as u64;
+    let counted = if t.counted() { "" } else { ", not counted" };
+    println!(
+        "{}: {} steps, {} per serving/obs pass, {} fused pairs, {} vliw cycles",
+        t.name, t.steps, t.runs, t.fused_pairs, t.cycles
+    );
+    println!(
+        "  step_loop: {}{counted}",
+        t.step_loop.line("ns/step", per_step(t.steps))
+    );
+    println!(
+        "  serving:   {}",
+        t.serving.line("ns/step", per_step(batched))
+    );
+    println!("  obs:       {}", t.obs.line("ns/step", per_step(batched)));
+    println!(
+        "  vliw:      {}, not gated",
+        t.vliw.line("ns/cycle", per_step(t.cycles))
+    );
 }
 
-/// Geomean of the obs-off/plain time ratios, expressed as an overhead
-/// fraction.
-fn geomean_obs_overhead(rows: &[Row]) -> f64 {
-    geomean(rows.iter().map(|r| 1.0 + r.obs_overhead())) - 1.0
+/// Appends a `"key": [...]` section, one line per benchmark.
+fn section(out: &mut String, key: &str, lines: impl Iterator<Item = String>) {
+    let lines: Vec<String> = lines.map(|l| format!("    {{{l}}}")).collect();
+    let _ = write!(out, "  \"{key}\": [\n{}\n  ],\n", lines.join(",\n"));
 }
 
-fn write_report(loops: &[LoopRow], sims: &[SimRow], rows: &[Row], summary: &Summary) {
-    let mut out = format!("{{\n  \"rounds\": {ROUNDS},\n  \"step_loop\": [\n");
-    for (i, r) in loops.iter().enumerate() {
-        let sep = if i + 1 == loops.len() { "" } else { "," };
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"steps\": {}",
-            r.name, r.steps
-        );
-        for e in &r.engines {
-            let s = e.spread_ns();
-            let _ = write!(
-                out,
-                ", \"{}\": {{\"median_ns\": {:.0}, \"q1_ns\": {:.0}, \"q3_ns\": {:.0}, \
-                 \"ns_per_step\": {:.3}}}",
-                e.name,
-                s.median,
-                s.q1,
-                s.q3,
-                s.median / r.steps as f64
-            );
-        }
-        let t = r.decoded_vs_legacy();
-        let _ = writeln!(
-            out,
-            ", \"decoded_wins\": {}, \"sign_p\": {:.5}, \"counted\": {}}}{sep}",
-            t.wins,
-            t.p,
-            r.counted()
-        );
-    }
-    let _ = write!(out, "  ],\n  \"emulator\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"legacy_ns\": {}, \"decoded_ns\": {}, \
-             \"obs_off_ns\": {}, \"fused_ns\": {}, \
-             \"legacy_steps_per_sec\": {:.0}, \
-             \"decoded_steps_per_sec\": {:.0}, \"fused_steps_per_sec\": {:.0}, \
-             \"speedup\": {:.3}, \"fused_speedup\": {:.3}, \"fused_pairs\": {}, \
-             \"obs_overhead\": {:.4}}}{sep}",
-            r.name,
-            r.steps,
-            r.legacy.as_nanos(),
-            r.decoded.as_nanos(),
-            r.obs_off.as_nanos(),
-            r.fused.as_nanos(),
-            r.steps_per_sec(r.legacy),
-            r.steps_per_sec(r.decoded),
-            r.steps_per_sec(r.fused),
-            r.speedup(),
-            r.fused_speedup(),
-            r.fused_pairs,
-            r.obs_overhead(),
-        );
-    }
-    let _ = write!(out, "  ],\n  \"vliw\": [\n");
-    for (i, r) in sims.iter().enumerate() {
-        let sep = if i + 1 == sims.len() { "" } else { "," };
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"cycles\": {}",
-            r.name, r.cycles
-        );
-        for e in &r.engines {
-            let s = e.spread_ns();
-            let _ = write!(
-                out,
-                ", \"{}\": {{\"median_ns\": {:.0}, \"q1_ns\": {:.0}, \"q3_ns\": {:.0}, \
-                 \"ns_per_cycle\": {:.3}}}",
-                e.name,
-                s.median,
-                s.q1,
-                s.q3,
-                s.median / r.cycles as f64
-            );
-        }
-        let t = r.decoded_vs_legacy();
-        let _ = writeln!(
-            out,
-            ", \"decoded_wins\": {}, \"sign_p\": {:.5}}}{sep}",
-            t.wins, t.p
-        );
-    }
+struct Summary {
+    /// Whether decoded (stats on) beat legacy at p < [`SIGN_P`] on
+    /// every benchmark the step-loop verdict counts.
+    step_loop_verdict: bool,
+    /// Geomean of the `step_loop` medians (legacy over decoded).
+    geomean: f64,
+    /// Geomean of the `serving` medians (decoded over fused).
+    fused_geomean: f64,
+    /// Geomean of the `obs` medians (obs-off over plain), less 1.
+    obs_overhead: f64,
+}
+
+fn write_report(all: &[Timings], summary: &Summary) {
+    let mut out = format!(
+        "{{\n  \"rounds\": {ROUNDS},\n  \"passes\": {PASSES},\n  \"pass_steps\": {PASS_STEPS},\n"
+    );
+    let per = |work: u64| move |ns: f64| ns / work as f64;
+    let head = |t: &Timings| format!("\"name\": \"{}\", \"steps\": {}", t.name, t.steps);
+    section(
+        &mut out,
+        "step_loop",
+        all.iter().map(|t| {
+            format!(
+                "{}, {}, \"counted\": {}",
+                head(t),
+                t.step_loop.json_fields("ns_per_step", per(t.steps)),
+                t.counted()
+            )
+        }),
+    );
+    let batched = |t: &Timings, p: &Pair| {
+        format!(
+            "{}, \"runs_per_pass\": {}, {}",
+            head(t),
+            t.runs,
+            p.json_fields("ns_per_step", per(t.steps * t.runs as u64))
+        )
+    };
+    section(
+        &mut out,
+        "serving",
+        all.iter().map(|t| {
+            format!(
+                "{}, \"fused_pairs\": {}",
+                batched(t, &t.serving),
+                t.fused_pairs
+            )
+        }),
+    );
+    section(&mut out, "obs", all.iter().map(|t| batched(t, &t.obs)));
+    section(
+        &mut out,
+        "vliw",
+        all.iter().map(|t| {
+            format!(
+                "\"name\": \"{}\", \"cycles\": {}, {}",
+                t.name,
+                t.cycles,
+                t.vliw.json_fields("ns_per_cycle", per(t.cycles))
+            )
+        }),
+    );
     let _ = write!(
         out,
-        "  ],\n  \"step_loop_verdict\": {},\n  \"emulator_geomean_speedup\": {:.3},\n  \
+        "  \"step_loop_verdict\": {},\n  \"emulator_geomean_speedup\": {:.3},\n  \
          \"fused_geomean_speedup\": {:.3},\n  \"obs_off_geomean_overhead\": {:.4}\n}}\n",
         summary.step_loop_verdict, summary.geomean, summary.fused_geomean, summary.obs_overhead
     );
@@ -549,120 +392,32 @@ fn write_report(loops: &[LoopRow], sims: &[SimRow], rows: &[Row], summary: &Summ
     }
 }
 
-struct Summary {
-    /// Whether decoded (stats on) beat legacy at p < [`SIGN_P`] on
-    /// every benchmark the step-loop verdict counts.
-    step_loop_verdict: bool,
-    geomean: f64,
-    fused_geomean: f64,
-    obs_overhead: f64,
-}
-
-fn print_loop_row(r: &LoopRow) {
-    let mut line = format!(
-        "{:<10} {:>9} steps  ns/step median (q1-q3):",
-        r.name, r.steps
-    );
-    for e in &r.engines {
-        let s = e.spread_ns();
-        let per = |v: f64| v / r.steps as f64;
-        let _ = write!(
-            line,
-            "  {} {:.2} ({:.2}-{:.2})",
-            e.name,
-            per(s.median),
-            per(s.q1),
-            per(s.q3)
-        );
-    }
-    let t = r.decoded_vs_legacy();
-    let _ = write!(
-        line,
-        "  decoded<legacy {}/{} (p={:.4}){}",
-        t.wins,
-        t.rounds,
-        t.p,
-        if r.counted() { "" } else { ", not counted" }
-    );
-    println!("{line}");
-}
-
-fn print_sim_row(r: &SimRow) {
-    let mut line = format!(
-        "vliw/{:<10} {:>9} cycles  ns/cycle median (q1-q3):",
-        r.name, r.cycles
-    );
-    for e in &r.engines {
-        let s = e.spread_ns();
-        let per = |v: f64| v / r.cycles as f64;
-        let _ = write!(
-            line,
-            "  {} {:.2} ({:.2}-{:.2})",
-            e.name,
-            per(s.median),
-            per(s.q1),
-            per(s.q3)
-        );
-    }
-    let t = r.decoded_vs_legacy();
-    let _ = write!(
-        line,
-        "  decoded<legacy {}/{} (p={:.4}), not gated",
-        t.wins, t.rounds, t.p
-    );
-    println!("{line}");
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let loops: Vec<LoopRow> = benchmarks::ALL
+    let all: Vec<Timings> = benchmarks::ALL
         .iter()
         .map(|b| {
-            let row = step_loop_row(b);
-            print_loop_row(&row);
-            row
+            let t = time_benchmark(b);
+            print_timings(&t);
+            t
         })
         .collect();
-    let sims: Vec<SimRow> = benchmarks::ALL
+    let unresolved: Vec<String> = all
         .iter()
-        .map(|b| {
-            let row = sim_row(b);
-            print_sim_row(&row);
-            row
+        .filter(|t| t.counted() && t.step_loop.sign_test().p >= SIGN_P)
+        .map(|t| {
+            let s = t.step_loop.sign_test();
+            format!("{} ({}/{}, p={:.4})", t.name, s.wins, s.rounds, s.p)
         })
         .collect();
-    let mut h = Harness::new();
-    let rows = measure(&mut h);
-    let unresolved: Vec<String> = loops
-        .iter()
-        .filter(|r| r.counted() && r.decoded_vs_legacy().p >= SIGN_P)
-        .map(|r| {
-            let t = r.decoded_vs_legacy();
-            format!("{} ({}/{}, p={:.4})", r.name, t.wins, t.rounds, t.p)
-        })
-        .collect();
+    let median = |p: &Pair| p.ratio().median;
     let summary = Summary {
         step_loop_verdict: unresolved.is_empty(),
-        geomean: geomean(rows.iter().map(Row::speedup)),
-        fused_geomean: geomean(rows.iter().map(Row::fused_speedup)),
-        obs_overhead: geomean_obs_overhead(&rows),
+        geomean: geomean(all.iter().map(|t| median(&t.step_loop))),
+        fused_geomean: geomean(all.iter().map(|t| median(&t.serving))),
+        obs_overhead: geomean(all.iter().map(|t| median(&t.obs))) - 1.0,
     };
-    write_report(&loops, &sims, &rows, &summary);
-    for r in &rows {
-        println!(
-            "{:<10} {:>12} steps  legacy {:>9.2} Msteps/s  decoded {:>9.2} Msteps/s  {:>5.2}x  \
-             fused {:>9.2} Msteps/s  {:>5.2}x ({} pairs)  obs-off {:>+6.2}%",
-            r.name,
-            r.steps,
-            r.steps_per_sec(r.legacy) / 1e6,
-            r.steps_per_sec(r.decoded) / 1e6,
-            r.speedup(),
-            r.steps_per_sec(r.fused) / 1e6,
-            r.fused_speedup(),
-            r.fused_pairs,
-            r.obs_overhead() * 100.0
-        );
-    }
+    write_report(&all, &summary);
     if unresolved.is_empty() {
         println!(
             "step-loop verdict: decoded (stats on) beats legacy at p < {SIGN_P} on every \
@@ -676,11 +431,11 @@ fn main() {
         );
     }
     println!(
-        "emulator geomean speedup (set-up-inclusive): {:.3}x",
+        "decoded (stats on) geomean speedup over legacy: {:.3}x (floor 1.00x)",
         summary.geomean
     );
     println!(
-        "fused tier geomean speedup over decoded: {:.3}x (floor {MIN_FUSED_SPEEDUP:.2}x)",
+        "fused geomean speedup over decoded, serving loop: {:.3}x (floor {MIN_FUSED_SPEEDUP:.2}x)",
         summary.fused_geomean
     );
     println!(
@@ -688,49 +443,44 @@ fn main() {
         summary.obs_overhead * 100.0,
         MAX_OBS_OVERHEAD * 100.0
     );
-    h.final_summary();
-    if check && summary.geomean < 1.0 {
-        eprintln!(
-            "FAIL: decoded emulator is slower than legacy (geomean {:.3}x < 1.0x)",
-            summary.geomean
-        );
-        std::process::exit(1);
+    if !check {
+        return;
     }
-    if check && summary.fused_geomean < MIN_FUSED_SPEEDUP {
-        eprintln!(
-            "FAIL: fused tier is slower than the decoded engine (geomean {:.3}x < \
+    let mut failures = Vec::new();
+    if summary.geomean < 1.0 {
+        failures.push(format!(
+            "decoded emulator is slower than legacy (geomean {:.3}x < 1.0x)",
+            summary.geomean
+        ));
+    }
+    if summary.fused_geomean < MIN_FUSED_SPEEDUP {
+        failures.push(format!(
+            "fused program is slower than the decoded one (geomean {:.3}x < \
              {MIN_FUSED_SPEEDUP:.2}x)",
             summary.fused_geomean
-        );
-        std::process::exit(1);
+        ));
     }
-    if check {
-        for r in &rows {
-            let first = r.fused_speedup();
-            if first >= MIN_FUSED_PER_BENCH {
-                continue;
-            }
-            let confirmed = remeasure_fused(r.name);
-            println!(
-                "re-measured {}: fused {confirmed:.3}x (first pass {first:.3}x)",
-                r.name
-            );
-            if confirmed < MIN_FUSED_PER_BENCH {
-                eprintln!(
-                    "FAIL: fused tier regresses {} ({confirmed:.3}x < \
-                     {MIN_FUSED_PER_BENCH:.2}x per-benchmark floor)",
-                    r.name
-                );
-                std::process::exit(1);
-            }
+    for t in &all {
+        let fused = median(&t.serving);
+        if fused < MIN_FUSED_PER_BENCH {
+            failures.push(format!(
+                "fused program regresses {} ({fused:.3}x < {MIN_FUSED_PER_BENCH:.2}x \
+                 per-benchmark floor)",
+                t.name
+            ));
         }
     }
-    if check && summary.obs_overhead > MAX_OBS_OVERHEAD {
-        eprintln!(
-            "FAIL: disabled observability costs {:.2}% over the plain engine (limit {:.0}%)",
+    if summary.obs_overhead > MAX_OBS_OVERHEAD {
+        failures.push(format!(
+            "disabled observability costs {:.2}% over the plain engine (limit {:.0}%)",
             summary.obs_overhead * 100.0,
             MAX_OBS_OVERHEAD * 100.0
-        );
+        ));
+    }
+    for f in &failures {
+        eprintln!("FAIL: {f}");
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

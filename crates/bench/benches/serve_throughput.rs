@@ -1,54 +1,46 @@
 //! Batched serving throughput: queries/sec through the
-//! [`symbol_serve::server::QueryServer`] versus worker count, over the
-//! full benchmark suite on the fused serving tier. Writes the
-//! per-benchmark numbers to `BENCH_serve.json` at the workspace root.
+//! [`symbol_serve::server::QueryServer`] at 1 worker and at
+//! `min(4, cores)` workers, over the full benchmark suite on the fused
+//! serving tier. Writes the per-benchmark numbers to `BENCH_serve.json`
+//! at the workspace root.
 //!
-//! Two things are measured and gated:
+//! Each benchmark is one [`Pair`]: a 1-worker and a many-worker server,
+//! each started before its timer, serve the same batch requests in
+//! [`ROUNDS`] rounds of [`PASSES`] passes whose order alternates. A pass
+//! gives every worker at least two requests of at most [`BATCH`]
+//! sub-queries, and covers at least [`PASS_STEPS`] steps. The
+//! benchmark's scaling is the
+//! median over rounds of the ratio of the two servers' fastest passes
+//! (1 worker's time over many workers'). With `--check`, the run exits
+//! nonzero if the geomean of those medians falls below
+//! [`required_scaling`]: `0.625 × workers` (2.5× at the 4 workers CI
+//! provides). With fewer than 2 usable cores there is no multi-worker
+//! run to compare, so nothing is timed and the gate is recorded as
+//! `"skipped"`, never as a pass. The JSON records `cores`, the applied
+//! requirement and the gate's verdict, so a number from a small machine
+//! is never misread as a scaling claim.
 //!
-//! * **Scaling** — each benchmark is served twice, with 1 worker and
-//!   with `min(4, cores)` workers, as batched run requests executed
-//!   back-to-back on pooled engine state. With `--check`, the run
-//!   exits nonzero if the geomean multi-worker speedup falls below
-//!   [`required_scaling`]: `0.625 × workers` (2.5× at the 4 workers CI
-//!   provides). With fewer than 2 usable cores there is no
-//!   multi-worker run to compare, so the gate is recorded as
-//!   `"skipped"` — never as a pass. The JSON records `cores`, the
-//!   applied requirement and the gate's verdict, so a number from a
-//!   small machine is never misread as a scaling claim.
-//! * **Determinism** — for every benchmark of
-//!   [`symbol_bench::TIMING_SUBSET`], every (worker count ∈ {1,2,4,8})
-//!   × (batch size ∈ {1,3,8}) serving combination must answer every
-//!   sub-query with exactly the sequential engine's step count, in
-//!   index order. This always runs (it is cheap) and any divergence
-//!   aborts the bench, `--check` or not: a fast scheduler that
-//!   reorders answers or perturbs execution is wrong, not fast.
+//! Every answer must carry the sequential engine's step count. That
+//! answers are bit-identical for every worker count, batch size and
+//! tier is `tests/determinism.rs`'s to check.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use symbol_bench::TIMING_SUBSET;
+use symbol_bench::timing::{geomean, Pair, PASSES, ROUNDS};
 use symbol_core::benchmarks;
 use symbol_core::pipeline::Compiled;
-use symbol_intcode::Layout;
 use symbol_obs::Registry;
 use symbol_serve::server::{QueryServer, ServerConfig};
 
-/// Sub-queries per batched run request on the measured path.
+/// Most sub-queries per batched run request.
 const BATCH: usize = 8;
 
-/// Per-benchmark work target: enough total steps that a measurement
-/// is queue-scheduling-dominated rather than startup-dominated.
-const TARGET_STEPS: u64 = 20_000_000;
-
-/// Batch sizes the determinism stage crosses with worker counts.
-const DET_BATCHES: [usize; 3] = [1, 3, 8];
-
-/// Worker counts the determinism stage exercises (deliberately past
-/// the physical core count: oversubscription shuffles which worker
-/// claims which request and the order requests finish in).
-const DET_WORKERS: [usize; 4] = [1, 2, 4, 8];
+/// Fewest steps a pass covers, so that a pass is dominated by the
+/// queries and not by waking the workers and joining them.
+const PASS_STEPS: u64 = 5_000_000;
 
 /// The scaling the `--check` gate demands of `workers` workers:
 /// 62.5% parallel efficiency (2.5× at 4 workers).
@@ -60,199 +52,105 @@ fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Same small layouts as the `emulator_decode` bench, chosen when a
-/// pooled query still re-zeroed its whole memory; kept so the numbers
-/// stay comparable with the committed `BENCH_serve.json`.
-fn layout_for(name: &str) -> Layout {
-    if name == "tak" {
-        Layout {
-            heap_size: 1 << 17,
-            env_size: 1 << 19,
-            cp_size: 1 << 18,
-            trail_size: 1 << 19,
-            pdl_size: 1 << 14,
-        }
-    } else {
-        Layout {
-            heap_size: 1 << 16,
-            env_size: 1 << 14,
-            cp_size: 1 << 14,
-            trail_size: 1 << 14,
-            pdl_size: 1 << 10,
-        }
-    }
-}
-
+/// One benchmark's pair.
 struct Row {
     name: &'static str,
     steps: u64,
-    queries: usize,
-    qps_one: f64,
-    /// `None` when fewer than 2 cores are usable.
-    qps_many: Option<f64>,
+    /// Batch requests per pass.
+    requests: usize,
+    /// Sub-queries per request.
+    batch: usize,
+    pair: Pair,
 }
 
 impl Row {
-    fn scaling(&self) -> Option<f64> {
-        self.qps_many.map(|q| q / self.qps_one)
+    fn queries(&self) -> usize {
+        self.requests * self.batch
     }
 }
 
-fn compile(b: &benchmarks::Benchmark) -> Arc<Compiled> {
-    let mut c = Compiled::from_source_obs(b.source, layout_for(b.name), &Registry::disabled(), "")
-        .expect("compiles");
-    c.build_fused_tier().expect("fuses");
-    Arc::new(c)
-}
-
-/// Serves `queries` executions of `compiled` as size-[`BATCH`] batch
-/// requests through a `workers`-worker server and returns (queries
-/// per second, per-query steps of the first answer) after verifying
-/// every answer arrived and none erred.
-fn throughput(compiled: &Arc<Compiled>, workers: usize, queries: usize) -> (f64, u64) {
+/// Times a 1-worker against a `workers`-worker server on `requests`
+/// batch requests of `batch` queries of `compiled`, checking every
+/// answer.
+fn time_servers(
+    name: &str,
+    compiled: &Arc<Compiled>,
+    workers: usize,
+    requests: usize,
+    batch: usize,
+    steps: u64,
+) -> Pair {
     let obs = Registry::disabled();
-    let server = QueryServer::start(
-        Arc::clone(compiled),
-        &ServerConfig {
-            workers,
-            queue_capacity: 1024,
+    let many = format!("{workers}_workers");
+    let counts = [1, workers];
+    Pair::time(
+        ["1_worker", &many],
+        |e| {
+            QueryServer::start(
+                Arc::clone(compiled),
+                &ServerConfig {
+                    workers: counts[e],
+                    queue_capacity: requests,
+                },
+                &obs,
+            )
         },
-        &obs,
-    );
-    let t = Instant::now();
-    let mut id = 0u64;
-    let mut remaining = queries;
-    while remaining > 0 {
-        let n = remaining.min(BATCH);
-        server.submit_batch(id, n);
-        id += 1;
-        remaining -= n;
-    }
-    let results = server.finish();
-    let secs = t.elapsed().as_secs_f64();
-    let mut answered = 0usize;
-    let mut steps = 0u64;
-    for r in &results {
-        let batch = r
-            .outcome
-            .as_ref()
-            .expect("batch request succeeds")
-            .batch()
-            .expect("batch answer");
-        if steps == 0 {
-            steps = batch[0];
-        }
-        assert!(
-            batch.iter().all(|&s| s == steps),
-            "batched answers diverged on the measured path"
-        );
-        answered += batch.len();
-    }
-    assert_eq!(answered, queries, "every submitted query was answered");
-    (queries as f64 / secs, steps)
-}
-
-/// The concurrent-determinism sweep: serve each subset benchmark
-/// under every worker-count × batch-size combination and demand
-/// bit-identical, index-ordered answers against the sequential
-/// reference. Returns the number of (bench, workers, batch) cells
-/// checked.
-fn determinism_sweep() -> usize {
-    let mut cells = 0;
-    for name in TIMING_SUBSET {
-        let b = benchmarks::ALL
-            .iter()
-            .find(|b| b.name == *name)
-            .expect("subset benchmark exists");
-        let compiled = compile(b);
-        let reference = compiled
-            .run_sequential()
-            .expect("sequential reference")
-            .steps;
-        for &workers in &DET_WORKERS {
-            for &batch in &DET_BATCHES {
-                let obs = Registry::disabled();
-                let server = QueryServer::start(
-                    Arc::clone(&compiled),
-                    &ServerConfig {
-                        workers,
-                        queue_capacity: 16,
-                    },
-                    &obs,
-                );
-                let requests = 12usize.div_ceil(batch);
-                for id in 0..requests {
-                    server.submit_batch(id as u64, batch.min(12 - id * batch));
-                }
-                let results = server.finish();
-                assert_eq!(results.len(), requests);
-                let mut total = 0;
-                for (i, r) in results.iter().enumerate() {
-                    assert_eq!(r.id, i as u64, "answers are index-ordered");
-                    let answers = r
-                        .outcome
-                        .as_ref()
-                        .expect("request succeeds")
-                        .batch()
-                        .expect("batch answer");
-                    assert!(
-                        answers.iter().all(|&s| s == reference),
-                        "{name}: workers={workers} batch={batch}: served steps \
-                         {answers:?} != sequential {reference}"
-                    );
-                    total += answers.len();
-                }
-                assert_eq!(total, 12, "{name}: every sub-query answered exactly once");
-                cells += 1;
+        |server| {
+            let t = Instant::now();
+            for id in 0..requests {
+                server.submit_batch(id as u64, batch);
             }
-        }
-    }
-    cells
+            let results = server.finish();
+            let elapsed = t.elapsed();
+            assert_eq!(results.len(), requests, "{name}: every request answered");
+            for r in &results {
+                let answers = r
+                    .outcome
+                    .as_ref()
+                    .expect("batch request succeeds")
+                    .batch()
+                    .expect("batch answer");
+                assert!(
+                    answers.len() == batch && answers.iter().all(|&s| s == steps),
+                    "{name}: served {answers:?}, sequential {steps} steps"
+                );
+            }
+            elapsed
+        },
+    )
 }
 
-fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (log_sum, n) = ratios.fold((0.0f64, 0usize), |(s, n), r| (s + r.ln(), n + 1));
-    (log_sum / n.max(1) as f64).exp()
-}
-
-/// A ratio with three decimals, or `null` when it was not measured.
-fn json_ratio(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
-}
-
-fn write_report(
-    rows: &[Row],
-    workers_many: usize,
-    scaling_geomean: Option<f64>,
-    required: f64,
-    gate: &str,
-) {
-    let mut out = String::from("{\n  \"serve\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        let many = match r.qps_many {
-            Some(q) => format!("\"qps_{workers_many}_workers\": {q:.1}, "),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"queries\": {}, \
-             \"qps_1_worker\": {:.1}, {many}\"scaling\": {}}}{sep}",
-            r.name,
-            r.steps,
-            r.queries,
-            r.qps_one,
-            json_ratio(r.scaling()),
-        );
-    }
+fn write_report(rows: &[Row], workers: usize, scaling_geomean: Option<f64>, gate: &str) {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let queries = r.queries() as f64;
+            format!(
+                "    {{\"name\": \"{}\", \"steps\": {}, \"requests\": {}, \"batch\": {}, {}}}",
+                r.name,
+                r.steps,
+                r.requests,
+                r.batch,
+                r.pair.json_fields("qps", |ns| queries * 1e9 / ns)
+            )
+        })
+        .collect();
+    let mut out = format!("{{\n  \"serve\": [\n{}\n  ],\n", lines.join(",\n"));
+    // With the gate skipped nothing was timed.
+    let measured = if rows.is_empty() {
+        String::new()
+    } else {
+        format!("1, {workers}")
+    };
     let _ = write!(
         out,
-        "  ],\n  \"cores\": {},\n  \"workers_measured\": [1, {workers_many}],\n  \
-         \"batch_size\": {BATCH},\n  \"scaling_geomean\": {},\n  \
-         \"required_scaling\": {required:.3},\n  \"scaling_gate\": \"{gate}\",\n  \
-         \"determinism_checked\": true\n}}\n",
+        "  \"cores\": {},\n  \"workers_measured\": [{measured}],\n  \
+         \"max_batch_size\": {BATCH},\n  \"rounds\": {ROUNDS},\n  \"passes\": {PASSES},\n  \
+         \"scaling_geomean\": {},\n  \"required_scaling\": {:.3},\n  \
+         \"scaling_gate\": \"{gate}\"\n}}\n",
         cores(),
-        json_ratio(scaling_geomean),
+        scaling_geomean.map_or_else(|| "null".to_string(), |g| format!("{g:.3}")),
+        required_scaling(workers),
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     if let Err(e) = std::fs::write(&path, out) {
@@ -264,80 +162,58 @@ fn write_report(
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-
-    let cells = determinism_sweep();
-    println!(
-        "determinism: {cells} (bench x workers x batch) cells served bit-identically \
-         to the sequential engine"
-    );
-
-    let workers_many = cores().clamp(1, 4);
-    let mut rows = Vec::new();
-    for b in benchmarks::ALL {
-        let compiled = compile(b);
-        let steps = compiled
-            .run_sequential()
-            .expect("reference run")
-            .steps
-            .max(1);
-        let queries = (TARGET_STEPS / steps).clamp(32, 512) as usize;
-        let (qps_one, steps_one) = throughput(&compiled, 1, queries);
-        assert_eq!(steps_one, steps, "{}: served != sequential steps", b.name);
-        let qps_many = (workers_many > 1).then(|| {
-            let (qps, steps_many) = throughput(&compiled, workers_many, queries);
-            assert_eq!(
-                steps_one, steps_many,
-                "{}: step counts must not depend on worker count",
-                b.name
-            );
-            qps
-        });
-        let row = Row {
-            name: b.name,
-            steps,
-            queries,
-            qps_one,
-            qps_many,
-        };
-        let many = match (row.qps_many, row.scaling()) {
-            (Some(q), Some(x)) => format!("{workers_many} workers {q:>9.1} q/s   {x:>5.2}x"),
-            _ => "(no multi-worker run)".to_string(),
-        };
+    let workers = cores().clamp(1, 4);
+    if workers < 2 {
+        write_report(&[], workers, None, "skipped");
         println!(
-            "{:<10} {:>9} steps x {:>3} queries   1 worker {:>9.1} q/s   {many}",
-            row.name, row.steps, row.queries, row.qps_one,
-        );
-        rows.push(row);
-    }
-
-    let scaling_geomean = (workers_many > 1).then(|| geomean(rows.iter().filter_map(Row::scaling)));
-    let required = required_scaling(workers_many);
-    let gate = match scaling_geomean {
-        None => "skipped",
-        Some(g) if g < required => "fail",
-        Some(_) => "pass",
-    };
-    write_report(&rows, workers_many, scaling_geomean, required, gate);
-    match scaling_geomean {
-        None => println!(
             "scaling gate skipped: {} usable core(s), and a scaling measurement needs \
              at least 2",
             cores()
-        ),
-        Some(g) => {
-            println!(
-                "scaling geomean over {} benchmarks: {g:.3}x with {workers_many} workers on \
-                 {} core(s) (required {required:.3}x): {gate}",
-                rows.len(),
-                cores()
-            );
-            if check && g < required {
-                eprintln!(
-                    "FAIL: batched serving scales {g:.3}x with {workers_many} workers \
-                     (required {required:.3}x)"
-                );
-                std::process::exit(1);
-            }
-        }
+        );
+        return;
+    }
+    let mut rows = Vec::new();
+    for b in benchmarks::ALL {
+        let mut c = Compiled::from_source(b.source).expect("compiles");
+        c.build_fused_tier().expect("fuses");
+        let compiled = Arc::new(c);
+        let steps = compiled.run_sequential().expect("reference run").steps;
+        let queries = PASS_STEPS.div_ceil(steps.max(1)) as usize;
+        let requests = queries.div_ceil(BATCH).max(2 * workers);
+        let batch = queries.div_ceil(requests);
+        let pair = time_servers(b.name, &compiled, workers, requests, batch, steps);
+        let row = Row {
+            name: b.name,
+            steps,
+            requests,
+            batch,
+            pair,
+        };
+        let queries = row.queries() as f64;
+        println!(
+            "{:<10} {:>9} steps x {:>3} requests of {}: {}",
+            row.name,
+            row.steps,
+            row.requests,
+            row.batch,
+            row.pair.line("q/s", |ns| queries * 1e9 / ns)
+        );
+        rows.push(row);
+    }
+    let g = geomean(rows.iter().map(|r| r.pair.ratio().median));
+    let required = required_scaling(workers);
+    let gate = if g < required { "fail" } else { "pass" };
+    write_report(&rows, workers, Some(g), gate);
+    println!(
+        "scaling geomean over {} benchmarks: {g:.3}x with {workers} workers on {} core(s) \
+         (required {required:.3}x): {gate}",
+        rows.len(),
+        cores()
+    );
+    if check && g < required {
+        eprintln!(
+            "FAIL: batched serving scales {g:.3}x with {workers} workers (required {required:.3}x)"
+        );
+        std::process::exit(1);
     }
 }

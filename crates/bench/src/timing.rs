@@ -1,119 +1,22 @@
-//! A small, dependency-free timing harness for the `benches/` targets.
-//!
-//! Two ways to time:
-//!
-//! * [`Harness`]: each kernel is warmed up, calibrated to a fixed
-//!   wall-clock budget, then timed over a batch of iterations, and the
-//!   harness reports the mean time per iteration. A best-effort number
-//!   for spotting regressions, not a comparison: two kernels timed
-//!   minutes apart see different machines.
-//! * [`interleave`]: several engines timed back to back, in rounds of
-//!   a few passes whose order alternates, so that every engine sees the
-//!   same machine. Each engine reports the median and quartiles
-//!   ([`Spread`]) of its rounds' fastest passes, and [`sign_test`] says
-//!   how often one engine beat another round by round. A gate built on
-//!   it passes only when the count is too high for chance.
+//! The one way the `benches/` targets time an engine: two engines,
+//! a [`Pair`], timed back to back in rounds of a few passes whose order
+//! alternates ([`interleave`]), so that both see the same machine. Each
+//! round keeps each engine's fastest pass; a gate reads, per
+//! benchmark, the median over rounds of the ratio of the two engines'
+//! fastest passes ([`Pair::ratio`]), and across benchmarks the
+//! [`geomean`] of those medians. [`Spread`] gives the ratio's median
+//! and quartiles and [`sign_test`] how often one engine beat the other
+//! round by round.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Wall-clock budget for one timed kernel (after warm-up).
-const MEASURE_BUDGET: Duration = Duration::from_millis(200);
-/// Wall-clock budget for the calibration warm-up.
-const WARMUP_BUDGET: Duration = Duration::from_millis(50);
-/// Iteration-count clamp, so pathological kernels neither spin
-/// forever nor report a single noisy sample.
-const MAX_ITERS: u64 = 100_000;
+/// Interleaved rounds per [`Pair`].
+pub const ROUNDS: usize = 11;
 
-/// One recorded kernel timing.
-#[derive(Clone, Debug)]
-pub struct Sample {
-    /// Kernel name as passed to [`Harness::bench_function`].
-    pub name: String,
-    /// Mean wall-clock time per iteration.
-    pub mean: Duration,
-    /// Iterations in the measured batch.
-    pub iters: u64,
-}
-
-/// Collects and prints kernel timings; the drop-in stand-in for the
-/// previous external benchmarking dependency.
-#[derive(Default, Debug)]
-pub struct Harness {
-    samples: Vec<Sample>,
-}
-
-/// Passed to the kernel closure; [`Bencher::iter`] runs and times the
-/// measured batch.
-pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Times `f` over the calibrated batch, preventing the optimizer
-    /// from discarding its result.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(f());
-        }
-        self.elapsed = start.elapsed();
-    }
-}
-
-impl Harness {
-    /// An empty harness.
-    pub fn new() -> Self {
-        Harness::default()
-    }
-
-    /// Warm-up, calibrate, and time one kernel, printing its mean
-    /// time per iteration immediately.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) {
-        // Warm-up: run single iterations until the budget elapses,
-        // which also yields the per-iteration estimate.
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < WARMUP_BUDGET && warm_iters < MAX_ITERS {
-            let mut b = Bencher {
-                iters: 1,
-                elapsed: Duration::ZERO,
-            };
-            f(&mut b);
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_secs_f64() / warm_iters.max(1) as f64;
-        let iters =
-            ((MEASURE_BUDGET.as_secs_f64() / per_iter.max(1e-9)) as u64).clamp(1, MAX_ITERS);
-
-        let mut b = Bencher {
-            iters,
-            elapsed: Duration::ZERO,
-        };
-        f(&mut b);
-        let mean = b.elapsed.div_f64(iters.max(1) as f64);
-        println!(
-            "{name:<40} {:>12} /iter  ({iters} iters)",
-            fmt_duration(mean)
-        );
-        self.samples.push(Sample {
-            name: name.to_owned(),
-            mean,
-            iters,
-        });
-    }
-
-    /// All samples recorded so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Prints the closing one-line summary.
-    pub fn final_summary(&self) {
-        println!("timed {} kernel(s)", self.samples.len());
-    }
-}
+/// Passes per round, even so that each engine of a pair runs first in
+/// half of them. A round reports each engine's fastest pass.
+pub const PASSES: usize = 4;
 
 /// Median and quartiles of a set of samples, as Python's
 /// `statistics.quantiles(samples, n=4)` (its default "exclusive"
@@ -186,6 +89,22 @@ impl Interleaved {
     }
 }
 
+/// Stack bytes between the depths at which successive passes of a
+/// round run: a quarter of a 4 KiB page.
+const STACK_STEP: usize = 1024;
+
+/// Runs `f` `levels` frames of at least [`STACK_STEP`] bytes further
+/// down the stack.
+fn deeper<R>(levels: usize, f: impl FnOnce() -> R) -> R {
+    if levels == 0 {
+        return f();
+    }
+    let pad = black_box([0u8; STACK_STEP]);
+    let r = deeper(levels - 1, f);
+    black_box(&pad);
+    r
+}
+
 /// Times `names.len()` engines in `rounds` rounds of `passes` passes.
 /// A pass first calls `setup(e)` for every engine `e`, then `time` on
 /// each prepared engine, which runs it and returns the time the run
@@ -194,6 +113,14 @@ impl Interleaved {
 /// and odd passes in reverse, so each end of the list goes first
 /// equally often and neighbours in the list always run next to each
 /// other.
+///
+/// Pass `i` of a round runs its engines `i` × [`STACK_STEP`] bytes
+/// further down the stack. An engine loop's speed can depend on where
+/// its stack frame falls within a page (a spilled local whose low 12
+/// address bits match a hot store's stalls on 4K aliasing), and the
+/// operating system picks the stack's start at random per process; so
+/// a round samples one frame position per pass, and its fastest pass
+/// is the one least disturbed by placement as well as by noise.
 pub fn interleave<P>(
     names: &[&str],
     rounds: usize,
@@ -211,7 +138,7 @@ pub fn interleave<P>(
         .collect();
     let mut forward = true;
     for round in 0..rounds {
-        for _ in 0..passes {
+        for pass in 0..passes {
             let order: Vec<usize> = if forward {
                 (0..k).collect()
             } else {
@@ -220,7 +147,7 @@ pub fn interleave<P>(
             forward = !forward;
             let ready: Vec<P> = order.iter().map(|&e| setup(e)).collect();
             for (e, p) in order.into_iter().zip(ready) {
-                let d = time(p);
+                let d = deeper(pass, || time(p));
                 out[e].rounds[round].push(d);
             }
         }
@@ -269,32 +196,120 @@ pub fn sign_test(a: &Interleaved, b: &Interleaved) -> SignTest {
     }
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
+/// Two engines timed in one [`interleave`] run: `first` is the
+/// baseline and `second` the engine measured against it. No third
+/// engine shares their passes, so neither reading depends on its place
+/// in a longer list or on a neighbour's memory.
+#[derive(Clone, Debug)]
+pub struct Pair {
+    /// The baseline engine's samples.
+    pub first: Interleaved,
+    /// The measured engine's samples.
+    pub second: Interleaved,
+}
+
+impl Pair {
+    /// Times two engines as [`interleave`] does, in [`ROUNDS`] rounds
+    /// of [`PASSES`] passes, after one unrecorded pass that warms both
+    /// engines' code and memory.
+    pub fn time<P>(
+        names: [&str; 2],
+        mut setup: impl FnMut(usize) -> P,
+        mut time: impl FnMut(P) -> Duration,
+    ) -> Pair {
+        interleave(&names, 1, 1, &mut setup, &mut time);
+        let [first, second]: [Interleaved; 2] = interleave(&names, ROUNDS, PASSES, setup, time)
+            .try_into()
+            .expect("two engines");
+        Pair { first, second }
     }
+
+    /// Per round, `first`'s fastest pass over `second`'s: above 1.0
+    /// when `second` was the faster.
+    pub fn ratios(&self) -> Vec<f64> {
+        self.first
+            .best()
+            .iter()
+            .zip(self.second.best())
+            .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64())
+            .collect()
+    }
+
+    /// Median and quartiles of [`Pair::ratios`]. A gate reads the
+    /// median: one disturbed round moves it no further than to its
+    /// neighbour's value.
+    pub fn ratio(&self) -> Spread {
+        Spread::of(&self.ratios())
+    }
+
+    /// Rounds in which `second` beat `first`.
+    pub fn sign_test(&self) -> SignTest {
+        sign_test(&self.second, &self.first)
+    }
+
+    /// One printed line: each engine's median in `unit` (`per` converts
+    /// a pass's nanoseconds), the ratio's median and quartiles, and the
+    /// rounds `second` won.
+    pub fn line(&self, unit: &str, per: impl Fn(f64) -> f64) -> String {
+        let r = self.ratio();
+        let t = self.sign_test();
+        format!(
+            "{} {:.2} {unit}, {} {:.2} {unit}, {}/{} {:.3} ({:.3}-{:.3}), {} won {}/{} (p={:.4})",
+            self.first.name,
+            per(self.first.spread_ns().median),
+            self.second.name,
+            per(self.second.spread_ns().median),
+            self.first.name,
+            self.second.name,
+            r.median,
+            r.q1,
+            r.q3,
+            self.second.name,
+            t.wins,
+            t.rounds,
+            t.p
+        )
+    }
+
+    /// The same figures as JSON object fields: each engine, under its
+    /// name, with the median and quartiles of its rounds' fastest
+    /// passes and its median in `unit`; the ratio's median and
+    /// quartiles; and `second`'s rounds won with the sign-test p-value.
+    pub fn json_fields(&self, unit: &str, per: impl Fn(f64) -> f64) -> String {
+        let mut out = String::new();
+        for e in [&self.first, &self.second] {
+            let s = e.spread_ns();
+            out += &format!(
+                "\"{}\": {{\"median_ns\": {:.0}, \"q1_ns\": {:.0}, \"q3_ns\": {:.0}, \
+                 \"{unit}\": {:.3}}}, ",
+                e.name,
+                s.median,
+                s.q1,
+                s.q3,
+                per(s.median)
+            );
+        }
+        let r = self.ratio();
+        let t = self.sign_test();
+        out + &format!(
+            "\"ratio\": {{\"q1\": {:.4}, \"median\": {:.4}, \"q3\": {:.4}}}, \
+             \"{}_wins\": {}, \"sign_p\": {:.5}",
+            r.q1, r.median, r.q3, self.second.name, t.wins, t.p
+        )
+    }
+}
+
+/// Geometric mean of `values`; 1.0 when there are none.
+pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (log_sum, n) = values
+        .into_iter()
+        .fold((0.0f64, 0usize), |(s, n), v| (s + v.ln(), n + 1));
+    (log_sum / n.max(1) as f64).exp()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_one_sample_per_kernel() {
-        let mut h = Harness::new();
-        h.bench_function("noop", |b| b.iter(|| 0u64));
-        h.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
-        assert_eq!(h.samples().len(), 2);
-        assert_eq!(h.samples()[0].name, "noop");
-        assert!(h.samples().iter().all(|s| s.iters >= 1));
-    }
 
     #[test]
     fn spread_matches_python_statistics_quantiles() {
@@ -348,6 +363,33 @@ mod tests {
     }
 
     #[test]
+    fn each_pass_of_a_round_runs_at_its_own_stack_depth() {
+        let depths = std::cell::RefCell::new(Vec::new());
+        interleave(
+            &["a", "b"],
+            2,
+            4,
+            |e| e,
+            |_| {
+                let local = 0u8;
+                depths
+                    .borrow_mut()
+                    .push(black_box(&local) as *const u8 as usize);
+                Duration::ZERO
+            },
+        );
+        let depths = depths.into_inner();
+        for round in depths.chunks(8) {
+            let passes: Vec<usize> = round.chunks(2).map(|pass| pass[0]).collect();
+            // Both engines of a pass run at one depth...
+            assert!(round.chunks(2).all(|pass| pass[0] == pass[1]));
+            // ...and each pass a step deeper than the one before.
+            assert!(passes.windows(2).all(|w| w[0] >= w[1] + STACK_STEP));
+        }
+        assert_eq!(depths[..8], depths[8..]);
+    }
+
+    #[test]
     fn a_round_reports_its_fastest_pass() {
         let run = Interleaved {
             name: String::new(),
@@ -359,6 +401,69 @@ mod tests {
 
     fn ns(v: &[u64]) -> Vec<Duration> {
         v.iter().map(|&n| Duration::from_nanos(n)).collect()
+    }
+
+    /// A pair of one pass per round, from each engine's nanoseconds.
+    fn pair(first: &[u64], second: &[u64]) -> Pair {
+        let run = |v: &[u64]| Interleaved {
+            name: String::new(),
+            rounds: v.iter().map(|&n| ns(&[n])).collect(),
+        };
+        Pair {
+            first: run(first),
+            second: run(second),
+        }
+    }
+
+    #[test]
+    fn a_pairs_ratio_divides_each_rounds_fastest_passes() {
+        let p = Pair {
+            first: Interleaved {
+                name: "legacy".into(),
+                rounds: vec![ns(&[30, 20]), ns(&[10, 12]), ns(&[40, 90])],
+            },
+            second: Interleaved {
+                name: "decoded".into(),
+                rounds: vec![ns(&[10, 15]), ns(&[11, 10]), ns(&[80, 20])],
+            },
+        };
+        // 20/10, a tie at 10/10, 40/20: the slow pass of a round never
+        // counts, whichever pass it was.
+        assert_eq!(p.ratios(), vec![2.0, 1.0, 2.0]);
+        // The tie is not a round `second` won.
+        assert_eq!(p.sign_test().wins, 2);
+    }
+
+    #[test]
+    fn a_benchmark_reads_the_median_round_ratio() {
+        // Ratios 1.2, 0.8, 1.0, 3.0, 0.9: one disturbed round (3.0)
+        // drags the mean to 1.38 but leaves the median at 1.0.
+        let p = pair(&[12, 8, 10, 30, 9], &[10, 10, 10, 10, 10]);
+        let r = p.ratio();
+        assert!((r.median - 1.0).abs() < 1e-12, "{r:?}");
+        assert!((r.q1 - 0.85).abs() < 1e-12, "{r:?}");
+        assert!((r.q3 - 2.1).abs() < 1e-12, "{r:?}");
+    }
+
+    #[test]
+    fn a_geomean_gate_reads_the_geomean_of_medians() {
+        let bound = 0.98;
+        // Medians 0.96, 1.02 and 1.00: one benchmark under the bound,
+        // the geomean (0.9930) over it.
+        let pairs = [
+            pair(&[96, 96, 50], &[100, 100, 100]),
+            pair(&[102, 200, 102], &[100, 100, 100]),
+            pair(&[100, 100, 100], &[100, 100, 100]),
+        ];
+        let g = geomean(pairs.iter().map(|p| p.ratio().median));
+        assert!((g - (0.96f64 * 1.02).cbrt()).abs() < 1e-12, "{g}");
+        assert!(g >= bound);
+        // 0.90 in place of 1.00 takes the geomean (0.9587) under.
+        let slow = pair(&[90, 90, 90], &[100, 100, 100]);
+        let g = geomean([&pairs[0], &pairs[1], &slow].map(|p| p.ratio().median));
+        assert!(g < bound, "{g}");
+        assert!((geomean([2.0, 0.5]) - 1.0).abs() < 1e-12);
+        assert_eq!(geomean([]), 1.0);
     }
 
     #[test]

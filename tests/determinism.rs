@@ -56,7 +56,8 @@ fn repeated_parallel_runs_agree_with_each_other() {
 }
 
 /// The batched serving path must be bit-identical to sequential
-/// execution for every (worker count) × (batch size) combination —
+/// execution for every (tier) × (worker count) × (batch size)
+/// combination, on the decoded and on the fused serving tier —
 /// including worker counts past the physical core count, where the
 /// OS scheduler genuinely shuffles which worker claims which request
 /// and in which order requests finish. A panic probe rides in the
@@ -68,61 +69,67 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
     use symbol_serve::server::{QueryServer, ServerConfig};
 
     const QUERIES: usize = 12;
-    for name in SUBSET {
+    for name in ["conc30", "nreverse", "ops8", "qsort", "serialise"] {
         let b = benchmarks::by_name(name).expect("known benchmark");
-        let compiled = Arc::new(Compiled::from_source(b.source).expect("compiles"));
-        let reference = compiled.run_sequential().expect("sequential run").steps;
-        for workers in [1usize, 2, 4, 8] {
-            for batch in [1usize, 3, 8] {
-                let obs = Registry::disabled();
-                let server = QueryServer::start(
-                    Arc::clone(&compiled),
-                    &ServerConfig {
-                        workers,
-                        queue_capacity: 8,
-                    },
-                    &obs,
-                );
-                let mut id = 0u64;
-                let mut remaining = QUERIES;
-                while remaining > 0 {
-                    let n = remaining.min(batch);
-                    server.submit_batch(id, n);
-                    id += 1;
-                    remaining -= n;
-                    if id == 2 {
-                        // A contained panic mid-stream.
-                        server.submit_panic_probe(1000);
-                    }
-                }
-                let results = server.finish();
-                assert_eq!(results.len(), id as usize + 1);
-                let mut answered = 0;
-                for r in &results {
-                    if r.id == 1000 {
-                        assert!(r.outcome.is_err(), "{name}: probe panics, contained");
-                        continue;
-                    }
-                    let steps = r
-                        .outcome
-                        .as_ref()
-                        .expect("batch request succeeds")
-                        .batch()
-                        .expect("batch answer");
-                    assert!(
-                        steps.iter().all(|&s| s == reference),
-                        "{name}: workers={workers} batch={batch}: {steps:?} != \
-                         sequential {reference}"
+        for fused in [false, true] {
+            let mut compiled = Compiled::from_source(b.source).expect("compiles");
+            if fused {
+                compiled.build_fused_tier().expect("fuses");
+            }
+            let compiled = Arc::new(compiled);
+            let reference = compiled.run_sequential().expect("sequential run").steps;
+            for workers in [1usize, 2, 4, 8] {
+                for batch in [1usize, 3, 8] {
+                    let obs = Registry::disabled();
+                    let server = QueryServer::start(
+                        Arc::clone(&compiled),
+                        &ServerConfig {
+                            workers,
+                            queue_capacity: 8,
+                        },
+                        &obs,
                     );
-                    answered += steps.len();
-                }
-                assert_eq!(
+                    let mut id = 0u64;
+                    let mut remaining = QUERIES;
+                    while remaining > 0 {
+                        let n = remaining.min(batch);
+                        server.submit_batch(id, n);
+                        id += 1;
+                        remaining -= n;
+                        if id == 2 {
+                            // A contained panic mid-stream.
+                            server.submit_panic_probe(1000);
+                        }
+                    }
+                    let results = server.finish();
+                    assert_eq!(results.len(), id as usize + 1);
+                    let mut answered = 0;
+                    for r in &results {
+                        if r.id == 1000 {
+                            assert!(r.outcome.is_err(), "{name}: probe panics, contained");
+                            continue;
+                        }
+                        let steps = r
+                            .outcome
+                            .as_ref()
+                            .expect("batch request succeeds")
+                            .batch()
+                            .expect("batch answer");
+                        assert!(
+                            steps.iter().all(|&s| s == reference),
+                            "{name}: fused={fused} workers={workers} batch={batch}: {steps:?} != \
+                         sequential {reference}"
+                        );
+                        answered += steps.len();
+                    }
+                    assert_eq!(
                     answered, QUERIES,
-                    "{name}: workers={workers} batch={batch}: wrong sub-query count"
+                    "{name}: fused={fused} workers={workers} batch={batch}: wrong sub-query count"
                 );
-                // Results are sorted by id: index order, independent
-                // of which worker answered or when.
-                assert!(results.windows(2).all(|w| w[0].id < w[1].id));
+                    // Results are sorted by id: index order, independent
+                    // of which worker answered or when.
+                    assert!(results.windows(2).all(|w| w[0].id < w[1].id));
+                }
             }
         }
     }
