@@ -114,8 +114,8 @@ fn deeper<R>(levels: usize, f: impl FnOnce() -> R) -> R {
 /// equally often and neighbours in the list always run next to each
 /// other.
 ///
-/// Pass `i` of a round runs its engines `i` × [`STACK_STEP`] bytes
-/// further down the stack. An engine loop's speed can depend on where
+/// Pass `i` of a round runs its engines `i` × `STACK_STEP` (1 KiB)
+/// bytes further down the stack. An engine loop's speed can depend on where
 /// its stack frame falls within a page (a spilled local whose low 12
 /// address bits match a hot store's stalls on 4K aliasing), and the
 /// operating system picks the stack's start at random per process; so

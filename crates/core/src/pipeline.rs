@@ -323,7 +323,7 @@ impl Compiled {
         stats: &ExecStats,
         profile: &ExecProfile,
     ) -> &FusedTier {
-        let (program, report) = fuse::fuse(&self.decoded, stats, profile, &FuseConfig::default());
+        let (program, report) = fuse::fuse(&self.decoded, stats, &FuseConfig::default());
         let profile_hash = fuse::profile_hash(stats, profile);
         self.fused.insert(FusedTier {
             program,

@@ -5,7 +5,7 @@
 //! 1. legacy [`Emulator`] vs pre-decoded [`DecodedEmulator`] — must be
 //!    bit-identical on outcome *or error*, step count, and the Expect /
 //!    taken-branch statistics; the decoded run is the *profiled*
-//!    monomorphization, whose profile then drives stage 1½: the
+//!    monomorphization, whose Expect counts then drive stage 1½: the
 //!    profile-guided [`fuse`] pass rewrites the decoded program and the
 //!    fused engine must match legacy bit for bit too — every generated
 //!    program cross-checks superinstruction fusion from day one;
@@ -233,7 +233,7 @@ fn check_program(
     // Stage 1: the two sequential engines, compared bit for bit.
     let (lr, lstats, lsteps) = Emulator::new(ici, layout).run_with_stats(&exec_cfg);
     let decoded = DecodedProgram::new(ici);
-    let (dr, dstats, dsteps, dprof) =
+    let (dr, dstats, dsteps, _) =
         DecodedEmulator::new(&decoded, layout).run_with_profile(&exec_cfg);
     if lr != dr
         || lsteps != dsteps
@@ -249,7 +249,7 @@ fn check_program(
     // Stage 1½: the profile-guided fused engine, against the legacy
     // baseline. Fusion must be behavior-preserving on *every* program
     // the generator can produce, errors and step limits included.
-    let (fused, _report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
+    let (fused, _report) = fuse(&decoded, &dstats, &FuseConfig::default());
     let (fr, fstats, fsteps) = DecodedEmulator::new(&fused, layout).run_with_stats(&exec_cfg);
     if lr != fr
         || lsteps != fsteps

@@ -6,8 +6,12 @@
 //! findings to their exact classification, so a half-fix that shifts
 //! the failure mode is caught.
 
-use symbol_fuzz::oracle::{run_case, OracleConfig};
+use symbol_core::Compiled;
+use symbol_fuzz::gen_intcode::frag_layout;
+use symbol_fuzz::oracle::{prolog_layout, run_case, Case, OracleConfig};
 use symbol_fuzz::{corpus, Expect};
+use symbol_intcode::{fuse, DecodedEmulator, DecodedProgram, ExecConfig, FuseConfig, FusionReport};
+use symbol_obs::Registry;
 
 #[test]
 fn every_corpus_case_replays_as_declared() {
@@ -61,4 +65,48 @@ fn corpus_files_round_trip_through_the_serializer() {
         assert_eq!(back.case, c.case, "{}", c.name);
         assert_eq!(back.expect, c.expect, "{}", c.name);
     }
+}
+
+/// What the default fusion pass does to `case` under the profile of
+/// its own run, as the oracle's fused stage sees it.
+fn default_fusion(case: &Case, cfg: &OracleConfig) -> FusionReport {
+    let (ici, layout) = match case {
+        Case::Prolog(p) => {
+            let c =
+                Compiled::from_source_obs(&p.source, prolog_layout(), &Registry::disabled(), "")
+                    .expect("a fused seed compiles");
+            (c.ici, c.layout)
+        }
+        Case::IntCode(frag) => (frag.build().expect("a fused seed builds"), frag_layout()),
+    };
+    let decoded = DecodedProgram::new(&ici);
+    let exec = ExecConfig {
+        max_steps: cfg.max_steps,
+    };
+    let (_, stats, _, _) = DecodedEmulator::new(&decoded, &layout).run_with_profile(&exec);
+    fuse(&decoded, &stats, &FuseConfig::default()).1
+}
+
+/// A `fused-<shape>` seed exists to run the fused engine on a fused
+/// pair of that shape; one that stopped fusing it would replay clean
+/// while testing nothing of the tier.
+#[test]
+fn every_fused_seed_fuses_its_shape() {
+    let cases = corpus::load_dir(&corpus::corpus_dir()).expect("corpus parses");
+    let cfg = OracleConfig::default();
+    let mut seeds = 0;
+    for c in &cases {
+        let Some(shape) = c.name.strip_prefix("fused-") else {
+            continue;
+        };
+        let report = default_fusion(&c.case, &cfg);
+        let pairs = match shape {
+            "tag-deref" => report.tag_deref,
+            "ld-mv" => report.ld_mv,
+            other => panic!("{}: no fused shape named {other:?}", c.name),
+        };
+        assert!(pairs > 0, "{}: fuses no {shape} pair: {report:?}", c.name);
+        seeds += 1;
+    }
+    assert_eq!(seeds, 2, "one seed per fused shape");
 }

@@ -135,9 +135,9 @@ pub fn run_batch(
 ///
 /// # Panics
 ///
-/// Propagates a worker thread's panic (the emulator itself never
-/// panics on any program; the serving tier additionally wraps batch
-/// execution in `catch_unwind`).
+/// Propagates a worker thread's panic with its payload (the emulator
+/// itself never panics on any program; the serving tier additionally
+/// wraps batch execution in `catch_unwind`).
 pub fn run_batch_parallel(
     program: &DecodedProgram,
     layout: &Layout,
@@ -156,7 +156,7 @@ pub fn run_batch_parallel(
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
 }

@@ -82,10 +82,11 @@ pub(crate) enum MicroOp {
 
     // -----------------------------------------------------------------
     // Fused superinstructions (the profile-guided second tier, built by
-    // [`crate::fuse::fuse`]). Each record executes TWO source ops in
-    // one dispatch; the head constituent runs at index `at` and the
-    // second at `at + 1`, and every piece of architectural bookkeeping
-    // — step-limit check, step count, Expect/taken statistics, trace
+    // [`crate::fuse::fuse`]): the two pair shapes the translated
+    // programs contain. Each record executes TWO source ops in one
+    // dispatch; the head constituent runs at index `at` and the second
+    // at `at + 1`, and every piece of architectural bookkeeping —
+    // step-limit check, step count, Expect/taken statistics, trace
     // entries, error `at` fields, predictor state — is accounted under
     // the constituent's own index, so a fused program is bit-identical
     // to the unfused one. Legality (the interior pc is never a branch
@@ -93,29 +94,6 @@ pub(crate) enum MicroOp {
     // re-validates the structural part (a fused record never sits at
     // the last index, so `at + 1` stays in bounds).
     // -----------------------------------------------------------------
-    /// `AluRR` at `at` fused with `BrRR` at `at + 1`.
-    CmpBrRR {
-        op: AluOp,
-        cond: Cond,
-        d: u32,
-        a: u32,
-        b: u32,
-        ba: u32,
-        bb: u32,
-        t: u32,
-    },
-    /// `AluRI` at `at` fused with `BrRI` at `at + 1` (both immediates
-    /// narrowed to `i32` so the record stays within the 32-byte cap).
-    CmpBrRI {
-        op: AluOp,
-        cond: Cond,
-        d: u32,
-        a: u32,
-        imm: i32,
-        ba: u32,
-        bimm: i32,
-        t: u32,
-    },
     /// `BrTag` at `at` fused with `Ld` at `at + 1`: the tag check
     /// either branches away or falls through into the dereferencing
     /// load (the paper's tag-check + deref chain).
@@ -128,14 +106,6 @@ pub(crate) enum MicroOp {
         base: u32,
         off: i32,
     },
-    /// `Mv` at `at` fused with `St` at `at + 1`.
-    MvSt {
-        d: u32,
-        s: u32,
-        s2: u32,
-        base: u32,
-        off: i32,
-    },
     /// `Ld` at `at` fused with `Mv` at `at + 1`.
     LdMv {
         d: u32,
@@ -144,32 +114,13 @@ pub(crate) enum MicroOp {
         d2: u32,
         s: u32,
     },
-    /// `MvI` at `at` (an `Int` word whose value fits `i32`, folded into
-    /// the record as a plain immediate) fused with an `AluRR` at
-    /// `at + 1` that consumes the freshly written register.
-    MvIAlu {
-        d: u32,
-        imm: i32,
-        op: AluOp,
-        d2: u32,
-        a: u32,
-        b: u32,
-    },
 }
 
 impl MicroOp {
     /// Whether this record is a fused superinstruction (executes two
     /// constituent ops; requires `at + 1` to be a valid index).
     pub(crate) fn is_fused(self) -> bool {
-        matches!(
-            self,
-            MicroOp::CmpBrRR { .. }
-                | MicroOp::CmpBrRI { .. }
-                | MicroOp::TagDeref { .. }
-                | MicroOp::MvSt { .. }
-                | MicroOp::LdMv { .. }
-                | MicroOp::MvIAlu { .. }
-        )
+        matches!(self, MicroOp::TagDeref { .. } | MicroOp::LdMv { .. })
     }
 }
 
@@ -198,8 +149,6 @@ pub(crate) fn compute_branch_targets(
             | MicroOp::BrWord { t, .. }
             | MicroOp::BrWEq { t, .. }
             | MicroOp::Jmp { t }
-            | MicroOp::CmpBrRR { t, .. }
-            | MicroOp::CmpBrRI { t, .. }
             | MicroOp::TagDeref { t, .. } => mark(t),
             _ => {}
         }
@@ -678,19 +627,16 @@ impl<'a> DecodedEmulator<'a> {
                     break Err($e);
                 }};
             }
-            // Predictor update for the branch constituent at index `$i`
-            // (`at` for plain branches, `at + 1` for a fused
-            // compare-and-branch whose branch is the second half).
             macro_rules! predict {
-                ($taken:expr, $i:expr) => {
+                ($taken:expr) => {
                     if PROFILE {
                         // 2-bit saturating counter: 00/01 predict not
                         // taken, 10/11 predict taken.
-                        let state = predictor[$i];
+                        let state = predictor[at];
                         if (state >= 2) != $taken {
-                            mispredict[$i] += 1;
+                            mispredict[at] += 1;
                         }
-                        predictor[$i] = if $taken {
+                        predictor[at] = if $taken {
                             (state + 1).min(3)
                         } else {
                             state.saturating_sub(1)
@@ -699,16 +645,16 @@ impl<'a> DecodedEmulator<'a> {
                 };
             }
             macro_rules! branch {
-                ($cond:expr, $t:expr, $i:expr) => {{
+                ($cond:expr, $t:expr) => {{
                     let taken_now = $cond;
-                    predict!(taken_now, $i);
+                    predict!(taken_now);
                     if taken_now {
                         if STATS {
-                            taken[$i] += 1;
+                            taken[at] += 1;
                         }
                         pc = $t as usize;
                     } else {
-                        pc = $i + 1;
+                        pc = at + 1;
                     }
                 }};
             }
@@ -800,19 +746,19 @@ impl<'a> DecodedEmulator<'a> {
                     pc = at + 1;
                 }
                 MicroOp::BrRR { cond, a, b, t } => {
-                    branch!(cond.eval(regs[a as usize].val, regs[b as usize].val), t, at);
+                    branch!(cond.eval(regs[a as usize].val, regs[b as usize].val), t);
                 }
                 MicroOp::BrRI { cond, a, imm, t } => {
-                    branch!(cond.eval(regs[a as usize].val, imm), t, at);
+                    branch!(cond.eval(regs[a as usize].val, imm), t);
                 }
                 MicroOp::BrTag { a, tag, eq, t } => {
-                    branch!((regs[a as usize].tag == tag) == eq, t, at);
+                    branch!((regs[a as usize].tag == tag) == eq, t);
                 }
                 MicroOp::BrWord { a, w, eq, t } => {
-                    branch!((regs[a as usize] == w) == eq, t, at);
+                    branch!((regs[a as usize] == w) == eq, t);
                 }
                 MicroOp::BrWEq { a, b, eq, t } => {
-                    branch!((regs[a as usize] == regs[b as usize]) == eq, t, at);
+                    branch!((regs[a as usize] == regs[b as usize]) == eq, t);
                 }
                 MicroOp::Jmp { t } => {
                     pc = t as usize;
@@ -838,47 +784,6 @@ impl<'a> DecodedEmulator<'a> {
                         Outcome::Failure
                     });
                 }
-                MicroOp::CmpBrRR {
-                    op,
-                    cond,
-                    d,
-                    a,
-                    b,
-                    ba,
-                    bb,
-                    t,
-                } => {
-                    let av = regs[a as usize].val;
-                    let bv = regs[b as usize].val;
-                    match op.eval(av, bv) {
-                        Some(v) => regs[d as usize] = Word::int(v),
-                        None => fail!(ExecError::DivideByZero { at }),
-                    }
-                    second!();
-                    branch!(
-                        cond.eval(regs[ba as usize].val, regs[bb as usize].val),
-                        t,
-                        at + 1
-                    );
-                }
-                MicroOp::CmpBrRI {
-                    op,
-                    cond,
-                    d,
-                    a,
-                    imm,
-                    ba,
-                    bimm,
-                    t,
-                } => {
-                    let av = regs[a as usize].val;
-                    match op.eval(av, imm as i64) {
-                        Some(v) => regs[d as usize] = Word::int(v),
-                        None => fail!(ExecError::DivideByZero { at }),
-                    }
-                    second!();
-                    branch!(cond.eval(regs[ba as usize].val, bimm as i64), t, at + 1);
-                }
                 MicroOp::TagDeref {
                     a,
                     tag,
@@ -889,7 +794,7 @@ impl<'a> DecodedEmulator<'a> {
                     off,
                 } => {
                     let taken_now = (regs[a as usize].tag == tag) == eq;
-                    predict!(taken_now, at);
+                    predict!(taken_now);
                     if taken_now {
                         if STATS {
                             taken[at] += 1;
@@ -905,22 +810,6 @@ impl<'a> DecodedEmulator<'a> {
                         pc = at + 2;
                     }
                 }
-                MicroOp::MvSt {
-                    d,
-                    s,
-                    s2,
-                    base,
-                    off,
-                } => {
-                    regs[d as usize] = regs[s as usize];
-                    second!();
-                    let addr = regs[base as usize].val + off as i64;
-                    let w = regs[s2 as usize];
-                    if let Err(e) = store(mem, addr, w, at + 1) {
-                        fail!(e);
-                    }
-                    pc = at + 2;
-                }
                 MicroOp::LdMv {
                     d,
                     base,
@@ -935,24 +824,6 @@ impl<'a> DecodedEmulator<'a> {
                     }
                     second!();
                     regs[d2 as usize] = regs[s as usize];
-                    pc = at + 2;
-                }
-                MicroOp::MvIAlu {
-                    d,
-                    imm,
-                    op,
-                    d2,
-                    a,
-                    b,
-                } => {
-                    regs[d as usize] = Word::int(imm as i64);
-                    second!();
-                    let av = regs[a as usize].val;
-                    let bv = regs[b as usize].val;
-                    match op.eval(av, bv) {
-                        Some(v) => regs[d2 as usize] = Word::int(v),
-                        None => fail!(ExecError::DivideByZero { at: at + 1 }),
-                    }
                     pc = at + 2;
                 }
             }

@@ -1,14 +1,13 @@
 //! Profile-guided superinstruction fusion: the second tier of the
 //! decoded emulator.
 //!
-//! [`fuse`] consumes the execution profile of a
-//! [`DecodedEmulator`](crate::decode::DecodedEmulator) run — the
-//! per-pc Expect counts ([`ExecStats`], ranked through the
-//! deterministic [`ExecStats::hot_pcs`] ordering) plus the 2-bit
-//! branch-predictor misprediction counts ([`ExecProfile`]) — and
+//! [`fuse`] consumes the per-pc Expect counts ([`ExecStats`]) of a
+//! [`DecodedEmulator`](crate::decode::DecodedEmulator) profiling run and
 //! re-decodes hot straight-line pairs into fused micro-op
 //! superinstructions, halving the dispatch count on the covered
-//! dynamic ops.
+//! dynamic ops. It fuses the two pair shapes the translated programs
+//! contain: a tag check falling through into its dereferencing load
+//! (`BrTag` → `Ld`) and a load feeding a move (`Ld` → `Mv`).
 //!
 //! ## Legality
 //!
@@ -19,11 +18,9 @@
 //!    direct branch/jump targets, every bound label reachable through
 //!    `JmpR`, and the entry pc) — otherwise an incoming edge would
 //!    skip the head constituent;
-//! 2. both pcs are hot: their Expect counts reach
-//!    [`FuseConfig::min_expect`] in the profile, so fusion never
-//!    touches code the profiling run proved cold or unreachable;
-//! 3. the opcode pair matches a fused record shape, with every folded
-//!    immediate representable in the record's narrowed `i32` fields;
+//! 2. both pcs are hot: the profiling run executed each at least once,
+//!    so fusion never touches code it proved cold or unreachable;
+//! 3. the opcode pair matches a fused record shape;
 //! 4. the pair is *profitable*: its complete-pair execution count (the
 //!    interior's Expect) reaches [`FuseConfig::min_pair_permille`]
 //!    thousandths of the run's total dynamic ops, so a long tail of
@@ -54,36 +51,26 @@
 use crate::decode::{DecodedProgram, ExecProfile, MicroOp};
 use crate::emu::ExecStats;
 use crate::wire::{fnv1a64, Reader, WireError, Writer};
-use crate::word::Tag;
 
 /// Fusion-pass knobs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FuseConfig {
-    /// Minimum Expect count (per constituent pc) for a pair to fuse.
-    /// The default of 1 fuses everything the profiling run actually
-    /// executed and nothing it did not.
-    pub min_expect: u64,
     /// Profitability threshold: the pair's dynamic contribution — its
     /// interior Expect count, i.e. complete pair executions — must
     /// reach this many thousandths of the profiled run's total dynamic
     /// ops. A pair below the threshold can recover at most ~0.1% × the
     /// threshold in dispatch cost, while every fused site widens the
-    /// dispatch footprint of the step loop; on benchmarks dominated by
-    /// a long tail of lukewarm pairs (`serialise`, `sendmore`, `tak`)
-    /// that trade was a net regression. The default of 5‰ keeps only
-    /// pairs whose savings are clearly above timing noise — on the
-    /// benchmark suite it leaves tight recursive loops (`count`-style,
-    /// `query`, `nreverse`) fused and prunes the fan-out-heavy
-    /// programs (`tak`, `qsort`, `serialise`) down to zero pairs, where
-    /// the fused program is bit-identical to the decoded one. 0
-    /// disables the check.
+    /// dispatch footprint of the step loop. At the default of 5‰ the
+    /// benchmark suite fuses 1–9 pairs in each of twelve programs and
+    /// none in `tak`, `qsort`, `serialise` and `zebra`, whose fused
+    /// program is bit-identical to the decoded one. 0 disables the
+    /// check.
     pub min_pair_permille: u64,
 }
 
 impl Default for FuseConfig {
     fn default() -> Self {
         FuseConfig {
-            min_expect: 1,
             min_pair_permille: 5,
         }
     }
@@ -97,7 +84,6 @@ impl FuseConfig {
     /// retired knobs).
     pub fn cache_salt(&self) -> u64 {
         let mut w = Writer::new();
-        w.u64(self.min_expect);
         w.u64(self.min_pair_permille);
         fnv1a64(&w.into_bytes())
     }
@@ -109,16 +95,10 @@ impl FuseConfig {
 pub struct FusionReport {
     /// Fused pairs rewritten into the program.
     pub pairs: u64,
-    /// Compare-and-branch pairs (`CmpBrRR` + `CmpBrRI`).
-    pub cmp_br: u64,
     /// Tag-check + dereferencing-load pairs.
     pub tag_deref: u64,
-    /// Move + store pairs.
-    pub mv_st: u64,
     /// Load + move pairs.
     pub ld_mv: u64,
-    /// Immediate-folded `MvI` + ALU pairs.
-    pub mvi_alu: u64,
     /// Dynamic executions of a complete fused pair under the consumed
     /// profile — each one is a dispatch the fused engine no longer
     /// pays (the interior is only reachable through its head, so this
@@ -129,10 +109,6 @@ pub struct FusionReport {
     pub ops_fused: u64,
     /// Total dynamic ops of the profiling run.
     pub total_ops: u64,
-    /// Profiled 2-bit-predictor misses on the branch constituents of
-    /// fused pairs — diagnostics for how predictable the fused
-    /// compare-and-branch sites are.
-    pub fused_branch_mispredicts: u64,
 }
 
 impl FusionReport {
@@ -149,15 +125,11 @@ impl FusionReport {
     pub fn encode_into(&self, w: &mut Writer) {
         for v in [
             self.pairs,
-            self.cmp_br,
             self.tag_deref,
-            self.mv_st,
             self.ld_mv,
-            self.mvi_alu,
             self.dispatches_saved,
             self.ops_fused,
             self.total_ops,
-            self.fused_branch_mispredicts,
         ] {
             w.u64(v);
         }
@@ -171,15 +143,11 @@ impl FusionReport {
     pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(FusionReport {
             pairs: r.u64()?,
-            cmp_br: r.u64()?,
             tag_deref: r.u64()?,
-            mv_st: r.u64()?,
             ld_mv: r.u64()?,
-            mvi_alu: r.u64()?,
             dispatches_saved: r.u64()?,
             ops_fused: r.u64()?,
             total_ops: r.u64()?,
-            fused_branch_mispredicts: r.u64()?,
         })
     }
 }
@@ -205,59 +173,13 @@ pub fn profile_hash(stats: &ExecStats, profile: &ExecProfile) -> u64 {
 
 /// Which fused shape a pair matched (report bookkeeping).
 enum PairKind {
-    CmpBr,
     TagDeref,
-    MvSt,
     LdMv,
-    MvIAlu,
 }
 
 /// Matches one adjacent micro-op pair against the fused record shapes.
 fn fuse_pair(head: MicroOp, next: MicroOp) -> Option<(MicroOp, PairKind)> {
-    let imm32 = |v: i64| i32::try_from(v).ok();
     match (head, next) {
-        (
-            MicroOp::AluRR { op, d, a, b },
-            MicroOp::BrRR {
-                cond,
-                a: ba,
-                b: bb,
-                t,
-            },
-        ) => Some((
-            MicroOp::CmpBrRR {
-                op,
-                cond,
-                d,
-                a,
-                b,
-                ba,
-                bb,
-                t,
-            },
-            PairKind::CmpBr,
-        )),
-        (
-            MicroOp::AluRI { op, d, a, imm },
-            MicroOp::BrRI {
-                cond,
-                a: ba,
-                imm: bimm,
-                t,
-            },
-        ) => Some((
-            MicroOp::CmpBrRI {
-                op,
-                cond,
-                d,
-                a,
-                imm: imm32(imm)?,
-                ba,
-                bimm: imm32(bimm)?,
-                t,
-            },
-            PairKind::CmpBr,
-        )),
         (MicroOp::BrTag { a, tag, eq, t }, MicroOp::Ld { d, base, off }) => Some((
             MicroOp::TagDeref {
                 a,
@@ -270,16 +192,6 @@ fn fuse_pair(head: MicroOp, next: MicroOp) -> Option<(MicroOp, PairKind)> {
             },
             PairKind::TagDeref,
         )),
-        (MicroOp::Mv { d, s }, MicroOp::St { s: s2, base, off }) => Some((
-            MicroOp::MvSt {
-                d,
-                s,
-                s2,
-                base,
-                off,
-            },
-            PairKind::MvSt,
-        )),
         (MicroOp::Ld { d, base, off }, MicroOp::Mv { d: d2, s }) => Some((
             MicroOp::LdMv {
                 d,
@@ -290,21 +202,6 @@ fn fuse_pair(head: MicroOp, next: MicroOp) -> Option<(MicroOp, PairKind)> {
             },
             PairKind::LdMv,
         )),
-        (MicroOp::MvI { d, w }, MicroOp::AluRR { op, d: d2, a, b })
-            if w.tag == Tag::Int && (a == d || b == d) =>
-        {
-            Some((
-                MicroOp::MvIAlu {
-                    d,
-                    imm: imm32(w.val)?,
-                    op,
-                    d2,
-                    a,
-                    b,
-                },
-                PairKind::MvIAlu,
-            ))
-        }
         _ => None,
     }
 }
@@ -345,9 +242,9 @@ pub fn is_fusion_of(fused: &DecodedProgram, base: &DecodedProgram) -> bool {
     true
 }
 
-/// Re-decodes `program` under the execution profile `(stats, profile)`
-/// into its fused second-tier form, returning the specialized program
-/// and a [`FusionReport`] of what was done.
+/// Re-decodes `program` under the Expect counts of a profiling run
+/// (`stats`) into its fused second-tier form, returning the specialized
+/// program and a [`FusionReport`] of what was done.
 ///
 /// The returned program has the same length, label table, entry pc and
 /// register-file size as the input; only fused head slots differ. It
@@ -358,7 +255,6 @@ pub fn is_fusion_of(fused: &DecodedProgram, base: &DecodedProgram) -> bool {
 pub fn fuse(
     program: &DecodedProgram,
     stats: &ExecStats,
-    profile: &ExecProfile,
     cfg: &FuseConfig,
 ) -> (DecodedProgram, FusionReport) {
     let n = program.len();
@@ -366,20 +262,13 @@ pub fn fuse(
         total_ops: stats.expect.iter().sum(),
         ..FusionReport::default()
     };
-    // The hot set, through the deterministic hot_pcs ranking (count
-    // descending, pc ascending on ties) so the same profile always
-    // yields the same fused program.
-    let mut hot = vec![false; n];
-    for (pc, count) in stats.hot_pcs(n) {
-        if count >= cfg.min_expect.max(1) {
-            hot[pc] = true;
-        }
-    }
+    // The hot set: every pc the profiling run executed.
+    let hot = |pc: usize| stats.expect[pc] > 0;
     let mut micro = program.micro.clone();
     let mut i = 0;
     while i + 1 < n {
         let interior = i + 1;
-        if !hot[i] || !hot[interior] || program.is_branch_target(interior) {
+        if !hot(i) || !hot(interior) || program.is_branch_target(interior) {
             i += 1;
             continue;
         }
@@ -400,18 +289,8 @@ pub fn fuse(
         micro[i] = fused;
         report.pairs += 1;
         match kind {
-            PairKind::CmpBr => {
-                report.cmp_br += 1;
-                report.fused_branch_mispredicts +=
-                    profile.mispredict.get(interior).copied().unwrap_or(0);
-            }
-            PairKind::TagDeref => {
-                report.tag_deref += 1;
-                report.fused_branch_mispredicts += profile.mispredict.get(i).copied().unwrap_or(0);
-            }
-            PairKind::MvSt => report.mv_st += 1,
+            PairKind::TagDeref => report.tag_deref += 1,
             PairKind::LdMv => report.ld_mv += 1,
-            PairKind::MvIAlu => report.mvi_alu += 1,
         }
         // The interior is only reachable by falling through its head
         // (legality rule 1), so its Expect count is exactly the number
@@ -436,9 +315,9 @@ mod tests {
     use crate::decode::DecodedEmulator;
     use crate::emu::{Emulator, ExecConfig, ExecError};
     use crate::layout::Layout;
-    use crate::op::{AluOp, Cond, Label, Op, Operand};
+    use crate::op::{AluOp, Cond, Label, Op, Operand, R};
     use crate::program::IciProgram;
-    use crate::word::Word;
+    use crate::word::{Tag, Word};
 
     fn tiny_layout() -> Layout {
         Layout {
@@ -456,15 +335,21 @@ mod tests {
         a.finish(entry)
     }
 
+    /// The Expect counts of one profiling run of `decoded`.
+    fn profile_of(decoded: &DecodedProgram) -> ExecStats {
+        let (_, stats, _, _) =
+            DecodedEmulator::new(decoded, &tiny_layout()).run_with_profile(&ExecConfig::default());
+        stats
+    }
+
     /// Profiles `p`, fuses, and asserts the fused engine bit-identical
     /// to both the unfused decoded engine and the legacy interpreter —
     /// trace included. Returns the report.
     fn fused_differential(p: &IciProgram, cfg: &ExecConfig) -> FusionReport {
         let layout = tiny_layout();
         let decoded = DecodedProgram::new(p);
-        let (dr, dstats, dsteps, dprof) =
-            DecodedEmulator::new(&decoded, &layout).run_with_profile(cfg);
-        let (fused, report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
+        let (dr, dstats, dsteps, _) = DecodedEmulator::new(&decoded, &layout).run_with_profile(cfg);
+        let (fused, report) = fuse(&decoded, &dstats, &FuseConfig::default());
         assert_eq!(fused.len(), decoded.len(), "fusion must preserve length");
 
         let (lr, lstats, lsteps) = Emulator::new(p, &layout).run_with_stats(cfg);
@@ -498,23 +383,41 @@ mod tests {
         report
     }
 
-    fn counted_loop(bound: i64) -> IciProgram {
+    /// `i = i + 1`.
+    fn bump(a: &mut Asm, i: R) {
+        a.emit(Op::Alu {
+            op: AluOp::Add,
+            d: i,
+            a: i,
+            b: Operand::Imm(1),
+        });
+    }
+
+    /// `Ld w <- mem[base + off]; Mv v <- w`, the load+move pair.
+    fn ld_mv(a: &mut Asm, w: R, v: R, base: R, off: i32) {
+        a.emit(Op::Ld { d: w, base, off });
+        a.emit(Op::Mv { d: v, s: w });
+    }
+
+    /// A counted loop whose body opens with a load+move pair: head at
+    /// pc 2, interior at pc 3.
+    fn ld_mv_loop(bound: i64) -> IciProgram {
         assemble(|a| {
             let e = a.fresh_label();
             let lp = a.fresh_label();
-            let i = a.fresh_reg();
+            let (i, base, w, v) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
             a.bind(e);
             a.emit(Op::MvI {
                 d: i,
                 w: Word::int(0),
             });
-            a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
+            a.emit(Op::MvI {
+                d: base,
+                w: Word::int(8),
             });
+            a.bind(lp);
+            ld_mv(a, w, v, base, 0);
+            bump(a, i);
             a.emit(Op::Br {
                 cond: Cond::Lt,
                 a: i,
@@ -526,153 +429,157 @@ mod tests {
         })
     }
 
+    /// A counted loop that dereferences a self-referencing cell: the
+    /// tag check at pc 4 falls through into its load at pc 5 on every
+    /// lap.
+    fn deref_loop(bound: i64) -> IciProgram {
+        assemble(|a| {
+            let e = a.fresh_label();
+            let lp = a.fresh_label();
+            let done = a.fresh_label();
+            let (i, p, r) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
+            a.bind(e);
+            a.emit(Op::MvI {
+                d: i,
+                w: Word::int(0),
+            });
+            a.emit(Op::MvI {
+                d: p,
+                w: Word::int(8),
+            });
+            a.emit(Op::MkTag {
+                d: r,
+                s: p,
+                tag: Tag::Ref,
+            });
+            a.emit(Op::St {
+                s: r,
+                base: p,
+                off: 0,
+            });
+            a.bind(lp);
+            a.emit(Op::BrTag {
+                a: r,
+                tag: Tag::Ref,
+                eq: false,
+                t: done,
+            });
+            a.emit(Op::Ld {
+                d: r,
+                base: r,
+                off: 0,
+            });
+            bump(a, i);
+            a.emit(Op::Br {
+                cond: Cond::Lt,
+                a: i,
+                b: Operand::Imm(bound),
+                t: lp,
+            });
+            a.bind(done);
+            a.emit(Op::Halt { success: true });
+            e
+        })
+    }
+
     #[test]
-    fn counted_loop_fuses_to_cmp_br_and_stays_bit_identical() {
-        let p = counted_loop(100);
-        let report = fused_differential(&p, &ExecConfig::default());
-        assert_eq!(report.cmp_br, 1, "the add+branch pair must fuse");
+    fn a_hot_ld_mv_loop_fuses_and_stays_bit_identical() {
+        let report = fused_differential(&ld_mv_loop(100), &ExecConfig::default());
+        assert_eq!((report.pairs, report.ld_mv), (1, 1), "{report:?}");
         assert_eq!(report.dispatches_saved, 100);
-        assert!(report.coverage() > 0.5, "coverage {}", report.coverage());
-        assert_eq!(report.fused_branch_mispredicts, 2);
+        assert_eq!(report.ops_fused, 200);
+        assert_eq!(report.total_ops, 4 * 100 + 3);
     }
 
     #[test]
     fn step_limit_between_constituents_is_bit_identical() {
-        // Odd limits land the step boundary *inside* a fused pair; the
-        // fused engine must stop at exactly the same step with exactly
-        // the same partial statistics as the unfused engines.
-        let p = counted_loop(1000);
-        for limit in 0..30 {
-            fused_differential(&p, &ExecConfig { max_steps: limit });
+        // Limits of every parity land the step boundary *inside* a
+        // fused pair; the fused engine must stop at exactly the same
+        // step with exactly the same partial statistics as the unfused
+        // engines.
+        for p in [ld_mv_loop(1000), deref_loop(1000)] {
+            for limit in 0..30 {
+                fused_differential(&p, &ExecConfig { max_steps: limit });
+            }
         }
     }
 
     #[test]
     fn errors_inside_fused_pairs_keep_their_constituent_index() {
-        // Divide by zero in the *head* of a fused compare-and-branch.
-        let p = assemble(|a| {
-            let e = a.fresh_label();
-            let x = a.fresh_reg();
-            a.bind(e);
-            a.emit(Op::MvI {
-                d: x,
-                w: Word::int(5),
-            });
-            a.emit(Op::Alu {
-                op: AluOp::Div,
-                d: x,
-                a: x,
-                b: Operand::Imm(0),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: x,
-                b: Operand::Imm(10),
-                t: e,
-            });
-            a.emit(Op::Halt { success: true });
-            e
-        });
-        // Run it twice so the divide site is hot on the profiling run:
-        // with max_steps high the first execution already faults, which
-        // is what the profile sees — the pair still fuses (expect >= 1).
-        let layout = tiny_layout();
+        // Each loop walks its load address down from 2 and faults on
+        // the lap that reaches -1, so the profiling run executes the
+        // whole pair three times and the pair fuses.
+        let walk = |tag_check: bool| {
+            assemble(|a| {
+                let e = a.fresh_label();
+                let lp = a.fresh_label();
+                let done = a.fresh_label();
+                let (p, x, y) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
+                a.bind(e);
+                a.emit(Op::MvI {
+                    d: p,
+                    w: Word {
+                        tag: Tag::Ref,
+                        val: 2,
+                    },
+                });
+                a.bind(lp);
+                if tag_check {
+                    // BrTag + Ld: the load is the interior.
+                    a.emit(Op::BrTag {
+                        a: p,
+                        tag: Tag::Int,
+                        eq: true,
+                        t: done,
+                    });
+                    a.emit(Op::Ld {
+                        d: x,
+                        base: p,
+                        off: 0,
+                    });
+                } else {
+                    // Ld + Mv: the load is the head.
+                    ld_mv(a, x, y, p, 0);
+                }
+                a.emit(Op::AddA {
+                    d: p,
+                    a: p,
+                    b: Operand::Imm(-1),
+                });
+                a.emit(Op::Jmp { t: lp });
+                a.bind(done);
+                a.emit(Op::Halt { success: true });
+                e
+            })
+        };
         let cfg = ExecConfig::default();
-        let decoded = DecodedProgram::new(&p);
-        let (dr, dstats, _, dprof) = DecodedEmulator::new(&decoded, &layout).run_with_profile(&cfg);
-        assert_eq!(dr, Err(ExecError::DivideByZero { at: 1 }));
-        let (fused, report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
-        // The branch at pc 2 never executed, so the pair (1, 2) is not
-        // hot and must NOT fuse — profile-guided means exactly that.
-        assert_eq!(report.pairs, 0);
-        let (fr, _, _) = DecodedEmulator::new(&fused, &layout).run_with_stats(&cfg);
-        assert_eq!(fr, Err(ExecError::DivideByZero { at: 1 }));
+        for (tag_check, load_at) in [(true, 2), (false, 1)] {
+            let p = walk(tag_check);
+            let report = fused_differential(&p, &cfg);
+            assert_eq!(report.pairs, 1, "{report:?}");
+            assert_eq!(report.tag_deref, u64::from(tag_check));
+            let err = Emulator::new(&p, &tiny_layout()).run(&cfg).unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::BadAddress {
+                    addr: -1,
+                    at: load_at
+                },
+                "the load's own index, head or interior"
+            );
+        }
     }
 
     #[test]
-    fn bad_store_in_fused_mv_st_reports_the_interior_index() {
-        let p = assemble(|a| {
-            let e = a.fresh_label();
-            let lp = a.fresh_label();
-            let i = a.fresh_reg();
-            let v = a.fresh_reg();
-            let base = a.fresh_reg();
-            a.bind(e);
-            a.emit(Op::MvI {
-                d: i,
-                w: Word::int(0),
-            });
-            a.emit(Op::MvI {
-                d: base,
-                w: Word::int(0),
-            });
-            a.bind(lp);
-            // Mv + St pair: store through `base`, which walks off the
-            // end of memory after enough iterations... but here `base`
-            // goes negative immediately on the second lap.
-            a.emit(Op::Mv { d: v, s: i });
-            a.emit(Op::St {
-                s: v,
-                base,
-                off: -1,
-            });
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: i,
-                b: Operand::Imm(4),
-                t: lp,
-            });
-            a.emit(Op::Halt { success: true });
-            e
-        });
-        let report = fused_differential(&p, &ExecConfig::default());
-        // The store faults on its very first execution (addr -1), so
-        // the profiling run never sees the pair complete — but both
-        // halves have expect >= 1?  The Mv ran once, the St ran once
-        // (and faulted): the pair is hot and fuses.
-        assert_eq!(report.mv_st, 1);
-        let layout = tiny_layout();
-        let decoded = DecodedProgram::new(&p);
-        let (dr, dstats, _, dprof) =
-            DecodedEmulator::new(&decoded, &layout).run_with_profile(&ExecConfig::default());
-        let (fused, _) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
-        let (fr, _, _) =
-            DecodedEmulator::new(&fused, &layout).run_with_stats(&ExecConfig::default());
-        assert_eq!(fr, dr, "fault index must be the St constituent's own index");
-        assert!(
-            matches!(fr, Err(ExecError::BadAddress { at: 3, .. })),
-            "{fr:?}"
-        );
-    }
-
-    #[test]
-    fn tag_deref_load_mviaiu_and_ld_mv_pairs_fuse_and_match() {
+    fn tag_deref_and_ld_mv_pairs_fuse_and_match() {
         let p = assemble(|a| {
             let e = a.fresh_label();
             let lp = a.fresh_label();
             let done = a.fresh_label();
-            let i = a.fresh_reg();
             let base = a.fresh_reg();
             let v = a.fresh_reg();
             let w = a.fresh_reg();
             a.bind(e);
-            // MvI + AluRR immediate-folding pair.
-            a.emit(Op::MvI {
-                d: i,
-                w: Word::int(3),
-            });
-            a.emit(Op::Alu {
-                op: AluOp::Mul,
-                d: i,
-                a: i,
-                b: Operand::Reg(i),
-            });
             a.emit(Op::MvI {
                 d: base,
                 w: Word::int(8),
@@ -686,8 +593,7 @@ mod tests {
             a.emit(Op::St { s: v, base, off: 0 });
             a.bind(lp);
             // Ld + Mv pair.
-            a.emit(Op::Ld { d: w, base, off: 0 });
-            a.emit(Op::Mv { d: v, s: w });
+            ld_mv(a, w, v, base, 0);
             // BrTag + Ld pair: fall through into the deref load once
             // (the loaded word is Ref-tagged the first time).
             a.emit(Op::BrTag {
@@ -710,38 +616,34 @@ mod tests {
             e
         });
         let report = fused_differential(&p, &ExecConfig::default());
-        assert!(report.mvi_alu >= 1, "MvI+Alu folded: {report:?}");
-        assert!(report.ld_mv >= 1, "Ld+Mv fused: {report:?}");
-        assert!(report.tag_deref >= 1, "BrTag+Ld fused: {report:?}");
+        assert_eq!(report.ld_mv, 1, "Ld+Mv fused: {report:?}");
+        assert_eq!(report.tag_deref, 1, "BrTag+Ld fused: {report:?}");
+        let report = fused_differential(&deref_loop(100), &ExecConfig::default());
+        assert_eq!((report.pairs, report.tag_deref), (1, 1), "{report:?}");
+        assert_eq!(report.dispatches_saved, 100);
     }
 
-    #[test]
-    fn branch_target_interiors_are_never_fused() {
-        // The Alu at pc 1 is the loop target: a pair (0, 1) would bury
-        // a branch target as an interior and must be rejected even
-        // though MvI+Alu matches the immediate-folding shape.
-        let p = assemble(|a| {
+    /// A load+move pair whose move is the loop head (pc 3), then a
+    /// second load+move pair inside the loop (pcs 4 and 5).
+    fn ld_mv_into_a_loop_head() -> IciProgram {
+        assemble(|a| {
             let e = a.fresh_label();
             let lp = a.fresh_label();
-            let i = a.fresh_reg();
+            let (base, i, w, v) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
             a.bind(e);
+            a.emit(Op::MvI {
+                d: base,
+                w: Word::int(8),
+            });
             a.emit(Op::MvI {
                 d: i,
                 w: Word::int(0),
             });
+            a.emit(Op::Ld { d: w, base, off: 0 });
             a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Reg(i),
-            });
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
-            });
+            a.emit(Op::Mv { d: v, s: w });
+            ld_mv(a, w, v, base, 1);
+            bump(a, i);
             a.emit(Op::Br {
                 cond: Cond::Lt,
                 a: i,
@@ -750,33 +652,42 @@ mod tests {
             });
             a.emit(Op::Halt { success: true });
             e
-        });
-        let layout = tiny_layout();
+        })
+    }
+
+    #[test]
+    fn branch_target_interiors_are_never_fused() {
+        // The Mv at pc 3 is the loop target: a pair (2, 3) would bury
+        // a branch target as an interior and must be rejected even
+        // though Ld+Mv matches a fused shape.
+        let p = ld_mv_into_a_loop_head();
         let decoded = DecodedProgram::new(&p);
-        assert!(decoded.is_branch_target(1), "loop head is a target");
-        assert!(!decoded.is_branch_target(2));
-        let (_, dstats, _, dprof) =
-            DecodedEmulator::new(&decoded, &layout).run_with_profile(&ExecConfig::default());
-        let (fused, report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
-        assert_eq!(report.mvi_alu, 0, "pair (0,1) must not fuse");
-        assert_eq!(report.cmp_br, 1, "pair (2,3) fuses fine");
-        assert!(matches!(fused.micro[0], MicroOp::MvI { .. }));
-        assert!(matches!(fused.micro[2], MicroOp::CmpBrRI { .. }));
+        assert!(decoded.is_branch_target(3), "loop head is a target");
+        assert!(!decoded.is_branch_target(5));
+        let (fused, report) = fuse(&decoded, &profile_of(&decoded), &FuseConfig::default());
+        assert_eq!(report.ld_mv, 1, "only pair (4, 5) fuses: {report:?}");
+        assert!(matches!(fused.micro[2], MicroOp::Ld { .. }));
+        assert!(matches!(fused.micro[4], MicroOp::LdMv { .. }));
         fused_differential(&p, &ExecConfig::default());
     }
 
     #[test]
     fn cold_code_is_left_alone() {
-        // The add+branch pair behind the never-taken guard never runs;
-        // with the default min_expect = 1 it must stay unfused.
+        // The load+move pair behind the always-taken guard never runs;
+        // it must stay unfused even with the profitability threshold
+        // off.
         let p = assemble(|a| {
             let e = a.fresh_label();
             let skip = a.fresh_label();
-            let i = a.fresh_reg();
+            let (i, base, w, v) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
             a.bind(e);
             a.emit(Op::MvI {
                 d: i,
                 w: Word::int(0),
+            });
+            a.emit(Op::MvI {
+                d: base,
+                w: Word::int(8),
             });
             a.emit(Op::Br {
                 cond: Cond::Eq,
@@ -784,65 +695,48 @@ mod tests {
                 b: Operand::Imm(0),
                 t: skip,
             });
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: i,
-                b: Operand::Imm(10),
-                t: e,
-            });
+            ld_mv(a, w, v, base, 0);
             a.bind(skip);
             a.emit(Op::Halt { success: true });
             e
         });
-        let layout = tiny_layout();
         let decoded = DecodedProgram::new(&p);
-        let (_, dstats, _, dprof) =
-            DecodedEmulator::new(&decoded, &layout).run_with_profile(&ExecConfig::default());
-        let (_, report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
-        assert_eq!(report.pairs, 0, "cold pair must not fuse: {report:?}");
+        let stats = profile_of(&decoded);
+        for cfg in [
+            FuseConfig::default(),
+            FuseConfig {
+                min_pair_permille: 0,
+            },
+        ] {
+            let (_, report) = fuse(&decoded, &stats, &cfg);
+            assert_eq!(report.pairs, 0, "cold pair must not fuse: {report:?}");
+        }
     }
 
     #[test]
     fn low_coverage_pairs_are_skipped_by_the_profitability_threshold() {
-        // A once-executed straight-line MvI+Alu prologue in front of a
-        // hot counted loop: the prologue pair matches a fused shape and
-        // is "hot" under min_expect = 1, but its single execution is
-        // ~0.3‰ of the run — below the default 5‰ profitability
-        // threshold it must stay unfused, while the loop pair (~333‰)
-        // fuses as before.
+        // A once-executed load+move prologue in front of a hot counted
+        // loop that opens with another: the prologue pair is hot (it
+        // ran), but its single execution is ~0.25‰ of the run — below
+        // the default 5‰ profitability threshold it must stay unfused,
+        // while the loop pair (~250‰) fuses.
         let p = assemble(|a| {
             let e = a.fresh_label();
             let lp = a.fresh_label();
-            let x = a.fresh_reg();
-            let i = a.fresh_reg();
+            let (base, i, w, v) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
             a.bind(e);
             a.emit(Op::MvI {
-                d: x,
-                w: Word::int(3),
-            });
-            a.emit(Op::Alu {
-                op: AluOp::Mul,
-                d: x,
-                a: x,
-                b: Operand::Reg(x),
+                d: base,
+                w: Word::int(8),
             });
             a.emit(Op::MvI {
                 d: i,
                 w: Word::int(0),
             });
+            ld_mv(a, w, v, base, 0);
             a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
-            });
+            ld_mv(a, w, v, base, 1);
+            bump(a, i);
             a.emit(Op::Br {
                 cond: Cond::Lt,
                 a: i,
@@ -852,21 +746,17 @@ mod tests {
             a.emit(Op::Halt { success: true });
             e
         });
-        let layout = tiny_layout();
         let decoded = DecodedProgram::new(&p);
-        let (_, dstats, _, dprof) =
-            DecodedEmulator::new(&decoded, &layout).run_with_profile(&ExecConfig::default());
-        let (_, report) = fuse(&decoded, &dstats, &dprof, &FuseConfig::default());
-        assert_eq!(report.mvi_alu, 0, "cold prologue pair skipped: {report:?}");
-        assert_eq!(report.cmp_br, 1, "hot loop pair still fuses");
-        // Disabling the threshold restores the old greedy behavior.
+        let stats = profile_of(&decoded);
+        let (fused, report) = fuse(&decoded, &stats, &FuseConfig::default());
+        assert_eq!(report.ld_mv, 1, "cold prologue pair skipped: {report:?}");
+        assert!(matches!(fused.micro[2], MicroOp::Ld { .. }));
+        // Disabling the threshold fuses every hot legal pair.
         let permissive = FuseConfig {
             min_pair_permille: 0,
-            ..FuseConfig::default()
         };
-        let (_, all) = fuse(&decoded, &dstats, &dprof, &permissive);
-        assert_eq!(all.mvi_alu, 1);
-        assert_eq!(all.cmp_br, 1);
+        let (_, all) = fuse(&decoded, &stats, &permissive);
+        assert_eq!(all.ld_mv, 2);
         // The threshold is part of the cache salt: a knob change must
         // invalidate cached fused artifacts.
         assert_ne!(
@@ -883,51 +773,20 @@ mod tests {
     }
 
     #[test]
-    fn oversized_immediates_are_not_folded() {
-        let p = assemble(|a| {
-            let e = a.fresh_label();
-            let lp = a.fresh_label();
-            let i = a.fresh_reg();
-            a.bind(e);
-            a.emit(Op::MvI {
-                d: i,
-                w: Word::int(0),
-            });
-            a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1 << 40),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: i,
-                b: Operand::Imm(1 << 42),
-                t: lp,
-            });
-            a.emit(Op::Halt { success: true });
-            e
-        });
-        let report = fused_differential(&p, &ExecConfig::default());
-        assert_eq!(report.cmp_br, 0, "i64 immediates cannot narrow to i32");
-    }
-
-    #[test]
     fn fusion_is_deterministic_and_profile_hash_is_stable() {
-        let p = counted_loop(64);
+        let p = ld_mv_loop(64);
         let layout = tiny_layout();
         let decoded = DecodedProgram::new(&p);
         let cfg = ExecConfig::default();
         let (_, s1, _, p1) = DecodedEmulator::new(&decoded, &layout).run_with_profile(&cfg);
         let (_, s2, _, p2) = DecodedEmulator::new(&decoded, &layout).run_with_profile(&cfg);
         assert_eq!(profile_hash(&s1, &p1), profile_hash(&s2, &p2));
-        let (f1, r1) = fuse(&decoded, &s1, &p1, &FuseConfig::default());
-        let (f2, r2) = fuse(&decoded, &s2, &p2, &FuseConfig::default());
+        let (f1, r1) = fuse(&decoded, &s1, &FuseConfig::default());
+        let (f2, r2) = fuse(&decoded, &s2, &FuseConfig::default());
         assert_eq!(r1, r2);
         assert_eq!(f1.to_wire_bytes(), f2.to_wire_bytes());
         // A different profile (shorter loop) hashes differently.
-        let q = counted_loop(65);
+        let q = ld_mv_loop(65);
         let dq = DecodedProgram::new(&q);
         let (_, s3, _, p3) = DecodedEmulator::new(&dq, &layout).run_with_profile(&cfg);
         assert_ne!(profile_hash(&s1, &p1), profile_hash(&s3, &p3));
@@ -943,118 +802,98 @@ mod tests {
     /// The base program of `p` and its fusion under its own profile.
     fn base_and_fused(p: &IciProgram) -> (DecodedProgram, DecodedProgram) {
         let base = DecodedProgram::new(p);
-        let (_, stats, _, profile) =
-            DecodedEmulator::new(&base, &tiny_layout()).run_with_profile(&ExecConfig::default());
-        let (fused, report) = fuse(&base, &stats, &profile, &FuseConfig::default());
+        let (fused, report) = fuse(&base, &profile_of(&base), &FuseConfig::default());
         assert!(report.pairs > 0, "the test needs a fused pair");
         (base, fused)
     }
 
     #[test]
     fn fusions_are_recognised_and_the_base_is_its_own_fusion() {
-        let (base, fused) = base_and_fused(&counted_loop(100));
-        assert!(is_fusion_of(&fused, &base));
-        assert!(is_fusion_of(&base, &base), "zero pairs is a fusion");
-        assert!(
-            !is_fusion_of(&base, &fused),
-            "a fused head is no base record"
-        );
+        for p in [ld_mv_loop(100), deref_loop(100)] {
+            let (base, fused) = base_and_fused(&p);
+            assert!(is_fusion_of(&fused, &base));
+            assert!(is_fusion_of(&base, &base), "zero pairs is a fusion");
+            assert!(
+                !is_fusion_of(&base, &fused),
+                "a fused head is no base record"
+            );
+        }
     }
 
     #[test]
     fn a_head_over_a_branch_target_is_not_a_fusion() {
-        // pc 1 is the loop target; MvI at 0 and the Alu at 1 match the
-        // immediate-folding shape, but the loop would skip the head.
-        let p = assemble(|a| {
-            let e = a.fresh_label();
-            let lp = a.fresh_label();
-            let i = a.fresh_reg();
-            a.bind(e);
-            a.emit(Op::MvI {
-                d: i,
-                w: Word::int(0),
-            });
-            a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Reg(i),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: i,
-                b: Operand::Imm(50),
-                t: lp,
-            });
-            a.emit(Op::Halt { success: true });
-            e
-        });
-        let base = DecodedProgram::new(&p);
-        assert!(base.is_branch_target(1));
-        let (head, _) = fuse_pair(base.micro[0], base.micro[1]).expect("a fused shape");
-        assert!(!is_fusion_of(&with_record(&base, 0, head), &base));
-    }
-
-    #[test]
-    fn a_changed_interior_is_not_a_fusion() {
-        let (base, fused) = base_and_fused(&counted_loop(100));
-        // The loop's add+branch pair: head at pc 1, interior at pc 2.
-        assert!(matches!(fused.micro[1], MicroOp::CmpBrRI { .. }));
-        let mut interior = fused.micro[2];
-        let MicroOp::BrRI { imm, .. } = &mut interior else {
-            panic!("interior kept: {interior:?}");
-        };
-        *imm += 1;
-        assert!(!is_fusion_of(&with_record(&fused, 2, interior), &base));
-    }
-
-    #[test]
-    fn a_head_the_matcher_would_not_build_is_not_a_fusion() {
-        let (base, fused) = base_and_fused(&counted_loop(100));
-        let mut head = fused.micro[1];
-        let MicroOp::CmpBrRI { bimm, .. } = &mut head else {
-            panic!("head at pc 1: {head:?}");
-        };
-        *bimm += 1;
-        assert!(!is_fusion_of(&with_record(&fused, 1, head), &base));
-        // Nor is a head over a base pair with no fused shape: the
-        // branch at pc 2 and the halt behind it.
-        assert!(!base.is_branch_target(3));
+        // pc 3 is the loop target; the Ld at 2 and the Mv at 3 match
+        // the load+move shape, but the loop would skip the head.
+        let base = DecodedProgram::new(&ld_mv_into_a_loop_head());
+        assert!(base.is_branch_target(3));
+        let (head, _) = fuse_pair(base.micro[2], base.micro[3]).expect("a fused shape");
         assert!(!is_fusion_of(&with_record(&base, 2, head), &base));
     }
 
     #[test]
+    fn a_changed_interior_is_not_a_fusion() {
+        let (base, fused) = base_and_fused(&ld_mv_loop(100));
+        // The loop's load+move pair: head at pc 2, interior at pc 3.
+        assert!(matches!(fused.micro[2], MicroOp::LdMv { .. }));
+        let mut interior = fused.micro[3];
+        let MicroOp::Mv { s, .. } = &mut interior else {
+            panic!("interior kept: {interior:?}");
+        };
+        *s += 1;
+        assert!(!is_fusion_of(&with_record(&fused, 3, interior), &base));
+    }
+
+    #[test]
+    fn a_head_the_matcher_would_not_build_is_not_a_fusion() {
+        let (base, fused) = base_and_fused(&ld_mv_loop(100));
+        let mut head = fused.micro[2];
+        let MicroOp::LdMv { off, .. } = &mut head else {
+            panic!("head at pc 2: {head:?}");
+        };
+        *off += 1;
+        assert!(!is_fusion_of(&with_record(&fused, 2, head), &base));
+        // Nor is a head over a base pair with no fused shape: the add
+        // at pc 4 and the branch behind it.
+        assert!(!base.is_branch_target(5));
+        assert!(!is_fusion_of(&with_record(&base, 4, fused.micro[2]), &base));
+    }
+
+    #[test]
     fn overlapping_pairs_are_not_a_fusion() {
-        // Ld, Mv, St: (1, 2) is a Ld+Mv pair and (2, 3) a Mv+St pair.
+        // BrTag, Ld, Mv: (1, 2) is a BrTag+Ld pair and (2, 3) a Ld+Mv
+        // pair.
         let p = assemble(|a| {
             let e = a.fresh_label();
-            let base = a.fresh_reg();
-            let w = a.fresh_reg();
-            let v = a.fresh_reg();
+            let done = a.fresh_label();
+            let (base, w, v) = (a.fresh_reg(), a.fresh_reg(), a.fresh_reg());
             a.bind(e);
             a.emit(Op::MvI {
                 d: base,
                 w: Word::int(8),
             });
-            a.emit(Op::Ld { d: w, base, off: 0 });
-            a.emit(Op::Mv { d: v, s: w });
-            a.emit(Op::St { s: v, base, off: 1 });
+            a.emit(Op::BrTag {
+                a: base,
+                tag: Tag::Ref,
+                eq: true,
+                t: done,
+            });
+            ld_mv(a, w, v, base, 0);
+            a.bind(done);
             a.emit(Op::Halt { success: true });
             e
         });
         let base = DecodedProgram::new(&p);
-        let (ld_mv, _) = fuse_pair(base.micro[1], base.micro[2]).expect("Ld+Mv");
-        let (mv_st, _) = fuse_pair(base.micro[2], base.micro[3]).expect("Mv+St");
-        let first = with_record(&base, 1, ld_mv);
+        let (tag_deref, _) = fuse_pair(base.micro[1], base.micro[2]).expect("BrTag+Ld");
+        let (ld_mv, _) = fuse_pair(base.micro[2], base.micro[3]).expect("Ld+Mv");
+        let first = with_record(&base, 1, tag_deref);
         assert!(is_fusion_of(&first, &base));
-        assert!(is_fusion_of(&with_record(&base, 2, mv_st), &base));
-        assert!(!is_fusion_of(&with_record(&first, 2, mv_st), &base));
+        assert!(is_fusion_of(&with_record(&base, 2, ld_mv), &base));
+        assert!(!is_fusion_of(&with_record(&first, 2, ld_mv), &base));
     }
 
     #[test]
     fn a_different_label_table_entry_or_register_file_is_not_a_fusion() {
-        let (base, fused) = base_and_fused(&counted_loop(100));
+        let (base, fused) = base_and_fused(&ld_mv_loop(100));
         let parts = |label_pc: Vec<u32>, entry_pc: usize, num_regs: usize| {
             DecodedProgram::from_parts(fused.micro.clone(), label_pc, entry_pc, num_regs)
         };
@@ -1082,19 +921,16 @@ mod tests {
     fn fusion_report_round_trips_on_the_wire() {
         let r = FusionReport {
             pairs: 3,
-            cmp_br: 1,
             tag_deref: 1,
-            mv_st: 0,
-            ld_mv: 1,
-            mvi_alu: 0,
+            ld_mv: 2,
             dispatches_saved: 1234,
             ops_fused: 2500,
             total_ops: 9000,
-            fused_branch_mispredicts: 7,
         };
         let mut w = Writer::new();
         r.encode_into(&mut w);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 6 * 8, "six u64 fields");
         let mut rd = Reader::new(&bytes);
         let back = FusionReport::decode_from(&mut rd).expect("decodes");
         rd.finish().expect("fully consumed");

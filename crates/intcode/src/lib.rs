@@ -17,10 +17,10 @@
 //!   substantially faster per step — running on the recycled
 //!   [`mem::DataMem`], which resets only the pages a run wrote, and
 //! * the profile-guided [`fuse()`] pass — the second tier: hot
-//!   straight-line pairs from a `run_with_profile` execution profile
-//!   are re-decoded into fused superinstructions
-//!   (compare-and-branch, tag-check-and-deref, move+store, ...) that
-//!   halve dispatch on the covered dynamic ops while staying
+//!   straight-line pairs from a profiling run's Expect counts are
+//!   re-decoded into fused superinstructions (tag-check-and-deref and
+//!   load+move, the two pair shapes the translated programs contain)
+//!   that halve dispatch on the covered dynamic ops while staying
 //!   bit-identical to both unfused engines.
 //!
 //! ```
@@ -41,6 +41,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod asm;
 pub mod batch;

@@ -54,7 +54,7 @@ pub const MAGIC: [u8; 8] = *b"SYMBART\0";
 /// Container format version this build reads and writes. Bump on any
 /// layout change; old versions are rejected (and recompiled), never
 /// migrated.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// What an artifact holds, as stored in the kind byte.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -448,7 +448,7 @@ mod tests {
         let key = ArtifactKey::fused(SRC, &Layout::default(), tier.profile_hash, 0);
         let fused = encode_fused(&key, &tier.program, tier.profile_hash, &tier.report);
         for (bytes, kind) in [(emulator, 0), (fused, 2)] {
-            assert_eq!(bytes[8..12], 1u32.to_le_bytes(), "format version 1");
+            assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "format version 2");
             assert_eq!(bytes[28], kind);
             decode(&bytes).expect("decodes");
         }
@@ -474,7 +474,6 @@ mod tests {
         assert_ne!(a.config_hash, c.config_hash, "the layout is in the key");
         let retuned = symbol_intcode::FuseConfig {
             min_pair_permille: 500,
-            ..symbol_intcode::FuseConfig::default()
         };
         let d = ArtifactKey::fused(src, &layout, 1, retuned.cache_salt());
         assert_ne!(

@@ -546,6 +546,74 @@ mod tests {
         );
     }
 
+    /// `bytes` restamped with format `version` and its checksum
+    /// recomputed, so the version is the entry's only defect.
+    fn restamped(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let body = bytes.len() - 8;
+        let checksum = symbol_intcode::wire::fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_version_1_cache_is_counted_corrupt_removed_and_rebuilt() {
+        let t = TempDir::new("oldversion");
+        let layout = Layout::default();
+        ArtifactCache::new(&t.0, Registry::new())
+            .expect("open cache")
+            .load_compiled_fused_shared(LOOP_SRC, layout)
+            .expect("seed");
+        // The cache as a version-1 build left it: the version stamp is
+        // read before anything else, so the rest of each file does not
+        // matter.
+        let obs = Registry::new();
+        let cache = ArtifactCache::new(&t.0, obs.clone()).expect("reopen cache");
+        let salt = symbol_intcode::FuseConfig::default().cache_salt();
+        let paths = [
+            cache.path_for(
+                &ArtifactKey::emulator(LOOP_SRC, &layout),
+                PayloadKind::Emulator,
+            ),
+            cache.path_for(
+                &ArtifactKey::fused(LOOP_SRC, &layout, 0, salt),
+                PayloadKind::Fused,
+            ),
+        ];
+        for path in &paths {
+            let bytes = std::fs::read(path).expect("read back");
+            std::fs::write(path, restamped(bytes, 1)).expect("restamp");
+        }
+
+        let rebuilt = cache
+            .load_compiled_fused_shared(LOOP_SRC, layout)
+            .expect("rebuilds");
+        assert!(rebuilt.front.is_some(), "the base image was recompiled");
+        assert!(rebuilt.fused.is_some(), "and re-fused");
+        for name in ["serve.cache.corrupt", "serve.cache.store"] {
+            assert_eq!(counter(&obs, name), 1, "emulator {name}");
+            assert_eq!(fused_counter(&obs, name), 1, "fused {name}");
+        }
+        assert_eq!(span_count(&obs, "serve.fuse"), 1);
+        for path in &paths {
+            let bytes = std::fs::read(path).expect("replaced entry");
+            assert_eq!(bytes[8..12], artifact::FORMAT_VERSION.to_le_bytes());
+        }
+
+        // The next start is warm on both entries.
+        let warm = cache
+            .load_compiled_fused_shared(LOOP_SRC, layout)
+            .expect("warm");
+        assert!(warm.front.is_none(), "the base image was read back");
+        assert_eq!(counter(&obs, "serve.cache.hit"), 1);
+        assert_eq!(fused_counter(&obs, "serve.cache.hit"), 1);
+        assert_eq!(span_count(&obs, "serve.fuse"), 1, "no second fusion");
+        assert_eq!(
+            warm.fused.as_ref().unwrap().program.to_wire_bytes(),
+            rebuilt.fused.as_ref().unwrap().program.to_wire_bytes()
+        );
+    }
+
     #[test]
     fn truncated_entry_recompiles_cleanly() {
         let t = TempDir::new("trunc");

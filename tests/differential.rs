@@ -77,10 +77,10 @@ fn emulator_fused_matches_decoded_and_legacy_on_every_benchmark() {
         let legacy = Emulator::new(&compiled.ici, &compiled.layout)
             .run(&cfg)
             .expect("legacy run");
-        let (dres, dstats, dsteps, dprof) =
+        let (dres, dstats, dsteps, _) =
             DecodedEmulator::new(&compiled.decoded, &compiled.layout).run_with_profile(&cfg);
         let doutcome = dres.expect("decoded run");
-        let (fused, report) = fuse(&compiled.decoded, &dstats, &dprof, &FuseConfig::default());
+        let (fused, report) = fuse(&compiled.decoded, &dstats, &FuseConfig::default());
         total_pairs.fetch_add(report.pairs, Ordering::Relaxed);
 
         let (fres, fstats, fsteps) =
@@ -196,13 +196,12 @@ fn first_whole_pair(program: &DecodedProgram, layout: &Layout, full: u64) -> Opt
 fn fused_programs_are_legal_fusions_of_their_base_on_every_benchmark() {
     let every_pair = FuseConfig {
         min_pair_permille: 0,
-        ..FuseConfig::default()
     };
     for_each_benchmark(|b| {
         let compiled = Compiled::from_source(b.source).expect("compiles");
-        let (stats, profile, _) = compiled.profile().expect("profiles");
+        let (stats, _, _) = compiled.profile().expect("profiles");
         let pairs = [FuseConfig::default(), every_pair].map(|cfg| {
-            let (fused, report) = fuse(&compiled.decoded, &stats, &profile, &cfg);
+            let (fused, report) = fuse(&compiled.decoded, &stats, &cfg);
             assert!(
                 is_fusion_of(&fused, &compiled.decoded),
                 "{}: {cfg:?}",
