@@ -22,7 +22,7 @@
 //!
 //! Every answer must carry the sequential engine's step count. That
 //! answers are bit-identical for every worker count, batch size and
-//! tier is `tests/determinism.rs`'s to check.
+//! tier is the agreement suite's (`tests/agreement/`) to check.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -465,7 +465,7 @@ impl<'a> CompiledCache<'a> {
 /// `program` for `machine` into [`DecodedVliw`] issue records, runs
 /// [`DecodedVliwSim`] over `layout` and re-checks the answer. The
 /// decoded simulator is bit-identical to the legacy `VliwSim`
-/// (asserted by the workspace differential suite).
+/// (asserted by the workspace agreement suite).
 ///
 /// # Errors
 ///

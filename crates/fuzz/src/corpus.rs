@@ -3,7 +3,8 @@
 //! A corpus file is plain text: a `#`-comment header followed by the
 //! case payload. Prolog payloads are the source verbatim; IntCode
 //! payloads list one op per line in a tiny assembler syntax (labels are
-//! the identity mapping, so line *k* is both op *k* and label *k*).
+//! the identity mapping, so label *k* names the op on line *k*; only
+//! the labels the fragment uses are bound).
 //!
 //! ```text
 //! # kind: intcode

@@ -35,9 +35,12 @@ pub fn frag_layout() -> Layout {
     }
 }
 
-/// A raw IntCode fragment with *identity labels*: label `i` is bound at
-/// op index `i`, so the ops vector alone determines the program and the
-/// shrinker can delete ops by remapping indices.
+/// A raw IntCode fragment with *identity labels*: label `i` names op
+/// index `i`, so the ops vector alone determines the program and the
+/// shrinker can delete ops by remapping indices. Only the labels the
+/// fragment uses are bound — the entry, every branch and jump target
+/// and every label an `MvI` code word names — so any other pc is no
+/// branch target, and `fuse` may fuse a pair across it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IntFrag {
     /// The ops; entry is op 0.
@@ -54,10 +57,17 @@ impl IntFrag {
     /// and shrink candidates go through the same validation.
     pub fn build(&self) -> Result<IciProgram, ProgramError> {
         let n = self.ops.len();
-        let mut label_at = HashMap::new();
-        for i in 0..n {
-            label_at.insert(Label(i as u32), i);
-        }
+        // A label past the last op stays unbound, for `try_new` to
+        // diagnose.
+        let named = self.ops.iter().filter_map(|op| match op {
+            Op::MvI { w, .. } if w.tag == Tag::Cod => Some(Label(w.val as u32)),
+            op => op.target(),
+        });
+        let label_at: HashMap<Label, usize> = std::iter::once(Label(0))
+            .chain(named)
+            .filter(|l| (l.0 as usize) < n)
+            .map(|l| (l, l.0 as usize))
+            .collect();
         // Each op is its own BAM group: under the BAM cost model a
         // fragment degenerates to near-sequential issue, which is the
         // honest reading of code that never came from BAM.
@@ -361,6 +371,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A fragment binds only the labels it uses, so it can fuse: seed
+    /// 26's fragment fuses a pair, and the oracle's fused stage passes
+    /// on it.
+    #[test]
+    fn a_generated_fragment_fuses_a_pair_and_passes_the_oracle() {
+        use crate::oracle::{run_case, Case, OracleConfig};
+        use symbol_intcode::{fuse, DecodedEmulator, DecodedProgram, ExecConfig, FuseConfig};
+
+        let frag = generate(&mut Rng::new(26));
+        let decoded = DecodedProgram::new(&frag.build().expect("builds"));
+        let cfg = OracleConfig::default();
+        let exec = ExecConfig {
+            max_steps: cfg.max_steps,
+        };
+        let (_, stats, _, _) =
+            DecodedEmulator::new(&decoded, &frag_layout()).run_with_profile(&exec);
+        let (_, report) = fuse(&decoded, &stats, &FuseConfig::default());
+        assert!(report.pairs > 0, "{report:?}");
+        run_case(&Case::IntCode(frag), &cfg).unwrap_or_else(|f| panic!("{f:?}"));
     }
 
     #[test]

@@ -2,20 +2,18 @@
 //!
 //! The serving tier answers many independent queries against the same
 //! compiled image. This module keeps per-query engine state in a
-//! pooled, reusable arena, so a query pays neither an allocation nor a
-//! fill of the whole data memory:
+//! reusable pool, so a query pays neither an allocation nor a fill of
+//! the whole data memory:
 //!
-//! * [`EngineArena`] owns one query's register file and [`DataMem`].
-//!   Between queries the register file is re-zeroed in place and the
-//!   memory zeroes only the pages the previous query wrote. A new
-//!   arena's first memory comes from [`DataMem::new`], which recycles a
+//! * [`ArenaPool`] owns the register file and [`DataMem`] a batch runs
+//!   on. Between queries the register file is re-zeroed in place and
+//!   the memory zeroes only the pages the previous query wrote. A new
+//!   pool's first memory comes from [`DataMem::new`], which recycles a
 //!   buffer dropped by an earlier engine of the same length.
-//! * [`ArenaPool`] is a free list of arenas. A worker acquires one per
-//!   batch, runs every query of the batch back-to-back on it (the
-//!   decode tables stay hot in cache), and releases it.
-//! * [`run_batch`] executes a slice of queries sequentially on one
-//!   arena; [`run_batch_parallel`] fans contiguous chunks out across
-//!   scoped threads, each with its own pool.
+//! * [`run_batch`] executes a slice of queries back-to-back on one
+//!   pool (the decode tables stay hot in cache);
+//!   [`run_batch_parallel`] fans contiguous chunks out across scoped
+//!   threads, each with its own pool.
 //!
 //! ## Determinism
 //!
@@ -25,7 +23,7 @@
 //! index order**, so the output is bit-identical to running each query
 //! alone with [`DecodedEmulator::new`] + `run_with_stats` — regardless
 //! of worker count, batch size, or which worker ran which chunk. The
-//! workspace determinism suite and the fuzz oracle's concurrent stage
+//! workspace agreement suite and the fuzz oracle's concurrent stage
 //! assert this against the sequential engines.
 
 use crate::decode::{DecodedEmulator, DecodedProgram};
@@ -34,59 +32,20 @@ use crate::layout::Layout;
 use crate::mem::DataMem;
 use crate::word::Word;
 
-/// One query's worth of reusable engine state: the register file and
-/// data memory a [`DecodedEmulator`] runs on.
-#[derive(Debug, Default)]
-pub struct EngineArena {
-    regs: Vec<Word>,
-    mem: DataMem,
-}
-
-impl EngineArena {
-    /// An empty arena; its state takes the image's shape on first use
-    /// and is reused in place afterwards.
-    pub fn new() -> Self {
-        EngineArena::default()
-    }
-
-    /// Register-file capacity plus memory length, in words
-    /// (diagnostics only).
-    pub fn capacity(&self) -> usize {
-        self.regs.capacity() + self.mem.len()
-    }
-}
-
-/// A free list of [`EngineArena`]s. Not thread-safe by design: each
-/// worker owns its pool, so the hot path has no synchronization.
+/// The reusable engine state a batch runs on: one register file and
+/// one [`DataMem`], shaped by the image on first use and reused in
+/// place afterwards. Not thread-safe by design: each worker or caller
+/// owns its pool, so the hot path has no synchronization.
 #[derive(Debug, Default)]
 pub struct ArenaPool {
-    free: Vec<EngineArena>,
+    regs: Vec<Word>,
+    mem: DataMem,
 }
 
 impl ArenaPool {
     /// An empty pool.
     pub fn new() -> Self {
         ArenaPool::default()
-    }
-
-    /// Takes an arena from the free list, or creates an empty one.
-    pub fn acquire(&mut self) -> EngineArena {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns an arena to the free list for reuse.
-    pub fn release(&mut self, arena: EngineArena) {
-        self.free.push(arena);
-    }
-
-    /// Arenas currently on the free list.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the free list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
     }
 }
 
@@ -102,34 +61,36 @@ pub struct BatchOutcome {
     pub steps: u64,
 }
 
-/// Runs `queries` back-to-back against `program`, reusing one pooled
-/// arena for every query's engine state. Returns one [`BatchOutcome`]
-/// per query, in query index order.
+/// Runs `queries` back-to-back against `program`, every query's engine
+/// on the pool's state. Returns one [`BatchOutcome`] per query, in
+/// query index order.
 ///
-/// The hot path performs no per-query allocation once the pool's
-/// arena has taken the image's shape: each query re-zeroes the same
-/// register file and only the memory pages the previous query wrote.
+/// The hot path performs no per-query allocation once the pool has
+/// taken the image's shape: each query re-zeroes the same register
+/// file and only the memory pages the previous query wrote.
 pub fn run_batch(
     program: &DecodedProgram,
     layout: &Layout,
     queries: &[ExecConfig],
     pool: &mut ArenaPool,
 ) -> Vec<BatchOutcome> {
-    let mut arena = pool.acquire();
     let mut out = Vec::with_capacity(queries.len());
     for cfg in queries {
-        let mut emu = DecodedEmulator::new_in(program, layout, arena.regs, arena.mem);
+        let (regs, mem) = (
+            std::mem::take(&mut pool.regs),
+            std::mem::take(&mut pool.mem),
+        );
+        let mut emu = DecodedEmulator::new_in(program, layout, regs, mem);
         let (result, steps) = emu.run_pooled(cfg);
-        (arena.regs, arena.mem) = emu.into_buffers();
+        (pool.regs, pool.mem) = emu.into_buffers();
         out.push(BatchOutcome { result, steps });
     }
-    pool.release(arena);
     out
 }
 
 /// [`run_batch`] fanned out over `workers` scoped threads: the query
 /// slice is split into contiguous chunks, each worker runs its chunk
-/// back-to-back on its own arena, and the answers are reassembled in
+/// back-to-back on its own pool, and the answers are reassembled in
 /// query index order — bit-identical to [`run_batch`] with any worker
 /// count.
 ///
@@ -242,12 +203,16 @@ mod tests {
         let mut pool = ArenaPool::new();
         let got = run_batch(&decoded, &layout, &queries, &mut pool);
         assert_eq!(got, want);
-        assert_eq!(pool.len(), 1, "the batch's arena returned to the pool");
+        assert_eq!(
+            pool.mem.len(),
+            layout.total(),
+            "the batch's memory is back in the pool"
+        );
         // A second batch on the same pool reuses the buffers and stays
         // bit-identical (no state leaks between queries or batches).
         let again = run_batch(&decoded, &layout, &queries, &mut pool);
         assert_eq!(again, want);
-        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.mem.len(), layout.total());
     }
 
     #[test]
@@ -344,13 +309,19 @@ mod tests {
         let decoded = DecodedProgram::new(&p);
         let mut pool = ArenaPool::new();
         run_batch(&decoded, &layout, &[ExecConfig::default()], &mut pool);
-        let grown = pool.free[0].capacity();
-        assert!(grown >= layout.total(), "buffers grew to the image shape");
+        assert_eq!(
+            pool.mem.len(),
+            layout.total(),
+            "memory took the image shape"
+        );
+        assert!(pool.regs.len() >= decoded.num_regs, "so did the registers");
+        let regs = (pool.regs.as_ptr(), pool.regs.capacity());
         run_batch(&decoded, &layout, &mixed_queries(), &mut pool);
         assert_eq!(
-            pool.free[0].capacity(),
-            grown,
-            "later batches reuse the same capacity"
+            (pool.regs.as_ptr(), pool.regs.capacity()),
+            regs,
+            "later batches reuse the same register file"
         );
+        assert_eq!(pool.mem.len(), layout.total());
     }
 }

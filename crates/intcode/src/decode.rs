@@ -21,7 +21,7 @@
 //! experiments only the counters. The engine is **bit-identical** to
 //! [`crate::emu::Emulator`] — same [`Outcome`], same step count, same
 //! [`ExecStats`] and same [`ExecError`] values on every program — which
-//! the workspace differential suite asserts over the whole benchmark
+//! the workspace agreement suite asserts over the whole benchmark
 //! suite.
 
 use std::collections::VecDeque;
@@ -463,7 +463,7 @@ impl<'a> DecodedEmulator<'a> {
     /// Expect/taken accounting compiled out of the loop entirely
     /// (`STATS = false`). Outcome, step count and errors are
     /// bit-identical to [`DecodedEmulator::run_with_stats`] — the
-    /// batch determinism suite asserts exactly that.
+    /// workspace agreement suite asserts exactly that.
     pub(crate) fn run_pooled(&mut self, cfg: &ExecConfig) -> (Result<Outcome, ExecError>, u64) {
         self.step_loop::<false, false, false>(cfg, &mut [], &mut [], &mut [], &mut [])
     }

@@ -33,7 +33,7 @@
 //! ops: statistics vectors, error `at` fields, traces and the label
 //! table keep their meaning unchanged, and the fused engine is
 //! **bit-identical** to the unfused decoded engine and the legacy
-//! interpreter — which the workspace differential suite and the fuzz
+//! interpreter — which the workspace agreement suite and the fuzz
 //! oracle's third engine pair both assert.
 //!
 //! ## Checking a stored tier

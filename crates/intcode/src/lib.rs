@@ -58,7 +58,7 @@ pub mod wire;
 pub mod word;
 
 pub use asm::Asm;
-pub use batch::{run_batch, run_batch_parallel, ArenaPool, BatchOutcome, EngineArena};
+pub use batch::{run_batch, run_batch_parallel, ArenaPool, BatchOutcome};
 pub use decode::{DecodedEmulator, DecodedProgram, ExecProfile};
 pub use emu::{Emulator, ExecConfig, ExecError, ExecStats, Outcome, RunResult};
 pub use fuse::{fuse, profile_hash, FuseConfig, FusionReport};

@@ -18,7 +18,7 @@
 //!
 //! The legacy [`crate::emu::Emulator`] does not use this type: it keeps
 //! a plain zero-filled `Vec` as the independent oracle of the
-//! differential suites.
+//! agreement suite and the fuzz oracle.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

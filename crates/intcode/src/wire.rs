@@ -16,7 +16,7 @@
 //!    adversarial artifact surfaces as a [`WireError`] — the caller
 //!    recompiles — and can never index out of bounds at run time.
 //! 2. **Byte-exact round trips.** `encode(decode(bytes)) == bytes` for
-//!    every value this module accepts; the workspace determinism suite
+//!    every value this module accepts; the workspace agreement suite
 //!    asserts it over the whole benchmark set.
 //! 3. **No external dependencies.** Fixed-width little-endian fields
 //!    and explicit tag bytes; nothing here depends on struct layout,

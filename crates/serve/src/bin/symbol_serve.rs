@@ -6,11 +6,10 @@
 //!   --cache-dir DIR      artifact cache directory (required)
 //!   --benches a,b,c      benchmark subset (default: all)
 //!   --queries N          queries per benchmark (default 16)
-//!   --batch N            submit queries as batched run requests of N
-//!                        sub-queries each (pooled engine state, one
-//!                        request per batch) instead of one request
-//!                        per query; answers are checked to be
-//!                        bit-identical across the whole batch
+//!   --batch N            sub-queries per run request (default 1), run
+//!                        back-to-back on pooled engine state; every
+//!                        answer of a benchmark is checked to be the
+//!                        same step count
 //!   --workers N          worker threads (default 4)
 //!   --metrics PATH       write a metrics.json snapshot here
 //!   --fused              serve the profile-guided fused tier: each
@@ -47,7 +46,7 @@ struct Args {
     cache_dir: String,
     benches: Option<Vec<String>>,
     queries: u64,
-    batch: Option<usize>,
+    batch: usize,
     workers: usize,
     metrics: Option<String>,
     fused: bool,
@@ -67,7 +66,7 @@ fn parse_args() -> Option<Args> {
         cache_dir: String::new(),
         benches: None,
         queries: 16,
-        batch: None,
+        batch: 1,
         workers: 4,
         metrics: None,
         fused: false,
@@ -81,7 +80,7 @@ fn parse_args() -> Option<Args> {
                 args.benches = Some(it.next()?.split(',').map(str::to_string).collect());
             }
             "--queries" => args.queries = it.next()?.parse().ok()?,
-            "--batch" => args.batch = Some(it.next()?.parse::<usize>().ok().filter(|n| *n > 0)?),
+            "--batch" => args.batch = it.next()?.parse::<usize>().ok().filter(|n| *n > 0)?,
             "--workers" => args.workers = it.next()?.parse().ok()?,
             "--metrics" => args.metrics = Some(it.next()?),
             "--fused" => args.fused = true,
@@ -156,57 +155,35 @@ fn main() -> ExitCode {
             },
             &obs,
         );
-        let requests = match args.batch {
-            Some(bs) => {
-                let mut remaining = args.queries as usize;
-                let mut id = 0;
-                while remaining > 0 {
-                    let n = remaining.min(bs);
-                    server.submit_batch(id, n);
-                    id += 1;
-                    remaining -= n;
-                }
-                id
-            }
-            None => {
-                for id in 0..args.queries {
-                    server.submit(id);
-                }
-                args.queries
-            }
-        };
+        let mut remaining = args.queries as usize;
+        let mut requests = 0;
+        while remaining > 0 {
+            let n = remaining.min(args.batch);
+            server.submit_batch(requests, n);
+            requests += 1;
+            remaining -= n;
+        }
         let results = server.finish();
         let errors = results.iter().filter(|r| r.outcome.is_err()).count();
-        if let Some(bs) = args.batch {
-            // Every sub-query of every batch must have run, and all of
-            // them bit-identically (same deterministic step count).
-            let steps: Vec<u64> = results
-                .iter()
-                .filter_map(|r| r.outcome.as_ref().ok())
-                .filter_map(QueryAnswer::batch)
-                .flatten()
-                .copied()
-                .collect();
-            let uniform = steps.windows(2).all(|w| w[0] == w[1]);
-            println!(
-                "{:<12} {path:<20} {requests} batch requests (x{bs}), \
-                 {} queries, {errors} errors",
-                b.name,
-                steps.len()
-            );
-            if steps.len() as u64 != args.queries || !uniform {
-                eprintln!(
-                    "symbol-serve: {}: batched answers incomplete or diverged",
-                    b.name
-                );
-                failed = true;
-            }
-        } else {
-            println!(
-                "{:<12} {path:<20} {} queries, {errors} errors",
-                b.name,
-                results.len()
-            );
+        // Every sub-query of every request must have run, and all of
+        // them bit-identically (same deterministic step count).
+        let steps: Vec<u64> = results
+            .iter()
+            .filter_map(|r| r.outcome.as_ref().ok())
+            .filter_map(QueryAnswer::batch)
+            .flatten()
+            .copied()
+            .collect();
+        let uniform = steps.windows(2).all(|w| w[0] == w[1]);
+        println!(
+            "{:<12} {path:<20} {requests} requests (x{}), {} queries, {errors} errors",
+            b.name,
+            args.batch,
+            steps.len()
+        );
+        if steps.len() as u64 != args.queries || !uniform {
+            eprintln!("symbol-serve: {}: answers incomplete or diverged", b.name);
+            failed = true;
         }
         if errors > 0 || results.len() as u64 != requests {
             failed = true;

@@ -33,7 +33,7 @@
 //! let compiled = cache.load_compiled_shared("main :- 1 = 1.", Layout::default())?;
 //! let server = QueryServer::start(compiled, &ServerConfig::default(), &obs);
 //! for id in 0..32 {
-//!     server.submit(id);
+//!     server.submit_batch(id, 1);
 //! }
 //! let results = server.finish();
 //! # assert_eq!(results.len(), 32);

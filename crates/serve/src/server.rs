@@ -9,16 +9,16 @@
 //! the queue, where any idle worker can take it. Each worker recycles
 //! per-query engine state through its own arena pool
 //! ([`symbol_intcode::batch::ArenaPool`]) — no per-query
-//! register/heap allocation on the hot path. A query has one execution
-//! path: a run request is the one-query batch of
-//! [`Compiled::run_query_batch_obs`], on the same pooled arena a batch
-//! request uses.
+//! register/heap allocation on the hot path. There is one kind of run
+//! request: a batch of `n` queries ([`QueryServer::submit_batch`]; a
+//! single query is the batch of one), which
+//! [`Compiled::run_query_batch_obs`] runs on the worker's pool.
 //!
 //! Worker count and claim order are invisible in the results: every
 //! query is an independent deterministic execution of the same image,
 //! and [`QueryServer::finish`] returns answers in id order —
 //! bit-identical to a sequential run of the same queries, which the
-//! workspace determinism suite asserts.
+//! workspace agreement suite asserts.
 //!
 //! The server is panic-free by construction: each query runs under
 //! `catch_unwind`, so even a defect that would panic the emulator is
@@ -37,8 +37,8 @@
 //!   with which execution tier answered each successful query,
 //! * `serve.queue.depth` gauge, incremented on enqueue and
 //!   decremented on claim (exactly zero once the queue drains),
-//! * `serve.batch.queries` counter of sub-queries answered through
-//!   batched [`QueryServer::submit_batch`] requests,
+//! * `serve.batch.queries` counter of queries answered: every
+//!   sub-query of every successful request,
 //! * `serve.stage.ns` histograms labelled `stage=queue_wait` /
 //!   `execute` and by `tier`, whose quantiles `metrics.json` exports,
 //! * a per-request `serve.query{req, n, tier}` trace span (see
@@ -58,8 +58,8 @@ use symbol_obs::{Gauge, Registry};
 pub struct ServerConfig {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Maximum unclaimed requests before [`QueryServer::submit`] blocks
-    /// (clamped to at least 1).
+    /// Maximum unclaimed requests before [`QueryServer::submit_batch`]
+    /// blocks (clamped to at least 1).
     pub queue_capacity: usize,
 }
 
@@ -75,8 +75,6 @@ impl Default for ServerConfig {
 /// What a request asks the pool to do.
 #[derive(Clone, Debug)]
 enum Request {
-    /// Run the compiled query once (the one-query batch).
-    Run(u64),
     /// Run `n` independent executions of the compiled query
     /// back-to-back on one worker, with engine state pooled between
     /// them ([`Compiled::run_query_batch_obs`]).
@@ -89,7 +87,7 @@ enum Request {
 impl Request {
     fn id(&self) -> u64 {
         match self {
-            Request::Run(id) | Request::RunBatch(id, _) | Request::PanicProbe(id) => *id,
+            Request::RunBatch(id, _) | Request::PanicProbe(id) => *id,
         }
     }
 }
@@ -103,8 +101,6 @@ struct Pending {
 /// What a successful request produced.
 #[derive(Clone, Debug)]
 pub enum QueryAnswer {
-    /// Emulator steps of a successful run query.
-    Steps(u64),
     /// Per-execution emulator steps of a successful batch request, in
     /// submission (index) order — position `i` is the `i`-th query of
     /// the batch, independent of which worker ran it.
@@ -112,28 +108,18 @@ pub enum QueryAnswer {
 }
 
 impl QueryAnswer {
-    /// The step count, if this answered a run query.
-    pub fn steps(&self) -> Option<u64> {
-        match self {
-            QueryAnswer::Steps(s) => Some(*s),
-            QueryAnswer::Batch(_) => None,
-        }
-    }
-
-    /// The per-query step counts, if this answered a batch request.
+    /// The per-query step counts; every request is a batch, so this is
+    /// always `Some`.
     pub fn batch(&self) -> Option<&[u64]> {
-        match self {
-            QueryAnswer::Batch(v) => Some(v),
-            QueryAnswer::Steps(_) => None,
-        }
+        let QueryAnswer::Batch(v) = self;
+        Some(v)
     }
 }
 
 /// The answer to one query.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
-    /// The id passed to [`QueryServer::submit`] (or
-    /// [`QueryServer::submit_batch`]).
+    /// The id passed to [`QueryServer::submit_batch`].
     pub id: u64,
     /// The answer on success; a rendered error otherwise. A worker
     /// panic surfaces here as an error string, never as a dead
@@ -263,11 +249,6 @@ fn run_one(compiled: &Compiled, p: &Pending, obs: &Registry, pool: &mut ArenaPoo
             }
             Ok(QueryAnswer::Batch(steps))
         }
-        _ => match compiled.run_query_batch_obs(obs, id, 1, pool).pop() {
-            Some(Ok(steps)) => Ok(QueryAnswer::Steps(steps)),
-            Some(Err(e)) => Err(e.to_string()),
-            None => Err("query produced no answer".to_string()),
-        },
     }));
     obs.histogram("serve.stage.ns", &[("stage", "execute"), ("tier", tier)])
         .record(t_exec.elapsed().as_nanos() as u64);
@@ -275,9 +256,9 @@ fn run_one(compiled: &Compiled, p: &Pending, obs: &Registry, pool: &mut ArenaPoo
         Ok(Ok(ans)) => {
             obs.counter("serve.queries.ok", &[]).inc();
             obs.counter("serve.tier", &[("tier", tier)]).inc();
-            if let QueryAnswer::Batch(v) = &ans {
-                obs.counter("serve.batch.queries", &[]).add(v.len() as u64);
-            }
+            let QueryAnswer::Batch(steps) = &ans;
+            obs.counter("serve.batch.queries", &[])
+                .add(steps.len() as u64);
             Ok(ans)
         }
         Ok(Err(e)) => {
@@ -316,14 +297,10 @@ impl QueryServer {
         QueryServer { shared, workers }
     }
 
-    /// Enqueues one run query, blocking while the queue is full.
-    pub fn submit(&self, id: u64) {
-        self.shared.enqueue(Request::Run(id));
-    }
-
-    /// Enqueues one batched run request: `n` independent executions of
-    /// the compiled query, run back-to-back by whichever worker claims
-    /// the request, with per-query engine state recycled through that
+    /// Enqueues one run request, blocking while the queue is full: `n`
+    /// independent executions of the compiled query (`n = 1` for a
+    /// single query), run back-to-back by whichever worker claims the
+    /// request, with per-query engine state recycled through that
     /// worker's arena pool. Answers with [`QueryAnswer::Batch`] — one
     /// step count per execution, in index order.
     pub fn submit_batch(&self, id: u64, n: usize) {
@@ -375,12 +352,12 @@ mod tests {
         Arc::new(Compiled::from_source("main :- X is 2 + 2, X = 4.").expect("compiles"))
     }
 
+    /// The step count of a one-query request's answer.
     fn steps_of(r: &QueryResult) -> u64 {
-        r.outcome
-            .as_ref()
-            .expect("query succeeds")
-            .steps()
-            .expect("run answer")
+        match r.outcome.as_ref().expect("query succeeds").batch() {
+            Some(&[steps]) => steps,
+            other => panic!("not a one-query answer: {other:?}"),
+        }
     }
 
     #[test]
@@ -395,7 +372,7 @@ mod tests {
             &obs,
         );
         for id in 0..100 {
-            server.submit(id);
+            server.submit_batch(id, 1);
         }
         let results = server.finish();
         assert_eq!(results.len(), 100);
@@ -445,7 +422,7 @@ mod tests {
     fn batch_requests_answer_per_query_steps_in_index_order() {
         let obs = Registry::new();
         let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
-        server.submit(0);
+        server.submit_batch(0, 1);
         server.submit_batch(1, 5);
         server.submit_batch(2, 1);
         let results = server.finish();
@@ -467,7 +444,7 @@ mod tests {
             results[2].outcome.as_ref().unwrap().batch().unwrap(),
             &[single]
         );
-        assert_eq!(obs.counter("serve.batch.queries", &[]).get(), 6);
+        assert_eq!(obs.counter("serve.batch.queries", &[]).get(), 7);
         assert_eq!(obs.counter("serve.queries.ok", &[]).get(), 3);
         assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
     }
@@ -491,7 +468,7 @@ mod tests {
     fn run_and_batch_requests_trace_one_query_span_each() {
         let obs = Registry::new();
         let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
-        server.submit(0);
+        server.submit_batch(0, 1);
         server.submit_batch(1, 3);
         server.finish();
         let mut spans: Vec<Vec<(String, String)>> = obs
@@ -519,7 +496,7 @@ mod tests {
         c.build_fused_tier().expect("fuses");
         let server = QueryServer::start(Arc::new(c), &ServerConfig::default(), &obs);
         for id in 0..25 {
-            server.submit(id);
+            server.submit_batch(id, 1);
         }
         let results = server.finish();
         assert_eq!(results.len(), 25);
@@ -541,11 +518,14 @@ mod tests {
             Arc::new(Compiled::from_source("main :- 1 = 2.").expect("compiles (query fails)"));
         let server = QueryServer::start(failing, &ServerConfig::default(), &obs);
         for id in 0..10 {
-            server.submit(id);
+            server.submit_batch(id, 1);
         }
         let results = server.finish();
         assert_eq!(results.len(), 10);
-        let wrong = symbol_core::PipelineError::WrongAnswer.to_string();
+        let wrong = format!(
+            "batch sub-query 0 of 1: {}",
+            symbol_core::PipelineError::WrongAnswer
+        );
         for r in &results {
             assert_eq!(r.outcome.as_ref().unwrap_err(), &wrong);
         }
@@ -563,7 +543,7 @@ mod tests {
             },
             &Registry::disabled(),
         );
-        server.submit(1);
+        server.submit_batch(1, 1);
         let results = server.finish();
         assert_eq!(results.len(), 1);
         assert!(results[0].outcome.is_ok());
@@ -580,7 +560,7 @@ mod tests {
         });
         assert!(poisoner.join().is_err());
         assert!(server.shared.state.is_poisoned());
-        server.submit(3);
+        server.submit_batch(3, 1);
         let results = server.finish();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, 3);
@@ -593,7 +573,7 @@ mod tests {
         let obs = Registry::new();
         let shared = Shared::new(&ServerConfig::default(), &obs);
         for id in [7, 3, 5] {
-            shared.enqueue(Request::Run(id));
+            shared.enqueue(Request::RunBatch(id, 1));
         }
         shared.state().closed = true;
         let depth = obs.gauge("serve.queue.depth", &[]);
@@ -612,7 +592,7 @@ mod tests {
         let obs = Registry::new();
         let server = QueryServer::start(compiled(), &ServerConfig::default(), &obs);
         for id in 0..10 {
-            server.submit(id);
+            server.submit_batch(id, 1);
         }
         server.submit_panic_probe(77);
         let results = server.finish();

@@ -78,7 +78,7 @@ fn corpus_sources_flow_through_cache_and_server_without_panicking() {
                 Ok(compiled) => {
                     let server = QueryServer::start(compiled, &ServerConfig::default(), &obs);
                     for id in 0..4 {
-                        server.submit(id);
+                        server.submit_batch(id, 1);
                     }
                     let results = server.finish();
                     assert_eq!(results.len(), 4, "{path:?}");

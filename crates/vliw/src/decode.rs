@@ -35,7 +35,7 @@
 //! [`DecodedVliwSim`] is **bit-identical** to [`crate::sim::VliwSim`]:
 //! same [`SimResult`] (cycles, instruction and op counts, taken branches,
 //! class ops) and same [`SimError`] values, asserted by the workspace
-//! differential suite.
+//! agreement suite.
 
 use symbol_intcode::layout::Layout;
 use symbol_intcode::mem::DataMem;

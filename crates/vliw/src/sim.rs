@@ -107,7 +107,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// Result of a completed simulation. `PartialEq` compares every
-/// counter exactly — the differential suites require profiled and
+/// counter exactly — the agreement suite requires profiled and
 /// plain runs to agree bit for bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
