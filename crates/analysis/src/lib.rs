@@ -6,6 +6,7 @@
 //! (Table 2 / Figure 4), and a small text-table renderer used by every
 //! report the benchmark harness prints.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod amdahl;

@@ -21,6 +21,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod error;
 pub mod instr;

@@ -18,4 +18,6 @@
 //!   design-space sweep's paper grid is
 //!   `cargo run --release -p symbol-core --bin sweep -- --grid paper`.
 
+#![forbid(unsafe_code)]
+
 pub mod timing;

@@ -13,6 +13,8 @@
 //! for several machines builds a [`Compactor`] once and calls
 //! [`Compactor::compact`] per machine.
 
+#![forbid(unsafe_code)]
+
 pub mod cfg;
 pub mod copyprop;
 pub mod emit;

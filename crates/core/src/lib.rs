@@ -16,6 +16,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod benchmarks;
 pub mod experiments;
 pub mod extras;

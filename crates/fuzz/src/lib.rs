@@ -21,6 +21,8 @@
 //! `crates/fuzz/corpus/` replay as ordinary tests. The `fuzz_run`
 //! binary drives the whole loop from the command line and from CI.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod driver;
 pub mod gen_intcode;

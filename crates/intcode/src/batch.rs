@@ -9,7 +9,9 @@
 //!   on. Between queries the register file is re-zeroed in place and
 //!   the memory zeroes only the pages the previous query wrote. A new
 //!   pool's first memory comes from [`DataMem::new`], which recycles a
-//!   buffer dropped by an earlier engine of the same length.
+//!   buffer dropped by an earlier engine of the same length, or else
+//!   takes fresh zero pages, so a new worker's first query pays only
+//!   for the pages it touches.
 //! * [`run_batch`] executes a slice of queries back-to-back on one
 //!   pool (the decode tables stay hot in cache);
 //!   [`run_batch_parallel`] fans contiguous chunks out across scoped

@@ -418,7 +418,9 @@ fn store(mem: &mut DataMem, addr: i64, w: Word, at: usize) -> Result<(), ExecErr
 impl<'a> DecodedEmulator<'a> {
     /// Creates an emulator with zeroed registers and memory. The
     /// memory is a recycled [`DataMem`] when a dropped one of the same
-    /// length is free.
+    /// length is free (only the pages its last run wrote are
+    /// re-zeroed), and fresh zero pages, resident once touched,
+    /// otherwise: no construction fills the whole layout.
     pub fn new(program: &'a DecodedProgram, layout: &Layout) -> Self {
         Self::new_in(program, layout, Vec::new(), DataMem::default())
     }

@@ -42,6 +42,7 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod asm;

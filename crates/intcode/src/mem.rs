@@ -8,17 +8,26 @@
 //! pages written since the last reset: starting a run costs what the
 //! previous run wrote, not the size of the layout.
 //!
-//! Buffers are recycled instead of refilled. Dropping a `DataMem` hands
-//! its buffer to a process-wide free list of at most [`FREE_CAP`]
-//! buffers, and the next [`DataMem::new`] of the same length takes it
-//! back and resets it. The list is shared by every thread because the
-//! serving tier and the parallel experiment runs start new threads on
-//! every call. A miss empties the list before allocating, so no idle
-//! buffer is ever held while a new one is allocated.
+//! A new buffer is never filled. `Word::int(0)` is the all-zero word
+//! ([`crate::word::Tag`] is `repr(u8)` with `Int = 0`), so
+//! [`DataMem::new`] takes its words from one zeroed allocation, which
+//! the system allocator serves with fresh pages that the kernel maps
+//! only when a run first touches them: a new memory costs, in time and
+//! resident memory, only the pages its runs touch.
+//!
+//! Buffers are recycled instead of reallocated. Dropping a `DataMem`
+//! hands its buffer to a process-wide free list of at most
+//! [`FREE_CAP`] buffers, and the next [`DataMem::new`] of the same
+//! length takes it back and resets it, re-zeroing only the pages the
+//! last run wrote where a new buffer would fault in every page its run
+//! touches. The list is shared by every thread because the serving tier
+//! and the parallel experiment runs start new threads on every call. A
+//! miss empties the list before allocating, so no idle buffer is ever
+//! held while a new one is allocated.
 //!
 //! The legacy [`crate::emu::Emulator`] does not use this type: it keeps
-//! a plain zero-filled `Vec` as the independent oracle of the
-//! agreement suite and the fuzz oracle.
+//! a plain filled `Vec` as the independent oracle of the agreement
+//! suite and the fuzz oracle.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -53,6 +62,19 @@ fn take_spare(free: &mut Vec<Spare>, len: usize) -> Result<Spare, Vec<Spare>> {
     }
 }
 
+/// `len` words of `Word::int(0)` from one zeroed allocation. The
+/// system allocator serves a large zeroed request with fresh anonymous
+/// pages, which the kernel maps only when a run first touches them.
+#[allow(unsafe_code)]
+fn zeroed_words(len: usize) -> Vec<Word> {
+    let words = Box::<[Word]>::new_zeroed_slice(len);
+    // SAFETY: every byte is zero, and a `Word` of zero bytes is valid:
+    // its `Tag` is `repr(u8)` with `Int = 0` (asserted beside `Tag`)
+    // and its `val` is an `i64`, so each word reads as `Word::int(0)`.
+    // Padding bytes may hold anything.
+    unsafe { words.assume_init() }.into_vec()
+}
+
 /// A zero-initialised flat word memory that resets only the pages
 /// written since the last reset.
 #[derive(Debug, Default)]
@@ -65,7 +87,8 @@ pub struct DataMem {
 
 impl DataMem {
     /// Zeroed memory of `len` words, reusing a dropped buffer of the
-    /// same length when the free list has one.
+    /// same length when the free list has one, and otherwise taking
+    /// fresh zero pages that become resident only when touched.
     pub fn new(len: usize) -> Self {
         if len == 0 {
             return DataMem::default();
@@ -80,7 +103,7 @@ impl DataMem {
             Err(evicted) => {
                 drop(evicted);
                 DataMem {
-                    words: vec![Word::int(0); len],
+                    words: zeroed_words(len),
                     written: vec![0; len.div_ceil(PAGE_WORDS).div_ceil(64)],
                 }
             }

@@ -1292,6 +1292,34 @@ mod tests {
     }
 
     #[test]
+    fn each_word_tag_has_its_own_fixed_byte() {
+        // The format's own map, not `Tag`'s discriminants (`Int` is 0
+        // in memory so that zeroed pages read as `Word::int(0)`).
+        let bytes = [
+            (Tag::Ref, 0u8),
+            (Tag::Int, 1),
+            (Tag::Atm, 2),
+            (Tag::Lst, 3),
+            (Tag::Str, 4),
+            (Tag::Fun, 5),
+            (Tag::Cod, 6),
+        ];
+        for (tag, byte) in bytes {
+            let mut w = Writer::new();
+            put_tag(&mut w, tag);
+            assert_eq!(w.into_bytes(), [byte], "{tag}");
+            assert_eq!(get_tag(&mut Reader::new(&[byte])), Ok(tag), "{tag}");
+        }
+        assert_eq!(
+            get_tag(&mut Reader::new(&[7])),
+            Err(WireError::BadTag {
+                what: "Tag",
+                value: 7
+            })
+        );
+    }
+
+    #[test]
     fn retired_fused_tags_are_unknown_tags() {
         // 17, 18, 20 and 22 once named the compare-and-branch,
         // move+store and immediate-ALU superinstructions; a record

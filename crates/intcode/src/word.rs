@@ -9,13 +9,20 @@
 use std::fmt;
 
 /// Word tags.
+///
+/// `Int` is discriminant 0, so a [`Word`] of all-zero bytes is
+/// `Word::int(0)`, the value every data memory starts from, and
+/// [`crate::mem::DataMem`] can take its words from zeroed pages. The
+/// artifact format does not see these discriminants: `wire` maps each
+/// tag to its own byte.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
 pub enum Tag {
+    /// Integer: `val` is the number.
+    Int = 0,
     /// Reference: `val` is the address of a cell. An unbound variable
     /// is a `Ref` cell pointing at itself.
     Ref,
-    /// Integer: `val` is the number.
-    Int,
     /// Atom: `val` is the interned atom id.
     Atm,
     /// List: `val` is the heap address of a two-word cons cell.
@@ -29,6 +36,9 @@ pub enum Tag {
     /// rescheduling, resolved to an address by each machine).
     Cod,
 }
+
+// The precondition of `mem`'s zeroed allocation.
+const _: () = assert!(Tag::Int as u8 == 0);
 
 impl fmt::Display for Tag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -42,6 +42,8 @@
 //! # assert!(trace_json.contains("emulate"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod json;
 pub mod metrics;

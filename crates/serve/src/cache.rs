@@ -8,10 +8,11 @@
 //! the new complete file, never a partial write. Corrupt entries —
 //! bad magic, wrong version, truncation, checksum or key mismatch —
 //! are counted, removed (best effort) and treated as misses: the
-//! serving tier recompiles and the next store repairs the cache. A
-//! fused tier that decodes but is not a legal fusion of its base image
-//! is counted corrupt too, and re-fused. No artifact content can make
-//! [`ArtifactCache`] panic.
+//! serving tier recompiles and the next store repairs the cache. An
+//! emulator image whose stored layout is not the one its key names is
+//! counted corrupt too, and recompiled; so is a fused tier that decodes
+//! but is not a legal fusion of its base image, which is re-fused. No
+//! artifact content can make [`ArtifactCache`] panic.
 //!
 //! Observability (all under the shared [`Registry`]):
 //!
@@ -160,17 +161,24 @@ impl ArtifactCache {
             if let Payload::Emulator {
                 ici,
                 decoded,
-                layout,
+                layout: stored,
             } = art.payload
             {
-                // `decode` already cross-checked the parts, so this
-                // cannot fail; route it anyway rather than unwrap.
-                if let Ok(c) = Compiled::from_artifact(ici, decoded, layout) {
-                    self.counter("serve.cache.hit", PayloadKind::Emulator).inc();
-                    return Ok(c);
+                // An image is served only under the layout its key
+                // names: its code addresses the areas of that layout,
+                // and an engine allocates the stored layout's memory.
+                // `decode` already cross-checked the parts, so
+                // `from_artifact` cannot fail; route it anyway rather
+                // than unwrap.
+                if stored == layout {
+                    if let Ok(c) = Compiled::from_artifact(ici, decoded, stored) {
+                        self.counter("serve.cache.hit", PayloadKind::Emulator).inc();
+                        return Ok(c);
+                    }
                 }
                 self.counter("serve.cache.corrupt", PayloadKind::Emulator)
                     .inc();
+                let _ = std::fs::remove_file(self.path_for(&key, PayloadKind::Emulator));
             }
         }
         let compiled = {
@@ -347,7 +355,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use symbol_intcode::{DecodedEmulator, ExecConfig, RunResult};
+    use symbol_intcode::{ArenaPool, DecodedEmulator, ExecConfig, RunResult};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -667,6 +675,47 @@ mod tests {
             "key mismatch must not serve the wrong program"
         );
         assert_eq!(counter(&obs, "serve.cache.corrupt"), 1);
+    }
+
+    #[test]
+    fn an_image_stored_under_another_layout_is_refused_and_rebuilt() {
+        let layout = Layout::default();
+        let key = ArtifactKey::emulator(SRC, &layout);
+        let image = Compiled::from_source(SRC).expect("compiles");
+        let expected = image.run_sequential().expect("runs");
+        // A layout whose areas the code overruns, and one no engine
+        // can allocate.
+        for heap_size in [16, 1 << 60] {
+            let t = TempDir::new("wronglayout");
+            let obs = Registry::new();
+            let cache = ArtifactCache::new(&t.0, obs.clone()).expect("open cache");
+            let planted = Layout {
+                heap_size,
+                ..layout
+            };
+            let bytes = artifact::encode_emulator(&key, &image.ici, &image.decoded, &planted);
+            cache
+                .store(&key, PayloadKind::Emulator, &bytes)
+                .expect("plant the image under the default layout's key");
+
+            let c = cache
+                .load_compiled_shared(SRC, layout)
+                .expect("refuses and rebuilds");
+            assert_eq!(counter(&obs, "serve.cache.corrupt"), 1, "heap {heap_size}");
+            assert_eq!(counter(&obs, "serve.cache.hit"), 0, "heap {heap_size}");
+            assert!(c.front.is_some(), "heap {heap_size}: recompiled");
+            assert_eq!(c.layout, layout);
+            let served = c.run_batch(&[ExecConfig::default()], &mut ArenaPool::new());
+            assert_eq!(served[0].result, Ok(expected.outcome), "heap {heap_size}");
+            assert_eq!(served[0].steps, expected.steps, "heap {heap_size}");
+
+            // The rebuilt entry replaced the planted one.
+            let warm = cache.load_compiled_shared(SRC, layout).expect("warm");
+            assert!(warm.front.is_none(), "heap {heap_size}: read back");
+            assert_eq!(warm.layout, layout);
+            assert_eq!(counter(&obs, "serve.cache.hit"), 1, "heap {heap_size}");
+            assert_eq!(counter(&obs, "serve.cache.corrupt"), 1, "heap {heap_size}");
+        }
     }
 
     #[test]

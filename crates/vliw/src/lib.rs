@@ -12,6 +12,7 @@
 //! latencies. The compactor builds its words with the same rules
 //! ([`machine::WordUse`]) and checks them with the same check.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod decode;
