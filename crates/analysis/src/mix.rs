@@ -82,7 +82,7 @@ mod tests {
             off: 0,
         });
         a.emit(Op::Halt { success: true });
-        let p = a.finish(e);
+        let p = a.finish(e).expect("assembles");
         let layout = symbol_intcode::Layout {
             heap_size: 16,
             env_size: 16,

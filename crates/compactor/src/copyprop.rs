@@ -36,7 +36,7 @@ pub struct Optimized {
 ///
 /// # Errors
 ///
-/// The first structural defect [`IciProgram::try_new`] finds in the
+/// The first structural defect [`IciProgram::new`] finds in the
 /// rewritten program — an internal bug of this pass, returned rather
 /// than panicked.
 pub fn try_copy_propagate(
@@ -163,8 +163,7 @@ pub fn try_copy_propagate(
     }
     let removed = ops.len() - new_ops.len();
     let num_labels = program.label_table().len() as u32;
-    let optimized =
-        IciProgram::try_new(new_ops, new_groups, label_at, num_labels, program.entry())?;
+    let optimized = IciProgram::new(new_ops, new_groups, label_at, num_labels, program.entry())?;
     Ok(Optimized {
         program: optimized,
         stats: ExecStats {
@@ -222,7 +221,7 @@ mod tests {
     fn run_both(build: impl FnOnce(&mut Asm) -> Label) -> (u64, u64, usize) {
         let mut a = Asm::new();
         let entry = build(&mut a);
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         let layout = symbol_intcode::Layout {
             heap_size: 64,
             env_size: 64,

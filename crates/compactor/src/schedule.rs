@@ -27,7 +27,7 @@
 
 use std::ops::Range;
 
-use symbol_intcode::{Cond, IciProgram, Label, Op, R};
+use symbol_intcode::{IciProgram, Label, Op, R};
 use symbol_vliw::{MachineConfig, SlotOp, Timing, WordUse};
 
 use crate::cfg::{Cfg, Edge};
@@ -921,9 +921,4 @@ impl Scheduler {
             "compensation blocks are straight-line"
         );
     }
-}
-
-/// Can a [`Cond`]-negation round-trip? (sanity helper used in tests)
-pub fn negate_roundtrip(c: Cond) -> bool {
-    c.negate().negate() == c
 }

@@ -74,7 +74,7 @@ mod tests {
             off: 0,
         }); // memory: 2
         a.emit(Op::Halt { success: true }); // control: 2
-        let p = a.finish(e);
+        let p = a.finish(e).expect("assembles");
         let layout = symbol_intcode::Layout {
             heap_size: 16,
             env_size: 16,

@@ -315,7 +315,7 @@ mod tests {
             t: lp,
         });
         a.emit(Op::Halt { success: true });
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         let layout = symbol_intcode::Layout {
             heap_size: 16,
             env_size: 16,

@@ -149,14 +149,15 @@ pub fn collect(opts: &ReportOptions) -> Result<ObsReport, PipelineError> {
 
 /// The `PROFILE = true` pass for one benchmark: sequential engine with
 /// the per-PC branch predictor, then the 3-unit trace schedule on the
-/// profiled VLIW engine.
+/// profiled VLIW engine. Its image compiles off the registry: the
+/// suite run already recorded each front-end stage of the benchmark.
 fn profile_bench(
     bench: &Benchmark,
     hot_pcs: usize,
     obs: &Registry,
 ) -> Result<BenchProfile, PipelineError> {
     let labels: &[(&str, &str)] = &[("bench", bench.name)];
-    let compiled = Compiled::from_source_obs(bench.source, Default::default(), obs, bench.name)?;
+    let compiled = Compiled::from_source(bench.source)?;
     let _span = obs.span("profile", labels);
 
     let (outcome, stats, steps, prof) = DecodedEmulator::new(&compiled.decoded, &compiled.layout)
@@ -408,6 +409,24 @@ mod tests {
         // The v2 dump checks are not vacuous: the freshly collected
         // report passes them.
         validate_dump(&r.metrics_json).expect("metrics.json validates");
+    }
+
+    #[test]
+    fn each_front_end_stage_is_recorded_once_per_benchmark() {
+        let r = one_bench_report();
+        let bench = r.profiles[0].name;
+        for stage in ["parse", "compile", "translate", "decode"] {
+            let name = format!("span.{stage}.ns");
+            let counts: Vec<u64> = r
+                .snapshot
+                .histograms
+                .iter()
+                .filter(|h| h.name == name)
+                .filter(|h| h.labels.iter().any(|(k, v)| k == "bench" && v == bench))
+                .map(|h| h.count)
+                .collect();
+            assert_eq!(counts, [1], "{name}{{bench={bench}}}");
+        }
     }
 
     #[test]

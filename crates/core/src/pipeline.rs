@@ -38,7 +38,7 @@ pub enum PipelineError {
     /// verification. On the serving tier this must surface as an error
     /// value, never a panic.
     Schedule(symbol_compactor::Violation),
-    /// A rebuilt program failed [`IciProgram::try_new`] validation.
+    /// A rebuilt program failed [`IciProgram::new`] validation.
     Program(symbol_intcode::ProgramError),
     /// A compiled artifact was truncated, corrupt, or inconsistent.
     Artifact(symbol_intcode::WireError),
@@ -641,11 +641,6 @@ mod tests {
             for o in &out {
                 assert_eq!(o.result, Ok(Outcome::Success));
                 assert_eq!(o.steps, seq.steps, "tiered={tiered}");
-            }
-            for workers in [1, 2, 4] {
-                let parallel =
-                    batch::run_batch_parallel(c.serving_program(), &c.layout, &queries, workers);
-                assert_eq!(parallel, out);
             }
         }
         let obs = Registry::new();

@@ -52,12 +52,12 @@ impl IntFrag {
     ///
     /// # Errors
     ///
-    /// Whatever [`IciProgram::try_new`] diagnoses — for generated
+    /// Whatever [`IciProgram::new`] diagnoses — for generated
     /// fragments this cannot happen by construction, but corpus files
     /// and shrink candidates go through the same validation.
     pub fn build(&self) -> Result<IciProgram, ProgramError> {
         let n = self.ops.len();
-        // A label past the last op stays unbound, for `try_new` to
+        // A label past the last op stays unbound, for `new` to
         // diagnose.
         let named = self.ops.iter().filter_map(|op| match op {
             Op::MvI { w, .. } if w.tag == Tag::Cod => Some(Label(w.val as u32)),
@@ -72,7 +72,7 @@ impl IntFrag {
         // fragment degenerates to near-sequential issue, which is the
         // honest reading of code that never came from BAM.
         let groups = (0..n as u32).collect();
-        IciProgram::try_new(
+        IciProgram::new(
             self.ops.clone(),
             groups,
             label_at,

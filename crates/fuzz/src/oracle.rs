@@ -10,10 +10,10 @@
 //!    fused engine must match legacy bit for bit too — every generated
 //!    program cross-checks superinstruction fusion from day one;
 //!    finally, in stage 1¾, the same query is run three times through
-//!    the pooled concurrent batch executor ([`batch::run_batch_parallel`],
-//!    two workers, the statistics-free serving loop) on the decoded
-//!    program and three times on the fused one (the `symbol-serve
-//!    --fused` path), and every copy must reproduce the legacy result
+//!    the pooled batch executor ([`batch::run_batch`], the
+//!    statistics-free serving loop) on the decoded program and three
+//!    times on the fused one (the `symbol-serve --fused` path), all on
+//!    one reused pool, and every copy must reproduce the legacy result
 //!    and step count exactly — the serving tier's bit-identical
 //!    contract, cross-checked on every generated program;
 //! 2. when the sequential run is clean, the program is compacted for a
@@ -89,7 +89,7 @@ pub enum FailureKind {
     /// The generated Prolog source failed to compile — a generator or
     /// front-end bug.
     Pipeline,
-    /// The fragment failed [`IciProgram::try_new`] validation — a
+    /// The fragment failed [`IciProgram::new`] validation — a
     /// generator or shrinker bug.
     Build,
     /// The two sequential engines disagree.
@@ -262,16 +262,16 @@ fn check_program(
         });
     }
 
-    // Stage 1¾: the pooled concurrent batch executor, on the decoded
-    // and on the fused program. Three copies of the same query across
-    // two workers: every copy must reproduce the sequential run bit for
+    // Stage 1¾: the pooled batch executor, on the decoded and on the
+    // fused program. Three copies of the same query per tier, all six
+    // on one pool: every copy must reproduce the sequential run bit for
     // bit — result, error, and step count — errors and step limits
     // included. A divergence here means pooled engine state leaked
-    // between queries, worker scheduling changed execution, or the
-    // statistics-free loop runs a record differently, the exact bugs
-    // the serving tier must never have.
+    // between queries or the statistics-free loop runs a record
+    // differently, the exact bugs the serving tier must never have.
+    let mut pool = batch::ArenaPool::new();
     for (tier, program) in [("decoded", &decoded), ("fused", &fused)] {
-        let batch = batch::run_batch_parallel(program, layout, &[exec_cfg; 3], 2);
+        let batch = batch::run_batch(program, layout, &[exec_cfg; 3], &mut pool);
         for (i, b) in batch.iter().enumerate() {
             if b.result != lr || b.steps != lsteps {
                 return Err(Failure {

@@ -1,11 +1,13 @@
 //! A small assembler for building IntCode programs with symbolic
 //! labels, fresh registers, and BAM-instruction group markers.
+//! [`Asm::finish`] validates the result through [`IciProgram::new`]
+//! and returns its [`ProgramError`] rather than panicking.
 
 use std::collections::HashMap;
 
 use crate::layout::reg;
 use crate::op::{Label, Op, R};
-use crate::program::IciProgram;
+use crate::program::{IciProgram, ProgramError};
 use crate::word::Tag;
 
 /// Incremental IntCode builder.
@@ -178,24 +180,12 @@ impl Asm {
 
     /// Finalizes into an [`IciProgram`] entered at `entry`.
     ///
-    /// # Panics
-    ///
-    /// Panics if any referenced label is unbound or out of range.
-    pub fn finish(self, entry: Label) -> IciProgram {
-        IciProgram::new(self.ops, self.groups, self.label_at, self.next_label, entry)
-    }
-
-    /// Finalizes into an [`IciProgram`] entered at `entry`, surfacing
-    /// validation failures as a [`ProgramError`](crate::program::ProgramError)
-    /// instead of panicking —
-    /// the form the serving tier's panic-free pipeline uses.
-    ///
     /// # Errors
     ///
-    /// Returns the first structural defect [`IciProgram::try_new`]
-    /// finds.
-    pub fn try_finish(self, entry: Label) -> Result<IciProgram, crate::program::ProgramError> {
-        IciProgram::try_new(self.ops, self.groups, self.label_at, self.next_label, entry)
+    /// Returns the first structural defect [`IciProgram::new`] finds,
+    /// such as a referenced label that is unbound or out of range.
+    pub fn finish(self, entry: Label) -> Result<IciProgram, ProgramError> {
+        IciProgram::new(self.ops, self.groups, self.label_at, self.next_label, entry)
     }
 }
 
@@ -211,7 +201,7 @@ mod tests {
         a.emit(Op::Mv { d: R(40), s: R(41) });
         a.bind(l);
         a.emit(Op::Halt { success: true });
-        let p = a.finish(l);
+        let p = a.finish(l).expect("assembles");
         assert_eq!(p.label_addr(l), 1);
     }
 
@@ -243,7 +233,7 @@ mod tests {
         let entry = a.fresh_label();
         a.bind(entry);
         a.emit(Op::Halt { success: true });
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         assert_ne!(p.groups()[0], p.groups()[1]);
     }
 
@@ -254,7 +244,7 @@ mod tests {
         a.bind(entry);
         a.deref_in_place(R(50));
         a.emit(Op::Halt { success: true });
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         // 1 guard branch + 4-op loop + halt
         assert_eq!(p.ops().len(), 6);
     }
@@ -272,7 +262,7 @@ mod tests {
             t: entry,
         });
         a.emit(Op::Halt { success: true });
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         let stores = p
             .ops()
             .iter()

@@ -13,19 +13,18 @@
 //!   takes fresh zero pages, so a new worker's first query pays only
 //!   for the pages it touches.
 //! * [`run_batch`] executes a slice of queries back-to-back on one
-//!   pool (the decode tables stay hot in cache);
-//!   [`run_batch_parallel`] fans contiguous chunks out across scoped
-//!   threads, each with its own pool.
+//!   pool (the decode tables stay hot in cache). Concurrency is the
+//!   caller's: each server worker runs its batches on its own pool.
 //!
 //! ## Determinism
 //!
 //! Every query is an independent, deterministic execution of the same
 //! image: results depend only on the program, layout and the query's
-//! own [`ExecConfig`]. Both entry points return answers **in query
-//! index order**, so the output is bit-identical to running each query
-//! alone with [`DecodedEmulator::new`] + `run_with_stats` — regardless
-//! of worker count, batch size, or which worker ran which chunk. The
-//! workspace agreement suite and the fuzz oracle's concurrent stage
+//! own [`ExecConfig`]. [`run_batch`] returns answers **in query index
+//! order**, so the output is bit-identical to running each query alone
+//! with [`DecodedEmulator::new`] + `run_with_stats` — regardless of
+//! batch size, what the pool ran before, or which worker's pool it is.
+//! The workspace agreement suite and the fuzz oracle's batch stage
 //! assert this against the sequential engines.
 
 use crate::decode::{DecodedEmulator, DecodedProgram};
@@ -90,40 +89,6 @@ pub fn run_batch(
     out
 }
 
-/// [`run_batch`] fanned out over `workers` scoped threads: the query
-/// slice is split into contiguous chunks, each worker runs its chunk
-/// back-to-back on its own pool, and the answers are reassembled in
-/// query index order — bit-identical to [`run_batch`] with any worker
-/// count.
-///
-/// # Panics
-///
-/// Propagates a worker thread's panic with its payload (the emulator
-/// itself never panics on any program; the serving tier additionally
-/// wraps batch execution in `catch_unwind`).
-pub fn run_batch_parallel(
-    program: &DecodedProgram,
-    layout: &Layout,
-    queries: &[ExecConfig],
-    workers: usize,
-) -> Vec<BatchOutcome> {
-    let workers = workers.max(1).min(queries.len().max(1));
-    if workers == 1 {
-        return run_batch(program, layout, queries, &mut ArenaPool::new());
-    }
-    let chunk = queries.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|q| s.spawn(move || run_batch(program, layout, q, &mut ArenaPool::new())))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +130,7 @@ mod tests {
             t: lp,
         });
         a.emit(Op::Halt { success: true });
-        a.finish(e)
+        a.finish(e).expect("assembles")
     }
 
     fn sequential_reference(
@@ -215,37 +180,9 @@ mod tests {
         let again = run_batch(&decoded, &layout, &queries, &mut pool);
         assert_eq!(again, want);
         assert_eq!(pool.mem.len(), layout.total());
-    }
-
-    #[test]
-    fn parallel_batches_are_independent_of_worker_count() {
-        let p = counted_loop(300);
-        let layout = tiny_layout();
-        let decoded = DecodedProgram::new(&p);
-        let queries: Vec<ExecConfig> = (0..17)
-            .map(|i| match i % 3 {
-                0 => ExecConfig::default(),
-                1 => ExecConfig { max_steps: i },
-                _ => ExecConfig { max_steps: 50 },
-            })
-            .collect();
-        let want = run_batch(&decoded, &layout, &queries, &mut ArenaPool::new());
-        for workers in [1, 2, 4, 8, 32] {
-            let got = run_batch_parallel(&decoded, &layout, &queries, workers);
-            assert_eq!(got, want, "{workers}-worker batch diverged");
-        }
-    }
-
-    #[test]
-    fn empty_and_oversubscribed_batches_are_fine() {
-        let p = counted_loop(10);
-        let layout = tiny_layout();
-        let decoded = DecodedProgram::new(&p);
-        assert!(run_batch_parallel(&decoded, &layout, &[], 4).is_empty());
-        let one = [ExecConfig::default()];
-        let got = run_batch_parallel(&decoded, &layout, &one, 16);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].result, Ok(Outcome::Success));
+        // An empty batch answers nothing and keeps the pool's buffers.
+        assert!(run_batch(&decoded, &layout, &[], &mut pool).is_empty());
+        assert_eq!(pool.mem.len(), layout.total());
     }
 
     /// Loads address `at`, then stores a non-zero word there; halts
@@ -283,7 +220,7 @@ mod tests {
         a.emit(Op::Halt { success: false });
         a.bind(clean);
         a.emit(Op::Halt { success: true });
-        a.finish(e)
+        a.finish(e).expect("assembles")
     }
 
     #[test]

@@ -14,17 +14,14 @@
 //!   [`IciProgram::label_addr`]'s assert-on-missing lookup.
 //!
 //! [`DecodedEmulator`] executes the decoded form through one
-//! const-generic step loop whose `TRACE`, `PROFILE` and `STATS`
-//! parameters compile the trace ring, the branch predictor and the
-//! per-pc Expect/taken counters out of the paths that do not use them:
-//! the serving loop has none of the three, the profiling run of the
-//! experiments only the counters. The engine is **bit-identical** to
-//! [`crate::emu::Emulator`] — same [`Outcome`], same step count, same
-//! [`ExecStats`] and same [`ExecError`] values on every program — which
-//! the workspace agreement suite asserts over the whole benchmark
-//! suite.
-
-use std::collections::VecDeque;
+//! const-generic step loop whose `PROFILE` and `STATS` parameters
+//! compile the branch predictor and the per-pc Expect/taken counters
+//! out of the paths that do not use them. It has three instantiations:
+//! serving (neither), stats (the counters) and profile (both). The
+//! engine is **bit-identical** to [`crate::emu::Emulator`] — same
+//! [`Outcome`], same step count, same [`ExecStats`] and same
+//! [`ExecError`] values on every program — which the workspace
+//! agreement suite asserts over the whole benchmark suite.
 
 use crate::emu::{ExecConfig, ExecError, ExecStats, Outcome, RunResult};
 use crate::layout::Layout;
@@ -86,10 +83,10 @@ pub(crate) enum MicroOp {
     // programs contain. Each record executes TWO source ops in one
     // dispatch; the head constituent runs at index `at` and the second
     // at `at + 1`, and every piece of architectural bookkeeping —
-    // step-limit check, step count, Expect/taken statistics, trace
-    // entries, error `at` fields, predictor state — is accounted under
-    // the constituent's own index, so a fused program is bit-identical
-    // to the unfused one. Legality (the interior pc is never a branch
+    // step-limit check, step count, Expect/taken statistics, error
+    // `at` fields, predictor state — is accounted under the
+    // constituent's own index, so a fused program is bit-identical to
+    // the unfused one. Legality (the interior pc is never a branch
     // target) is the fusion pass's responsibility; the wire decoder
     // re-validates the structural part (a fused record never sits at
     // the last index, so `at + 1` stays in bounds).
@@ -386,17 +383,15 @@ impl ExecProfile {
 
 /// The sequential machine state, executing a [`DecodedProgram`].
 ///
-/// Mirrors [`crate::emu::Emulator`]'s interface: `run`,
-/// `run_with_stats`, the circular trace, and the `peek`/`reg`
-/// inspection accessors.
+/// Mirrors [`crate::emu::Emulator`]'s `run`, `run_with_stats` and
+/// `peek`; the legacy engine's trace ring and register accessor serve
+/// only the reference side of the agreement tests.
 #[derive(Debug)]
 pub struct DecodedEmulator<'a> {
     program: &'a DecodedProgram,
     regs: Vec<Word>,
     mem: DataMem,
     pc: usize,
-    trace: VecDeque<usize>,
-    trace_cap: usize,
 }
 
 #[inline(always)]
@@ -449,8 +444,6 @@ impl<'a> DecodedEmulator<'a> {
             regs,
             mem,
             pc: program.entry_pc,
-            trace: VecDeque::new(),
-            trace_cap: 0,
         }
     }
 
@@ -467,18 +460,7 @@ impl<'a> DecodedEmulator<'a> {
     /// bit-identical to [`DecodedEmulator::run_with_stats`] — the
     /// workspace agreement suite asserts exactly that.
     pub(crate) fn run_pooled(&mut self, cfg: &ExecConfig) -> (Result<Outcome, ExecError>, u64) {
-        self.step_loop::<false, false, false>(cfg, &mut [], &mut [], &mut [], &mut [])
-    }
-
-    /// Enables a circular trace of the last `cap` executed op indices.
-    pub fn set_trace(&mut self, cap: usize) {
-        self.trace_cap = cap;
-        self.trace = VecDeque::with_capacity(cap.min(1 << 20));
-    }
-
-    /// The traced op indices, oldest first.
-    pub fn trace(&self) -> Vec<usize> {
-        self.trace.iter().copied().collect()
+        self.step_loop::<false, false>(cfg, &mut [], &mut [], &mut [], &mut [])
     }
 
     /// Runs to completion.
@@ -505,11 +487,8 @@ impl<'a> DecodedEmulator<'a> {
         let n = self.program.micro.len();
         let mut expect = vec![0u64; n];
         let mut taken = vec![0u64; n];
-        let (res, steps) = if self.trace_cap > 0 {
-            self.step_loop::<true, false, true>(cfg, &mut expect, &mut taken, &mut [], &mut [])
-        } else {
-            self.step_loop::<false, false, true>(cfg, &mut expect, &mut taken, &mut [], &mut [])
-        };
+        let (res, steps) =
+            self.step_loop::<false, true>(cfg, &mut expect, &mut taken, &mut [], &mut []);
         (res, ExecStats { expect, taken }, steps)
     }
 
@@ -534,23 +513,13 @@ impl<'a> DecodedEmulator<'a> {
         // One 2-bit counter per op, initialized to 01 (weakly not
         // taken); only conditional branches ever read or update theirs.
         let mut predictor = vec![1u8; n];
-        let (res, steps) = if self.trace_cap > 0 {
-            self.step_loop::<true, true, true>(
-                cfg,
-                &mut expect,
-                &mut taken,
-                &mut predictor,
-                &mut mispredict,
-            )
-        } else {
-            self.step_loop::<false, true, true>(
-                cfg,
-                &mut expect,
-                &mut taken,
-                &mut predictor,
-                &mut mispredict,
-            )
-        };
+        let (res, steps) = self.step_loop::<true, true>(
+            cfg,
+            &mut expect,
+            &mut taken,
+            &mut predictor,
+            &mut mispredict,
+        );
         (
             res,
             ExecStats { expect, taken },
@@ -560,13 +529,11 @@ impl<'a> DecodedEmulator<'a> {
     }
 
     /// The monomorphized step loop; returns the outcome and the steps
-    /// executed. With `TRACE = false` (the profile-only default) the
-    /// trace bookkeeping — including its capacity test — compiles out
-    /// entirely; with `PROFILE = false` the branch-predictor
-    /// accounting compiles out the same way. `STATS = false` (the
-    /// batch serving path, [`DecodedEmulator::run_pooled`])
-    /// additionally compiles out the per-pc Expect/taken counters —
-    /// outcome, step count and errors are unaffected.
+    /// executed. With `PROFILE = false` the branch-predictor
+    /// accounting compiles out entirely; `STATS = false` (the batch
+    /// serving path, [`DecodedEmulator::run_pooled`]) additionally
+    /// compiles out the per-pc Expect/taken counters — outcome, step
+    /// count and errors are unaffected.
     ///
     /// The step count is a local, not a reference, and each record is
     /// matched in place (`match *m`), so an arm loads only its own
@@ -575,7 +542,7 @@ impl<'a> DecodedEmulator<'a> {
     /// The counter arrays are checked once against the program length,
     /// so indexing them at a pc that `micro.get` accepted needs no
     /// further bounds check.
-    fn step_loop<const TRACE: bool, const PROFILE: bool, const STATS: bool>(
+    fn step_loop<const PROFILE: bool, const STATS: bool>(
         &mut self,
         cfg: &ExecConfig,
         expect: &mut [u64],
@@ -595,13 +562,7 @@ impl<'a> DecodedEmulator<'a> {
                 "profile arrays"
             );
         }
-        let Self {
-            regs,
-            mem,
-            trace,
-            trace_cap,
-            ..
-        } = self;
+        let Self { regs, mem, .. } = self;
         let regs = regs.as_mut_slice();
         let mut pc = self.pc;
         let mut steps: u64 = 0;
@@ -617,12 +578,6 @@ impl<'a> DecodedEmulator<'a> {
             let at = pc;
             if STATS {
                 expect[at] += 1;
-            }
-            if TRACE {
-                if trace.len() == *trace_cap {
-                    trace.pop_front();
-                }
-                trace.push_back(at);
             }
             macro_rules! fail {
                 ($e:expr) => {{
@@ -663,9 +618,9 @@ impl<'a> DecodedEmulator<'a> {
             // The second constituent of a fused pair: repeats, under
             // index `at + 1`, exactly the bookkeeping the loop header
             // did for the head — step-limit check first, then the step
-            // count, Expect count and trace entry — so a fused run is
-            // bit-identical to the unfused one even when the limit
-            // lands between the two halves.
+            // count and Expect count — so a fused run is bit-identical
+            // to the unfused one even when the limit lands between the
+            // two halves.
             macro_rules! second {
                 () => {{
                     if steps >= max_steps {
@@ -674,12 +629,6 @@ impl<'a> DecodedEmulator<'a> {
                     steps += 1;
                     if STATS {
                         expect[at + 1] += 1;
-                    }
-                    if TRACE {
-                        if trace.len() == *trace_cap {
-                            trace.pop_front();
-                        }
-                        trace.push_back(at + 1);
                     }
                 }};
             }
@@ -838,11 +787,6 @@ impl<'a> DecodedEmulator<'a> {
     pub fn peek(&self, addr: i64) -> Option<Word> {
         usize::try_from(addr).ok().and_then(|i| self.mem.get(i))
     }
-
-    /// Read access to a register (for tests and answer inspection).
-    pub fn reg(&self, r: crate::op::R) -> Word {
-        self.regs[r.0 as usize]
-    }
 }
 
 #[cfg(test)]
@@ -865,7 +809,7 @@ mod tests {
     fn assemble(build: impl FnOnce(&mut Asm) -> Label) -> IciProgram {
         let mut a = Asm::new();
         let entry = build(&mut a);
-        a.finish(entry)
+        a.finish(entry).expect("assembles")
     }
 
     /// Runs a program through both engines and asserts bit-identical
@@ -1064,44 +1008,6 @@ mod tests {
             .run(&ExecConfig::default())
             .unwrap_err();
         assert_eq!(err, derr);
-    }
-
-    #[test]
-    fn traced_runs_match() {
-        let p = assemble(|a| {
-            let e = a.fresh_label();
-            let lp = a.fresh_label();
-            let i = a.fresh_reg();
-            a.bind(e);
-            a.emit(Op::MvI {
-                d: i,
-                w: Word::int(0),
-            });
-            a.bind(lp);
-            a.emit(Op::Alu {
-                op: AluOp::Add,
-                d: i,
-                a: i,
-                b: Operand::Imm(1),
-            });
-            a.emit(Op::Br {
-                cond: Cond::Lt,
-                a: i,
-                b: Operand::Imm(40),
-                t: lp,
-            });
-            a.emit(Op::Halt { success: true });
-            e
-        });
-        let layout = tiny_layout();
-        let mut legacy = Emulator::new(&p, &layout);
-        legacy.set_trace(16);
-        legacy.run(&ExecConfig::default()).unwrap();
-        let decoded = DecodedProgram::new(&p);
-        let mut fast = DecodedEmulator::new(&decoded, &layout);
-        fast.set_trace(16);
-        fast.run(&ExecConfig::default()).unwrap();
-        assert_eq!(legacy.trace(), fast.trace());
     }
 
     #[test]

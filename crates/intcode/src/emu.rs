@@ -432,7 +432,7 @@ mod tests {
     fn run_program(build: impl FnOnce(&mut Asm) -> Label) -> (RunResult, IciProgram) {
         let mut a = Asm::new();
         let entry = build(&mut a);
-        let p = a.finish(entry);
+        let p = a.finish(entry).expect("assembles");
         let layout = Layout {
             heap_size: 64,
             env_size: 64,
@@ -703,7 +703,7 @@ mod tests {
             t: lp,
         });
         a.emit(Op::Halt { success: true });
-        let p = a.finish(e);
+        let p = a.finish(e).expect("assembles");
         let layout = Layout {
             heap_size: 16,
             env_size: 16,
@@ -751,7 +751,7 @@ mod tests {
             off: 0,
         });
         a.emit(Op::Halt { success: true });
-        let p = a.finish(e);
+        let p = a.finish(e).expect("assembles");
         let layout = Layout {
             heap_size: 16,
             env_size: 16,
@@ -771,7 +771,7 @@ mod tests {
         let e = a.fresh_label();
         a.bind(e);
         a.emit(Op::Jmp { t: e });
-        let p = a.finish(e);
+        let p = a.finish(e).expect("assembles");
         let layout = Layout {
             heap_size: 16,
             env_size: 16,

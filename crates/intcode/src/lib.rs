@@ -7,21 +7,25 @@
 //! * the BAM → ICI [`translate::translate`] pass (with per-clause
 //!   register renaming and the shared runtime routines),
 //! * the data memory [`layout::Layout`] of the BAM execution model
-//!   (heap / environment stack / choice-point stack / trail / PDL), and
-//! * the sequential [`emu::Emulator`] that validates programs and
-//!   collects the Expect counts and branch probabilities driving trace
-//!   selection, and
+//!   (heap / environment stack / choice-point stack / trail / PDL),
+//! * the sequential [`emu::Emulator`], the reference interpreter every
+//!   production engine is checked against,
 //! * the pre-decoded micro-op engine ([`decode::DecodedProgram`] +
 //!   [`decode::DecodedEmulator`]) — the default execution path of the
 //!   evaluation pipeline, bit-identical to the legacy interpreter but
 //!   substantially faster per step — running on the recycled
 //!   [`mem::DataMem`], which resets only the pages a run wrote, and
+//!   serving query batches on a reused pool ([`batch::run_batch`]),
 //! * the profile-guided [`fuse()`] pass — the second tier: hot
 //!   straight-line pairs from a profiling run's Expect counts are
 //!   re-decoded into fused superinstructions (tag-check-and-deref and
 //!   load+move, the two pair shapes the translated programs contain)
 //!   that halve dispatch on the covered dynamic ops while staying
 //!   bit-identical to both unfused engines.
+//!
+//! Outside tests the library denies `unwrap`, `expect` and `panic!`:
+//! a malformed program, artifact or run is an error value
+//! ([`ProgramError`], [`TranslateError`], [`WireError`], [`ExecError`]).
 //!
 //! ```
 //! use symbol_prolog::parse_program;
@@ -43,7 +47,10 @@
 //! ```
 
 #![deny(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod asm;
 pub mod batch;
@@ -59,7 +66,7 @@ pub mod wire;
 pub mod word;
 
 pub use asm::Asm;
-pub use batch::{run_batch, run_batch_parallel, ArenaPool, BatchOutcome};
+pub use batch::{run_batch, ArenaPool, BatchOutcome};
 pub use decode::{DecodedEmulator, DecodedProgram, ExecProfile};
 pub use emu::{Emulator, ExecConfig, ExecError, ExecStats, Outcome, RunResult};
 pub use fuse::{fuse, profile_hash, FuseConfig, FusionReport};

@@ -1,4 +1,6 @@
-//! The assembled IntCode program.
+//! The assembled IntCode program. [`IciProgram::new`] is its one
+//! constructor: it resolves and validates every label and returns a
+//! [`ProgramError`] for a defect, whatever built the ops.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -8,11 +10,11 @@ use crate::word::Tag;
 
 /// A structural defect found while assembling an [`IciProgram`].
 ///
-/// Construction via [`IciProgram::new`] panics on these (they are
-/// compiler bugs on the translate path), but generated inputs — fuzz
-/// fragments, corpus files — go through [`IciProgram::try_new`], where
-/// a malformed program must fail loudly with a diagnosis instead of
-/// panicking or executing garbage.
+/// On the translate path one is a compiler bug, and on generated
+/// inputs (fuzz fragments, corpus files, stored artifacts) an expected
+/// condition; either way [`IciProgram::new`] returns it as a value, so
+/// a malformed program is diagnosed instead of panicking or executing
+/// garbage.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProgramError {
     /// A label is bound past the end of the op vector.
@@ -97,36 +99,13 @@ pub struct IciProgram {
 impl IciProgram {
     /// Builds a program, resolving and validating all labels.
     ///
-    /// # Panics
-    ///
-    /// Panics if a referenced label is unbound or binds past the end.
-    pub fn new(
-        ops: Vec<Op>,
-        groups: Vec<u32>,
-        label_at: HashMap<Label, usize>,
-        num_labels: u32,
-        entry: Label,
-    ) -> Self {
-        match Self::try_new(ops, groups, label_at, num_labels, entry) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a program, returning a [`ProgramError`] instead of
-    /// panicking when validation fails.
-    ///
-    /// This is the entry point for *generated* programs — fuzz
-    /// fragments and corpus reproducers — where a malformed input is an
-    /// expected condition that must be diagnosed, not a compiler bug.
-    ///
     /// # Errors
     ///
     /// Returns the first structural defect found: labels bound past the
     /// end or outside the declared label space, unbound branch targets,
     /// unbound code-word labels, an unbound entry, or a `groups` vector
     /// that is not parallel to the ops.
-    pub fn try_new(
+    pub fn new(
         ops: Vec<Op>,
         groups: Vec<u32>,
         label_at: HashMap<Label, usize>,
@@ -260,18 +239,11 @@ mod tests {
     use crate::op::R;
 
     #[test]
-    #[should_panic(expected = "unbound")]
-    fn unbound_branch_target_panics() {
-        let ops = vec![Op::Jmp { t: Label(0) }];
-        IciProgram::new(ops, vec![0], HashMap::new(), 1, Label(0));
-    }
-
-    #[test]
-    fn try_new_reports_each_defect() {
+    fn new_reports_each_defect() {
         // Unbound branch target (entry bound, target not).
         let mut labels = HashMap::new();
         labels.insert(Label(0), 0);
-        let e = IciProgram::try_new(
+        let e = IciProgram::new(
             vec![Op::Jmp { t: Label(1) }],
             vec![0],
             labels.clone(),
@@ -284,14 +256,14 @@ mod tests {
         // Label id outside the declared space.
         let mut oob = HashMap::new();
         oob.insert(Label(7), 0);
-        let e = IciProgram::try_new(vec![Op::Halt { success: true }], vec![0], oob, 1, Label(0))
+        let e = IciProgram::new(vec![Op::Halt { success: true }], vec![0], oob, 1, Label(0))
             .unwrap_err();
         assert_eq!(e, ProgramError::LabelOutOfRange { label: Label(7) });
 
         // Label bound past the end.
         let mut past = HashMap::new();
         past.insert(Label(0), 5);
-        let e = IciProgram::try_new(vec![Op::Halt { success: true }], vec![0], past, 1, Label(0))
+        let e = IciProgram::new(vec![Op::Halt { success: true }], vec![0], past, 1, Label(0))
             .unwrap_err();
         assert_eq!(
             e,
@@ -302,7 +274,7 @@ mod tests {
         );
 
         // Unbound entry.
-        let e = IciProgram::try_new(
+        let e = IciProgram::new(
             vec![Op::Halt { success: true }],
             vec![0],
             HashMap::new(),
@@ -313,7 +285,7 @@ mod tests {
         assert_eq!(e, ProgramError::UnboundEntry { label: Label(0) });
 
         // Groups not parallel to ops.
-        let e = IciProgram::try_new(
+        let e = IciProgram::new(
             vec![Op::Halt { success: true }],
             vec![],
             labels.clone(),
@@ -324,7 +296,7 @@ mod tests {
         assert_eq!(e, ProgramError::GroupsLengthMismatch { ops: 1, groups: 0 });
 
         // Unbound code word.
-        let e = IciProgram::try_new(
+        let e = IciProgram::new(
             vec![Op::MvI {
                 d: R(40),
                 w: crate::word::Word::code(1),
@@ -339,10 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn try_new_accepts_a_well_formed_program() {
+    fn new_accepts_a_well_formed_program() {
         let mut labels = HashMap::new();
         labels.insert(Label(0), 0);
-        let p = IciProgram::try_new(
+        let p = IciProgram::new(
             vec![Op::Halt { success: true }],
             vec![0],
             labels,
@@ -365,7 +337,7 @@ mod tests {
             },
             Op::Halt { success: true },
         ];
-        let p = IciProgram::new(ops, vec![0, 0], labels, 2, Label(0));
+        let p = IciProgram::new(ops, vec![0, 0], labels, 2, Label(0)).expect("valid");
         assert!(p.address_taken().contains(&Label(1)));
         assert!(p.address_taken().contains(&Label(0)));
     }

@@ -43,7 +43,7 @@ pub enum TranslateError {
         /// The offending arity.
         arity: usize,
     },
-    /// The assembled program failed [`IciProgram::try_new`] validation.
+    /// The assembled program failed [`IciProgram::new`] validation.
     /// A defect here is a translator bug, but the serving tier must see
     /// it as an error value, never a panic.
     Program(crate::program::ProgramError),
@@ -92,7 +92,7 @@ pub fn translate(
     tr.emit_fail_routine();
     tr.emit_unify_routine();
     tr.emit_struct_eq_routine();
-    Ok(tr.asm.try_finish(entry_label)?)
+    Ok(tr.asm.finish(entry_label)?)
 }
 
 struct Tr<'a> {
@@ -196,16 +196,7 @@ impl<'a> Tr<'a> {
             base: reg::B,
             off: -cp_frame::SAVED_TR,
         });
-        let t = a.fresh_reg();
-        a.emit(Op::MvI {
-            d: t,
-            w: Word::code(halt_fail.0),
-        });
-        a.emit(Op::St {
-            s: t,
-            base: reg::B,
-            off: -cp_frame::RETRY,
-        });
+        store_word(a, Word::code(halt_fail.0), reg::B, -cp_frame::RETRY);
         a.emit(Op::St {
             s: reg::B,
             base: reg::B,
@@ -221,31 +212,13 @@ impl<'a> Tr<'a> {
             base: reg::B,
             off: -cp_frame::SAVED_ETOP,
         });
-        let t2 = a.fresh_reg();
-        a.emit(Op::MvI {
-            d: t2,
-            w: Word::code(done.0),
-        });
-        a.emit(Op::St {
-            s: t2,
-            base: reg::B,
-            off: -cp_frame::SAVED_CP,
-        });
+        store_word(a, Word::code(done.0), reg::B, -cp_frame::SAVED_CP);
         a.emit(Op::St {
             s: reg::B,
             base: reg::B,
             off: -cp_frame::SAVED_B0,
         });
-        let t3 = a.fresh_reg();
-        a.emit(Op::MvI {
-            d: t3,
-            w: Word::int(0),
-        });
-        a.emit(Op::St {
-            s: t3,
-            base: reg::B,
-            off: -cp_frame::ARITY,
-        });
+        store_word(a, Word::int(0), reg::B, -cp_frame::ARITY);
         a.emit(Op::St {
             s: reg::EB,
             base: reg::B,
@@ -310,27 +283,102 @@ impl<'a> Tr<'a> {
 
     /// Writes register `r` into a slot.
     fn write_slot(&mut self, ctx: &mut PredCtx, s: Slot, r: R) {
-        match s {
-            Slot::Arg(i) => {
-                let d = reg::arg(i);
-                if d != r {
-                    self.asm.emit(Op::Mv { d, s: r });
-                }
-            }
-            Slot::Temp(k) => {
-                let d = self.temp(ctx, k);
-                if d != r {
-                    self.asm.emit(Op::Mv { d, s: r });
-                }
-            }
+        let d = match s {
+            Slot::Arg(i) => reg::arg(i),
+            Slot::Temp(k) => self.temp(ctx, k),
             Slot::Perm(k) => {
-                self.asm.emit(Op::St {
+                return self.asm.emit(Op::St {
                     s: r,
                     base: reg::E,
                     off: env_frame::SLOTS + k as i32,
                 });
             }
+        };
+        if d != r {
+            self.asm.emit(Op::Mv { d, s: r });
         }
+    }
+
+    /// Reads a slot into a fresh register and dereferences it there.
+    fn deref_slot(&mut self, ctx: &mut PredCtx, s: Slot) -> R {
+        let r = self.read_slot(ctx, s);
+        let t = self.asm.fresh_reg();
+        self.asm.emit(Op::Mv { d: t, s: r });
+        self.asm.deref_in_place(t);
+        t
+    }
+
+    /// If the dereferenced `t` is an unbound environment cell, binds it
+    /// to a fresh heap variable and leaves that variable in `t`, so no
+    /// heap cell or argument ever points into the environment stack.
+    fn globalize(&mut self, t: R) {
+        let env_base = self.layout.env_base();
+        let done = self.asm.fresh_label();
+        self.asm.emit(Op::BrTag {
+            a: t,
+            tag: Tag::Ref,
+            eq: false,
+            t: done,
+        });
+        self.asm.emit(Op::Br {
+            cond: Cond::Lt,
+            a: t,
+            b: Operand::Imm(env_base),
+            t: done,
+        });
+        let nv = self.asm.fresh_reg();
+        self.asm.emit(Op::MkTag {
+            d: nv,
+            s: reg::H,
+            tag: Tag::Ref,
+        });
+        self.heap_push(nv);
+        self.asm.bind_cell(t, nv, env_base);
+        self.asm.emit(Op::Mv { d: t, s: nv });
+        self.asm.bind(done);
+    }
+
+    /// Calls the runtime routine at `routine` (`unify` or `struct_eq`)
+    /// on the pair of slots `a` and `b`, returning through `RR`.
+    fn call_routine(&mut self, ctx: &mut PredCtx, routine: Label, a: Slot, b: Slot) {
+        let ra = self.read_slot(ctx, a);
+        let rb = self.read_slot(ctx, b);
+        self.asm.emit(Op::Mv { d: reg::U1, s: ra });
+        self.asm.emit(Op::Mv { d: reg::U2, s: rb });
+        let ret = self.asm.fresh_label();
+        self.asm.emit(Op::MvI {
+            d: reg::RR,
+            w: Word::code(ret.0),
+        });
+        self.asm.emit(Op::Jmp { t: routine });
+        self.asm.bind(ret);
+    }
+
+    /// Reloads the first `arity` argument registers from the newest
+    /// choice point.
+    fn reload_args(&mut self, arity: usize) {
+        for i in 0..arity {
+            self.asm.emit(Op::Ld {
+                d: reg::arg(i),
+                base: reg::B,
+                off: -(cp_frame::ARGS_START + i as i32),
+            });
+        }
+    }
+
+    /// Restores the heap and environment boundaries `HB` and `EB` from
+    /// the choice point `B` now names.
+    fn restore_boundaries(&mut self) {
+        self.asm.emit(Op::Ld {
+            d: reg::HB,
+            base: reg::B,
+            off: -cp_frame::SAVED_H,
+        });
+        self.asm.emit(Op::Ld {
+            d: reg::EB,
+            base: reg::B,
+            off: -cp_frame::SAVED_EB,
+        });
     }
 
     fn const_word(c: Const) -> Word {
@@ -370,16 +418,8 @@ impl<'a> Tr<'a> {
 
     fn arith_operand(&mut self, ctx: &mut PredCtx, o: symbol_bam::Operand) -> Operand {
         match o {
-            symbol_bam::Operand::Slot(s) => Operand::Reg(self.read_slot(ctx, s)),
             symbol_bam::Operand::Const(Const::Int(i)) => Operand::Imm(i),
-            symbol_bam::Operand::Const(c) => {
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::MvI {
-                    d: t,
-                    w: Self::const_word(c),
-                });
-                Operand::Reg(t)
-            }
+            o => Operand::Reg(self.operand_to_reg(ctx, o)),
         }
     }
 
@@ -491,16 +531,7 @@ impl<'a> Tr<'a> {
                     base: nb,
                     off: -cp_frame::SAVED_TR,
                 });
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::MvI {
-                    d: t,
-                    w: Word::code(retry.0),
-                });
-                self.asm.emit(Op::St {
-                    s: t,
-                    base: nb,
-                    off: -cp_frame::RETRY,
-                });
+                store_word(&mut self.asm, Word::code(retry.0), nb, -cp_frame::RETRY);
                 self.asm.emit(Op::St {
                     s: reg::B,
                     base: nb,
@@ -526,16 +557,12 @@ impl<'a> Tr<'a> {
                     base: nb,
                     off: -cp_frame::SAVED_B0,
                 });
-                let ta = self.asm.fresh_reg();
-                self.asm.emit(Op::MvI {
-                    d: ta,
-                    w: Word::int(*arity as i64),
-                });
-                self.asm.emit(Op::St {
-                    s: ta,
-                    base: nb,
-                    off: -cp_frame::ARITY,
-                });
+                store_word(
+                    &mut self.asm,
+                    Word::int(*arity as i64),
+                    nb,
+                    -cp_frame::ARITY,
+                );
                 for i in 0..*arity {
                     self.asm.emit(Op::St {
                         s: reg::arg(i),
@@ -568,50 +595,20 @@ impl<'a> Tr<'a> {
                 self.asm.next_group();
                 let alt = self.lbl(ctx, *alt);
                 let retry = self.lbl(ctx, *retry);
-                for i in 0..*arity {
-                    self.asm.emit(Op::Ld {
-                        d: reg::arg(i),
-                        base: reg::B,
-                        off: -(cp_frame::ARGS_START + i as i32),
-                    });
-                }
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::MvI {
-                    d: t,
-                    w: Word::code(retry.0),
-                });
-                self.asm.emit(Op::St {
-                    s: t,
-                    base: reg::B,
-                    off: -cp_frame::RETRY,
-                });
+                self.reload_args(*arity);
+                store_word(&mut self.asm, Word::code(retry.0), reg::B, -cp_frame::RETRY);
                 self.asm.emit(Op::Jmp { t: alt });
             }
             BamInstr::Trust { arity, alt } => {
                 self.asm.next_group();
                 let alt = self.lbl(ctx, *alt);
-                for i in 0..*arity {
-                    self.asm.emit(Op::Ld {
-                        d: reg::arg(i),
-                        base: reg::B,
-                        off: -(cp_frame::ARGS_START + i as i32),
-                    });
-                }
+                self.reload_args(*arity);
                 self.asm.emit(Op::Ld {
                     d: reg::B,
                     base: reg::B,
                     off: -cp_frame::PREV_B,
                 });
-                self.asm.emit(Op::Ld {
-                    d: reg::HB,
-                    base: reg::B,
-                    off: -cp_frame::SAVED_H,
-                });
-                self.asm.emit(Op::Ld {
-                    d: reg::EB,
-                    base: reg::B,
-                    off: -cp_frame::SAVED_EB,
-                });
+                self.restore_boundaries();
                 self.asm.emit(Op::Jmp { t: alt });
             }
             BamInstr::SwitchOnTerm {
@@ -770,16 +767,7 @@ impl<'a> Tr<'a> {
                         self.asm.emit(Op::Mv { d: reg::B, s: r });
                     }
                 }
-                self.asm.emit(Op::Ld {
-                    d: reg::HB,
-                    base: reg::B,
-                    off: -cp_frame::SAVED_H,
-                });
-                self.asm.emit(Op::Ld {
-                    d: reg::EB,
-                    base: reg::B,
-                    off: -cp_frame::SAVED_EB,
-                });
+                self.restore_boundaries();
             }
             BamInstr::Move { src, dst } => {
                 self.asm.next_group();
@@ -788,42 +776,13 @@ impl<'a> Tr<'a> {
             }
             BamInstr::MoveUnsafe { src, dst } => {
                 self.asm.next_group();
-                let t0 = self.read_slot(ctx, *src);
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::Mv { d: t, s: t0 });
-                self.asm.deref_in_place(t);
-                let done = self.asm.fresh_label();
-                self.asm.emit(Op::BrTag {
-                    a: t,
-                    tag: Tag::Ref,
-                    eq: false,
-                    t: done,
-                });
-                self.asm.emit(Op::Br {
-                    cond: Cond::Lt,
-                    a: t,
-                    b: Operand::Imm(env_base),
-                    t: done,
-                });
-                // Globalize: fresh heap variable, bind the stack cell to it.
-                let nv = self.asm.fresh_reg();
-                self.asm.emit(Op::MkTag {
-                    d: nv,
-                    s: reg::H,
-                    tag: Tag::Ref,
-                });
-                self.heap_push(nv);
-                self.asm.bind_cell(t, nv, env_base);
-                self.asm.emit(Op::Mv { d: t, s: nv });
-                self.asm.bind(done);
+                let t = self.deref_slot(ctx, *src);
+                self.globalize(t);
                 self.write_slot(ctx, *dst, t);
             }
             BamInstr::Deref { src, dst } => {
                 self.asm.next_group();
-                let r = self.read_slot(ctx, *src);
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::Mv { d: t, s: r });
-                self.asm.deref_in_place(t);
+                let t = self.deref_slot(ctx, *src);
                 self.write_slot(ctx, *dst, t);
             }
             BamInstr::LoadArg { base, idx, dst } => {
@@ -947,34 +906,8 @@ impl<'a> Tr<'a> {
             }
             BamInstr::PushValue { src } => {
                 self.asm.next_group();
-                let r = self.read_slot(ctx, *src);
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::Mv { d: t, s: r });
-                self.asm.deref_in_place(t);
-                let push = self.asm.fresh_label();
-                self.asm.emit(Op::BrTag {
-                    a: t,
-                    tag: Tag::Ref,
-                    eq: false,
-                    t: push,
-                });
-                self.asm.emit(Op::Br {
-                    cond: Cond::Lt,
-                    a: t,
-                    b: Operand::Imm(env_base),
-                    t: push,
-                });
-                // Unbound environment cell: globalize before pushing.
-                let nv = self.asm.fresh_reg();
-                self.asm.emit(Op::MkTag {
-                    d: nv,
-                    s: reg::H,
-                    tag: Tag::Ref,
-                });
-                self.heap_push(nv);
-                self.asm.bind_cell(t, nv, env_base);
-                self.asm.emit(Op::Mv { d: t, s: nv });
-                self.asm.bind(push);
+                let t = self.deref_slot(ctx, *src);
+                self.globalize(t);
                 self.heap_push(t);
             }
             BamInstr::PushFresh { dst } => {
@@ -990,18 +923,7 @@ impl<'a> Tr<'a> {
             }
             BamInstr::GeneralUnify { a, b } => {
                 self.asm.next_group();
-                let ra = self.read_slot(ctx, *a);
-                let rb = self.read_slot(ctx, *b);
-                self.asm.emit(Op::Mv { d: reg::U1, s: ra });
-                self.asm.emit(Op::Mv { d: reg::U2, s: rb });
-                let ret = self.asm.fresh_label();
-                self.asm.emit(Op::MvI {
-                    d: reg::RR,
-                    w: Word::code(ret.0),
-                });
-                let u = self.unify;
-                self.asm.emit(Op::Jmp { t: u });
-                self.asm.bind(ret);
+                self.call_routine(ctx, self.unify, *a, *b);
             }
             BamInstr::StructEqBranch {
                 a,
@@ -1010,18 +932,7 @@ impl<'a> Tr<'a> {
                 target,
             } => {
                 self.asm.next_group();
-                let ra = self.read_slot(ctx, *a);
-                let rb = self.read_slot(ctx, *b);
-                self.asm.emit(Op::Mv { d: reg::U1, s: ra });
-                self.asm.emit(Op::Mv { d: reg::U2, s: rb });
-                let ret = self.asm.fresh_label();
-                self.asm.emit(Op::MvI {
-                    d: reg::RR,
-                    w: Word::code(ret.0),
-                });
-                let sq = self.struct_eq;
-                self.asm.emit(Op::Jmp { t: sq });
-                self.asm.bind(ret);
+                self.call_routine(ctx, self.struct_eq, *a, *b);
                 let l = self.lbl(ctx, *target);
                 self.asm.emit(Op::Br {
                     cond: Cond::Eq,
@@ -1032,10 +943,7 @@ impl<'a> Tr<'a> {
             }
             BamInstr::DerefInt { src, dst } => {
                 self.asm.next_group();
-                let r = self.read_slot(ctx, *src);
-                let t = self.asm.fresh_reg();
-                self.asm.emit(Op::Mv { d: t, s: r });
-                self.asm.deref_in_place(t);
+                let t = self.deref_slot(ctx, *src);
                 let f = self.fail;
                 self.asm.emit(Op::BrTag {
                     a: t,
@@ -1047,7 +955,7 @@ impl<'a> Tr<'a> {
             }
             BamInstr::Arith { op, a, b, dst } => {
                 self.asm.next_group();
-                let ra = self.operand_to_reg_arith(ctx, *a);
+                let ra = self.operand_to_reg(ctx, *a);
                 let ob = self.arith_operand(ctx, *b);
                 let t = self.asm.fresh_reg();
                 self.asm.emit(Op::Alu {
@@ -1060,7 +968,7 @@ impl<'a> Tr<'a> {
             }
             BamInstr::BranchCmpFalse { cmp, a, b, target } => {
                 self.asm.next_group();
-                let ra = self.operand_to_reg_arith(ctx, *a);
+                let ra = self.operand_to_reg(ctx, *a);
                 let ob = self.arith_operand(ctx, *b);
                 let l = self.lbl(ctx, *target);
                 self.asm.emit(Op::Br {
@@ -1074,31 +982,12 @@ impl<'a> Tr<'a> {
                 self.asm.next_group();
                 let r = self.read_slot(ctx, *slot);
                 let l = self.lbl(ctx, *target);
-                match test {
-                    TypeTest::Var => self.asm.emit(Op::BrTag {
-                        a: r,
-                        tag: Tag::Ref,
-                        eq: false,
-                        t: l,
-                    }),
-                    TypeTest::NonVar => self.asm.emit(Op::BrTag {
-                        a: r,
-                        tag: Tag::Ref,
-                        eq: true,
-                        t: l,
-                    }),
-                    TypeTest::Atom => self.asm.emit(Op::BrTag {
-                        a: r,
-                        tag: Tag::Atm,
-                        eq: false,
-                        t: l,
-                    }),
-                    TypeTest::Integer => self.asm.emit(Op::BrTag {
-                        a: r,
-                        tag: Tag::Int,
-                        eq: false,
-                        t: l,
-                    }),
+                // `atomic` passes atoms over the integer test.
+                let (tag, eq, atom_ok) = match test {
+                    TypeTest::Var => (Tag::Ref, false, None),
+                    TypeTest::NonVar => (Tag::Ref, true, None),
+                    TypeTest::Atom => (Tag::Atm, false, None),
+                    TypeTest::Integer => (Tag::Int, false, None),
                     TypeTest::Atomic => {
                         let ok = self.asm.fresh_label();
                         self.asm.emit(Op::BrTag {
@@ -1107,14 +996,17 @@ impl<'a> Tr<'a> {
                             eq: true,
                             t: ok,
                         });
-                        self.asm.emit(Op::BrTag {
-                            a: r,
-                            tag: Tag::Int,
-                            eq: false,
-                            t: l,
-                        });
-                        self.asm.bind(ok);
+                        (Tag::Int, false, Some(ok))
                     }
+                };
+                self.asm.emit(Op::BrTag {
+                    a: r,
+                    tag,
+                    eq,
+                    t: l,
+                });
+                if let Some(ok) = atom_ok {
+                    self.asm.bind(ok);
                 }
             }
             BamInstr::Halt { success } => {
@@ -1122,10 +1014,6 @@ impl<'a> Tr<'a> {
                 self.asm.emit(Op::Halt { success: *success });
             }
         }
-    }
-
-    fn operand_to_reg_arith(&mut self, ctx: &mut PredCtx, o: symbol_bam::Operand) -> R {
-        self.operand_to_reg(ctx, o)
     }
 
     /// Binary search over sorted `(value, target)` pairs on `r`'s value
@@ -1249,217 +1137,12 @@ impl<'a> Tr<'a> {
 
     fn emit_unify_routine(&mut self) {
         let env_base = self.layout.env_base();
-        let pdl_base = self.layout.pdl_base();
-        let unify = self.unify;
         let fail = self.fail;
         self.asm.next_group();
-        self.asm.bind(unify);
-
-        let pair = self.asm.fresh_label();
-        let next = self.asm.fresh_label();
-        let a_unb = self.asm.fresh_label();
-        let bind_a_to_b = self.asm.fresh_label();
-        let bind_b_to_a = self.asm.fresh_label();
-        let llst = self.asm.fresh_label();
-        let lstr = self.asm.fresh_label();
-        let lpush = self.asm.fresh_label();
-        let lfirst = self.asm.fresh_label();
-        let ldone = self.asm.fresh_label();
-
-        self.asm.emit(Op::MvI {
-            d: reg::PDL,
-            w: Word::int(pdl_base),
-        });
-        self.asm.bind(pair);
-        self.asm.deref_in_place(reg::U1);
-        self.asm.deref_in_place(reg::U2);
-        self.asm.emit(Op::BrWEq {
-            a: reg::U1,
-            b: reg::U2,
-            eq: true,
-            t: next,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Ref,
-            eq: true,
-            t: a_unb,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U2,
-            tag: Tag::Ref,
-            eq: true,
-            t: bind_b_to_a,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Lst,
-            eq: true,
-            t: llst,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Str,
-            eq: true,
-            t: lstr,
-        });
-        self.asm.emit(Op::Jmp { t: fail });
-
-        // Lists: push cdr pair, loop on car pair.
-        self.asm.bind(llst);
-        self.asm.emit(Op::BrTag {
-            a: reg::U2,
-            tag: Tag::Lst,
-            eq: false,
-            t: fail,
-        });
-        let t1 = self.asm.fresh_reg();
-        let t2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: t1,
-            base: reg::U1,
-            off: 1,
-        });
-        self.asm.emit(Op::Ld {
-            d: t2,
-            base: reg::U2,
-            off: 1,
-        });
-        self.asm.emit(Op::St {
-            s: t1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: t2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Add,
-            d: reg::PDL,
-            a: reg::PDL,
-            b: Operand::Imm(2),
-        });
-        let t3 = self.asm.fresh_reg();
-        let t4 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: t3,
-            base: reg::U1,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: t4,
-            base: reg::U2,
-            off: 0,
-        });
-        self.asm.emit(Op::Mv { d: reg::U1, s: t3 });
-        self.asm.emit(Op::Mv { d: reg::U2, s: t4 });
-        self.asm.emit(Op::Jmp { t: pair });
-
-        // Structures: compare functors, push args n..2, loop on arg 1.
-        self.asm.bind(lstr);
-        self.asm.emit(Op::BrTag {
-            a: reg::U2,
-            tag: Tag::Str,
-            eq: false,
-            t: fail,
-        });
-        let f1 = self.asm.fresh_reg();
-        let f2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: f1,
-            base: reg::U1,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: f2,
-            base: reg::U2,
-            off: 0,
-        });
-        self.asm.emit(Op::BrWEq {
-            a: f1,
-            b: f2,
-            eq: false,
-            t: fail,
-        });
-        let n = self.asm.fresh_reg();
-        self.asm.emit(Op::Alu {
-            op: AluOp::And,
-            d: n,
-            a: f1,
-            b: Operand::Imm(0xff),
-        });
-        self.asm.bind(lpush);
-        self.asm.emit(Op::Br {
-            cond: Cond::Le,
-            a: n,
-            b: Operand::Imm(1),
-            t: lfirst,
-        });
-        let p1 = self.asm.fresh_reg();
-        let p2 = self.asm.fresh_reg();
-        let v1 = self.asm.fresh_reg();
-        let v2 = self.asm.fresh_reg();
-        self.asm.emit(Op::AddA {
-            d: p1,
-            a: reg::U1,
-            b: Operand::Reg(n),
-        });
-        self.asm.emit(Op::Ld {
-            d: v1,
-            base: p1,
-            off: 0,
-        });
-        self.asm.emit(Op::AddA {
-            d: p2,
-            a: reg::U2,
-            b: Operand::Reg(n),
-        });
-        self.asm.emit(Op::Ld {
-            d: v2,
-            base: p2,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: v1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: v2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Add,
-            d: reg::PDL,
-            a: reg::PDL,
-            b: Operand::Imm(2),
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Sub,
-            d: n,
-            a: n,
-            b: Operand::Imm(1),
-        });
-        self.asm.emit(Op::Jmp { t: lpush });
-        self.asm.bind(lfirst);
-        let w1 = self.asm.fresh_reg();
-        let w2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: w1,
-            base: reg::U1,
-            off: 1,
-        });
-        self.asm.emit(Op::Ld {
-            d: w2,
-            base: reg::U2,
-            off: 1,
-        });
-        self.asm.emit(Op::Mv { d: reg::U1, s: w1 });
-        self.asm.emit(Op::Mv { d: reg::U2, s: w2 });
-        self.asm.emit(Op::Jmp { t: pair });
+        self.asm.bind(self.unify);
+        let (walk, [a_unb, bind_a_to_b, bind_b_to_a]) = PairWalk::new(&mut self.asm, self.layout);
+        walk.head(&mut self.asm, a_unb, bind_b_to_a, fail);
+        walk.descend(&mut self.asm, fail);
 
         // Binding cases.
         self.asm.bind(a_unb);
@@ -1478,295 +1161,254 @@ impl<'a> Tr<'a> {
         });
         self.asm.bind(bind_a_to_b);
         self.asm.bind_cell(reg::U1, reg::U2, env_base);
-        self.asm.emit(Op::Jmp { t: next });
+        self.asm.emit(Op::Jmp { t: walk.next });
         self.asm.bind(bind_b_to_a);
         self.asm.bind_cell(reg::U2, reg::U1, env_base);
-
-        // Pop the next pair or return.
-        self.asm.bind(next);
-        self.asm.emit(Op::Br {
-            cond: Cond::Le,
-            a: reg::PDL,
-            b: Operand::Imm(pdl_base),
-            t: ldone,
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Sub,
-            d: reg::PDL,
-            a: reg::PDL,
-            b: Operand::Imm(2),
-        });
-        self.asm.emit(Op::Ld {
-            d: reg::U1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: reg::U2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Jmp { t: pair });
-        self.asm.bind(ldone);
-        self.asm.emit(Op::JmpR { r: reg::RR });
+        walk.pop(&mut self.asm);
     }
 
     fn emit_struct_eq_routine(&mut self) {
-        let pdl_base = self.layout.pdl_base();
-        let eq = self.struct_eq;
         self.asm.next_group();
-        self.asm.bind(eq);
+        self.asm.bind(self.struct_eq);
+        let (walk, [lfalse]) = PairWalk::new(&mut self.asm, self.layout);
+        // `FLAG` reads 1 unless the walk finds a difference.
+        set_flag(&mut self.asm, 1);
+        walk.head(&mut self.asm, lfalse, lfalse, lfalse);
+        walk.descend(&mut self.asm, lfalse);
+        self.asm.bind(lfalse);
+        set_flag(&mut self.asm, 0);
+        self.asm.emit(Op::JmpR { r: reg::RR });
+        walk.pop(&mut self.asm);
+    }
+}
 
-        let pair = self.asm.fresh_label();
-        let next = self.asm.fresh_label();
-        let lfalse = self.asm.fresh_label();
-        let llst = self.asm.fresh_label();
-        let lstr = self.asm.fresh_label();
-        let lpush = self.asm.fresh_label();
-        let lfirst = self.asm.fresh_label();
-        let ldone = self.asm.fresh_label();
+/// The walk over the PDL, the push-down list of term pairs still to
+/// visit, that `unify` and `struct_eq` share. Each routine allocates
+/// its own labels between the walk's `next` and `list` labels
+/// ([`PairWalk::new`]) and emits its own bodies for the cases the walk
+/// hands it; the walk emits the rest.
+struct PairWalk {
+    pdl_base: i64,
+    /// Dereferences `U1` and `U2` and dispatches on them.
+    pair: Label,
+    /// Pops the next pair, or returns through `RR` when none is left.
+    next: Label,
+    list: Label,
+    strct: Label,
+    push: Label,
+    first: Label,
+    done: Label,
+}
 
-        let one = self.asm.fresh_reg();
-        self.asm.emit(Op::MvI {
-            d: one,
-            w: Word::int(1),
-        });
-        self.asm.emit(Op::Mv {
-            d: reg::FLAG,
-            s: one,
-        });
-        self.asm.emit(Op::MvI {
+impl PairWalk {
+    /// Allocates the walk's labels and, after `pair` and `next`, the
+    /// calling routine's `N` own labels. Label ids are part of the
+    /// program's bytes, so this order is fixed (`tests/golden/intcode.txt`
+    /// pins it), as is the order of every register and label the
+    /// emitters allocate.
+    fn new<const N: usize>(a: &mut Asm, layout: &Layout) -> (Self, [Label; N]) {
+        let pair = a.fresh_label();
+        let next = a.fresh_label();
+        let own = std::array::from_fn(|_| a.fresh_label());
+        let list = a.fresh_label();
+        let strct = a.fresh_label();
+        let push = a.fresh_label();
+        let first = a.fresh_label();
+        let done = a.fresh_label();
+        let walk = PairWalk {
+            pdl_base: layout.pdl_base(),
+            pair,
+            next,
+            list,
+            strct,
+            push,
+            first,
+            done,
+        };
+        (walk, own)
+    }
+
+    /// Empties the PDL, then dereferences the pair and dispatches: equal
+    /// words go to `next`, an unbound `U1` to `u1_unbound`, an unbound
+    /// `U2` to `u2_unbound`, lists and structures to the walk's descent,
+    /// anything else to `other`.
+    fn head(&self, a: &mut Asm, u1_unbound: Label, u2_unbound: Label, other: Label) {
+        a.emit(Op::MvI {
             d: reg::PDL,
-            w: Word::int(pdl_base),
+            w: Word::int(self.pdl_base),
         });
-        self.asm.bind(pair);
-        self.asm.deref_in_place(reg::U1);
-        self.asm.deref_in_place(reg::U2);
-        self.asm.emit(Op::BrWEq {
+        a.bind(self.pair);
+        a.deref_in_place(reg::U1);
+        a.deref_in_place(reg::U2);
+        a.emit(Op::BrWEq {
             a: reg::U1,
             b: reg::U2,
             eq: true,
-            t: next,
+            t: self.next,
         });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Ref,
-            eq: true,
-            t: lfalse,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U2,
-            tag: Tag::Ref,
-            eq: true,
-            t: lfalse,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Lst,
-            eq: true,
-            t: llst,
-        });
-        self.asm.emit(Op::BrTag {
-            a: reg::U1,
-            tag: Tag::Str,
-            eq: true,
-            t: lstr,
-        });
-        self.asm.emit(Op::Jmp { t: lfalse });
+        for (r, tag, t) in [
+            (reg::U1, Tag::Ref, u1_unbound),
+            (reg::U2, Tag::Ref, u2_unbound),
+            (reg::U1, Tag::Lst, self.list),
+            (reg::U1, Tag::Str, self.strct),
+        ] {
+            a.emit(Op::BrTag {
+                a: r,
+                tag,
+                eq: true,
+                t,
+            });
+        }
+        a.emit(Op::Jmp { t: other });
+    }
 
-        self.asm.bind(llst);
-        self.asm.emit(Op::BrTag {
+    /// Descends into two lists (push the cdr pair, walk the car pair)
+    /// or two structures (compare functors, push arguments n..2, walk
+    /// argument 1); a shape or functor mismatch goes to `mismatch`.
+    fn descend(&self, a: &mut Asm, mismatch: Label) {
+        a.bind(self.list);
+        a.emit(Op::BrTag {
             a: reg::U2,
             tag: Tag::Lst,
             eq: false,
-            t: lfalse,
+            t: mismatch,
         });
-        let t1 = self.asm.fresh_reg();
-        let t2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: t1,
-            base: reg::U1,
-            off: 1,
-        });
-        self.asm.emit(Op::Ld {
-            d: t2,
-            base: reg::U2,
-            off: 1,
-        });
-        self.asm.emit(Op::St {
-            s: t1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: t2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Add,
-            d: reg::PDL,
-            a: reg::PDL,
-            b: Operand::Imm(2),
-        });
-        let t3 = self.asm.fresh_reg();
-        let t4 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: t3,
-            base: reg::U1,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: t4,
-            base: reg::U2,
-            off: 0,
-        });
-        self.asm.emit(Op::Mv { d: reg::U1, s: t3 });
-        self.asm.emit(Op::Mv { d: reg::U2, s: t4 });
-        self.asm.emit(Op::Jmp { t: pair });
+        let (t1, t2) = load_pair(a, 1);
+        self.push_pair(a, t1, t2);
+        self.walk_pair_at(a, 0);
 
-        self.asm.bind(lstr);
-        self.asm.emit(Op::BrTag {
+        a.bind(self.strct);
+        a.emit(Op::BrTag {
             a: reg::U2,
             tag: Tag::Str,
             eq: false,
-            t: lfalse,
+            t: mismatch,
         });
-        let f1 = self.asm.fresh_reg();
-        let f2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: f1,
-            base: reg::U1,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: f2,
-            base: reg::U2,
-            off: 0,
-        });
-        self.asm.emit(Op::BrWEq {
+        let (f1, f2) = load_pair(a, 0);
+        a.emit(Op::BrWEq {
             a: f1,
             b: f2,
             eq: false,
-            t: lfalse,
+            t: mismatch,
         });
-        let n = self.asm.fresh_reg();
-        self.asm.emit(Op::Alu {
+        let n = a.fresh_reg();
+        a.emit(Op::Alu {
             op: AluOp::And,
             d: n,
             a: f1,
             b: Operand::Imm(0xff),
         });
-        self.asm.bind(lpush);
-        self.asm.emit(Op::Br {
+        a.bind(self.push);
+        a.emit(Op::Br {
             cond: Cond::Le,
             a: n,
             b: Operand::Imm(1),
-            t: lfirst,
+            t: self.first,
         });
-        let p1 = self.asm.fresh_reg();
-        let p2 = self.asm.fresh_reg();
-        let v1 = self.asm.fresh_reg();
-        let v2 = self.asm.fresh_reg();
-        self.asm.emit(Op::AddA {
-            d: p1,
-            a: reg::U1,
-            b: Operand::Reg(n),
-        });
-        self.asm.emit(Op::Ld {
-            d: v1,
-            base: p1,
-            off: 0,
-        });
-        self.asm.emit(Op::AddA {
-            d: p2,
-            a: reg::U2,
-            b: Operand::Reg(n),
-        });
-        self.asm.emit(Op::Ld {
-            d: v2,
-            base: p2,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: v1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::St {
-            s: v2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Alu {
-            op: AluOp::Add,
-            d: reg::PDL,
-            a: reg::PDL,
-            b: Operand::Imm(2),
-        });
-        self.asm.emit(Op::Alu {
+        let [p1, p2, v1, v2] = std::array::from_fn(|_| a.fresh_reg());
+        for (p, u, v) in [(p1, reg::U1, v1), (p2, reg::U2, v2)] {
+            a.emit(Op::AddA {
+                d: p,
+                a: u,
+                b: Operand::Reg(n),
+            });
+            a.emit(Op::Ld {
+                d: v,
+                base: p,
+                off: 0,
+            });
+        }
+        self.push_pair(a, v1, v2);
+        a.emit(Op::Alu {
             op: AluOp::Sub,
             d: n,
             a: n,
             b: Operand::Imm(1),
         });
-        self.asm.emit(Op::Jmp { t: lpush });
-        self.asm.bind(lfirst);
-        let w1 = self.asm.fresh_reg();
-        let w2 = self.asm.fresh_reg();
-        self.asm.emit(Op::Ld {
-            d: w1,
-            base: reg::U1,
-            off: 1,
-        });
-        self.asm.emit(Op::Ld {
-            d: w2,
-            base: reg::U2,
-            off: 1,
-        });
-        self.asm.emit(Op::Mv { d: reg::U1, s: w1 });
-        self.asm.emit(Op::Mv { d: reg::U2, s: w2 });
-        self.asm.emit(Op::Jmp { t: pair });
+        a.emit(Op::Jmp { t: self.push });
+        a.bind(self.first);
+        self.walk_pair_at(a, 1);
+    }
 
-        self.asm.bind(lfalse);
-        let zero = self.asm.fresh_reg();
-        self.asm.emit(Op::MvI {
-            d: zero,
-            w: Word::int(0),
-        });
-        self.asm.emit(Op::Mv {
-            d: reg::FLAG,
-            s: zero,
-        });
-        self.asm.emit(Op::JmpR { r: reg::RR });
-
-        self.asm.bind(next);
-        self.asm.emit(Op::Br {
+    /// Pops the next pair and walks it, or returns through `RR`.
+    fn pop(&self, a: &mut Asm) {
+        a.bind(self.next);
+        a.emit(Op::Br {
             cond: Cond::Le,
             a: reg::PDL,
-            b: Operand::Imm(pdl_base),
-            t: ldone,
+            b: Operand::Imm(self.pdl_base),
+            t: self.done,
         });
-        self.asm.emit(Op::Alu {
+        a.emit(Op::Alu {
             op: AluOp::Sub,
             d: reg::PDL,
             a: reg::PDL,
             b: Operand::Imm(2),
         });
-        self.asm.emit(Op::Ld {
-            d: reg::U1,
-            base: reg::PDL,
-            off: 0,
-        });
-        self.asm.emit(Op::Ld {
-            d: reg::U2,
-            base: reg::PDL,
-            off: 1,
-        });
-        self.asm.emit(Op::Jmp { t: pair });
-        self.asm.bind(ldone);
-        self.asm.emit(Op::JmpR { r: reg::RR });
+        for (d, off) in [(reg::U1, 0), (reg::U2, 1)] {
+            a.emit(Op::Ld {
+                d,
+                base: reg::PDL,
+                off,
+            });
+        }
+        a.emit(Op::Jmp { t: self.pair });
+        a.bind(self.done);
+        a.emit(Op::JmpR { r: reg::RR });
     }
+
+    /// Pushes the pair `(x, y)` onto the PDL.
+    fn push_pair(&self, a: &mut Asm, x: R, y: R) {
+        for (s, off) in [(x, 0), (y, 1)] {
+            a.emit(Op::St {
+                s,
+                base: reg::PDL,
+                off,
+            });
+        }
+        a.emit(Op::Alu {
+            op: AluOp::Add,
+            d: reg::PDL,
+            a: reg::PDL,
+            b: Operand::Imm(2),
+        });
+    }
+
+    /// Makes the pair of words at `off` in `U1`'s and `U2`'s cells the
+    /// current pair and walks it.
+    fn walk_pair_at(&self, a: &mut Asm, off: i32) {
+        let (x, y) = load_pair(a, off);
+        a.emit(Op::Mv { d: reg::U1, s: x });
+        a.emit(Op::Mv { d: reg::U2, s: y });
+        a.emit(Op::Jmp { t: self.pair });
+    }
+}
+
+/// Loads the words at `off` in `U1`'s and `U2`'s cells into two fresh
+/// registers.
+fn load_pair(a: &mut Asm, off: i32) -> (R, R) {
+    let (x, y) = (a.fresh_reg(), a.fresh_reg());
+    for (d, base) in [(x, reg::U1), (y, reg::U2)] {
+        a.emit(Op::Ld { d, base, off });
+    }
+    (x, y)
+}
+
+/// Sets `FLAG`, the result register of `struct_eq`, to `v`.
+fn set_flag(a: &mut Asm, v: i64) {
+    let t = a.fresh_reg();
+    a.emit(Op::MvI {
+        d: t,
+        w: Word::int(v),
+    });
+    a.emit(Op::Mv { d: reg::FLAG, s: t });
+}
+
+/// Stores the word `w` at `base + off` through a fresh register.
+fn store_word(a: &mut Asm, w: Word, base: R, off: i32) {
+    let t = a.fresh_reg();
+    a.emit(Op::MvI { d: t, w });
+    a.emit(Op::St { s: t, base, off });
 }
 
 /// Per-predicate translation context.

@@ -68,7 +68,7 @@ pub enum WireError {
         /// How many bytes were left over.
         extra: usize,
     },
-    /// The decoded program failed [`IciProgram::try_new`] validation.
+    /// The decoded program failed [`IciProgram::new`] validation.
     Program(ProgramError),
     /// The artifact container does not start with the format magic.
     BadMagic,
@@ -685,7 +685,7 @@ impl IciProgram {
     }
 
     /// Decodes a program from `r`, re-running the full
-    /// [`IciProgram::try_new`] structural validation — a malformed
+    /// [`IciProgram::new`] structural validation — a malformed
     /// artifact is diagnosed, never executed.
     ///
     /// # Errors
@@ -721,9 +721,7 @@ impl IciProgram {
             });
         };
         let entry = Label(r.u32()?);
-        Ok(IciProgram::try_new(
-            ops, groups, label_at, num_labels, entry,
-        )?)
+        Ok(IciProgram::new(ops, groups, label_at, num_labels, entry)?)
     }
 
     /// Decodes a program from a standalone byte vector (the inverse of
@@ -1192,7 +1190,7 @@ mod tests {
             t: lp,
         });
         a.emit(Op::Halt { success: true });
-        a.finish(e)
+        a.finish(e).expect("assembles")
     }
 
     #[test]

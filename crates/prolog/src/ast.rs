@@ -50,11 +50,6 @@ impl Term {
         }
     }
 
-    /// Whether the term is a variable.
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// Whether the term contains no variables.
     pub fn is_ground(&self) -> bool {
         match self {

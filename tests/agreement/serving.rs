@@ -1,6 +1,6 @@
-//! The serving tier: batched serving, the parallel batch executor, the
-//! artifact round trip and the warm fused tier all answer as a
-//! standalone sequential run does, and a corrupt artifact is rebuilt
+//! The serving tier: batched serving, the batch executor on a shared
+//! pool, the artifact round trip and the warm fused tier all answer as
+//! a standalone sequential run does, and a corrupt artifact is rebuilt
 //! from source, never served.
 
 use std::sync::Arc;
@@ -8,13 +8,14 @@ use std::sync::Arc;
 use symbol_core::pipeline::Compiled;
 use symbol_intcode::decode::DecodedProgram;
 use symbol_intcode::program::IciProgram;
+use symbol_intcode::wire::fnv1a64;
 use symbol_intcode::{ArenaPool, ExecConfig, Layout};
 use symbol_obs::Registry;
 use symbol_serve::artifact::{ArtifactKey, PayloadKind};
 use symbol_serve::cache::ArtifactCache;
 use symbol_serve::server::{QueryServer, ServerConfig};
 
-use crate::{benches, program};
+use crate::{benches, fixture, program};
 
 /// The batched serving path must be bit-identical to sequential
 /// execution for every (tier) × (worker count) × (batch size)
@@ -92,12 +93,15 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
 
 /// The in-process batch executor under mixed per-query step limits:
 /// seeded pseudo-random limits make some queries abort mid-run, and
-/// every (worker count, seed) combination must reproduce the
-/// sequential batch bit for bit — aborted queries included.
+/// every query of every seed's batch, run on one pool shared by all
+/// three batches, must answer bit for bit as the same query alone on a
+/// fresh pool does — aborted queries included, so no query's engine
+/// state leaks into the next.
 #[test]
-fn parallel_batches_with_mixed_step_limits_match_sequential() {
+fn mixed_step_limits_on_a_shared_pool_match_fresh_pools() {
     let p = program("nreverse");
     let full = p.run.steps;
+    let mut shared = ArenaPool::new();
     for seed in [3u64, 17, 1999] {
         // xorshift-mixed limits: below, around, and above the full
         // step count, plus degenerate 0- and 1-step queries.
@@ -119,18 +123,15 @@ fn parallel_batches_with_mixed_step_limits_match_sequential() {
                 },
             })
             .collect();
-        let mut pool = ArenaPool::new();
-        let sequential = p.compiled.run_batch(&queries, &mut pool);
-        for workers in [1usize, 2, 4, 8] {
-            let parallel = symbol_intcode::batch::run_batch_parallel(
-                p.compiled.serving_program(),
-                &p.compiled.layout,
-                &queries,
-                workers,
-            );
+        let batch = p.compiled.run_batch(&queries, &mut shared);
+        for (i, (query, got)) in queries.iter().zip(batch).enumerate() {
+            let alone = p
+                .compiled
+                .run_batch(std::slice::from_ref(query), &mut ArenaPool::new());
             assert_eq!(
-                sequential, parallel,
-                "seed {seed}: {workers}-worker batch diverged from sequential"
+                alone,
+                [got],
+                "seed {seed}: query {i} on the shared pool diverged from a fresh pool"
             );
         }
     }
@@ -174,6 +175,33 @@ fn artifact_round_trip_runs_are_bit_identical_for_every_benchmark() {
             p.name
         );
     }
+}
+
+/// The translation the artifact cache stores is pinned: every fixture
+/// program's op count and the FNV-1a hashes of its IntCode and decoded
+/// wire bytes equal `tests/golden/intcode.txt`. An artifact key names
+/// only the source and the layout, so a change that moves these bytes
+/// must also bump `symbol_serve::artifact::FORMAT_VERSION`, or a warm
+/// cache keeps serving the old translation (DESIGN.md §8); it then
+/// rewrites the file from this test's failure message.
+#[test]
+fn translated_bytes_match_the_golden_file() {
+    let mut got = String::from("# program ops fnv1a64(ici bytes) fnv1a64(decoded bytes)\n");
+    for p in fixture() {
+        let c = &p.compiled;
+        got.push_str(&format!(
+            "{} {} {:016x} {:016x}\n",
+            p.name,
+            c.ici.len(),
+            fnv1a64(&c.ici.to_wire_bytes()),
+            fnv1a64(&c.decoded.to_wire_bytes())
+        ));
+    }
+    assert!(
+        got == include_str!("../golden/intcode.txt"),
+        "the translation moved; if that is meant, bump FORMAT_VERSION and \
+         write this to tests/golden/intcode.txt:\n{got}"
+    );
 }
 
 /// Corrupt on-disk artifacts — truncations, a flipped version byte, an
